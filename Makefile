@@ -13,16 +13,17 @@ build:
 
 # Structural lints the compiler cannot see (engine dispatch must stay in
 # the internal/engine registry; modelled packages must stay off the wall
-# clock).
+# clock; shared CLI flags and helpers must stay in internal/runcli).
 lint:
 	bash scripts/lint_engine_registry.sh
 	bash scripts/lint_time_domain.sh
+	bash scripts/lint_cli_harness.sh
 
 test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/batch/ ./internal/core/ ./internal/pipeline/ ./internal/serve/ ./internal/obshttp/ ./internal/progress/ ./internal/trace/
+	$(GO) test -race ./internal/batch/ ./internal/core/ ./internal/pipeline/ ./internal/serve/ ./internal/obshttp/ ./internal/progress/ ./internal/trace/ ./internal/runcli/
 
 cover:
 	$(GO) test -cover ./...

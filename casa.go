@@ -150,52 +150,6 @@ func RunEngineCtx(ctx context.Context, e SeedingEngine, reads []Sequence, o Batc
 	return batch.SeedEngineCtx(ctx, e, reads, o)
 }
 
-// RunBatch seeds reads on a worker pool of CASA accelerator clones and
-// returns a Result bit-identical to acc.SeedReads(reads).
-//
-// Deprecated: use RunEngine with CASAEngine(acc) or NewEngine("casa", ...).
-func RunBatch(acc *Accelerator, reads []Sequence, o BatchOptions) *Result {
-	return batch.Seed[*core.Result](engine.CASA(acc), reads, o)
-}
-
-// RunBatchCtx is RunBatch with cooperative cancellation.
-//
-// Deprecated: use RunEngineCtx with CASAEngine(acc).
-func RunBatchCtx(ctx context.Context, acc *Accelerator, reads []Sequence, o BatchOptions) (*Result, int, error) {
-	return batch.SeedCtx[*core.Result](ctx, engine.CASA(acc), reads, o)
-}
-
-// RunBatchERT is RunBatch for the ASIC-ERT baseline.
-//
-// Deprecated: use RunEngine with NewEngine("ert", ...).
-func RunBatchERT(acc *ERTAccelerator, reads []Sequence, o BatchOptions) *ert.Result {
-	return batch.Seed[*ert.Result](engine.ERT(acc), reads, o)
-}
-
-// RunBatchGenAx is RunBatch for the GenAx baseline.
-//
-// Deprecated: use RunEngine with NewEngine("genax", ...).
-func RunBatchGenAx(acc *GenAxAccelerator, reads []Sequence, o BatchOptions) *genax.Result {
-	return batch.Seed[*genax.Result](engine.GenAx(acc), reads, o)
-}
-
-// RunBatchCPU is RunBatch for the software BWA-MEM2 baseline.
-//
-// Deprecated: use RunEngine with NewEngine("cpu", ...).
-func RunBatchCPU(s *CPUSeeder, reads []Sequence, o BatchOptions) *cpu.Result {
-	return batch.Seed[*cpu.Result](engine.CPU(s), reads, o)
-}
-
-// RunBatchGenCache is RunBatch for the GenCache baseline. The
-// order-sensitive cache model is replayed from recorded per-shard fetch
-// streams during reduction, so results stay bit-identical to a
-// sequential SeedReads at any worker count.
-//
-// Deprecated: use RunEngine with NewEngine("gencache", ...).
-func RunBatchGenCache(acc *GenCacheAccelerator, reads []Sequence, o BatchOptions) *gencache.Result {
-	return batch.Seed[*gencache.Result](engine.GenCache(acc), reads, o)
-}
-
 // Observability: engines publish activity counters and model gauges into
 // a MetricsRegistry under names of the form engine/stage/counter; see
 // docs/OBSERVABILITY.md. Set BatchOptions.Metrics to collect a batch

@@ -30,27 +30,20 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
-	"os/signal"
-	"time"
 
 	"casa/internal/batch"
-	"casa/internal/buildinfo"
 	"casa/internal/dna"
 	"casa/internal/engine"
-	"casa/internal/idxio"
-	"casa/internal/metrics"
-	"casa/internal/obshttp"
 	"casa/internal/pairing"
 	"casa/internal/progress"
 	"casa/internal/refidx"
+	"casa/internal/runcli"
 	"casa/internal/sam"
 	"casa/internal/seedex"
 	"casa/internal/seqio"
 	_ "casa/internal/shard" // registers the sharded:<name> composites
 	"casa/internal/smem"
-	"casa/internal/trace"
 )
 
 // Proper-pair template length window (FR orientation).
@@ -76,239 +69,63 @@ type aligner struct {
 	mismatches int
 }
 
-// newLogger builds the command's stderr slog.Logger from the -log-level
-// and -log-format flags.
-func newLogger(level, format string) (*slog.Logger, error) {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("bad -log-level %q: %w", level, err)
-	}
-	opts := &slog.HandlerOptions{Level: lvl}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	default:
-		return nil, fmt.Errorf("bad -log-format %q (want text or json)", format)
-	}
-}
-
-// logSnapshot emits one progress snapshot as an info record — the
-// terminal-ticker counterpart of the /progress endpoint.
-func logSnapshot(log *slog.Logger, s progress.Snapshot) {
-	log.Info("progress",
-		"reads_done", s.ReadsDone,
-		"total_reads", s.TotalReads,
-		"shards_done", s.ShardsDone,
-		"percent_done", fmt.Sprintf("%.1f", s.PercentDone),
-		"host_reads_per_s", fmt.Sprintf("%.0f", s.HostReadsPerS),
-		"model_cycles", s.ModelCycles,
-		"eta_s", fmt.Sprintf("%.1f", s.ETASeconds))
-}
-
 func main() {
 	var (
-		refPath    = flag.String("ref", "", "reference FASTA (required)")
-		indexPath  = flag.String("index", "", "prebuilt casa-idx/v1 index (casa-index output) over the same reference; any persisting engine")
-		readsPath  = flag.String("reads", "", "reads FASTQ (required; mate 1 in paired mode)")
-		reads2     = flag.String("reads2", "", "mate-2 FASTQ (enables paired-end mode)")
-		outPath    = flag.String("out", "-", "SAM output path (- = stdout)")
-		engName    = flag.String("engine", "casa", "seeding engine (any registered name; \"list\" prints them)")
-		verify     = flag.String("verify", "", "cross-check the seeding engine's forward SMEMs against this engine (\"list\" prints the choices)")
-		partition  = flag.Int("partition", 4<<20, "partition size in bases (engines that partition the reference)")
-		maxHits    = flag.Int("max-hits", 4, "extension candidates per SMEM")
-		batchSize  = flag.Int("batch", 4096, "reads seeded per batch")
-		workers    = flag.Int("workers", 0, "seeding worker goroutines (0 = one per CPU)")
-		metricsOut = flag.Bool("metrics", false, "write the metrics text exposition to stderr after the run")
-		tracePath  = flag.String("trace", "", "write a casa-trace/v1 seeding trace (.jsonl = JSONL, else Chrome JSON)")
-		traceSamp  = flag.String("trace-sample", "all", "trace sampling policy: all, head:N, slowest:N")
-		wallPath   = flag.String("walltrace", "", "write a casa-walltrace/v1 host wall-clock profile of the seeding pool (Chrome JSON; analyze with casa-trace -wall)")
-		httpAddr   = flag.String("http", "", "serve /metrics, /trace, /progress, /events and /debug/pprof on this address until interrupted")
-		progEvery  = flag.Duration("progress", 0, "log a progress snapshot at this interval (0 = off)")
-		stallAfter = flag.Duration("stall-timeout", 0, "warn with per-worker state and a goroutine dump when no seeding shard completes for this long (0 = off)")
-		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		logFormat  = flag.String("log-format", "text", "log output format: text or json")
-		version    = flag.Bool("version", false, "print build info and exit")
+		readsPath = flag.String("reads", "", "reads FASTQ (required; mate 1 in paired mode)")
+		reads2    = flag.String("reads2", "", "mate-2 FASTQ (enables paired-end mode)")
+		outPath   = flag.String("out", "-", "SAM output path (- = stdout)")
+		maxHits   = flag.Int("max-hits", 4, "extension candidates per SMEM")
+		batchSize = flag.Int("batch", 4096, "reads seeded per batch")
 	)
-	flag.Parse()
-	if *version {
-		buildinfo.Print(os.Stdout, "casa-align")
-		return
-	}
-	if *engName == "list" || *verify == "list" {
-		engine.WriteList(os.Stdout)
-		return
-	}
-	if f, ok := engine.Lookup(*engName); ok {
-		*engName = f.Name
-	}
-	if f, ok := engine.Lookup(*verify); ok {
-		*verify = f.Name
-	}
-	if *refPath == "" || *readsPath == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
-	// With -index the engine identity comes from the container header; an
-	// explicit conflicting -engine is an error, not a silent override.
-	if *indexPath != "" {
-		var engSet bool
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "engine" {
-				engSet = true
-			}
-		})
-		hdr, err := peekHeader(*indexPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "casa-align:", err)
-			os.Exit(1)
-		}
-		if engSet && *engName != hdr.Engine {
-			fmt.Fprintf(os.Stderr, "casa-align: %s holds a %s index; it cannot seed with -engine %s\n",
-				*indexPath, hdr.Engine, *engName)
-			os.Exit(2)
-		}
-		*engName = hdr.Engine
-	}
-	logger, err := newLogger(*logLevel, *logFormat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "casa-align:", err)
-		os.Exit(2)
-	}
-	runID := progress.NewRunID()
-	logger = logger.With("run_id", runID, "engine", *engName)
-	// srv is declared before fatal so error exits after -http has started
-	// the observability server still release its listener.
-	var srv *obshttp.Server
-	fatal := func(err error) {
-		logger.Error(err.Error())
-		if srv != nil {
-			srv.Close()
-		}
-		os.Exit(1)
-	}
+	// SIGINT cancels r.Ctx: seeding drains its in-flight shards, the
+	// completed prefix is aligned and flushed, partial telemetry is
+	// written, and the command exits 130.
+	r := runcli.Begin(runcli.Align)
 
-	// SIGINT cancels the run context: seeding drains its in-flight
-	// shards, the completed prefix is aligned and flushed, partial
-	// telemetry is published, and the command exits 130. A second SIGINT
-	// kills the process immediately.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	ix, err := loadRef(*refPath)
+	// The reference is parsed once: the same index feeds the engine (or
+	// the -index cross-check), extension and the SAM header.
+	ix, err := r.Reference()
 	if err != nil {
-		fatal(err)
+		r.Fatal(err)
 	}
-	var eng engine.Engine
-	if *indexPath != "" {
-		f, err := os.Open(*indexPath)
-		if err != nil {
-			fatal(err)
-		}
-		var hdr idxio.Header
-		eng, hdr, err = engine.LoadIndex(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		// The index must describe the same reference -ref resolved to:
-		// extension and SAM emission use -ref's coordinate space, so a
-		// stale index would silently misplace every alignment.
-		if err := checkChromosomes(hdr.Chromosomes, ix.Chromosomes()); err != nil {
-			fatal(fmt.Errorf("%s does not match -ref %s: %w", *indexPath, *refPath, err))
-		}
-	} else {
-		eng, err = engine.New(*engName, ix.Flat(), engine.Options{Partition: *partition})
-		if err != nil {
-			fatal(err)
-		}
+	eng, err := r.Engine(ix)
+	if err != nil {
+		r.Fatal(err)
 	}
 	var veng engine.Engine
-	if *verify != "" {
-		veng, err = engine.New(*verify, ix.Flat(), engine.Options{})
+	if r.Verify != "" {
+		veng, err = engine.New(r.Verify, ix.Flat(), engine.Options{})
 		if err != nil {
-			fatal(err)
+			r.Fatal(err)
 		}
 	}
 	sx, err := seedex.New(ix.Flat(), seedex.DefaultConfig())
 	if err != nil {
-		fatal(err)
+		r.Fatal(err)
 	}
 
 	var out io.Writer = os.Stdout
 	if *outPath != "-" {
 		f, err := os.Create(*outPath)
 		if err != nil {
-			fatal(err)
+			r.Fatal(err)
 		}
-		defer f.Close()
 		out = f
 	}
 	var refSeqs []sam.RefSeq
 	for _, c := range ix.Chromosomes() {
 		refSeqs = append(refSeqs, sam.RefSeq{Name: c.Name, Length: c.Length})
 	}
-	reg := metrics.New()
-	var tr *trace.Trace
-	if *tracePath != "" || *httpAddr != "" {
-		policy, err := trace.ParsePolicy(*traceSamp)
-		if err != nil {
-			fatal(err)
-		}
-		tr = trace.New(policy, 0)
-	}
-	// The wall recorder profiles the host side of the seeding pool: one
-	// span per claimed shard, across every streamed batch (ReadBase keeps
-	// shard names globally unique). The verify and reverse-complement
-	// passes share it — their spans land under the same workers.
-	var wall *trace.WallTrace
-	if *wallPath != "" {
-		wall = trace.NewWall(0)
-	}
-	pool := batch.Options{Workers: *workers, Metrics: reg, Trace: tr, Wall: wall}
+	writer := sam.NewWriter(out, refSeqs, "casa-align")
 	// The input streams in batches, so the read total is unknown upfront
 	// (single-end) or learned at load (paired): the tracker starts at 0
 	// and grows via AddTotal, and percent/ETA stay 0 until it is known.
-	tracker := progress.New(runID, *engName, pool.WorkerCount(), 0)
-	pool.Progress = tracker
+	r.Start(0, "workers", r.Pool().WorkerCount(), "batch", *batchSize, "paired", *reads2 != "")
 	pos, _ := eng.(engine.Positioner)
 	a := &aligner{
-		ctx: ctx, eng: eng, pos: pos, veng: veng, flat: ix.Flat(),
+		ctx: r.Ctx, eng: eng, pos: pos, veng: veng, flat: ix.Flat(),
 		sx: sx, ix: ix, maxHits: *maxHits,
-		pool: pool, tracker: tracker,
-		writer: sam.NewWriter(out, refSeqs, "casa-align"),
-	}
-	logger.Info("run starting", "workers", pool.WorkerCount(), "batch", *batchSize, "paired", *reads2 != "")
-
-	if *httpAddr != "" {
-		// Start before aligning so /debug/pprof can profile the run and
-		// /progress and /events observe it live.
-		srv, err = obshttp.Start(*httpAddr, reg)
-		if err != nil {
-			fatal(err)
-		}
-		srv.SetProgress(tracker)
-		logger.Info("observability server listening", "addr", srv.Addr())
-	}
-	if *stallAfter > 0 {
-		wd := progress.NewWatchdog(tracker, *stallAfter, logger)
-		wd.Start()
-		defer wd.Stop()
-	}
-	if *progEvery > 0 {
-		go func() {
-			tick := time.NewTicker(*progEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tracker.Done():
-					return
-				case <-tick.C:
-					logSnapshot(logger, tracker.Snapshot())
-				}
-			}
-		}()
+		pool: r.Pool(), tracker: r.Tracker, writer: writer,
 	}
 
 	if *reads2 == "" {
@@ -316,65 +133,25 @@ func main() {
 	} else {
 		err = a.runPaired(*readsPath, *reads2, *batchSize)
 	}
-	tracker.Finish()
+	r.Tracker.Finish()
 	interrupted := errors.Is(err, context.Canceled)
 	if err != nil && !interrupted {
-		fatal(err)
+		r.Fatal(err)
 	}
 	if interrupted {
-		logger.Warn("run interrupted; flushing the aligned prefix", "reads_done", a.total)
+		r.Log.Warn("run interrupted; flushing the aligned prefix", "reads_done", a.total)
 	}
 	if err := a.writer.Flush(); err != nil {
-		fatal(err)
+		r.Fatal(err)
 	}
-	a.sx.PublishMetrics(reg)
-	reg.Counter("align/reads/total").Add(int64(a.total))
-	reg.Counter("align/reads/aligned").Add(int64(a.aligned))
-	logger.Info("alignment finished", "aligned", a.aligned, "reads", a.total, "interrupted", interrupted)
+	a.sx.PublishMetrics(r.Registry)
+	r.Registry.Counter("align/reads/total").Add(int64(a.total))
+	r.Registry.Counter("align/reads/aligned").Add(int64(a.aligned))
+	r.Log.Info("alignment finished", "aligned", a.aligned, "reads", a.total, "interrupted", interrupted)
 	if veng != nil {
-		logger.Info("seed verification finished", "verify", *verify, "mismatches", a.mismatches)
+		r.Log.Info("seed verification finished", "verify", r.Verify, "mismatches", a.mismatches)
 	}
-	if tr != nil {
-		// On an interrupted run this is the valid partial trace of the
-		// completed shards.
-		spans := tr.Spans()
-		if srv != nil {
-			srv.PublishTrace(spans)
-		}
-		if *tracePath != "" {
-			if err := trace.WriteFile(*tracePath, spans); err != nil {
-				fatal(err)
-			}
-		}
-	}
-	if wall != nil {
-		spans := wall.Spans()
-		if err := trace.WriteWallFile(*wallPath, spans, wall.Dropped()); err != nil {
-			fatal(err)
-		}
-		logger.Info("wall trace written", "path", *wallPath,
-			"spans", len(spans), "dropped", wall.Dropped())
-	}
-	if *metricsOut {
-		if err := reg.WriteText(os.Stderr); err != nil {
-			fatal(err)
-		}
-	}
-	if srv != nil {
-		if !interrupted {
-			logger.Info("serving observability endpoints until interrupted", "addr", srv.Addr())
-			<-ctx.Done()
-		}
-		if err := srv.Close(); err != nil {
-			logger.Error(err.Error())
-		}
-	}
-	if interrupted {
-		os.Exit(130)
-	}
-	if a.mismatches > 0 {
-		os.Exit(1)
-	}
+	r.Finish(interrupted, func() bool { return a.mismatches > 0 })
 }
 
 // seedBatch seeds one batch and returns per-read forward/reverse seed
@@ -739,49 +516,4 @@ func readAllFastq(path string) ([]seqio.Record, error) {
 	}
 	defer f.Close()
 	return seqio.ReadFastq(f)
-}
-
-// peekHeader reads just the casa-idx/v1 header of an index file.
-func peekHeader(path string) (idxio.Header, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return idxio.Header{}, err
-	}
-	defer f.Close()
-	_, hdr, err := idxio.NewReader(f)
-	return hdr, err
-}
-
-// checkChromosomes requires the index header's chromosome table to match
-// the one -ref resolved to, name for name and coordinate for coordinate.
-// An index written without a chromosome table (chroms omitted at build
-// time) passes — there is nothing to cross-check.
-func checkChromosomes(got []idxio.Chromosome, want []refidx.Chromosome) error {
-	if len(got) == 0 {
-		return nil
-	}
-	if len(got) != len(want) {
-		return fmt.Errorf("index has %d sequences, reference has %d", len(got), len(want))
-	}
-	for i, g := range got {
-		w := want[i]
-		if g.Name != w.Name || g.Start != int64(w.Start) || g.Length != int64(w.Length) {
-			return fmt.Errorf("sequence %d: index has %s [%d,+%d), reference has %s [%d,+%d)",
-				i, g.Name, g.Start, g.Length, w.Name, w.Start, w.Length)
-		}
-	}
-	return nil
-}
-
-func loadRef(path string) (*refidx.Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	recs, err := seqio.ReadFasta(f)
-	if err != nil {
-		return nil, err
-	}
-	return refidx.Build(recs)
 }

@@ -37,7 +37,6 @@ import (
 	"casa/internal/engine"
 	"casa/internal/idxio"
 	"casa/internal/refidx"
-	"casa/internal/seqio"
 	_ "casa/internal/shard" // registers the sharded:<name> composites
 )
 
@@ -142,16 +141,7 @@ func main() {
 		log.Fatalf("engine %s does not support index persistence (it rebuilds from FASTA as fast as it would load)", name)
 	}
 
-	rf, err := os.Open(o.ref)
-	if err != nil {
-		log.Fatal(err)
-	}
-	recs, err := seqio.ReadFasta(rf)
-	rf.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	ix, err := refidx.Build(recs)
+	ix, err := refidx.LoadFasta(o.ref)
 	if err != nil {
 		log.Fatal(err)
 	}

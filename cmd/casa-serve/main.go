@@ -20,7 +20,9 @@
 // semantics. SIGTERM/SIGINT drain gracefully: stop accepting, finish the
 // in-flight and queued runs, flush metrics (-metrics) and the wall-clock
 // run lifecycle trace (-trace), exit 0. A second signal kills the
-// process. See docs/OBSERVABILITY.md for the serving telemetry surface.
+// process. The shared flags, the -index policy and the shutdown writes
+// live in internal/runcli; see docs/OBSERVABILITY.md for the serving
+// telemetry surface.
 //
 // Usage:
 //
@@ -29,210 +31,59 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"log/slog"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"casa/internal/buildinfo"
-	"casa/internal/dna"
-	"casa/internal/engine"
-	"casa/internal/idxio"
-	"casa/internal/progress"
-	"casa/internal/refidx"
-	"casa/internal/seqio"
+	"casa/internal/runcli"
 	"casa/internal/serve"
 	_ "casa/internal/shard" // registers the sharded:<name> composites
 )
 
-// newLogger builds the command's stderr slog.Logger from the -log-level
-// and -log-format flags.
-func newLogger(level, format string) (*slog.Logger, error) {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("bad -log-level %q: %w", level, err)
-	}
-	opts := &slog.HandlerOptions{Level: lvl}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	default:
-		return nil, fmt.Errorf("bad -log-format %q (want text or json)", format)
-	}
-}
-
 func main() {
 	var (
-		refPath    = flag.String("ref", "", "reference FASTA (required unless -index)")
-		indexPath  = flag.String("index", "", "prebuilt casa-idx/v1 index (casa-index output); replaces -ref, and the engine and min-smem come from its header")
 		addr       = flag.String("addr", "127.0.0.1:8844", "listen address (port 0 picks a free port)")
-		engName    = flag.String("engine", "casa", "seeding engine (any registered name; \"list\" prints them)")
-		minSMEM    = flag.Int("min-smem", 19, "minimum SMEM length")
-		partition  = flag.Int("partition", 0, "partition size in bases for partitioned engines (0 = engine default)")
-		workers    = flag.Int("workers", 0, "seeding worker goroutines per run (0 = one per CPU)")
 		queueDepth = flag.Int("queue", 8, "seed requests queued behind the running one before 429")
 		maxBody    = flag.Int64("max-body", 64<<20, "largest accepted read batch in bytes")
-		eventEvery = flag.Duration("event-interval", time.Second, "SSE heartbeat cadence between shard completions")
-		metricsOut = flag.Bool("metrics", false, "write the serving metrics text exposition to stderr at shutdown")
-		traceOut   = flag.String("trace", "", "write the wall-clock run lifecycle trace (Chrome JSON) to this file at shutdown")
-		traceCap   = flag.Int("trace-spans", 0, "wall-clock lifecycle spans retained for /debug/runtrace and -trace (0 = library default)")
-		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		logFormat  = flag.String("log-format", "text", "log output format: text or json")
-		version    = flag.Bool("version", false, "print build info and exit")
 	)
-	flag.Parse()
-	if *version {
-		buildinfo.Print(os.Stdout, "casa-serve")
-		return
-	}
-	if *engName == "list" {
-		engine.WriteList(os.Stdout)
-		return
-	}
-	if (*refPath == "") == (*indexPath == "") {
-		flag.Usage()
-		os.Exit(2)
-	}
-	var engSet bool
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "engine" {
-			engSet = true
-		}
-	})
-	logger, err := newLogger(*logLevel, *logFormat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "casa-serve:", err)
-		os.Exit(2)
-	}
-	logger = logger.With("pid", os.Getpid(), "server_id", progress.NewRunID())
-	fatal := func(err error) {
-		logger.Error(err.Error())
-		os.Exit(1)
-	}
+	r := runcli.Begin(runcli.Serve)
 
-	cfg := serve.Config{
-		Engine:            *engName,
-		EngineOptions:     engine.Options{MinSMEM: *minSMEM, Partition: *partition},
-		Workers:           *workers,
-		QueueDepth:        *queueDepth,
-		MaxBodyBytes:      *maxBody,
-		EventInterval:     *eventEvery,
-		TraceSpanCapacity: *traceCap,
-		Log:               logger,
+	ix, err := r.Reference()
+	if err != nil {
+		r.Fatal(err)
 	}
-	var s *serve.Server
-	if *indexPath != "" {
-		loadStart := time.Now()
-		eng, hdr, err := loadIndexEngine(*indexPath)
-		if err != nil {
-			fatal(err)
-		}
-		if f, ok := engine.Lookup(*engName); ok {
-			*engName = f.Name
-		}
-		if engSet && *engName != hdr.Engine {
-			fatal(fmt.Errorf("%s holds a %s index; it cannot seed with -engine %s", *indexPath, hdr.Engine, *engName))
-		}
-		cfg.Engine = hdr.Engine
-		if hdr.MinSMEM > 0 {
-			cfg.EngineOptions.MinSMEM = int(hdr.MinSMEM)
-		}
-		logger.Info("index loaded", "path", *indexPath, "engine", hdr.Engine,
+	if ix != nil {
+		r.Log.Info("reference loaded", "path", r.Ref, "bases", len(ix.Flat()), "engine", r.EngineName)
+	}
+	loadStart := time.Now()
+	eng, err := r.Engine(ix)
+	if err != nil {
+		r.Fatal(err)
+	}
+	if ix == nil {
+		r.Log.Info("index loaded", "path", r.Index, "engine", r.EngineName,
 			"load_seconds", fmt.Sprintf("%.3f", time.Since(loadStart).Seconds()))
-		s, err = serve.StartEngine(*addr, eng, cfg)
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		ref, err := loadRef(*refPath)
-		if err != nil {
-			fatal(err)
-		}
-		logger.Info("reference loaded", "path", *refPath, "bases", len(ref), "engine", *engName)
-		s, err = serve.Start(*addr, ref, cfg)
-		if err != nil {
-			fatal(err)
-		}
 	}
-	logger.Info("seeding server listening", "addr", s.Addr())
+	s, err := serve.StartEngine(*addr, eng, serve.Config{
+		Engine:        r.EngineName,
+		EngineOptions: r.Options,
+		Workers:       r.Workers,
+		QueueDepth:    *queueDepth,
+		MaxBodyBytes:  *maxBody,
+		Log:           r.Log,
+	})
+	if err != nil {
+		r.Fatal(err)
+	}
+	r.Log.Info("seeding server listening", "addr", s.Addr())
 
-	// First SIGTERM/SIGINT starts the drain; stop() then restores default
-	// handling so a second signal kills a stuck process immediately.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	<-ctx.Done()
-	stop()
-
-	logger.Info("draining: finishing in-flight and queued runs")
+	// The first SIGTERM/SIGINT starts the drain.
+	<-r.Ctx.Done()
+	r.Log.Info("draining: finishing in-flight and queued runs")
 	if err := s.Close(); err != nil {
-		logger.Error(err.Error())
-		os.Exit(1)
+		r.Fatal(err)
 	}
-	if *metricsOut {
-		if err := s.Metrics().WriteText(os.Stderr); err != nil {
-			fatal(err)
-		}
-	}
-	if *traceOut != "" {
-		if err := writeRunTrace(s, *traceOut); err != nil {
-			fatal(err)
-		}
-		spans, dropped := s.TraceStats()
-		logger.Info("run trace written", "path", *traceOut,
-			"spans", spans, "dropped", dropped)
-	}
-	logger.Info("drained, exiting")
-}
-
-// writeRunTrace dumps the server's wall-clock lifecycle trace
-// (casa-walltrace/v1 Chrome JSON, the same document /debug/runtrace
-// serves) into path — load it in Perfetto to see where each served run's
-// wall time went.
-func writeRunTrace(s *serve.Server, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := s.WriteRunTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// loadRef builds the flat reference sequence the engines index, the same
-// way casa-smem and casa-index load it (refidx.Build: records
-// concatenated with spacers).
-func loadRef(path string) (dna.Sequence, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	recs, err := seqio.ReadFasta(f)
-	if err != nil {
-		return nil, err
-	}
-	ix, err := refidx.Build(recs)
-	if err != nil {
-		return nil, err
-	}
-	return ix.Flat(), nil
-}
-
-// loadIndexEngine materializes a casa-idx/v1 index file's engine via the
-// registry, returning the header for labels and option resolution.
-func loadIndexEngine(path string) (engine.Engine, idxio.Header, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, idxio.Header{}, err
-	}
-	defer f.Close()
-	return engine.LoadIndex(f)
+	r.Log.Info("drained, exiting")
+	r.Registry, r.Wall = s.Metrics(), s.RunTrace()
+	r.Finish(false, nil)
 }

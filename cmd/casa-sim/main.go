@@ -74,10 +74,11 @@ func main() {
 			log.Fatalf("%s holds a %s index; casa-sim needs a casa index", *indexPath, hdr.Engine)
 		}
 	} else {
-		ref, err := loadRef(*refPath)
+		ix, err := refidx.LoadFasta(*refPath)
 		if err != nil {
 			log.Fatal(err)
 		}
+		ref := ix.Flat()
 		cfg := core.DefaultConfig()
 		cfg.PartitionBases = *partition
 		cfg.K, cfg.M, cfg.MinSMEM = *k, *m, *minSMEM
@@ -117,26 +118,6 @@ func main() {
 	}
 	fmt.Printf("SMEMs:            %d across both strands\n\n", smems)
 	fmt.Println(res.Energy.String())
-}
-
-// loadRef builds the flat reference the same way casa-index and
-// casa-smem do (refidx.Build), so a -ref run and an -index run over the
-// same FASTA model the identical coordinate space.
-func loadRef(path string) (dna.Sequence, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	recs, err := seqio.ReadFasta(f)
-	if err != nil {
-		return nil, err
-	}
-	ix, err := refidx.Build(recs)
-	if err != nil {
-		return nil, fmt.Errorf("casa-sim: %s: %w", path, err)
-	}
-	return ix.Flat(), nil
 }
 
 func loadReads(path string, maxReads int) ([]dna.Sequence, error) {

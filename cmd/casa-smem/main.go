@@ -20,12 +20,12 @@
 // .jsonl paths) with optional -trace-sample sampling; -walltrace records
 // the host wall-clock profile (casa-walltrace/v1: per-shard worker spans
 // plus the CLI's load/build/seed phases — analyze with casa-trace -wall);
-// -http serves
-// /metrics, /trace, /progress, /events and /debug/pprof until
-// interrupted; -progress logs periodic snapshots for non-HTTP runs;
+// -http serves /metrics, /trace, /progress, /events and /debug/pprof
+// until interrupted; -progress logs periodic snapshots for non-HTTP runs;
 // -stall-timeout arms a watchdog that dumps per-worker state and
 // goroutines when no shard completes in time. Diagnostics go to stderr
-// as run-scoped structured logs (-log-level, -log-format).
+// as run-scoped structured logs (-log-level, -log-format). The shared
+// flags and this whole sidecar live in internal/runcli.
 //
 // Usage:
 //
@@ -38,61 +38,22 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
-	"os/signal"
 	"time"
 
 	"casa/internal/batch"
-	"casa/internal/buildinfo"
 	"casa/internal/dna"
 	"casa/internal/engine"
-	"casa/internal/idxio"
-	"casa/internal/metrics"
-	"casa/internal/obshttp"
-	"casa/internal/progress"
-	"casa/internal/refidx"
+	"casa/internal/runcli"
 	"casa/internal/seqio"
 	"casa/internal/serve"
 	_ "casa/internal/shard" // registers the sharded:<name> composites
 	"casa/internal/smem"
-	"casa/internal/trace"
 )
 
 // The -json output document is serve.Report: the CLI and the casa-serve
 // HTTP API share one casa-smem/v1 type, so a batch seeded offline and one
 // POSTed to /v1/seed produce byte-identical modelled fields.
-
-// newLogger builds the command's stderr slog.Logger from the -log-level
-// and -log-format flags.
-func newLogger(level, format string) (*slog.Logger, error) {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("bad -log-level %q: %w", level, err)
-	}
-	opts := &slog.HandlerOptions{Level: lvl}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	default:
-		return nil, fmt.Errorf("bad -log-format %q (want text or json)", format)
-	}
-}
-
-// logSnapshot emits one progress snapshot as an info record — the
-// terminal-ticker counterpart of the /progress endpoint.
-func logSnapshot(log *slog.Logger, s progress.Snapshot) {
-	log.Info("progress",
-		"reads_done", s.ReadsDone,
-		"total_reads", s.TotalReads,
-		"shards_done", s.ShardsDone,
-		"percent_done", fmt.Sprintf("%.1f", s.PercentDone),
-		"host_reads_per_s", fmt.Sprintf("%.0f", s.HostReadsPerS),
-		"model_cycles", s.ModelCycles,
-		"eta_s", fmt.Sprintf("%.1f", s.ETASeconds))
-}
 
 // findAll seeds reads on the pool and returns the engine's forward-strand
 // SMEM sets in input order; on cancellation the slice covers exactly the
@@ -104,338 +65,115 @@ func findAll(ctx context.Context, e engine.Engine, reads []dna.Sequence, pool ba
 
 func main() {
 	var (
-		refPath    = flag.String("ref", "", "reference FASTA (required unless -index)")
-		indexPath  = flag.String("index", "", "prebuilt casa-idx/v1 index (casa-index output); replaces -ref, and the engine and min-smem come from its header")
-		readsPath  = flag.String("reads", "", "reads FASTQ (required)")
-		engName    = flag.String("engine", "casa", "seeding engine (any registered name; \"list\" prints them)")
-		verify     = flag.String("verify", "", "second engine to cross-check against (\"list\" prints the choices)")
-		minSMEM    = flag.Int("min-smem", 19, "minimum SMEM length")
-		shards     = flag.Int("shards", 0, "reference shards for sharded:* engines (0 = engine default; ignored with -index)")
-		shardOver  = flag.Int("shard-overlap", 0, "shard overlap in bases for sharded:* engines (0 = engine default; ignored with -index)")
-		maxReads   = flag.Int("max-reads", 1000, "cap the number of reads (0 = all)")
-		workers    = flag.Int("workers", 0, "seeding worker goroutines (0 = one per CPU)")
-		quiet      = flag.Bool("quiet", false, "suppress per-read output (counts only)")
-		jsonOut    = flag.Bool("json", false, "emit a "+serve.ReportSchema+" JSON report on stdout instead of text")
-		metricsOut = flag.Bool("metrics", false, "write the metrics text exposition to stderr after the run")
-		tracePath  = flag.String("trace", "", "write a casa-trace/v1 trace of the run (.jsonl = JSONL, else Chrome JSON)")
-		traceSamp  = flag.String("trace-sample", "all", "trace sampling policy: all, head:N, slowest:N")
-		wallPath   = flag.String("walltrace", "", "write a casa-walltrace/v1 host wall-clock profile of the run (Chrome JSON; analyze with casa-trace -wall)")
-		httpAddr   = flag.String("http", "", "serve /metrics, /trace, /progress, /events and /debug/pprof on this address until interrupted")
-		progEvery  = flag.Duration("progress", 0, "log a progress snapshot at this interval (0 = off)")
-		stallAfter = flag.Duration("stall-timeout", 0, "warn with per-worker state and a goroutine dump when no shard completes for this long (0 = off)")
-		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		logFormat  = flag.String("log-format", "text", "log output format: text or json")
-		version    = flag.Bool("version", false, "print build info and exit")
+		readsPath = flag.String("reads", "", "reads FASTQ (required)")
+		maxReads  = flag.Int("max-reads", 1000, "cap the number of reads (0 = all)")
+		quiet     = flag.Bool("quiet", false, "suppress per-read output (counts only)")
+		jsonOut   = flag.Bool("json", false, "emit a "+serve.ReportSchema+" JSON report on stdout instead of text")
 	)
-	flag.Parse()
-	if *version {
-		buildinfo.Print(os.Stdout, "casa-smem")
-		return
-	}
-	if *engName == "list" || *verify == "list" {
-		engine.WriteList(os.Stdout)
-		return
-	}
-	// Canonicalize aliases up front so every label — logs, trace procs,
-	// the JSON report — carries the registry name.
-	if f, ok := engine.Lookup(*engName); ok {
-		*engName = f.Name
-	}
-	if f, ok := engine.Lookup(*verify); ok {
-		*verify = f.Name
-	}
-	if (*refPath == "") == (*indexPath == "") || *readsPath == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *indexPath != "" && *verify != "" {
-		fmt.Fprintln(os.Stderr, "casa-smem: -verify rebuilds a second engine from FASTA and needs -ref, not -index")
-		os.Exit(2)
-	}
-	// With -index the engine identity and reporting floor come from the
-	// container header (resolved below, after the header is read); an
-	// explicit conflicting -engine is an error, not a silent override.
-	var engSet, minSet bool
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "engine":
-			engSet = true
-		case "min-smem":
-			minSet = true
-		}
-	})
-	if *indexPath != "" {
-		hdr, err := peekHeader(*indexPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "casa-smem:", err)
-			os.Exit(1)
-		}
-		if engSet && *engName != hdr.Engine {
-			fmt.Fprintf(os.Stderr, "casa-smem: %s holds a %s index; it cannot seed with -engine %s\n",
-				*indexPath, hdr.Engine, *engName)
-			os.Exit(2)
-		}
-		*engName = hdr.Engine
-		if hdr.MinSMEM > 0 {
-			if minSet && *minSMEM != int(hdr.MinSMEM) {
-				fmt.Fprintf(os.Stderr, "casa-smem: -min-smem %d conflicts with the index header's %d\n",
-					*minSMEM, hdr.MinSMEM)
-				os.Exit(2)
-			}
-			*minSMEM = int(hdr.MinSMEM)
-		}
-	}
-	logger, err := newLogger(*logLevel, *logFormat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "casa-smem:", err)
-		os.Exit(2)
-	}
-	runID := progress.NewRunID()
-	logger = logger.With("run_id", runID, "engine", *engName)
-	// srv is declared before fatal so error exits after -http has started
-	// the observability server still release its listener.
-	var srv *obshttp.Server
-	fatal := func(err error) {
-		logger.Error(err.Error())
-		if srv != nil {
-			srv.Close()
-		}
-		os.Exit(1)
-	}
+	// SIGINT cancels r.Ctx: the pool drains in-flight shards, the
+	// completed prefix is reported with its telemetry, and the command
+	// exits 130.
+	r := runcli.Begin(runcli.Smem)
 
-	// SIGINT cancels the run context: the pool drains in-flight shards,
-	// the completed prefix is reported with its telemetry, and the
-	// command exits 130. A second SIGINT kills the process immediately
-	// (stop() restores default signal handling).
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	// The wall recorder profiles the *host* side of the run: the CLI's own
-	// load/build/seed phases (proc "casa-smem", track "phase") plus the
-	// batch layer's per-shard worker spans. Entirely separate from the
-	// cycle-domain -trace.
-	var wall *trace.WallTrace
-	if *wallPath != "" {
-		wall = trace.NewWall(0)
-	}
-	phase := func(name string, start time.Time) {
-		wall.Record("casa-smem", "phase", name, start, time.Since(start))
-	}
-
+	// The wall trace profiles the CLI's own phases next to the batch
+	// layer's per-shard worker spans. The build phase either constructs
+	// the engine from the reference or loads the prebuilt index, so the
+	// two flows compare directly in casa-trace -wall.
 	loadStart := time.Now()
-	var ref dna.Sequence
-	if *indexPath == "" {
-		ref, err = loadRef(*refPath)
-		if err != nil {
-			fatal(err)
-		}
+	ix, err := r.Reference()
+	if err != nil {
+		r.Fatal(err)
 	}
 	reads, names, err := loadReads(*readsPath, *maxReads)
 	if err != nil {
-		fatal(err)
+		r.Fatal(err)
 	}
-	phase("load", loadStart)
-	reg := metrics.New()
-	// Record spans whenever anything could consume them: a -trace file or
-	// the HTTP server's /trace endpoint.
-	var tr *trace.Trace
-	if *tracePath != "" || *httpAddr != "" {
-		policy, err := trace.ParsePolicy(*traceSamp)
-		if err != nil {
-			fatal(err)
-		}
-		tr = trace.New(policy, 0)
-	}
-	pool := batch.Options{Workers: *workers, Metrics: reg, Trace: tr, Wall: wall}
-	tracker := progress.New(runID, *engName, pool.WorkerCount(), int64(len(reads)))
-	pool.Progress = tracker
-	logger.Info("run starting", "reads", len(reads), "workers", pool.WorkerCount(), "min_smem", *minSMEM)
+	r.Phase("load", loadStart)
+	r.Start(int64(len(reads)), "reads", len(reads), "workers", r.Pool().WorkerCount(), "min_smem", r.MinSMEM)
 
-	if *httpAddr != "" {
-		// Start before seeding so /debug/pprof can profile the run and
-		// /progress and /events observe it live.
-		srv, err = obshttp.Start(*httpAddr, reg)
-		if err != nil {
-			fatal(err)
-		}
-		srv.SetProgress(tracker)
-		logger.Info("observability server listening", "addr", srv.Addr())
-	}
-	if *stallAfter > 0 {
-		wd := progress.NewWatchdog(tracker, *stallAfter, logger)
-		wd.Start()
-		defer wd.Stop()
-	}
-	if *progEvery > 0 {
-		go func() {
-			tick := time.NewTicker(*progEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tracker.Done():
-					return
-				case <-tick.C:
-					logSnapshot(logger, tracker.Snapshot())
-				}
-			}
-		}()
-	}
-
-	// The build phase either constructs the engine from the reference or
-	// loads the prebuilt index — the wall trace labels both "build" so
-	// the two flows compare directly in casa-trace -wall.
 	buildStart := time.Now()
-	var eng engine.Engine
-	if *indexPath != "" {
-		eng, err = loadIndexEngine(*indexPath)
-	} else {
-		eng, err = engine.New(*engName, ref, engine.Options{
-			MinSMEM: *minSMEM, Shards: *shards, ShardOverlap: *shardOver,
-		})
-	}
+	eng, err := r.Engine(ix)
 	if err != nil {
-		fatal(err)
+		r.Fatal(err)
 	}
-	phase("build", buildStart)
+	r.Phase("build", buildStart)
 	seedStart := time.Now()
-	got, done, runErr := findAll(ctx, eng, reads, pool)
-	phase("seed", seedStart)
-	tracker.Finish()
+	got, done, runErr := findAll(r.Ctx, eng, reads, r.Pool())
+	r.Phase("seed", seedStart)
+	r.Tracker.Finish()
 	interrupted := runErr != nil
 	if interrupted {
-		logger.Warn("run interrupted; reporting the completed prefix",
+		r.Log.Warn("run interrupted; reporting the completed prefix",
 			"reads_done", done, "total_reads", len(reads))
 	}
 
 	var want [][]smem.Match
 	vdone := 0
-	if *verify != "" && !interrupted {
-		ver, err := engine.New(*verify, ref, engine.Options{
-			MinSMEM: *minSMEM, Shards: *shards, ShardOverlap: *shardOver,
-		})
+	if r.Verify != "" && !interrupted {
+		ver, err := engine.New(r.Verify, ix.Flat(), r.Options)
 		if err != nil {
-			fatal(err)
+			r.Fatal(err)
 		}
 		// The verify pass reuses the metrics/trace sinks (both engines'
 		// spans land in one trace as separate processes) but not the
 		// progress tracker — the live run it describes is finished.
-		vpool := pool
+		vpool := r.Pool()
 		vpool.Progress = nil
-		want, vdone, err = findAll(ctx, ver, reads, vpool)
+		want, vdone, err = findAll(r.Ctx, ver, reads, vpool)
 		if err != nil {
 			interrupted = true
-			logger.Warn("verify pass interrupted; cross-checking the completed prefix",
+			r.Log.Warn("verify pass interrupted; cross-checking the completed prefix",
 				"reads_verified", vdone)
 		}
 	}
-	if tr != nil {
-		// The pool has drained: merge once and fan the snapshot out to the
-		// -trace file and the /trace endpoint. On an interrupted run this
-		// is the valid partial trace of the completed shards.
-		spans := tr.Spans()
-		if srv != nil {
-			srv.PublishTrace(spans)
-		}
-		if *tracePath != "" {
-			if err := trace.WriteFile(*tracePath, spans); err != nil {
-				fatal(err)
+
+	r.Finish(interrupted, func() bool {
+		totalSMEMs, mismatches := 0, 0
+		for i := 0; i < done; i++ {
+			ms := got[i]
+			totalSMEMs += len(ms)
+			if !*quiet && !*jsonOut {
+				fmt.Printf("%s\t%d SMEMs", names[i], len(ms))
+				for _, m := range ms {
+					fmt.Printf("\t%s", m)
+				}
+				fmt.Println()
+			}
+			if want != nil && i < vdone && !smem.SameIntervals(ms, want[i]) {
+				mismatches++
+				fmt.Fprintf(os.Stderr, "MISMATCH %s:\n  %s: %v\n  %s: %v\n", names[i], r.EngineName, ms, r.Verify, want[i])
 			}
 		}
-	}
-	if wall != nil {
-		spans := wall.Spans()
-		if err := trace.WriteWallFile(*wallPath, spans, wall.Dropped()); err != nil {
-			fatal(err)
-		}
-		logger.Info("wall trace written", "path", *wallPath,
-			"spans", len(spans), "dropped", wall.Dropped())
-	}
-
-	totalSMEMs, mismatches := 0, 0
-	for i := 0; i < done; i++ {
-		ms := got[i]
-		totalSMEMs += len(ms)
-		if !*quiet && !*jsonOut {
-			fmt.Printf("%s\t%d SMEMs", names[i], len(ms))
-			for _, m := range ms {
-				fmt.Printf("\t%s", m)
+		if *jsonOut {
+			enc := json.NewEncoder(os.Stdout)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(serve.Report{
+				Schema:      serve.ReportSchema,
+				RunID:       r.RunID,
+				Engine:      r.EngineName,
+				Verify:      r.Verify,
+				MinSMEM:     r.MinSMEM,
+				Workers:     r.Pool().WorkerCount(),
+				Reads:       done,
+				SMEMs:       totalSMEMs,
+				Mismatches:  mismatches,
+				Interrupted: interrupted,
+				Metrics:     r.Registry,
+			}); err != nil {
+				r.Fatal(err)
+			}
+		} else {
+			fmt.Printf("\n%d reads, %d SMEMs via %s", done, totalSMEMs, r.EngineName)
+			if want != nil {
+				fmt.Printf("; %d mismatches vs %s", mismatches, r.Verify)
+			}
+			if interrupted {
+				fmt.Printf(" (interrupted: %d of %d reads)", done, len(reads))
 			}
 			fmt.Println()
 		}
-		if want != nil && i < vdone && !smem.SameIntervals(ms, want[i]) {
-			mismatches++
-			fmt.Fprintf(os.Stderr, "MISMATCH %s:\n  %s: %v\n  %s: %v\n", names[i], *engName, ms, *verify, want[i])
-		}
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(serve.Report{
-			Schema:      serve.ReportSchema,
-			RunID:       runID,
-			Engine:      *engName,
-			Verify:      *verify,
-			MinSMEM:     *minSMEM,
-			Workers:     pool.WorkerCount(),
-			Reads:       done,
-			SMEMs:       totalSMEMs,
-			Mismatches:  mismatches,
-			Interrupted: interrupted,
-			Metrics:     reg,
-		}); err != nil {
-			fatal(err)
-		}
-	} else {
-		fmt.Printf("\n%d reads, %d SMEMs via %s", done, totalSMEMs, *engName)
-		if want != nil {
-			fmt.Printf("; %d mismatches vs %s", mismatches, *verify)
-		}
-		if interrupted {
-			fmt.Printf(" (interrupted: %d of %d reads)", done, len(reads))
-		}
-		fmt.Println()
-	}
-	if *metricsOut {
-		if err := reg.WriteText(os.Stderr); err != nil {
-			fatal(err)
-		}
-	}
-	if srv != nil {
-		if !interrupted {
-			logger.Info("serving observability endpoints until interrupted", "addr", srv.Addr())
-			<-ctx.Done()
-		}
-		if err := srv.Close(); err != nil {
-			logger.Error(err.Error())
-		}
-	}
-	logSnapshot(logger, tracker.Snapshot())
-	if interrupted {
-		os.Exit(130)
-	}
-	if mismatches > 0 {
-		os.Exit(1)
-	}
-}
-
-// loadRef builds the flat reference the same way casa-index does
-// (refidx.Build: records concatenated with spacers), so an index-loaded
-// run and a FASTA rebuild seed the identical coordinate space.
-func loadRef(refPath string) (dna.Sequence, error) {
-	rf, err := os.Open(refPath)
-	if err != nil {
-		return nil, err
-	}
-	defer rf.Close()
-	recs, err := seqio.ReadFasta(rf)
-	if err != nil {
-		return nil, err
-	}
-	ix, err := refidx.Build(recs)
-	if err != nil {
-		return nil, err
-	}
-	return ix.Flat(), nil
+		return mismatches > 0
+	})
 }
 
 func loadReads(readsPath string, maxReads int) ([]dna.Sequence, []string, error) {
@@ -455,27 +193,4 @@ func loadReads(readsPath string, maxReads int) ([]dna.Sequence, []string, error)
 		return nil
 	})
 	return reads, names, err
-}
-
-// peekHeader reads just the casa-idx/v1 header of an index file, to
-// resolve the engine label and reporting floor before the run starts.
-func peekHeader(path string) (idxio.Header, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return idxio.Header{}, err
-	}
-	defer f.Close()
-	_, hdr, err := idxio.NewReader(f)
-	return hdr, err
-}
-
-// loadIndexEngine materializes the index's engine via the registry.
-func loadIndexEngine(path string) (engine.Engine, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	eng, _, err := engine.LoadIndex(f)
-	return eng, err
 }

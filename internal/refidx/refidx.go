@@ -10,6 +10,7 @@ package refidx
 
 import (
 	"fmt"
+	"os"
 	"sort"
 
 	"casa/internal/dna"
@@ -65,6 +66,27 @@ func Build(recs []seqio.Record) (*Index, error) {
 			Length: len(rec.Seq),
 		})
 		ix.flat = append(ix.flat, rec.Seq...)
+	}
+	return ix, nil
+}
+
+// LoadFasta parses the FASTA file at path and builds its index: the one
+// reference loader every command shares, so an index built by casa-index
+// and a FASTA rebuild in any other command seed the identical coordinate
+// space.
+func LoadFasta(path string) (*Index, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	recs, err := seqio.ReadFasta(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	ix, err := Build(recs)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return ix, nil
 }

@@ -1,7 +1,11 @@
 package refidx
 
 import (
+	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -239,5 +243,38 @@ func TestSpacerDeterministicAndNonConstant(t *testing.T) {
 	}
 	if same {
 		t.Error("spacer is a homopolymer (would create repeats)")
+	}
+}
+
+// TestLoadFasta pins the shared FASTA loader: it builds the same index as
+// Build over the parsed records, and its errors name the file.
+func TestLoadFasta(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ref.fa")
+	want := recs(300, 200)
+	var buf bytes.Buffer
+	if err := seqio.WriteFasta(&buf, want, 60); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := LoadFasta(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, _ := Build(want)
+	if !ix.Flat().Equal(built.Flat()) || len(ix.Chromosomes()) != 2 {
+		t.Fatalf("LoadFasta differs from Build: %d chromosomes", len(ix.Chromosomes()))
+	}
+
+	empty := filepath.Join(dir, "empty.fa")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{empty, filepath.Join(dir, "missing.fa")} {
+		if _, err := LoadFasta(p); err == nil || !strings.Contains(err.Error(), p) {
+			t.Errorf("LoadFasta(%s) error = %v, want one naming the file", p, err)
+		}
 	}
 }

@@ -62,6 +62,9 @@ import (
 	"casa/internal/trace"
 )
 
+// eventInterval is the SSE heartbeat cadence between shard completions.
+const eventInterval = time.Second
+
 // Config tunes the serving layer. The zero value serves the casa engine
 // with library defaults.
 type Config struct {
@@ -84,18 +87,9 @@ type Config struct {
 	// MaxBodyBytes caps an uploaded read batch (0 = 64 MiB).
 	MaxBodyBytes int64
 
-	// EventInterval is the SSE heartbeat cadence between shard
-	// completions (0 = 1s).
-	EventInterval time.Duration
-
 	// KeepFinished bounds the finished runs retained for GET /v1/runs
 	// (0 = progress.DefaultKeepFinished).
 	KeepFinished int
-
-	// TraceSpanCapacity bounds the wall-clock lifecycle spans retained
-	// for /debug/runtrace and -trace (0 = trace.DefaultWallCapacity;
-	// five spans per run, oldest runs evicted first).
-	TraceSpanCapacity int
 
 	// Log receives request/lifecycle records and the access log
 	// (nil = slog.Default).
@@ -115,9 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
-	}
-	if c.EventInterval <= 0 {
-		c.EventInterval = time.Second
 	}
 	if c.Log == nil {
 		c.Log = slog.Default()
@@ -203,7 +194,7 @@ func StartEngine(addr string, proto engine.Engine, cfg Config) (*Server, error) 
 		ln:           ln,
 		reg:          metrics.New(),
 		runs:         progress.NewRegistry(cfg.KeepFinished),
-		wall:         trace.NewWall(cfg.TraceSpanCapacity),
+		wall:         trace.NewWall(0),
 		started:      time.Now(),
 		queue:        make(chan *job, cfg.QueueDepth),
 		quit:         make(chan struct{}),
@@ -464,7 +455,7 @@ func (s *Server) streamSeed(w http.ResponseWriter, r *http.Request, j *job) {
 	if err := es.Emit("progress", j.tracker.Snapshot()); err != nil {
 		return
 	}
-	heartbeat := time.NewTicker(s.cfg.EventInterval)
+	heartbeat := time.NewTicker(eventInterval)
 	defer heartbeat.Stop()
 	for {
 		select {
@@ -569,13 +560,9 @@ func (s *Server) WriteRunTrace(w io.Writer) error {
 	return trace.WriteChromeWall(w, s.wall.Spans(), s.wall.Dropped())
 }
 
-// TraceStats reports the lifecycle trace ring's occupancy: the spans
-// currently retained and how many the ring has evicted so far — the
-// numbers /v1/stats serves as trace_spans/trace_dropped, exposed here for
-// casa-serve's shutdown log.
-func (s *Server) TraceStats() (spans int, dropped int64) {
-	return s.wall.Len(), s.wall.Dropped()
-}
+// RunTrace returns the wall-clock run lifecycle trace (for casa-serve's
+// -trace file at shutdown).
+func (s *Server) RunTrace() *trace.WallTrace { return s.wall }
 
 // Metrics returns the process-level serving registry (for a final flush
 // at shutdown).
