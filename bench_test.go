@@ -17,7 +17,6 @@ import (
 	"casa"
 	"casa/internal/experiments"
 	"casa/internal/gencache"
-	"casa/internal/smem"
 )
 
 var (
@@ -362,27 +361,6 @@ func BenchmarkBatchCASA(b *testing.B) {
 				res = casa.RunEngine(eng, batchReads, opts).(*casa.Result)
 			}
 			b.ReportMetric(float64(len(res.Reads))*float64(b.N)/b.Elapsed().Seconds(), "host_reads/s")
-		})
-	}
-}
-
-// BenchmarkBatchFMIndex runs the FM-index bidirectional finder over the
-// same batch through the generic pooled front door.
-func BenchmarkBatchFMIndex(b *testing.B) {
-	batchFixture(b)
-	f := smem.NewBidirectional(batchRef)
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run("workers="+itoa(w), func(b *testing.B) {
-			b.ReportAllocs()
-			opts := casa.BatchOptions{Workers: w}
-			for i := 0; i < b.N; i++ {
-				casa.FindSMEMsBatch(batchReads, 19, opts, func(worker int) casa.Finder {
-					if worker == 0 {
-						return f
-					}
-					return f.Clone()
-				})
-			}
 		})
 	}
 }

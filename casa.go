@@ -209,13 +209,6 @@ func ParseTracePolicy(s string) (TracePolicy, error) { return trace.ParsePolicy(
 // ends in .jsonl.
 func WriteTraceFile(path string, spans []TraceSpan) error { return trace.WriteFile(path, spans) }
 
-// FindSMEMsBatch runs any Finder over a read batch on the worker pool,
-// returning per-read SMEM sets in input order. newFinder must return an
-// independent finder per worker (e.g. a Clone sharing the index).
-func FindSMEMsBatch(reads []Sequence, minLen int, o BatchOptions, newFinder func(worker int) Finder) [][]Match {
-	return batch.FindSMEMs(reads, minLen, o, newFinder)
-}
-
 // Baselines.
 type (
 	// ERTConfig configures the ERT baseline accelerator.

@@ -24,7 +24,7 @@ func TestBaselineModelNumbersReproducible(t *testing.T) {
 
 	log.SetOutput(io.Discard) // silence runBench's per-row progress lines
 	defer log.SetOutput(testWriter{t})
-	cur := runBench("quick", []int{1}, 1)
+	cur := runBench("quick", []int{1})
 
 	if cur.Workload != base.Workload {
 		t.Fatalf("workload drifted: committed %+v, regenerated %+v", base.Workload, cur.Workload)

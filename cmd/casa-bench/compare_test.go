@@ -171,14 +171,14 @@ func TestCompareHost(t *testing.T) {
 }
 
 // TestHostBlockRoundTrip pins the host-side observability fields: a
-// document carrying build info, phase breakdown and per-rep timings still
-// validates (DisallowUnknownFields must know every field), and none of it
-// reaches the comparison gates.
+// document carrying build info and per-sample timings still validates
+// (DisallowUnknownFields must know every field), and none of it reaches
+// the comparison gates.
 func TestHostBlockRoundTrip(t *testing.T) {
 	build := buildinfo.Current()
 	// One row per non-Golden registry engine (validateFile requires full
 	// coverage, and the roster includes the sharded composites here); the
-	// casa row carries the model and per-rep fields under test.
+	// casa row carries the model and per-sample fields under test.
 	rows := []row{{Engine: "casa", Workers: 1, HostSeconds: 1, HostReadsPerS: 200,
 		HostRepSeconds: []float64{1.2, 1.0, 1.1}, ModelSeconds: 0.01, ModelCycles: 1000, ModelReadsPerS: 20000}}
 	for _, f := range engine.List() {
@@ -189,13 +189,6 @@ func TestHostBlockRoundTrip(t *testing.T) {
 	}
 	d := benchDoc(rows...)
 	d.Host = currentHostEnv()
-	d.Host.Phases = &hostPhases{
-		RefGenSeconds:     0.1,
-		ReadSimSeconds:    0.05,
-		IndexBuildSeconds: map[string]float64{"casa": 0.2},
-		IndexLoadSeconds:  map[string]float64{"casa": 0.01},
-		SeedingSeconds:    3.3,
-	}
 	if d.Host.Build == nil || d.Host.Build.GoVersion != build.GoVersion {
 		t.Fatalf("host env lacks build info: %+v", d.Host)
 	}
@@ -209,7 +202,7 @@ func TestHostBlockRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := validateFile(path); err != nil {
-		t.Fatalf("document with host phases does not validate: %v", err)
+		t.Fatalf("document with host metadata does not validate: %v", err)
 	}
 
 	// A baseline without any of the new host fields gates cleanly against

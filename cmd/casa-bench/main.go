@@ -1,9 +1,11 @@
-// Command casa-bench runs the cross-engine batch-seeding benchmark and
-// writes a machine-readable BENCH_seeding.json (schema casa-bench/v1):
-// for every engine and worker-pool size, the host wall-clock throughput
-// of the simulation plus the engine's modelled seconds, cycles and
-// throughput. `make bench` drives it; CI runs `-scale quick` and then
-// `-validate` to keep the schema honest.
+// Command casa-bench answers one question: did the modelled hardware
+// change, or did an engine's host seeding path collapse? It writes a
+// machine-readable BENCH_seeding.json (schema casa-bench/v1): for every
+// engine and worker-pool size, the host wall-clock throughput of the
+// simulation plus the engine's modelled seconds, cycles and throughput.
+// `make bench` drives it; CI runs `-scale quick` and then `-validate` to
+// keep the schema honest. Host set-up (index build and load, input
+// parsing) and end-to-end timings belong to perfbench, not here.
 //
 // -compare is the regression gate: the run's (or a given file's) model
 // numbers are checked against a committed baseline and the process exits
@@ -14,27 +16,31 @@
 // noise but tight enough to catch an accidental 10× host-path regression.
 // `make bench-quick` gates against bench/baseline-quick.json.
 //
-// Each host measurement is the best of -reps runs (default 3): the first
-// pass pays cold caches and scratch-buffer growth, so a single-shot
-// timing of a millisecond-scale workload underestimates steady-state
-// throughput by 2× or more. Model numbers are identical on every run
-// (the determinism contract), so reps do not affect them.
+// Each host row is the median of hostSamples samples; a sample repeats
+// the batch, doubling the repeat count until it runs for at least
+// minSampleTime, and records the per-batch wall time. A best-of over a
+// few millisecond-scale batches mostly measures cache state and
+// scheduling luck; samples long enough to amortise both, kept beside
+// their median, also show how far to trust the row. Rows asking for more
+// workers than GOMAXPROCS are skipped: they would time the scheduler, not
+// the pool. Model numbers are computed once per engine (the determinism
+// contract makes them identical at every worker count).
 //
 // Usage:
 //
-//	casa-bench [-scale quick|default] [-workers 1,2,4,8] [-reps 3] [-out BENCH_seeding.json]
+//	casa-bench [-scale quick|default] [-workers 1,2,4,8] [-out BENCH_seeding.json]
 //	casa-bench -validate BENCH_seeding.json
 //	casa-bench -compare bench/baseline-quick.json [-threshold 0.10] [-host-threshold 0.5] BENCH_seeding.json
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -49,6 +55,13 @@ import (
 
 // benchSchema identifies the document layout.
 const benchSchema = "casa-bench/v1"
+
+// Steady host rows: the median of hostSamples samples, each at least
+// minSampleTime of back-to-back batches.
+const (
+	hostSamples   = 5
+	minSampleTime = 50 * time.Millisecond
+)
 
 type workload struct {
 	RefBases int `json:"ref_bases"`
@@ -65,29 +78,14 @@ type row struct {
 	Workers       int     `json:"workers"`
 	HostSeconds   float64 `json:"host_seconds"`
 	HostReadsPerS float64 `json:"host_reads_per_s"`
-	// HostRepSeconds lists every repetition's wall time (HostSeconds is
-	// their minimum): the spread shows whether the machine was quiet
-	// enough to trust the row. Host-side, so -compare never reads it.
+	// HostRepSeconds lists every sample's per-batch wall time
+	// (HostSeconds is their median): the spread shows whether the machine
+	// was quiet enough to trust the row. Host-side, so -compare never
+	// reads it.
 	HostRepSeconds []float64 `json:"host_rep_seconds,omitempty"`
 	ModelSeconds   float64   `json:"model_seconds,omitempty"`
 	ModelCycles    int64     `json:"model_cycles,omitempty"`
 	ModelReadsPerS float64   `json:"model_reads_per_s,omitempty"`
-}
-
-// hostPhases breaks the benchmark's one-time host costs out of the
-// per-row seeding timings: generating the reference, simulating the
-// reads, and building each engine's index. Like every host field,
-// -compare ignores it.
-type hostPhases struct {
-	RefGenSeconds     float64            `json:"ref_gen_seconds"`
-	ReadSimSeconds    float64            `json:"read_sim_seconds"`
-	IndexBuildSeconds map[string]float64 `json:"index_build_seconds"` // engine -> build wall time
-	// IndexLoadSeconds times engine.LoadIndex over an in-memory
-	// casa-idx/v1 serialization of each freshly built index — the
-	// load-instead-of-rebuild path casa-smem -index and casa-serve -index
-	// take. Only persisting engines appear.
-	IndexLoadSeconds map[string]float64 `json:"index_load_seconds"`
-	SeedingSeconds   float64            `json:"seeding_seconds"` // all reps, all rows
 }
 
 // hostEnv records the machine a benchmark ran on. Host throughput is
@@ -100,7 +98,6 @@ type hostEnv struct {
 	NumCPU     int             `json:"num_cpu"`
 	GOMAXPROCS int             `json:"gomaxprocs"`
 	Build      *buildinfo.Info `json:"build_info,omitempty"`
-	Phases     *hostPhases     `json:"phases,omitempty"`
 }
 
 // currentHostEnv captures the running process's environment.
@@ -130,7 +127,6 @@ func main() {
 	var (
 		scale         = flag.String("scale", "default", "workload scale: quick (CI smoke) or default")
 		workers       = flag.String("workers", "1,2,4,8", "comma-separated worker-pool sizes")
-		reps          = flag.Int("reps", 3, "measurement repetitions per engine/worker row; host numbers are best-of-reps")
 		out           = flag.String("out", "BENCH_seeding.json", "output path (- = stdout)")
 		validate      = flag.String("validate", "", "validate an existing benchmark file against the schema and exit")
 		compare       = flag.String("compare", "", "baseline benchmark file: exit non-zero if model numbers regress beyond -threshold")
@@ -164,10 +160,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *reps < 1 {
-		log.Fatal("-reps must be at least 1")
+	ws, skipped := rowWorkers(ws, runtime.GOMAXPROCS(0))
+	for _, w := range skipped {
+		log.Printf("skipping workers=%d rows: GOMAXPROCS is %d", w, runtime.GOMAXPROCS(0))
 	}
-	d := runBench(*scale, ws, *reps)
+	if len(ws) == 0 {
+		log.Fatalf("no -workers entry fits GOMAXPROCS=%d", runtime.GOMAXPROCS(0))
+	}
+	d := runBench(*scale, ws)
 
 	var w *os.File
 	if *out == "-" {
@@ -193,24 +193,15 @@ func main() {
 }
 
 // runBench measures every registered engine at every worker count over
-// the named workload scale. The host timing of each row is the fastest
-// of reps runs; model numbers come from the last run and are identical
-// on every repetition.
-func runBench(scale string, ws []int, reps int) doc {
+// the named workload scale: one steady host row per worker count, and
+// model numbers from one extra run per engine.
+func runBench(scale string, ws []int) doc {
 	refBases, nReads := 1<<17, 1000
 	if scale == "quick" {
 		refBases, nReads = 1<<16, 200
 	}
-	phases := &hostPhases{
-		IndexBuildSeconds: map[string]float64{},
-		IndexLoadSeconds:  map[string]float64{},
-	}
-	refStart := time.Now()
 	ref := readsim.GenerateReference(readsim.DefaultGenome(refBases, 21))
-	phases.RefGenSeconds = time.Since(refStart).Seconds()
-	simStart := time.Now()
 	reads := readsim.Sequences(readsim.Simulate(ref, readsim.DefaultProfile(nReads, 22)))
-	phases.ReadSimSeconds = time.Since(simStart).Seconds()
 	const minSMEM = 19
 	d := doc{
 		Schema: benchSchema,
@@ -220,48 +211,73 @@ func runBench(scale string, ws []int, reps int) doc {
 			RefBases: len(ref), Reads: len(reads), ReadLen: len(reads[0]), MinSMEM: minSMEM,
 		},
 	}
-	d.Host.Phases = phases
-
-	seedStart := time.Now()
-	for _, e := range buildEngines(ref, minSMEM, phases) {
+	for _, e := range buildEngines(ref, minSMEM) {
+		m := modelOf(e, batch.SeedEngine(e, reads, batch.Options{Workers: 1}))
 		for _, w := range ws {
 			opts := batch.Options{Workers: w}
-			var m model
-			repSecs := make([]float64, 0, reps)
-			for rep := 0; rep < reps; rep++ {
-				start := time.Now()
-				m = e.run(reads, opts)
-				repSecs = append(repSecs, time.Since(start).Seconds())
+			samples := make([]float64, hostSamples)
+			n := 1
+			for i := range samples {
+				samples[i], n = sampleBatch(func() { batch.SeedEngine(e, reads, opts) }, n)
 			}
-			host := repSecs[0]
-			for _, s := range repSecs[1:] {
-				if s < host {
-					host = s
-				}
-			}
-			r := row{Engine: e.name, Workers: w, HostSeconds: host, HostRepSeconds: repSecs}
-			if host > 0 {
-				r.HostReadsPerS = float64(len(reads)) / host
-			}
-			r.ModelSeconds, r.ModelCycles, r.ModelReadsPerS = m.seconds, m.cycles, m.throughput
+			r := hostRow(e.Name(), w, len(reads), samples)
+			r.ModelSeconds, r.ModelCycles, r.ModelReadsPerS = m.Seconds, m.Cycles, m.ReadsPerS
 			d.Engines = append(d.Engines, r)
-			log.Printf("%-8s workers=%d host=%.3fs (%.0f reads/s)", e.name, w, host, r.HostReadsPerS)
+			log.Printf("%-16s workers=%d host=%.3gs (%.0f reads/s, samples %.3g..%.3gs)",
+				r.Engine, w, r.HostSeconds, r.HostReadsPerS, slices.Min(samples), slices.Max(samples))
 		}
 	}
-	phases.SeedingSeconds = time.Since(seedStart).Seconds()
-	log.Printf("host phases: ref_gen=%.3fs read_sim=%.3fs index_build=%.3fs index_load=%.3fs seeding=%.3fs",
-		phases.RefGenSeconds, phases.ReadSimSeconds, sumValues(phases.IndexBuildSeconds),
-		sumValues(phases.IndexLoadSeconds), phases.SeedingSeconds)
 	return d
 }
 
-// sumValues totals a per-engine timing map.
-func sumValues(m map[string]float64) float64 {
-	var total float64
-	for _, v := range m {
-		total += v
+// rowWorkers splits the requested pool sizes into those that fit procs
+// and those that would oversubscribe it.
+func rowWorkers(ws []int, procs int) (run, skipped []int) {
+	for _, w := range ws {
+		if w > procs {
+			skipped = append(skipped, w)
+		} else {
+			run = append(run, w)
+		}
 	}
-	return total
+	return run, skipped
+}
+
+// sampleBatch times one sample: run repeated n times, doubling n until
+// the repeats take at least minSampleTime, as testing.Benchmark grows
+// b.N (and, like it, collecting garbage first so one attempt's garbage
+// is not billed to the next). It returns the per-run seconds and the n
+// that reached the floor, so the row's next sample starts there instead
+// of recalibrating.
+func sampleBatch(run func(), n int) (float64, int) {
+	for {
+		runtime.GC()
+		start := time.Now()
+		for i := 0; i < n; i++ {
+			run()
+		}
+		if el := time.Since(start); el >= minSampleTime {
+			return el.Seconds() / float64(n), n
+		}
+		n *= 2
+	}
+}
+
+// hostRow builds an engine × workers row from its per-batch samples: the
+// median is the row's time, the samples stay in order beside it.
+func hostRow(engine string, workers, reads int, samples []float64) row {
+	sorted := slices.Clone(samples)
+	slices.Sort(sorted)
+	mid := len(sorted) / 2
+	med := sorted[mid]
+	if len(sorted)%2 == 0 {
+		med = (sorted[mid-1] + sorted[mid]) / 2
+	}
+	r := row{Engine: engine, Workers: workers, HostSeconds: med, HostRepSeconds: samples}
+	if med > 0 {
+		r.HostReadsPerS = float64(reads) / med
+	}
+	return r
 }
 
 // runGate compares cur against the baseline file and exits non-zero on
@@ -287,65 +303,37 @@ func runGate(baselinePath string, cur doc, threshold, hostThreshold float64) {
 		threshold*100, baselinePath, hostThreshold*100)
 }
 
-// model carries the simulated-hardware outputs of one run; zero for
-// engines with no hardware model (fmindex).
-type model struct {
-	seconds    float64
-	cycles     int64
-	throughput float64
-}
-
-// benchEngine is one registry engine prepared for measurement.
-type benchEngine struct {
-	name string
-	run  func(reads []dna.Sequence, o batch.Options) model
+// modelOf reads a result's simulated-hardware numbers; zero for engines
+// with no hardware model (fmindex).
+func modelOf(e engine.Engine, res engine.Result) engine.Model {
+	if mod, ok := e.(engine.Modeler); ok {
+		return mod.Model(res)
+	}
+	return engine.Model{}
 }
 
 // buildEngines constructs every registered engine over ref, scaled to
 // bench size (small segments so multi-partition paths are exercised,
-// table k-mers kept small enough for CI memory), recording each engine's
-// index-build wall time into phases. For persisting engines it also
-// times engine.LoadIndex over an in-memory casa-idx/v1 serialization —
-// the build-vs-load ratio is what justifies shipping index files at all.
-// The golden oracle is skipped — quadratic, validation only — so a newly
-// registered engine is benchmarked automatically.
-func buildEngines(ref dna.Sequence, minSMEM int, phases *hostPhases) []benchEngine {
+// table k-mers kept small enough for CI memory). The golden oracle is
+// skipped — quadratic, validation only — so a newly registered engine is
+// benchmarked automatically.
+func buildEngines(ref dna.Sequence, minSMEM int) []engine.Engine {
 	opt := engine.Options{
 		MinSMEM:    minSMEM,
 		Partition:  len(ref) / 4,
 		TableK:     8,
 		CacheBytes: 1 << 14,
 	}
-	var out []benchEngine
+	var out []engine.Engine
 	for _, f := range engine.List() {
 		if f.Golden {
 			continue
 		}
-		buildStart := time.Now()
 		e, err := engine.New(f.Name, ref, opt)
 		if err != nil {
 			log.Fatal(err)
 		}
-		phases.IndexBuildSeconds[f.Name] = time.Since(buildStart).Seconds()
-		if f.NewEmpty != nil {
-			var buf bytes.Buffer
-			if err := engine.SaveIndex(&buf, e, opt, nil); err != nil {
-				log.Fatal(err)
-			}
-			loadStart := time.Now()
-			if _, _, err := engine.LoadIndex(bytes.NewReader(buf.Bytes())); err != nil {
-				log.Fatal(err)
-			}
-			phases.IndexLoadSeconds[f.Name] = time.Since(loadStart).Seconds()
-		}
-		out = append(out, benchEngine{f.Name, func(reads []dna.Sequence, o batch.Options) model {
-			res := batch.SeedEngine(e, reads, o)
-			if mod, ok := e.(engine.Modeler); ok {
-				m := mod.Model(res)
-				return model{m.Seconds, m.Cycles, m.ReadsPerS}
-			}
-			return model{}
-		}})
+		out = append(out, e)
 	}
 	return out
 }

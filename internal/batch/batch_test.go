@@ -192,6 +192,8 @@ func TestSeedBaselinesMatchSeedReads(t *testing.T) {
 	}
 }
 
+// TestFindSMEMsMatchesDirectCalls anchors the pooled fmindex engine to
+// direct FindSMEMs calls on a standalone bidirectional finder.
 func TestFindSMEMsMatchesDirectCalls(t *testing.T) {
 	ref, reads := testWorkload(t, 1<<14, 120)
 	f := smem.NewBidirectional(ref)
@@ -199,15 +201,14 @@ func TestFindSMEMsMatchesDirectCalls(t *testing.T) {
 	for i, r := range reads {
 		want[i] = f.FindSMEMs(r, 19)
 	}
+	e, err := engine.New("fmindex", ref, engine.Options{MinSMEM: 19})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, w := range workerCounts {
-		got := batch.FindSMEMs(reads, 19, batch.Options{Workers: w}, func(worker int) smem.Finder {
-			if worker == 0 {
-				return f
-			}
-			return f.Clone()
-		})
+		got := e.SMEMs(batch.SeedEngine(e, reads, batch.Options{Workers: w}))
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: pooled FindSMEMs differ from direct calls", w)
+			t.Errorf("workers=%d: pooled fmindex SMEMs differ from direct FindSMEMs calls", w)
 		}
 	}
 }

@@ -7,13 +7,11 @@ import (
 	"casa/internal/dna"
 	"casa/internal/engine"
 	"casa/internal/metrics"
-	"casa/internal/smem"
 	"casa/internal/trace"
 )
 
 // clonePool returns workers engine instances for the resolved pool size:
-// slot 0 is the original engine (its counters keep accumulating, as a
-// sequential run's would), the rest are clones.
+// slot 0 is the original engine, the rest are clones.
 func clonePool[E any](original E, workers int, clone func(E) E) []E {
 	engines := make([]E, workers)
 	engines[0] = original
@@ -101,8 +99,8 @@ func SeedEngine(e engine.Engine, reads []dna.Sequence, o Options) engine.Result 
 // publishes into a private registry (merged into o.Metrics in worker
 // order after the drain), spans land in the worker's trace buffer, and
 // engines with a cycle model attribute shard cycles to the worker's
-// progress cell. Engines carrying per-instance counters (the finder
-// engines) publish each worker instance once after the drain.
+// progress cell. Every counter lives in the shard activities, so
+// repeated calls on one engine publish the same registry.
 //
 // Cancelling ctx stops handing out new shards, drains the in-flight
 // ones, and reduces exactly the completed prefix: the Result covers the
@@ -131,67 +129,8 @@ func SeedEngineCtx(ctx context.Context, e engine.Engine, reads []dna.Sequence, o
 	if o.Metrics != nil {
 		mergeStart := o.wallNow()
 		mergeRegistries(o, regs)
-		for _, eng := range engines {
-			if wp, ok := eng.(engine.WorkerPublisher); ok {
-				wp.PublishWorkerMetrics(o.Metrics)
-			}
-		}
 		res.PublishModelMetrics(o.Metrics)
 		o.wallPhase("merge-metrics", mergeStart)
 	}
 	return res, done, err
-}
-
-// seedCoster is the optional finder extension the traced FindSMEMs path
-// uses: the modelled cost of the finder's most recent FindSMEMs call, in
-// the finder's native unit (FM-index steps, RMEM pivots, ...).
-type seedCoster interface {
-	SeedCost() int64
-}
-
-// FindSMEMs runs finder.FindSMEMs for every read on the worker pool and
-// returns the per-read SMEM sets in input order. newFinder must return an
-// independent finder per worker (a Clone sharing the index); it is called
-// once per worker, with worker 0 first and on the caller's goroutine, so
-// lazy sharing setups need no locking.
-//
-// With o.Trace set and finders implementing SeedCost, every read gets one
-// "find" span on the "seed" track (engine label per o.Engine, default
-// "fmindex").
-func FindSMEMs(reads []dna.Sequence, minLen int, o Options, newFinder func(worker int) smem.Finder) [][]smem.Match {
-	out, _, _ := FindSMEMsCtx(context.Background(), reads, minLen, o, newFinder)
-	return out
-}
-
-// FindSMEMsCtx is FindSMEMs with cooperative cancellation: on
-// cancellation the returned slice covers exactly the completed read
-// prefix (its length is the second return value) and the error is
-// ctx.Err().
-func FindSMEMsCtx(ctx context.Context, reads []dna.Sequence, minLen int, o Options, newFinder func(worker int) smem.Finder) ([][]smem.Match, int, error) {
-	o = withEngine(o, "fmindex")
-	workers := o.WorkerCount()
-	finders := make([]smem.Finder, workers)
-	for w := range finders {
-		finders[w] = newFinder(w)
-	}
-	bufs := traceBuffers(o)
-	shards, done, err := RunCtx(ctx, len(reads), o, func(w, lo, hi int) [][]smem.Match {
-		out := make([][]smem.Match, hi-lo)
-		tb := bufs[w]
-		costed, _ := finders[w].(seedCoster)
-		for i, r := range reads[lo:hi] {
-			out[i] = finders[w].FindSMEMs(r, minLen)
-			if tb != nil && costed != nil {
-				tb.Emit(o.ReadBase+lo+i, "seed", "find", 0, costed.SeedCost())
-			}
-		}
-		return out
-	})
-	mergeStart := o.wallNow()
-	merged := make([][]smem.Match, 0, done)
-	for _, s := range shards {
-		merged = append(merged, s...)
-	}
-	o.wallPhase("merge", mergeStart)
-	return merged, done, err
 }

@@ -5,7 +5,6 @@ import (
 
 	"casa/internal/batch"
 	"casa/internal/engine"
-	"casa/internal/smem"
 	"casa/internal/trace"
 )
 
@@ -86,33 +85,33 @@ func TestSeedEngineWallOffByDefault(t *testing.T) {
 	}
 	batch.SeedEngine(e, reads, batch.Options{Workers: 2})
 	// Compiles to the nil-sink path; nothing observable to assert beyond
-	// not panicking, but the ReadBase offset path below needs coverage too.
+	// not panicking, but the ReadBase offset and the default engine
+	// track below need coverage too.
+	fm, err := engine.New("fmindex", ref, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	wall := trace.NewWall(0)
-	batch.FindSMEMs(reads, 19, batch.Options{Workers: 2, Grain: 5, Wall: wall, ReadBase: 1000},
-		func(worker int) smem.Finder {
-			f := smem.NewBidirectional(ref)
-			return f
-		})
-	spans := wall.Spans()
-	var shardSpans, merges int
-	for _, s := range spans {
+	batch.SeedEngine(fm, reads, batch.Options{Workers: 2, Grain: 5, Wall: wall, ReadBase: 1000})
+	var shardSpans, reduces int
+	for _, s := range wall.Spans() {
 		if _, lo, hi, ok := trace.ParseWallShardName(s.Name); ok {
 			shardSpans++
 			if lo < 1000 || hi > 1000+len(reads) {
 				t.Fatalf("shard range [%d,%d) ignores ReadBase 1000", lo, hi)
 			}
 			if s.Track != "fmindex" {
-				t.Fatalf("FindSMEMs shard span track %q, want default engine \"fmindex\"", s.Track)
+				t.Fatalf("shard span track %q, want default engine \"fmindex\"", s.Track)
 			}
 		}
-		if s.Name == "merge" && s.Proc == trace.WallHostProc {
-			merges++
+		if s.Name == "reduce" && s.Proc == trace.WallHostProc {
+			reduces++
 		}
 	}
 	if wantShards := (len(reads) + 4) / 5; shardSpans != wantShards {
 		t.Fatalf("%d shard spans, want %d", shardSpans, wantShards)
 	}
-	if merges != 1 {
-		t.Fatalf("%d merge spans, want 1", merges)
+	if reduces != 1 {
+		t.Fatalf("%d reduce spans, want 1", reduces)
 	}
 }

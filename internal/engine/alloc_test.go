@@ -40,6 +40,11 @@ func TestSeedZeroAlloc(t *testing.T) {
 		TableK:     8,
 		CacheBytes: 1 << 14,
 	}
+	for name := range perReadAllocators {
+		if _, ok := engine.Lookup(name); !ok {
+			t.Errorf("%s: excused but not registered; drop its stale excuse", name)
+		}
+	}
 
 	for _, f := range engine.List() {
 		f := f

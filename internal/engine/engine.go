@@ -88,14 +88,6 @@ type CycleCoster interface {
 	ActivityCycles(act Activity) int64
 }
 
-// WorkerPublisher is implemented by engines whose instances accumulate
-// counters outside their activities (the finder engines' cumulative step
-// counts). The batch pool publishes every worker instance once, in
-// worker order, after the pool drains.
-type WorkerPublisher interface {
-	PublishWorkerMetrics(reg *metrics.Registry)
-}
-
 // Seeds is one read's SMEM sets on both strands (Reverse is against the
 // reverse-complemented read).
 type Seeds struct {

@@ -17,13 +17,10 @@ func testRef(t *testing.T) dna.Sequence {
 }
 
 func TestListOrderAndGolden(t *testing.T) {
-	base := []string{"casa", "ert", "genax", "gencache", "cpu", "fmindex", "brute"}
-	want := append([]string{}, base...)
-	// package shard's init registers one composite per flat engine, in
-	// the flat registration order.
-	for _, n := range base {
-		want = append(want, "sharded:"+n)
-	}
+	// package shard's init registers one composite per persisting engine
+	// plus the oracle, in the flat registration order.
+	want := []string{"casa", "ert", "genax", "gencache", "cpu", "fmindex", "brute",
+		"sharded:casa", "sharded:cpu", "sharded:fmindex", "sharded:brute"}
 	got := engine.Names()
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("registration order %v, want %v", got, want)

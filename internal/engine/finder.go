@@ -11,20 +11,29 @@ import (
 )
 
 // finderActivity is one shard's per-read SMEM sets from a plain
-// smem.Finder; finders publish their counters per worker instance (see
-// PublishWorkerMetrics), not per shard.
-type finderActivity struct{ smems [][]smem.Match }
+// smem.Finder, plus the shard's summed search cost when the finder
+// counts one (counter names the metric; empty for finders that count
+// nothing).
+type finderActivity struct {
+	smems   [][]smem.Match
+	counter string
+	cost    int64
+}
 
-func (finderActivity) PublishMetrics(*metrics.Registry) {}
+func (a finderActivity) PublishMetrics(reg *metrics.Registry) {
+	if a.counter != "" {
+		reg.Counter(a.counter).Add(a.cost)
+	}
+}
 
 // finderResult is a reduced finder run; finders have no hardware model.
 type finderResult struct{ smems [][]smem.Match }
 
 func (finderResult) PublishModelMetrics(*metrics.Registry) {}
 
-// seedCoster is the optional finder extension the trace path uses: the
-// modelled cost of the finder's most recent FindSMEMs call, in the
-// finder's native unit (FM-index steps, ...).
+// seedCoster is the optional finder extension the activity counter and
+// trace path use: the modelled cost of the finder's most recent
+// FindSMEMs call, in the finder's native unit (FM-index steps, ...).
 type seedCoster interface {
 	SeedCost() int64
 }
@@ -45,9 +54,9 @@ type finderEngine struct {
 	// clone derives a worker's independent finder; nil shares the
 	// original (stateless finders).
 	clone func(smem.Finder) smem.Finder
-	// publish folds one instance's cumulative counters into a registry;
-	// nil for finders that count nothing.
-	publish func(smem.Finder, *metrics.Registry)
+	// counter names the metric a shard's summed SeedCost is published
+	// under; empty for finders that count nothing.
+	counter string
 
 	// save/load serialize the finder into / out of a casa-idx container;
 	// nil marks a finder with nothing worth persisting (brute scans the
@@ -74,21 +83,25 @@ func (e *finderEngine) Clone() Engine {
 }
 
 func (e *finderEngine) SeedTrace(reads []dna.Sequence, tb *trace.Buffer, base int) Activity {
-	out := make([][]smem.Match, len(reads))
+	act := finderActivity{smems: make([][]smem.Match, len(reads)), counter: e.counter}
 	costed, _ := e.finder.(seedCoster)
 	appender, _ := e.finder.(appendFinder)
 	for i, r := range reads {
 		if appender != nil {
 			e.buf = appender.AppendSMEMs(e.buf[:0], r, e.minLen)
-			out[i] = smem.Retain(e.buf)
+			act.smems[i] = smem.Retain(e.buf)
 		} else {
-			out[i] = e.finder.FindSMEMs(r, e.minLen)
+			act.smems[i] = e.finder.FindSMEMs(r, e.minLen)
 		}
-		if tb != nil && costed != nil {
-			tb.Emit(base+i, "seed", "find", 0, costed.SeedCost())
+		if costed != nil {
+			cost := costed.SeedCost()
+			act.cost += cost
+			if tb != nil {
+				tb.Emit(base+i, "seed", "find", 0, cost)
+			}
 		}
 	}
-	return finderActivity{out}
+	return act
 }
 
 // SeedReadInto implements ReadSeeder for finder engines whose finder
@@ -116,12 +129,6 @@ func (e *finderEngine) Reduce(_ []dna.Sequence, acts []Activity) Result {
 
 func (e *finderEngine) SMEMs(res Result) [][]smem.Match {
 	return res.(finderResult).smems
-}
-
-func (e *finderEngine) PublishWorkerMetrics(reg *metrics.Registry) {
-	if e.publish != nil {
-		e.publish(e.finder, reg)
-	}
 }
 
 func (e *finderEngine) Unwrap() any { return e.finder }
@@ -157,13 +164,11 @@ func fmindexFactory() Factory {
 	// fresh build, NewEmpty leaves it for LoadIndex.
 	shell := func(opt Options) *finderEngine {
 		return &finderEngine{
-			name:   "fmindex",
-			minLen: minSMEMOrDefault(opt),
+			name:    "fmindex",
+			minLen:  minSMEMOrDefault(opt),
+			counter: "fmindex/search/steps",
 			clone: func(f smem.Finder) smem.Finder {
 				return f.(*smem.Bidirectional).Clone()
-			},
-			publish: func(f smem.Finder, reg *metrics.Registry) {
-				f.(*smem.Bidirectional).PublishMetrics(reg)
 			},
 			save: func(e *finderEngine, w *idxio.Writer) error {
 				return saveBidirectional(w, "fmindex/", e.finder.(*smem.Bidirectional))

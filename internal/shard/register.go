@@ -5,14 +5,21 @@ import (
 	"casa/internal/engine"
 )
 
-// init registers one "sharded:<name>" composite per engine already in
-// the registry, so the batch pool, benchmarks, conformance tests, fuzz
-// harnesses and CLIs pick them up with zero per-engine switches. The
-// built-in engines register in package engine's own init, which Go
-// runs before this one (engine is an import of this package).
+// init registers one "sharded:<name>" composite per persisting engine
+// already in the registry, plus one over the golden oracle, so the batch
+// pool, benchmarks, conformance tests, fuzz harnesses and CLIs pick them
+// up with zero per-engine switches. Sharding exists so each shard's index
+// can be built or loaded where it lives; an engine that rebuilds from
+// FASTA in one pass gains nothing from it. The sharded oracle lets the
+// conformance suites check the merge alone, over inner engines exact by
+// construction. The built-in engines register in
+// package engine's own init, which Go runs before this one (engine is an
+// import of this package).
 func init() {
 	for _, f := range engine.List() {
-		engine.Register(shardedFactory(f))
+		if f.NewEmpty != nil || f.Golden {
+			engine.Register(shardedFactory(f))
+		}
 	}
 }
 

@@ -9,7 +9,7 @@
 // independently persistable) shards, in the BioSEAL/PRinS spirit of
 // processing each partition where it lives. The paper's own accelerator
 // partitions internally for capacity (§4.1); sharding lifts the same
-// idea above the engine abstraction so every engine gets it.
+// idea above the engine abstraction so every persisting engine gets it.
 //
 // # Geometry
 //
@@ -377,16 +377,6 @@ func (s *Sharded) ActivityCycles(act engine.Activity) int64 {
 		}
 	}
 	return total
-}
-
-// PublishWorkerMetrics implements engine.WorkerPublisher, forwarding to
-// every inner instance in shard order.
-func (s *Sharded) PublishWorkerMetrics(reg *metrics.Registry) {
-	for _, inner := range s.inners {
-		if wp, ok := inner.(engine.WorkerPublisher); ok {
-			wp.PublishWorkerMetrics(reg)
-		}
-	}
 }
 
 // Unwrap exposes the inner engines.

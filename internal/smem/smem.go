@@ -20,7 +20,6 @@ import (
 
 	"casa/internal/dna"
 	"casa/internal/fmindex"
-	"casa/internal/metrics"
 )
 
 // Match is an exact match of read[Start..End] (inclusive bounds) against
@@ -265,10 +264,6 @@ type Bidirectional struct {
 	// FindSMEMs call, for the CPU/ERT cost models.
 	Steps int
 
-	// TotalSteps accumulates Steps across every FindSMEMs call on this
-	// finder, for end-of-run metrics publishing.
-	TotalSteps int64
-
 	scr bidiScratch
 }
 
@@ -361,7 +356,6 @@ func (f *Bidirectional) AppendSMEMs(dst []Match, read dna.Sequence, minLen int) 
 		pivot = steps[len(steps)-1].End + 1 // first mismatch becomes next pivot
 	}
 	f.scr.cands = cands
-	f.TotalSteps += int64(f.Steps)
 	return dedupAppend(dst, cands, minLen)
 }
 
@@ -468,13 +462,6 @@ func growSlice[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// PublishMetrics adds the finder's accumulated FM-index step count into
-// reg under the fmindex engine prefix. Call once per run per finder
-// instance; counts from concurrently used clones sum.
-func (f *Bidirectional) PublishMetrics(reg *metrics.Registry) {
-	reg.Counter("fmindex/search/steps").Add(f.TotalSteps)
 }
 
 // SeedCost returns the modelled cost of the most recent FindSMEMs call in
