@@ -61,6 +61,7 @@ fuzz:
 	$(GO) test ./internal/seqio/ -fuzz FuzzReadFastq -fuzztime 15s
 	$(GO) test ./internal/idxio/ -fuzz FuzzIndexRoundTrip -fuzztime 15s
 	$(GO) test ./internal/idxio/ -fuzz FuzzIndexCorrupted -fuzztime 15s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzReadIndex -fuzztime 15s
 
 # Live-telemetry smoke: a race-built casa-smem run observed mid-flight
 # through /progress and /events, then interrupted (see the script).

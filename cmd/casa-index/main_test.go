@@ -3,6 +3,9 @@ package main
 import (
 	"flag"
 	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -146,5 +149,40 @@ func TestParseArgsFlagMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMain lets a test drive the command end to end: with
+// CASA_INDEX_RUN_MAIN=1 in its environment the test binary runs main on
+// its own arguments instead of the tests.
+func TestMain(m *testing.M) {
+	if os.Getenv("CASA_INDEX_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestTagWidthLimitExits builds with k-m=26, wider than the 32-bit host
+// tags hold: casa-index must exit non-zero, name the 16-base limit and
+// leave no index behind.
+func TestTagWidthLimitExits(t *testing.T) {
+	dir := t.TempDir()
+	ref := filepath.Join(dir, "ref.fa")
+	if err := os.WriteFile(ref, []byte(">chr1\n"+strings.Repeat("ACGTTGCAAGGCT", 40)+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "ref.casaidx")
+	cmd := exec.Command(os.Args[0], "-ref", ref, "-out", out, "-k", "30", "-m", "4")
+	cmd.Env = append(os.Environ(), "CASA_INDEX_RUN_MAIN=1")
+	stderr, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("casa-index -k 30 -m 4 exited 0:\n%s", stderr)
+	}
+	if !strings.Contains(string(stderr), "k-m=26 exceeds the 16-base tag limit") {
+		t.Errorf("error does not name the tag limit:\n%s", stderr)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("a rejected build left %s behind (stat: %v)", out, err)
 	}
 }

@@ -5,10 +5,10 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-	"time"
 
 	"casa/internal/batch"
 	"casa/internal/core"
+	"casa/internal/dna"
 	"casa/internal/engine"
 	"casa/internal/metrics"
 	"casa/internal/progress"
@@ -138,12 +138,37 @@ func TestProgressTerminalSnapshotDeterminism(t *testing.T) {
 	}
 }
 
+// cancelOnShard wraps an engine so that every completed shard cancels
+// the run's context before returning to the pool. No worker claims a
+// second shard until its first SeedTrace returns, so the run stops after
+// at most one shard per worker: a genuine partial prefix, independent of
+// how fast the engine seeds.
+type cancelOnShard struct {
+	engine.Engine
+	cancel context.CancelFunc
+}
+
+func (e cancelOnShard) Clone() engine.Engine {
+	return cancelOnShard{e.Engine.Clone(), e.cancel}
+}
+
+func (e cancelOnShard) SeedTrace(reads []dna.Sequence, tb *trace.Buffer, base int) engine.Activity {
+	act := e.Engine.SeedTrace(reads, tb, base)
+	e.cancel()
+	return act
+}
+
+func (e cancelOnShard) ActivityCycles(act engine.Activity) int64 {
+	return e.Engine.(engine.CycleCoster).ActivityCycles(act)
+}
+
 // TestSeedCASACtxPartialRun cancels a casa seeding run mid-flight and checks
 // the partial-telemetry contract: the Result covers exactly the reported
 // contiguous read prefix, matches the sequential run over that prefix,
 // and the metrics registry and trace spans for the partial run still
 // serialize and validate.
 func TestSeedCASACtxPartialRun(t *testing.T) {
+	const workers, grain = 4, 5
 	ref, reads := testWorkload(t, 1<<16, 200)
 	cfg := core.DefaultConfig()
 	cfg.PartitionBases = 1 << 14
@@ -152,29 +177,21 @@ func TestSeedCASACtxPartialRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr := progress.New("run", "casa", 4, int64(len(reads)))
+	tr := progress.New("run", "casa", workers, int64(len(reads)))
 	reg := metrics.New()
 	tw := trace.New(trace.PolicyAll, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go func() { // cancel as soon as the tracker shows the first shard
-		for tr.Snapshot().ShardsDone == 0 {
-			time.Sleep(100 * time.Microsecond)
-		}
-		cancel()
-	}()
-	res, done, runErr := batch.SeedCtx[*core.Result](ctx, engine.CASA(acc.Clone()), reads,
-		batch.Options{Workers: 4, Grain: 5, Metrics: reg, Trace: tw, Progress: tr})
+	e := cancelOnShard{engine.CASA(acc.Clone()), cancel}
+	res, done, runErr := batch.SeedCtx[*core.Result](ctx, e, reads,
+		batch.Options{Workers: workers, Grain: grain, Metrics: reg, Trace: tw, Progress: tr})
 	tr.Finish()
 
 	if !errors.Is(runErr, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", runErr)
 	}
-	if done <= 0 || done >= len(reads) {
-		// The canceller waits for the first completed shard and the pool
-		// has 40 shards, so a fully-drained run means the cancel lost the
-		// race — retry-free, we just require a genuine partial prefix.
-		t.Skipf("cancellation raced run completion (done=%d); partial-prefix assertions not exercised", done)
+	if done <= 0 || done > workers*grain {
+		t.Fatalf("done = %d, want a partial prefix of at most one shard per worker (%d reads)", done, workers*grain)
 	}
 	if len(res.Reads) != done {
 		t.Fatalf("result covers %d reads, progress says %d", len(res.Reads), done)

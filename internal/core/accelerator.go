@@ -79,7 +79,7 @@ func NewWithOverlap(ref dna.Sequence, cfg Config, overlap int) (*Accelerator, er
 }
 
 // Clone returns an accelerator sharing this one's immutable index state
-// (reference slices, packed images, filter arrays) but with fresh activity
+// (reference slices and filter arrays) but with fresh activity
 // counters. Clones are the unit of parallelism for batch seeding: each
 // worker owns one clone, so the hot path needs no locking, and their
 // Activities reduce to totals bit-identical to a sequential run. Cloning

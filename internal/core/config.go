@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"casa/internal/dna"
 )
@@ -66,6 +67,11 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxTagBases is the longest (k-m)-mer suffix the filter's tag array
+// holds: 16 bases fill its 32-bit host tags (the paper's k=19, m=10 uses
+// 9).
+const maxTagBases = 16
+
 // Validate checks parameter consistency.
 func (c Config) Validate() error {
 	switch {
@@ -73,8 +79,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: k=%d out of range (1..%d)", c.K, dna.MaxK)
 	case c.M <= 0 || c.M >= c.K:
 		return fmt.Errorf("core: m=%d must be in (0, k=%d)", c.M, c.K)
-	case c.K-c.M > 31:
-		return fmt.Errorf("core: k-m=%d too large for the tag array", c.K-c.M)
+	case c.K-c.M > maxTagBases:
+		// The host tag array holds each (k-m)-mer suffix in 32 bits.
+		return fmt.Errorf("core: k-m=%d exceeds the %d-base tag limit (tags are held in 32 bits)", c.K-c.M, maxTagBases)
 	case c.MinSMEM < c.K:
 		// CASA seeds with k-mers: matches shorter than k are invisible to
 		// the filter, so the minimum SMEM length must be >= k (the paper
@@ -88,6 +95,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: ComputeCAMs=%d must be positive", c.ComputeCAMs)
 	case c.PartitionBases < c.Stride:
 		return fmt.Errorf("core: partition of %d bases smaller than one CAM entry", c.PartitionBases)
+	case c.PartitionBases > math.MaxInt32:
+		// Filter positions are int32 offsets into the partition.
+		return fmt.Errorf("core: partition of %d bases exceeds the int32 position limit %d", c.PartitionBases, math.MaxInt32)
 	case c.FilterBanks <= 0:
 		return fmt.Errorf("core: FilterBanks=%d must be positive", c.FilterBanks)
 	case c.ClockHz <= 0:

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestDefaultConfigValid(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
@@ -77,6 +80,8 @@ func TestValidateRejections(t *testing.T) {
 		func(c *Config) { c.Groups = 0 },
 		func(c *Config) { c.ComputeCAMs = 0 },
 		func(c *Config) { c.PartitionBases = 10 },
+		func(c *Config) { c.PartitionBases = math.MaxInt32 + 1 }, // int32 positions
+		func(c *Config) { c.K, c.M, c.MinSMEM = 30, 13, 30 },     // k-m=17 > 32-bit tags
 		func(c *Config) { c.FilterBanks = 0 },
 		func(c *Config) { c.ClockHz = 0 },
 		func(c *Config) { c.UseFilterTable = false }, // analyses still on
@@ -87,6 +92,17 @@ func TestValidateRejections(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("mutation %d accepted: %+v", i, c)
 		}
+	}
+}
+
+// TestValidateLimitsAtBoundary accepts the widest tag and the largest
+// partition the host tables hold, one step short of the rejections above.
+func TestValidateLimitsAtBoundary(t *testing.T) {
+	c := DefaultConfig()
+	c.K, c.M, c.MinSMEM = 30, 14, 30
+	c.PartitionBases = math.MaxInt32
+	if err := c.Validate(); err != nil {
+		t.Errorf("k-m=16 with a MaxInt32 partition rejected: %v", err)
 	}
 }
 

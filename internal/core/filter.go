@@ -46,7 +46,7 @@ type Filter struct {
 	cfg Config
 
 	mini      []tagRange // len 4^M
-	tags      []uint64   // sorted (k-m)-mer values, grouped by m-mer prefix
+	tags      []uint32   // sorted (k-m)-mer values, grouped by m-mer prefix
 	data      []SearchIndicator
 	posIndex  []int32 // len(tags)+1: range of positions per tag entry
 	positions []int32 // occurrence start positions, sorted per k-mer
@@ -106,53 +106,52 @@ func BuildFilter(part dna.Sequence, cfg Config) (*Filter, error) {
 
 	// Pack (k-mer, position) pairs and sort once: lexicographic k-mer
 	// order, then position order within a k-mer.
-	n := len(part) - cfg.K + 1
-	if n < 0 {
-		n = 0
-	}
-	keys := make([]uint64, 0, n)
-	for x := 0; x < n; x++ {
-		keys = append(keys, uint64(dna.PackKmer(part, x, cfg.K))<<uint(posBits)|uint64(x))
+	keys := make([]uint64, max(len(part)-cfg.K+1, 0))
+	for x := range keys {
+		keys[x] = uint64(dna.PackKmer(part, x, cfg.K))<<uint(posBits) | uint64(x)
 	}
 	slices.Sort(keys)
 
+	// Size every table exactly: one entry per distinct k-mer, one
+	// position per key.
+	distinct := 0
+	for i, key := range keys {
+		if i == 0 || key>>uint(posBits) != keys[i-1]>>uint(posBits) {
+			distinct++
+		}
+	}
 	f := &Filter{
-		cfg:  cfg,
-		mini: make([]tagRange, dna.NumKmers(cfg.M)),
+		cfg:       cfg,
+		mini:      make([]tagRange, dna.NumKmers(cfg.M)),
+		tags:      make([]uint32, 0, distinct),
+		data:      make([]SearchIndicator, 0, distinct),
+		posIndex:  make([]int32, 0, distinct+1),
+		positions: make([]int32, len(keys)),
 	}
 	f.initDerived()
 	posMask := uint64(1)<<uint(posBits) - 1
-	suffixBits := f.suffixBits
-	suffixMask := f.suffixMask
-
-	var prefixes []uint64 // m-mer prefix of each distinct k-mer, in order
-	var prevKmer uint64
-	havePrev := false
-	for _, key := range keys {
+	for i, key := range keys {
 		kmer := key >> uint(posBits)
 		x := int(key & posMask)
-		if !havePrev || kmer != prevKmer {
-			f.tags = append(f.tags, kmer&suffixMask)
+		if i == 0 || kmer != keys[i-1]>>uint(posBits) {
+			f.tags = append(f.tags, uint32(kmer&f.suffixMask))
 			f.data = append(f.data, SearchIndicator{})
-			f.posIndex = append(f.posIndex, int32(len(f.positions)))
-			prefixes = append(prefixes, kmer>>uint(suffixBits))
-			prevKmer, havePrev = kmer, true
+			f.posIndex = append(f.posIndex, int32(i))
+			f.mini[kmer>>f.suffixBits].end++ // counted here, ranged below
 		}
 		last := len(f.data) - 1
 		f.data[last] = f.data[last].addOccurrence(x, cfg.Stride, cfg.Groups)
-		f.positions = append(f.positions, int32(x))
+		f.positions[i] = int32(x)
 	}
-	f.posIndex = append(f.posIndex, int32(len(f.positions)))
+	f.posIndex = append(f.posIndex, int32(len(keys)))
 
-	// Mini index ranges: one pass over the distinct k-mers' prefixes
-	// (already in ascending order because the keys were sorted).
-	idx := 0
-	for p := range f.mini {
-		start := idx
-		for idx < len(prefixes) && prefixes[idx] == uint64(p) {
-			idx++
-		}
-		f.mini[p] = tagRange{start: int32(start), end: int32(idx)}
+	// Mini index ranges: the sorted keys group the distinct k-mers by
+	// m-mer prefix in ascending order, so a running sum of the per-prefix
+	// counts gives each prefix's [start, end) in the tag array.
+	start := int32(0)
+	for p, r := range f.mini {
+		f.mini[p] = tagRange{start: start, end: start + r.end}
+		start += r.end
 	}
 	return f, nil
 }
@@ -197,7 +196,7 @@ func (f *Filter) find(kmer dna.Kmer) (int, bool) {
 	r := f.mini[uint64(kmer)>>f.suffixBits]
 	f.Stats.TagSearches++
 	f.Stats.TagRowsEnabled += int64(r.end - r.start)
-	idx, ok := f.search(r, uint64(kmer)&f.suffixMask)
+	idx, ok := f.search(r, uint32(uint64(kmer)&f.suffixMask))
 	if ok {
 		f.Stats.Hits++
 	}
@@ -206,13 +205,13 @@ func (f *Filter) find(kmer dna.Kmer) (int, bool) {
 
 // findQuiet locates kmer's tag entry without touching Stats.
 func (f *Filter) findQuiet(kmer dna.Kmer) (int, bool) {
-	return f.search(f.mini[uint64(kmer)>>f.suffixBits], uint64(kmer)&f.suffixMask)
+	return f.search(f.mini[uint64(kmer)>>f.suffixBits], uint32(uint64(kmer)&f.suffixMask))
 }
 
 // search is an open-coded binary search over the tag range: sort.Search's
 // closure would allocate and indirect on every lookup, and this is the
 // hottest loop of the pre-seeding phase.
-func (f *Filter) search(r tagRange, suffix uint64) (int, bool) {
+func (f *Filter) search(r tagRange, suffix uint32) (int, bool) {
 	tags := f.tags
 	lo, hi := int(r.start), int(r.end)
 	for lo < hi {

@@ -1,0 +1,308 @@
+package core
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+
+	"casa/internal/dna"
+)
+
+// goldenBuilds are the fixed small builds whose WriteIndex bytes are
+// pinned by SHA-256: the unit-test geometry (k=7, m=4) with a partial
+// last packed byte, and the paper's k=19, m=10 with 18-bit tags.
+var goldenBuilds = []struct {
+	name    string
+	cfg     func() Config
+	seed    int64
+	refLen  int
+	overlap int
+	sha256  string
+}{
+	{
+		name: "k7m4",
+		cfg: func() Config {
+			c := testConfig()
+			c.PartitionBases = 900
+			return c
+		},
+		seed: 1, refLen: 2603, overlap: 50,
+		sha256: "4f3c0521383539f62cd8c269b87876bc11a0f7c90879b3040aed57fcce81fdc4",
+	},
+	{
+		name: "k19m10",
+		cfg: func() Config {
+			c := DefaultConfig()
+			c.PartitionBases = 1 << 12
+			return c
+		},
+		seed: 2, refLen: 10001, overlap: DefaultPartitionOverlap,
+		sha256: "14a77aee5ac357dcd54d6ab7b3d41ee92d2bbd77df64ed4b2d536e0750a00b76",
+	},
+}
+
+// buildGolden builds one golden accelerator and its WriteIndex bytes.
+func buildGolden(t testing.TB, i int) (*Accelerator, []byte) {
+	t.Helper()
+	g := goldenBuilds[i]
+	ref := randSeq(rand.New(rand.NewSource(g.seed)), g.refLen)
+	a, err := NewWithOverlap(ref, g.cfg(), g.overlap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := a.WriteIndex(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return a, buf.Bytes()
+}
+
+// TestWriteIndexGolden pins the on-disk bytes: an index written by any
+// version must hash to the value the format was frozen at, so a change
+// to the in-memory tables cannot drift the file format.
+func TestWriteIndexGolden(t *testing.T) {
+	for i, g := range goldenBuilds {
+		_, data := buildGolden(t, i)
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); got != g.sha256 {
+			t.Errorf("%s: WriteIndex sha256 = %s, want %s", g.name, got, g.sha256)
+		}
+	}
+}
+
+// TestLoadedFilterEqualsBuilt requires ReadIndex to reproduce every table
+// of every partition element for element: the reference, the mini index
+// ranges, the 32-bit tags, the search indicators and the position lists.
+func TestLoadedFilterEqualsBuilt(t *testing.T) {
+	for i, g := range goldenBuilds {
+		built, data := buildGolden(t, i)
+		loaded, err := ReadIndex(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", g.name, err)
+		}
+		if loaded.overlap != built.overlap || loaded.refLen != built.refLen ||
+			!slices.Equal(loaded.starts, built.starts) || len(loaded.parts) != len(built.parts) {
+			t.Fatalf("%s: geometry differs", g.name)
+		}
+		for pi, bp := range built.parts {
+			lp := loaded.parts[pi]
+			bf, lf := bp.filter, lp.filter
+			for _, tc := range []struct {
+				table string
+				equal bool
+			}{
+				{"ref", slices.Equal(lp.ref, bp.ref)},
+				{"mini", slices.Equal(lf.mini, bf.mini)},
+				{"tags", slices.Equal(lf.tags, bf.tags)},
+				{"data", slices.Equal(lf.data, bf.data)},
+				{"posIndex", slices.Equal(lf.posIndex, bf.posIndex)},
+				{"positions", slices.Equal(lf.positions, bf.positions)},
+			} {
+				if !tc.equal {
+					t.Errorf("%s partition %d: loaded %s differs from built", g.name, pi, tc.table)
+				}
+			}
+			if lf.suffixBits != bf.suffixBits || lf.suffixMask != bf.suffixMask {
+				t.Errorf("%s partition %d: derived tag split differs", g.name, pi)
+			}
+		}
+	}
+}
+
+// singlePartitionIndex builds a one-partition index of n bases at the
+// paper's k=19, m=10 and returns its WriteIndex bytes.
+func singlePartitionIndex(t testing.TB, n int) []byte {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.PartitionBases = n
+	a, err := New(randSeq(rand.New(rand.NewSource(int64(n))), n), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := a.WriteIndex(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadIndexAllocs pins the bulk decoder: loading a partition costs a
+// fixed number of allocations (its tables, each made once at its exact
+// size) whatever the partition's size, so a per-element decoder cannot
+// come back unnoticed.
+func TestReadIndexAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		data := singlePartitionIndex(t, n)
+		return testing.AllocsPerRun(3, func() {
+			if _, err := ReadIndex(bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1<<14), allocs(1<<17)
+	if small != large {
+		t.Errorf("ReadIndex allocations grow with the partition: %v at 1<<14 bases, %v at 1<<17", small, large)
+	}
+}
+
+// BenchmarkReadIndex reports the decode rate of a 1 Mbase partition.
+func BenchmarkReadIndex(b *testing.B) {
+	data := singlePartitionIndex(b, 1<<20)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := ReadIndex(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// partOffsets locates one partition's fields in WriteIndex output.
+type partOffsets struct {
+	start, n, ref, nMini, mini, nTags, tags, data, nPos, posIndex, positions, end int
+}
+
+// offsetsOf walks a's WriteIndex layout (see serialize.go) to partition pi.
+func offsetsOf(a *Accelerator, pi int) partOffsets {
+	var o partOffsets
+	o.end = len(indexMagic) + 14*8
+	for _, p := range a.parts[:pi+1] {
+		f := p.filter
+		o.start = o.end
+		o.n = o.start + 8
+		o.ref = o.n + 8
+		o.nMini = o.ref + dna.PackedLen(len(p.ref))
+		o.mini = o.nMini + 8
+		o.nTags = o.mini + 4*len(f.mini)
+		o.tags = o.nTags + 8
+		o.data = o.tags + 8*len(f.tags)
+		o.nPos = o.data + 16*len(f.tags)
+		o.posIndex = o.nPos + 8
+		o.positions = o.posIndex + 4*len(f.posIndex)
+		o.end = o.positions + 4*len(f.positions)
+	}
+	return o
+}
+
+// TestReadIndexRejectsMalformed corrupts one structural field of a valid
+// payload at a time and requires a named "core:" error for each, where
+// the old loader either panicked while seeding or answered wrongly.
+func TestReadIndexRejectsMalformed(t *testing.T) {
+	a, good := buildGolden(t, 0)
+	last := len(a.parts) - 1
+	if o := offsetsOf(a, last); o.end != len(good) {
+		t.Fatalf("layout walk ends at %d of %d bytes", o.end, len(good))
+	}
+	o := offsetsOf(a, 0)
+	f := a.parts[0].filter
+	put32 := func(b []byte, off int, v uint32) { binary.LittleEndian.PutUint32(b[off:], v) }
+	put64 := func(b []byte, off int, v uint64) { binary.LittleEndian.PutUint64(b[off:], v) }
+	// A mini bucket holding at least two tags, for the ordering case.
+	wide := slices.IndexFunc(f.mini, func(r tagRange) bool { return r.end-r.start >= 2 })
+	nTags, nPos := len(f.tags), len(f.positions)
+	cases := []struct {
+		name   string
+		mutate func(b []byte) []byte
+		want   string
+	}{
+		{"partition count", func(b []byte) []byte { put64(b, len(indexMagic)+13*8, uint64(len(a.parts)+1)); return b }, "partitions, its geometry needs"},
+		{"partition start", func(b []byte) []byte { put64(b, offsetsOf(a, 1).start, uint64(a.starts[1]+1)); return b }, "partition 1 starts at"},
+		{"partition length", func(b []byte) []byte { put64(b, o.n, uint64(len(a.parts[0].ref)-1)); return b }, "its geometry needs"},
+		{"pad bits", func(b []byte) []byte { b[offsetsOf(a, last).nMini-1] |= 0xC0; return b }, "pad bits"},
+		{"mini end decreases", func(b []byte) []byte { put32(b, o.mini, uint32(nTags)); return b }, "before its start"},
+		{"mini end past tags", func(b []byte) []byte { put32(b, o.nTags-4, uint32(nTags+1)); return b }, "tag count is"},
+		{"tag too wide", func(b []byte) []byte { put64(b, o.tags, 1<<f.suffixBits); return b }, "wider than"},
+		{"tag order", func(b []byte) []byte {
+			i := int(f.mini[wide].start)
+			put64(b, o.tags+8*(i+1), uint64(f.tags[i]))
+			return b
+		}, "does not increase within mini bucket"},
+		{"posIndex start", func(b []byte) []byte { put32(b, o.posIndex, 1); return b }, "posIndex: entry 0"},
+		{"posIndex decreases", func(b []byte) []byte { put32(b, o.posIndex+8, 0); return b }, "posIndex: entry 2"},
+		{"posIndex past positions", func(b []byte) []byte { put32(b, o.posIndex+4, uint32(nPos+1)); return b }, "posIndex: entry 1"},
+		{"posIndex end", func(b []byte) []byte {
+			put32(b, o.positions-4, uint32(f.posIndex[nTags-1]))
+			return b
+		}, "posIndex ends at"},
+		{"position past last k-mer", func(b []byte) []byte {
+			put32(b, o.positions, uint32(len(a.parts[0].ref)-a.cfg.K+1))
+			return b
+		}, "past the last k-mer start"},
+		{"claim past payload", func(b []byte) []byte { return b[:o.positions+4] }, "positions: "},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := tc.mutate(slices.Clone(good))
+			_, err := ReadIndex(bytes.NewReader(b))
+			if err == nil {
+				t.Fatal("malformed index accepted")
+			}
+			if !strings.HasPrefix(err.Error(), "core: ") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q, want a core: error mentioning %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestReadIndexBoundsClaimsByPayload gives a short payload a header that
+// claims a 1 Gbase partition: the loader must refuse before allocating
+// the claimed reference, not after.
+func TestReadIndexBoundsClaimsByPayload(t *testing.T) {
+	_, good := buildGolden(t, 0)
+	b := slices.Clone(good)
+	const claimed = 1 << 30
+	binary.LittleEndian.PutUint64(b[len(indexMagic)+6*8:], claimed)  // PartitionBases
+	binary.LittleEndian.PutUint64(b[len(indexMagic)+12*8:], claimed) // refLen
+	binary.LittleEndian.PutUint64(b[len(indexMagic)+13*8:], 1)       // nParts
+	binary.LittleEndian.PutUint64(b[len(indexMagic)+15*8:], claimed) // partition 0 length
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadIndex(bytes.NewReader(b))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "reference: ") || !strings.Contains(err.Error(), "payload bytes left") {
+		t.Fatalf("error %v, want the reference claim refused", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("refusing the claim allocated %d bytes", grew)
+	}
+}
+
+// FuzzReadIndex mutates a small valid WriteIndex payload. ReadIndex must
+// either fail with a named "core:" error or return an accelerator that
+// seeds a read, and resolves its hit positions, without panicking.
+func FuzzReadIndex(f *testing.F) {
+	rng := rand.New(rand.NewSource(11))
+	cfg := testConfig()
+	cfg.M = 3 // a 64-entry mini index keeps the seed payload small
+	cfg.PartitionBases = 60
+	ref := randSeq(rng, 90)
+	a, err := NewWithOverlap(ref, cfg, 20)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := a.WriteIndex(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	read := plantedRead(rng, ref, 30, 1)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		loaded, err := ReadIndex(bytes.NewReader(data))
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "core: ") {
+				t.Fatalf("unnamed error %q", err)
+			}
+			return
+		}
+		res := loaded.SeedReads([]dna.Sequence{read})
+		for _, m := range res.Reads[0].Forward {
+			loaded.HitPositions(read, m, 0)
+		}
+	})
+}

@@ -51,12 +51,11 @@ func (s *PartStats) add(o PartStats) {
 }
 
 // Partition is one reference partition loaded into a CASA instance: the
-// packed reference held by the SMEM computing CAMs plus its pre-seeding
-// filter. SeedRead executes Algorithm 1 against it.
+// reference held by the SMEM computing CAMs plus its pre-seeding filter.
+// SeedRead executes Algorithm 1 against it.
 type Partition struct {
 	cfg    Config
 	ref    dna.Sequence
-	packed *dna.PackedSeq
 	filter *Filter
 
 	// Stats accumulates activity across SeedRead calls.
@@ -93,15 +92,15 @@ func NewPartition(ref dna.Sequence, cfg Config) (*Partition, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Partition{cfg: cfg, ref: ref, packed: dna.Pack(ref), filter: f}, nil
+	return &Partition{cfg: cfg, ref: ref, filter: f}, nil
 }
 
 // Clone returns a partition sharing this one's immutable state (the
-// reference, its packed CAM image and the filter's index arrays) with
-// fresh activity counters. Seeding mutates only the counters, so clones
-// may seed concurrently without locks.
+// reference and the filter's index arrays) with fresh activity counters.
+// Seeding mutates only the counters, so clones may seed concurrently
+// without locks.
 func (p *Partition) Clone() *Partition {
-	return &Partition{cfg: p.cfg, ref: p.ref, packed: p.packed, filter: p.filter.Clone()}
+	return &Partition{cfg: p.cfg, ref: p.ref, filter: p.filter.Clone()}
 }
 
 // Ref returns the partition's reference sequence.

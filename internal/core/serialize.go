@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"casa/internal/dna"
 )
@@ -13,7 +14,15 @@ import (
 // offline for each reference partition (§4.1); WriteIndex/ReadIndex
 // persist a fully built Accelerator (partitioned reference + filters) so
 // the expensive construction happens once (cmd/casa-index) and later runs
-// load it directly.
+// load it directly. The payload, little-endian throughout:
+//
+//	"CASAIDX1" | 11 x u64 config | u64 overlap | u64 refLen | u64 nParts
+//	nParts x ( u64 start | u64 n | ceil(n/4) packed bases
+//	         | u64 4^m | 4^m x u32 mini bucket end
+//	         | u64 nTags | nTags x u64 tag | nTags x (u64 start mask, u64 group mask)
+//	         | u64 nPos | (nTags+1) x u32 posIndex | nPos x u32 position )
+//
+// TestWriteIndexGolden pins these bytes.
 
 // indexMagic identifies the file format; the trailing digit is the
 // version.
@@ -39,45 +48,67 @@ func (a *Accelerator) WriteIndex(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadIndex reconstructs an accelerator from WriteIndex output.
+// loadChunk is the size of the one buffer ReadIndex decodes every table
+// through.
+const loadChunk = 64 << 10
+
+// ReadIndex reconstructs an accelerator from WriteIndex output. Each table
+// is decoded in bulk, straight into an array allocated once at its exact
+// size, and checked for the structure seeding relies on (partition
+// geometry, ordered mini index, tag width and order, position ranges), so
+// a malformed payload fails with a "core:" error rather than a panic or a
+// wrong answer later. When r reports its unread length through a
+// Len() int method, as idxio section readers and bytes.Reader do, every
+// table's claimed size is checked against it before the table is
+// allocated.
 func ReadIndex(r io.Reader) (*Accelerator, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	magic := make([]byte, len(indexMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	d := &decoder{r: r, left: math.MaxInt64, chunk: make([]byte, loadChunk)}
+	if lr, ok := r.(interface{ Len() int }); ok {
+		d.left = int64(lr.Len())
+	}
+	magic, err := d.next(len(indexMagic))
+	if err != nil {
 		return nil, fmt.Errorf("core: reading index header: %w", err)
 	}
 	if string(magic) != indexMagic {
 		return nil, fmt.Errorf("core: not a CASA index (magic %q)", magic)
 	}
-	cfg, err := readConfig(br)
-	if err != nil {
-		return nil, err
+	var hdr [14]uint64 // config (11 words), overlap, refLen, nParts
+	for i := range hdr {
+		if hdr[i], err = d.u64(); err != nil {
+			return nil, fmt.Errorf("core: reading index header: %w", err)
+		}
 	}
+	cfg := decodeConfig(hdr[:11])
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: index holds invalid config: %w", err)
 	}
-	overlap, err := readU64(br)
-	if err != nil {
-		return nil, err
+	overlap, refLen, nParts := hdr[11], hdr[12], hdr[13]
+	partBases := uint64(cfg.PartitionBases)
+	if refLen == 0 || refLen > math.MaxInt32 || overlap >= partBases {
+		return nil, fmt.Errorf("core: index geometry (%d bases, overlap %d) does not fit %d-base partitions with int32 positions", refLen, overlap, partBases)
 	}
-	refLen, err := readU64(br)
-	if err != nil {
-		return nil, err
+	// NewWithOverlap's partitioning: partition i starts at i*step and
+	// runs for up to PartitionBases bases, the last one ending at refLen.
+	step := partBases - overlap
+	wantParts := uint64(1)
+	if refLen > partBases {
+		wantParts += (refLen - partBases + step - 1) / step
 	}
-	nParts, err := readU64(br)
-	if err != nil {
-		return nil, err
-	}
-	if nParts == 0 || nParts > 1<<20 {
-		return nil, fmt.Errorf("core: implausible partition count %d", nParts)
+	if nParts != wantParts {
+		return nil, fmt.Errorf("core: index holds %d partitions, its geometry needs %d", nParts, wantParts)
 	}
 	a := &Accelerator{cfg: cfg, overlap: int(overlap), refLen: int(refLen)}
 	for i := uint64(0); i < nParts; i++ {
-		start, err := readU64(br)
+		start := i * step
+		got, err := d.u64()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: partition %d: %w", i, err)
 		}
-		p, err := readPartition(br, cfg)
+		if got != start {
+			return nil, fmt.Errorf("core: partition %d starts at %d, its geometry needs %d", i, got, start)
+		}
+		p, err := readPartition(d, cfg, int(min(partBases, refLen-start)))
 		if err != nil {
 			return nil, fmt.Errorf("core: partition %d: %w", i, err)
 		}
@@ -90,21 +121,8 @@ func ReadIndex(r io.Reader) (*Accelerator, error) {
 // writePartition emits the packed reference and the filter arrays.
 func writePartition(w *bufio.Writer, p *Partition) error {
 	writeU64(w, uint64(len(p.ref)))
-	// 2-bit packed reference.
-	var cur byte
-	for i, b := range p.ref {
-		cur |= byte(b) << uint(2*(i%4))
-		if i%4 == 3 {
-			if err := w.WriteByte(cur); err != nil {
-				return err
-			}
-			cur = 0
-		}
-	}
-	if len(p.ref)%4 != 0 {
-		if err := w.WriteByte(cur); err != nil {
-			return err
-		}
+	if _, err := w.Write(dna.AppendPacked(nil, p.ref)); err != nil {
+		return err
 	}
 	f := p.filter
 	// Mini index: store only the bucket end offsets (starts are the
@@ -115,7 +133,7 @@ func writePartition(w *bufio.Writer, p *Partition) error {
 	}
 	writeU64(w, uint64(len(f.tags)))
 	for _, t := range f.tags {
-		writeU64(w, t)
+		writeU64(w, uint64(t))
 	}
 	for _, d := range f.data {
 		writeU64(w, d.StartMask)
@@ -131,92 +149,230 @@ func writePartition(w *bufio.Writer, p *Partition) error {
 	return nil
 }
 
-// readPartition reconstructs one partition.
-func readPartition(r *bufio.Reader, cfg Config) (*Partition, error) {
-	refLen, err := readU64(r)
+// readPartition decodes one partition of n bases, validating each table
+// as it streams past.
+func readPartition(d *decoder, cfg Config, n int) (*Partition, error) {
+	got, err := d.u64()
 	if err != nil {
 		return nil, err
 	}
-	if refLen > uint64(cfg.PartitionBases) {
-		return nil, fmt.Errorf("partition of %d bases exceeds config %d", refLen, cfg.PartitionBases)
+	if got != uint64(n) {
+		return nil, fmt.Errorf("holds %d bases, its geometry needs %d", got, n)
 	}
-	ref := make(dna.Sequence, refLen)
-	packed := make([]byte, (refLen+3)/4)
-	if _, err := io.ReadFull(r, packed); err != nil {
+	packedLen := dna.PackedLen(n)
+	if err := d.claim("reference", uint64(packedLen), 1); err != nil {
 		return nil, err
 	}
-	for i := range ref {
-		ref[i] = dna.Base(packed[i/4] >> uint(2*(i%4)) & 3)
+	ref := make(dna.Sequence, 0, n)
+	if err := d.array(packedLen, 1, func(b []byte, first int) error {
+		ref = dna.AppendUnpacked(ref, b, min(n-len(ref), 4*len(b)))
+		if first+len(b) == packedLen && n%4 != 0 && b[len(b)-1]>>uint(2*(n%4)) != 0 {
+			return fmt.Errorf("pad bits after base %d are not zero", n)
+		}
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("reference: %w", err)
 	}
 
-	nMini, err := readU64(r)
+	nMini, err := d.u64()
 	if err != nil {
 		return nil, err
 	}
 	if nMini != uint64(dna.NumKmers(cfg.M)) {
 		return nil, fmt.Errorf("mini index size %d does not match m=%d", nMini, cfg.M)
 	}
-	f := &Filter{cfg: cfg, mini: make([]tagRange, nMini)}
+	f := &Filter{cfg: cfg}
 	f.initDerived()
-	prev := int32(0)
-	for i := range f.mini {
-		end, err := readU32(r)
-		if err != nil {
-			return nil, err
+	prevEnd := uint32(0)
+	f.mini, err = decodeTable(d, "mini index", nMini, 4, func(dst []tagRange, b []byte, first int) error {
+		for j := range dst {
+			end := binary.LittleEndian.Uint32(b[4*j:])
+			if end < prevEnd {
+				return fmt.Errorf("bucket %d ends at %d, before its start %d", first+j, end, prevEnd)
+			}
+			dst[j] = tagRange{start: int32(prevEnd), end: int32(end)}
+			prevEnd = end
 		}
-		f.mini[i] = tagRange{start: prev, end: int32(end)}
-		prev = int32(end)
-	}
-	nTags, err := readU64(r)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if nTags > refLen {
+
+	nTags, err := d.u64()
+	if err != nil {
+		return nil, err
+	}
+	if nTags > uint64(n) {
 		return nil, fmt.Errorf("tag count %d exceeds partition size", nTags)
 	}
-	f.tags = make([]uint64, nTags)
-	for i := range f.tags {
-		if f.tags[i], err = readU64(r); err != nil {
-			return nil, err
-		}
+	if nTags != uint64(prevEnd) {
+		return nil, fmt.Errorf("mini index ends at %d, tag count is %d", prevEnd, nTags)
 	}
-	f.data = make([]SearchIndicator, nTags)
-	for i := range f.data {
-		if f.data[i].StartMask, err = readU64(r); err != nil {
-			return nil, err
+	// Tags must strictly increase within each mini bucket: equivalently,
+	// the full k-mers (bucket prefix, tag) strictly increase across the
+	// array, a test that stays branch-predictable on valid input.
+	bucket, bucketEnd := -1, 0
+	var prevKmer uint64
+	f.tags, err = decodeTable(d, "tags", nTags, 8, func(dst []uint32, b []byte, first int) error {
+		// Work on locals: the captured state would otherwise round-trip
+		// through memory on every tag.
+		mini, mask, bits := f.mini, f.suffixMask, f.suffixBits
+		bkt, end, prev := bucket, bucketEnd, prevKmer
+		for j := range dst {
+			v, i := binary.LittleEndian.Uint64(b[8*j:]), first+j
+			if v > mask {
+				return fmt.Errorf("tag %d is %#x, wider than the %d bits of k-m=%d", i, v, bits, cfg.K-cfg.M)
+			}
+			for i >= end {
+				bkt++
+				end = int(mini[bkt].end)
+			}
+			kmer := uint64(bkt)<<bits | v
+			if i > 0 && kmer <= prev {
+				return fmt.Errorf("tag %d (%#x) does not increase within mini bucket %d", i, v, bkt)
+			}
+			dst[j], prev = uint32(v), kmer
 		}
-		if f.data[i].GroupMask, err = readU64(r); err != nil {
-			return nil, err
-		}
-	}
-	nPos, err := readU64(r)
+		bucket, bucketEnd, prevKmer = bkt, end, prev
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if nPos > refLen {
+	f.data, err = decodeTable(d, "search indicators", nTags, 16, func(dst []SearchIndicator, b []byte, _ int) error {
+		for j := range dst {
+			dst[j] = SearchIndicator{
+				StartMask: binary.LittleEndian.Uint64(b[16*j:]),
+				GroupMask: binary.LittleEndian.Uint64(b[16*j+8:]),
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	nPos, err := d.u64()
+	if err != nil {
+		return nil, err
+	}
+	if nPos > uint64(n) {
 		return nil, fmt.Errorf("position count %d exceeds partition size", nPos)
 	}
-	f.posIndex = make([]int32, nTags+1)
-	for i := range f.posIndex {
-		v, err := readU32(r)
-		if err != nil {
-			return nil, err
+	prevIdx := uint32(0) // posIndex runs non-decreasingly from 0 to nPos
+	f.posIndex, err = decodeTable(d, "posIndex", nTags+1, 4, func(dst []int32, b []byte, first int) error {
+		for j := range dst {
+			v, hi := binary.LittleEndian.Uint32(b[4*j:]), nPos
+			if first+j == 0 {
+				hi = 0
+			}
+			if v < prevIdx || uint64(v) > hi {
+				return fmt.Errorf("entry %d is %d, outside [%d, %d]", first+j, v, prevIdx, hi)
+			}
+			dst[j], prevIdx = int32(v), v
 		}
-		f.posIndex[i] = int32(v)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	f.positions = make([]int32, nPos)
-	for i := range f.positions {
-		v, err := readU32(r)
-		if err != nil {
-			return nil, err
+	if uint64(prevIdx) != nPos {
+		return nil, fmt.Errorf("posIndex ends at %d, position count is %d", prevIdx, nPos)
+	}
+	lastStart := int64(n) - int64(cfg.K) // the partition's last k-mer start
+	f.positions, err = decodeTable(d, "positions", nPos, 4, func(dst []int32, b []byte, first int) error {
+		for j := range dst {
+			v := binary.LittleEndian.Uint32(b[4*j:])
+			if int64(v) > lastStart {
+				return fmt.Errorf("position %d is %d, past the last k-mer start %d", first+j, v, lastStart)
+			}
+			dst[j] = int32(v)
 		}
-		f.positions[i] = int32(v)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return &Partition{cfg: cfg, ref: ref, packed: dna.Pack(ref), filter: f}, nil
+	return &Partition{cfg: cfg, ref: ref, filter: f}, nil
 }
 
-// writeConfig/readConfig serialize the numeric and boolean fields in a
-// fixed order.
+// decodeTable checks that count entries of size bytes fit in the unread
+// payload, allocates them once, and fills them from the stream: fn decodes
+// each run of whole entries b into dst, the run starting at entry first.
+func decodeTable[T any](d *decoder, table string, count uint64, size int, fn func(dst []T, b []byte, first int) error) ([]T, error) {
+	if err := d.claim(table, count, size); err != nil {
+		return nil, err
+	}
+	out := make([]T, count)
+	if err := d.array(int(count), size, func(b []byte, first int) error {
+		return fn(out[first:first+len(b)/size], b, first)
+	}); err != nil {
+		return nil, fmt.Errorf("%s: %w", table, err)
+	}
+	return out, nil
+}
+
+// decoder streams WriteIndex's little-endian fields through one reused
+// chunk. left counts the payload bytes not yet consumed, so a table's
+// claimed size is checked against the bytes actually present before the
+// table is allocated.
+type decoder struct {
+	r     io.Reader
+	left  int64
+	chunk []byte
+}
+
+// next reads the next n <= len(chunk) bytes into the chunk.
+func (d *decoder) next(n int) ([]byte, error) {
+	if int64(n) > d.left {
+		return nil, io.ErrUnexpectedEOF
+	}
+	b := d.chunk[:n]
+	if _, err := io.ReadFull(d.r, b); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	d.left -= int64(n)
+	return b, nil
+}
+
+func (d *decoder) u64() (uint64, error) {
+	b, err := d.next(8)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(b), nil
+}
+
+// claim checks that a table of count entries of size bytes fits in the
+// unread payload.
+func (d *decoder) claim(table string, count uint64, size int) error {
+	if count > uint64(d.left)/uint64(size) {
+		return fmt.Errorf("%s: %d entries of %d bytes exceed the %d payload bytes left", table, count, size, d.left)
+	}
+	return nil
+}
+
+// array streams count entries of size bytes each, handing fn runs of
+// whole entries together with the index of the run's first entry.
+func (d *decoder) array(count, size int, fn func(b []byte, first int) error) error {
+	per := len(d.chunk) / size
+	for first := 0; first < count; first += per {
+		b, err := d.next(min(count-first, per) * size)
+		if err != nil {
+			return err
+		}
+		if err := fn(b, first); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeConfig serializes the numeric and boolean fields in a fixed order.
 func writeConfig(w *bufio.Writer, c Config) {
 	for _, v := range []uint64{
 		uint64(c.K), uint64(c.M), uint64(c.MinSMEM), uint64(c.Stride),
@@ -235,30 +391,20 @@ func writeConfig(w *bufio.Writer, c Config) {
 	writeU64(w, flags)
 }
 
-func readConfig(r *bufio.Reader) (Config, error) {
-	var vals [10]uint64
-	for i := range vals {
-		v, err := readU64(r)
-		if err != nil {
-			return Config{}, err
-		}
-		vals[i] = v
-	}
-	flags, err := readU64(r)
-	if err != nil {
-		return Config{}, err
-	}
-	c := Config{
+// decodeConfig inverts writeConfig's eleven words.
+func decodeConfig(vals []uint64) Config {
+	flags := vals[10]
+	return Config{
 		K: int(vals[0]), M: int(vals[1]), MinSMEM: int(vals[2]), Stride: int(vals[3]),
 		Groups: int(vals[4]), ComputeCAMs: int(vals[5]), PartitionBases: int(vals[6]),
 		FilterBanks: int(vals[7]), FIFODepth: int(vals[8]), ClockHz: float64(vals[9]),
+
+		UseFilterTable:    flags&1 != 0,
+		UseAnalysis:       flags&2 != 0,
+		ExactMatchPrepass: flags&4 != 0,
+		GroupGating:       flags&8 != 0,
+		EntryGating:       flags&16 != 0,
 	}
-	c.UseFilterTable = flags&1 != 0
-	c.UseAnalysis = flags&2 != 0
-	c.ExactMatchPrepass = flags&4 != 0
-	c.GroupGating = flags&8 != 0
-	c.EntryGating = flags&16 != 0
-	return c, nil
 }
 
 func writeU64(w *bufio.Writer, v uint64) {
@@ -271,20 +417,4 @@ func writeU32(w *bufio.Writer, v uint32) {
 	var buf [4]byte
 	binary.LittleEndian.PutUint32(buf[:], v)
 	w.Write(buf[:])
-}
-
-func readU64(r *bufio.Reader) (uint64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(buf[:]), nil
-}
-
-func readU32(r *bufio.Reader) (uint32, error) {
-	var buf [4]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(buf[:]), nil
 }

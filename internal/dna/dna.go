@@ -12,6 +12,8 @@ package dna
 
 import (
 	"fmt"
+	"io"
+	"slices"
 	"strings"
 )
 
@@ -241,4 +243,66 @@ func (p *PackedSeq) Kmer(i, k int) Kmer {
 		v = v<<2 | Kmer(p.Base(x))
 	}
 	return v
+}
+
+// PackedLen returns the number of bytes that hold n bases packed four per
+// byte (AppendPacked's layout).
+func PackedLen(n int) int { return (n + 3) / 4 }
+
+// AppendPacked appends s packed four bases per byte to dst and returns the
+// extended slice: base i sits in bits 2*(i%4) of byte i/4, and the pad bits
+// of a partial last byte are zero. Every persisted index stores its
+// sequences in this layout; read as little-endian uint64 words it is also
+// PackedSeq's.
+func AppendPacked(dst []byte, s Sequence) []byte {
+	full := len(s) &^ 3
+	for i := 0; i < full; i += 4 {
+		q := s[i : i+4 : i+4]
+		dst = append(dst, byte(q[0])|byte(q[1])<<2|byte(q[2])<<4|byte(q[3])<<6)
+	}
+	if full < len(s) {
+		var b byte
+		for j, x := range s[full:] {
+			b |= byte(x) << uint(2*j)
+		}
+		dst = append(dst, b)
+	}
+	return dst
+}
+
+// AppendUnpacked appends the first n bases held in packed (AppendPacked's
+// layout) to dst, decoding a byte at a time, and returns the extended
+// slice. It panics if packed holds fewer than n bases.
+func AppendUnpacked(dst Sequence, packed []byte, n int) Sequence {
+	base := len(dst)
+	dst = slices.Grow(dst, n)[:base+n]
+	out := dst[base:]
+	full := n / 4
+	for i, b := range packed[:full] {
+		o := out[4*i : 4*i+4 : 4*i+4]
+		o[0] = Base(b & 3)
+		o[1] = Base(b >> 2 & 3)
+		o[2] = Base(b >> 4 & 3)
+		o[3] = Base(b >> 6)
+	}
+	for j := 4 * full; j < n; j++ {
+		out[j] = Base(packed[full] >> uint(2*(j%4)) & 3)
+	}
+	return dst
+}
+
+// ReadPacked reads n bases stored in AppendPacked's layout from r. It reads
+// in bounded chunks and grows the sequence only as bytes arrive, so a
+// corrupted length cannot force an allocation the stream does not back.
+func ReadPacked(r io.Reader, n int) (Sequence, error) {
+	chunk := make([]byte, min(PackedLen(n), 1<<16))
+	seq := make(Sequence, 0, min(n, 1<<20))
+	for len(seq) < n {
+		c := min(PackedLen(n-len(seq)), len(chunk))
+		if _, err := io.ReadFull(r, chunk[:c]); err != nil {
+			return nil, err
+		}
+		seq = AppendUnpacked(seq, chunk[:c], min(n-len(seq), 4*c))
+	}
+	return seq, nil
 }

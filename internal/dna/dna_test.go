@@ -1,6 +1,7 @@
 package dna
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -220,6 +221,44 @@ func TestPackedSeqBytes(t *testing.T) {
 	p := Pack(make(Sequence, 4<<20))
 	if got := p.Bytes(); got != 1<<20 {
 		t.Errorf("4 Mbase partition packs to %d bytes, want %d", got, 1<<20)
+	}
+}
+
+// TestPackedBytesRoundTrip pins the four-bases-per-byte layout shared by
+// every persisted index: AppendPacked matches a base-at-a-time reference
+// encoder and PackedSeq's little-endian words, and AppendUnpacked and
+// ReadPacked invert it at every partial-byte length.
+func TestPackedBytesRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1<<16 + 3} {
+		s := randomSeq(rng, n)
+		want := make([]byte, PackedLen(n))
+		for i, b := range s {
+			want[i/4] |= byte(b) << uint(2*(i%4))
+		}
+		got := AppendPacked([]byte{0xAA}, s)
+		if got[0] != 0xAA || !bytes.Equal(got[1:], want) {
+			t.Fatalf("n=%d: AppendPacked = %x, want %x", n, got[1:], want)
+		}
+		words := Pack(s).words
+		for i, b := range want {
+			if w := byte(words[i/8] >> uint(8*(i%8))); w != b {
+				t.Fatalf("n=%d: byte %d = %02x, PackedSeq word byte %02x", n, i, b, w)
+			}
+		}
+		prefix := Sequence{T, G}
+		if u := AppendUnpacked(prefix.Clone(), want, n); !u[:2].Equal(prefix) || !u[2:].Equal(s) {
+			t.Fatalf("n=%d: AppendUnpacked does not invert AppendPacked", n)
+		}
+		r, err := ReadPacked(bytes.NewReader(want), n)
+		if err != nil || !r.Equal(s) {
+			t.Fatalf("n=%d: ReadPacked = %v, %v", n, len(r), err)
+		}
+		if n > 0 {
+			if _, err := ReadPacked(bytes.NewReader(want[:len(want)-1]), n); err == nil {
+				t.Fatalf("n=%d: ReadPacked accepted a truncated stream", n)
+			}
+		}
 	}
 }
 

@@ -34,19 +34,13 @@ func (f *FMIndex) Serialize(w io.Writer) error {
 		return err
 	}
 	buf := make([]byte, 0, serializeChunk)
-	for i := 0; i < f.n; i += 4 {
-		var b byte
-		for j := 0; j < 4 && i+j < f.n; j++ {
-			b |= byte(f.text[i+j]) << uint(2*j)
-		}
-		buf = append(buf, b)
-		if len(buf) == serializeChunk {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
+	for i := 0; i < f.n; i += 4 * serializeChunk {
+		buf = dna.AppendPacked(buf[:0], f.text[i:min(i+4*serializeChunk, f.n)])
+		if _, err := w.Write(buf); err != nil {
+			return err
 		}
 	}
+	buf = buf[:0]
 	for _, p := range f.sa {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(p))
 		if len(buf) >= serializeChunk {
@@ -78,22 +72,12 @@ func Deserialize(r io.Reader) (*FMIndex, error) {
 	}
 	n := int(n64)
 
-	packedLen := (n + 3) / 4
-	text := make(dna.Sequence, 0, min(n, serializeChunk))
-	var chunk [serializeChunk / 16]byte
-	for read := 0; read < packedLen; {
-		c := min(packedLen-read, len(chunk))
-		if _, err := io.ReadFull(r, chunk[:c]); err != nil {
-			return nil, fmt.Errorf("fmindex: reading packed text: %w", err)
-		}
-		for _, b := range chunk[:c] {
-			for j := 0; j < 4 && len(text) < n; j++ {
-				text = append(text, dna.Base(b>>uint(2*j))&3)
-			}
-		}
-		read += c
+	text, err := dna.ReadPacked(r, n)
+	if err != nil {
+		return nil, fmt.Errorf("fmindex: reading packed text: %w", err)
 	}
 
+	var chunk [serializeChunk / 16]byte
 	sa := make([]int32, 0, min(n+1, serializeChunk))
 	for read := 0; read < (n+1)*4; {
 		c := min((n+1)*4-read, len(chunk)&^3)

@@ -288,7 +288,9 @@ func (r *Reader) Prefixed(prefix string) *Reader {
 
 // Section finishes the previous section (draining and CRC-checking it)
 // and opens the next one, which must carry the given name. The returned
-// reader yields exactly the section's payload bytes.
+// reader yields exactly the section's payload bytes, and its Len() int
+// method reports how many remain unread, so a decoder can bound a length
+// the payload claims before allocating for it.
 func (r *Reader) Section(name string) (io.Reader, error) {
 	full := r.prefix + name
 	got, sr, err := r.next()
@@ -395,6 +397,9 @@ func (s *sectionReader) Read(p []byte) (int, error) {
 	}
 	return n, err
 }
+
+// Len returns the number of payload bytes not yet read.
+func (s *sectionReader) Len() int { return int(s.remaining) }
 
 // finish drains the unread remainder in bounded chunks and verifies the
 // section's checksum.

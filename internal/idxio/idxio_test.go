@@ -364,3 +364,32 @@ func TestWriterRejectsBadNames(t *testing.T) {
 		t.Fatal("section after Close accepted")
 	}
 }
+
+// TestSectionReportsUnreadLength pins the Len() int a section reader
+// exposes, which decoders use to bound claimed lengths before allocating.
+func TestSectionReportsUnreadLength(t *testing.T) {
+	r, _, err := NewReader(bytes.NewReader(buildSample(t, sampleHeader())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Section("fmindex/fwd"); err != nil {
+		t.Fatal(err)
+	}
+	sec, err := r.Section("fmindex/rev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lr, ok := sec.(interface{ Len() int })
+	if !ok {
+		t.Fatal("section reader has no Len() int")
+	}
+	if got := lr.Len(); got != 10000 {
+		t.Fatalf("Len before reading = %d, want 10000", got)
+	}
+	if _, err := io.ReadFull(sec, make([]byte, 123)); err != nil {
+		t.Fatal(err)
+	}
+	if got := lr.Len(); got != 10000-123 {
+		t.Fatalf("Len after 123 bytes = %d, want %d", got, 10000-123)
+	}
+}

@@ -455,13 +455,7 @@ func (s *Sharded) writeGeometry(w io.Writer) error {
 	for i, win := range s.windows {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.winStart[i]))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(win)))
-		for j := 0; j < len(win); j += 4 {
-			var b byte
-			for k := 0; k < 4 && j+k < len(win); k++ {
-				b |= byte(win[j+k]) << uint(2*k)
-			}
-			buf = append(buf, b)
-		}
+		buf = dna.AppendPacked(buf, win)
 	}
 	_, err := w.Write(buf)
 	return err
@@ -495,19 +489,9 @@ func (s *Sharded) readGeometry(r io.Reader) error {
 		if winLen > 1<<32 {
 			return fmt.Errorf("implausible window length %d", winLen)
 		}
-		win := make(dna.Sequence, 0, winLen)
-		var chunk [4096]byte
-		for read := uint64(0); read < (winLen+3)/4; {
-			c := min(int((winLen+3)/4-read), len(chunk))
-			if _, err := io.ReadFull(r, chunk[:c]); err != nil {
-				return err
-			}
-			for _, b := range chunk[:c] {
-				for k := 0; k < 4 && uint64(len(win)) < winLen; k++ {
-					win = append(win, dna.Base(b>>uint(2*k))&3)
-				}
-			}
-			read += uint64(c)
+		win, err := dna.ReadPacked(r, int(winLen))
+		if err != nil {
+			return err
 		}
 		s.windows = append(s.windows, win)
 	}
