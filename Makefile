@@ -23,7 +23,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/batch/ ./internal/core/ ./internal/pipeline/ ./internal/serve/ ./internal/obshttp/ ./internal/progress/ ./internal/trace/ ./internal/runcli/
+	$(GO) test -race ./internal/batch/ ./internal/core/ ./internal/pipeline/ ./internal/serve/ ./internal/obshttp/ ./internal/progress/ ./internal/trace/ ./internal/runcli/ ./internal/seedex/ ./internal/align/ ./cmd/casa-align/
 
 cover:
 	$(GO) test -cover ./...
@@ -62,6 +62,7 @@ fuzz:
 	$(GO) test ./internal/idxio/ -fuzz FuzzIndexRoundTrip -fuzztime 15s
 	$(GO) test ./internal/idxio/ -fuzz FuzzIndexCorrupted -fuzztime 15s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzReadIndex -fuzztime 15s
+	$(GO) test ./internal/align/ -run '^$$' -fuzz FuzzBandedFit -fuzztime 15s
 
 # Live-telemetry smoke: a race-built casa-smem run observed mid-flight
 # through /progress and /events, then interrupted (see the script).

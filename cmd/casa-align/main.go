@@ -4,6 +4,13 @@
 // SeedEx machines extend the seeds with banded Smith-Waterman and verify
 // with Myers edit machines, and alignments stream out as SAM.
 //
+// Seeding and extension both run on the -workers pool. Each batch is
+// seeded, then its reads (whole pairs in paired mode) are split into
+// shards that workers place, rescue and turn into SAM records, each
+// worker with its own SeedEx machine; the records are written in read
+// order, so the SAM and the modelled seedex counters are the same at any
+// worker count.
+//
 // Any engine registered in internal/engine can seed (-engine; "list"
 // prints them). casa resolves both strands and hit positions natively;
 // other engines seed the reverse complements in a second pass and fall
@@ -58,7 +65,7 @@ type aligner struct {
 	pos        engine.Positioner // nil = direct-scan fallback over flat
 	veng       engine.Engine     // nil = no -verify cross-check
 	flat       dna.Sequence
-	sx         *seedex.Machine
+	sxs        []*seedex.Machine // one clone per extension worker
 	ix         *refidx.Index
 	maxHits    int
 	pool       batch.Options
@@ -124,8 +131,12 @@ func main() {
 	pos, _ := eng.(engine.Positioner)
 	a := &aligner{
 		ctx: r.Ctx, eng: eng, pos: pos, veng: veng, flat: ix.Flat(),
-		sx: sx, ix: ix, maxHits: *maxHits,
+		ix: ix, maxHits: *maxHits,
 		pool: r.Pool(), tracker: r.Tracker, writer: writer,
+	}
+	a.sxs = make([]*seedex.Machine, a.pool.WorkerCount())
+	for w := range a.sxs {
+		a.sxs[w] = sx.Clone()
 	}
 
 	if *reads2 == "" {
@@ -144,7 +155,10 @@ func main() {
 	if err := a.writer.Flush(); err != nil {
 		r.Fatal(err)
 	}
-	a.sx.PublishMetrics(r.Registry)
+	for _, c := range a.sxs {
+		sx.Stats.Add(c.Stats)
+	}
+	sx.PublishMetrics(r.Registry)
 	r.Registry.Counter("align/reads/total").Add(int64(a.total))
 	r.Registry.Counter("align/reads/aligned").Add(int64(a.aligned))
 	r.Log.Info("alignment finished", "aligned", a.aligned, "reads", a.total, "interrupted", interrupted)
@@ -229,20 +243,18 @@ func (a *aligner) runSingle(path string, batchSize int) error {
 		// Later batches keep globally unique read indices in the trace.
 		a.pool.ReadBase = a.total
 		seeds, done, seedErr := a.seedBatch(reads)
-		for i := 0; i < done; i++ {
-			rec := recs[i]
-			p := a.place(rec.Seq, seeds[i])
-			out := a.recordSingle(rec, p)
-			if out.Flag&sam.FlagUnmapped == 0 {
-				a.aligned++
+		out := make([]sam.Record, done)
+		a.extend(done, 1, func(sx *seedex.Machine, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				out[i] = a.recordSingle(recs[i], a.place(sx, recs[i].Seq, seeds[i]))
 			}
-			if err := a.writer.Write(out); err != nil {
-				return err
-			}
+		})
+		if err := a.write(out); err != nil {
+			return err
 		}
 		a.total += done
-		// The extension phase runs outside the seeding pool: refresh the
-		// stall watchdog so a long extension is not reported as a hang.
+		// Extension reports no progress: refresh the stall watchdog so a
+		// long extension is not reported as a hang.
 		a.tracker.Touch()
 		recs = recs[:0]
 		return seedErr
@@ -283,24 +295,58 @@ func (a *aligner) runPaired(path1, path2 string, batchSize int) error {
 		}
 		a.pool.ReadBase = 2 * lo // mates interleave: global read index = 2*pair + mate
 		seeds, done, seedErr := a.seedBatch(reads)
-		for i := lo; i < lo+done/2; i++ {
-			p1 := a.place(r1[i].Seq, seeds[2*(i-lo)])
-			p2 := a.place(r2[i].Seq, seeds[2*(i-lo)+1])
-			p1, p2 = a.rescuePair(r1[i], r2[i], p1, p2)
-			rec1, rec2 := a.recordPair(r1[i], r2[i], p1, p2)
-			for _, rec := range []sam.Record{rec1, rec2} {
-				if rec.Flag&sam.FlagUnmapped == 0 {
-					a.aligned++
-				}
-				if err := a.writer.Write(rec); err != nil {
-					return err
-				}
+		out := make([]sam.Record, done/2*2) // whole pairs only
+		a.extend(len(out), 2, func(sx *seedex.Machine, klo, khi int) {
+			for k := klo; k < khi; k += 2 {
+				i := lo + k/2
+				p1 := a.place(sx, r1[i].Seq, seeds[k])
+				p2 := a.place(sx, r2[i].Seq, seeds[k+1])
+				p1, p2 = a.rescuePair(r1[i], r2[i], p1, p2)
+				out[k], out[k+1] = a.recordPair(r1[i], r2[i], p1, p2)
 			}
-			a.total += 2
+		})
+		if err := a.write(out); err != nil {
+			return err
 		}
+		a.total += len(out)
 		a.tracker.Touch()
 		if seedErr != nil {
 			return seedErr
+		}
+	}
+	return nil
+}
+
+// extendShardsPerWorker is how many extension shards each worker gets
+// per batch, so a slow shard (repeat-heavy reads) does not serialize the
+// tail.
+const extendShardsPerWorker = 4
+
+// extend runs one seeded batch's extension on the pool: n reads split
+// into shards of a multiple of step reads (2 in paired mode, so mates
+// stay together), fn(sx, lo, hi) on each with the worker's own SeedEx
+// machine. Each shard writes only its own reads' output slots, so no
+// locking is needed. The shards show in -walltrace on the "seedex" track,
+// named by global read range like the seeding shards.
+func (a *aligner) extend(n, step int, fn func(sx *seedex.Machine, lo, hi int)) {
+	workers := len(a.sxs)
+	units := (n + step - 1) / step
+	grain := step * max(1, (units+extendShardsPerWorker*workers-1)/(extendShardsPerWorker*workers))
+	opt := batch.Options{Workers: workers, Grain: grain, Wall: a.pool.Wall, Engine: seedex.Engine, ReadBase: a.pool.ReadBase}
+	batch.Run(n, opt, func(w, lo, hi int) struct{} {
+		fn(a.sxs[w], lo, hi)
+		return struct{}{}
+	})
+}
+
+// write emits one batch's records in read order, counting the mapped ones.
+func (a *aligner) write(recs []sam.Record) error {
+	for _, rec := range recs {
+		if rec.Flag&sam.FlagUnmapped == 0 {
+			a.aligned++
+		}
+		if err := a.writer.Write(rec); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -325,9 +371,10 @@ func (a *aligner) hitPositions(strand dna.Sequence, m smem.Match) []int32 {
 	return engine.Positions(a.flat, strand, m, a.maxHits)
 }
 
-// place extends both strands of one read and resolves the winner to a
-// chromosome.
-func (a *aligner) place(read dna.Sequence, rs engine.Seeds) placement {
+// place extends both strands of one read on sx and resolves the winner
+// to a chromosome. It reads only immutable aligner state, so workers call
+// it concurrently, each with its own machine.
+func (a *aligner) place(sx *seedex.Machine, read dna.Sequence, rs engine.Seeds) placement {
 	toSeeds := func(strand dna.Sequence, smems []smem.Match) []seedex.Seed {
 		var seeds []seedex.Seed
 		for _, m := range smems {
@@ -342,11 +389,11 @@ func (a *aligner) place(read dna.Sequence, rs engine.Seeds) placement {
 		rev bool
 	}
 	var cands []cand
-	if al, ok := a.sx.ExtendRead(read, toSeeds(read, rs.Forward)); ok {
+	if al, ok := sx.ExtendRead(read, toSeeds(read, rs.Forward)); ok {
 		cands = append(cands, cand{al, false})
 	}
 	rc := read.ReverseComplement()
-	if al, ok := a.sx.ExtendRead(rc, toSeeds(rc, rs.Reverse)); ok {
+	if al, ok := sx.ExtendRead(rc, toSeeds(rc, rs.Reverse)); ok {
 		cands = append(cands, cand{al, true})
 	}
 	if len(cands) == 0 {

@@ -1,0 +1,187 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+
+	"casa/internal/dna"
+	"casa/internal/readsim"
+	"casa/internal/sam"
+	"casa/internal/seqio"
+	"casa/internal/trace"
+)
+
+// TestMain lets a test drive the command end to end: with
+// CASA_ALIGN_RUN_MAIN=1 in its environment the test binary runs main on
+// its own arguments instead of the tests.
+func TestMain(m *testing.M) {
+	if os.Getenv("CASA_ALIGN_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// alignFixture writes a two-chromosome reference, a single-end read set
+// and a read-pair set into dir. Every eighth pair's second mate carries a
+// substitution every 16 bases: it has no 19-base SMEM, so it places only
+// through mate rescue.
+func alignFixture(t *testing.T, dir string) (ref, reads, r1, r2 string) {
+	t.Helper()
+	var recs []seqio.Record
+	var all dna.Sequence
+	for c := 0; c < 2; c++ {
+		g := readsim.GenerateReference(readsim.DefaultGenome(40000, int64(3+c)))
+		recs = append(recs, seqio.Record{Name: fmt.Sprintf("chr%d", c+1), Seq: g})
+		all = append(all, g...)
+	}
+	write := func(name string, fn func(f *os.File) error) string {
+		path := filepath.Join(dir, name)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fn(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	ref = write("ref.fa", func(f *os.File) error { return seqio.WriteFasta(f, recs, 70) })
+	profile := readsim.ReadProfile{Length: 101, Count: 300, Seed: 11, MutRate: 0.01, ErrRate: 0.01, RevComp: true}
+	single := readsim.Records(readsim.Simulate(all, profile))
+	reads = write("reads.fq", func(f *os.File) error { return seqio.WriteFastq(f, single) })
+
+	profile.RevComp = false
+	m1, m2 := readsim.PairRecords(readsim.SimulatePairs(all, readsim.PairProfile{Read: profile, InsertMean: 350, InsertSD: 50}))
+	for i := 0; i < len(m2); i += 8 {
+		seq := m2[i].Seq.Clone()
+		for j := 7; j < len(seq); j += 16 {
+			seq[j] = (seq[j] + 1) % 4
+		}
+		m2[i].Seq = seq
+	}
+	r1 = write("pairs.fq", func(f *os.File) error { return seqio.WriteFastq(f, m1) })
+	r2 = write("pairs.fq.2", func(f *os.File) error { return seqio.WriteFastq(f, m2) })
+	return ref, reads, r1, r2
+}
+
+// runAlign runs casa-align with args plus -metrics, returning the SAM it
+// wrote and the seedex/* and align/* counter lines of its metrics.
+func runAlign(t *testing.T, out string, args ...string) (samOut []byte, counters string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append(args, "-out", out, "-metrics")...)
+	cmd.Env = append(os.Environ(), "CASA_ALIGN_RUN_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("casa-align %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	var lines []string
+	for _, l := range strings.Split(stderr.String(), "\n") {
+		if strings.HasPrefix(l, "seedex_") || strings.HasPrefix(l, "align_") {
+			lines = append(lines, l)
+		}
+	}
+	if len(lines) == 0 {
+		t.Fatalf("no seedex/align counters in the metrics:\n%s", stderr.String())
+	}
+	samOut, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return samOut, strings.Join(lines, "\n")
+}
+
+// TestOutputIndependentOfWorkers pins the parallel extension contract:
+// one SAM record per read in input order, the same SAM bytes and modelled
+// seedex counters at 1, 2 and 4 workers, in single-end and paired mode,
+// and extension shards covering every read on the "seedex" track of
+// -walltrace.
+func TestOutputIndependentOfWorkers(t *testing.T) {
+	dir := t.TempDir()
+	ref, reads, r1, r2 := alignFixture(t, dir)
+	names := func(paths ...string) []string { // read names in SAM order: mates interleave
+		var mates [][]seqio.Record
+		for _, p := range paths {
+			recs, err := readAllFastq(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mates = append(mates, recs)
+		}
+		var out []string
+		for i := range mates[0] {
+			for _, m := range mates {
+				out = append(out, m[i].Name)
+			}
+		}
+		return out
+	}
+	modes := []struct {
+		name  string
+		args  []string
+		names []string
+	}{
+		{"single", []string{"-ref", ref, "-reads", reads}, names(reads)},
+		{"paired", []string{"-ref", ref, "-reads", r1, "-reads2", r2}, names(r1, r2)},
+	}
+	for _, mode := range modes {
+		t.Run(mode.name, func(t *testing.T) {
+			// A small batch gives several extension batches per run.
+			args := append(mode.args, "-batch", "64")
+			want, wantCounters := runAlign(t, filepath.Join(dir, mode.name+"-1.sam"), append(args, "-workers", "1")...)
+			var qnames []string
+			mapped := 0
+			for _, line := range strings.Split(string(want), "\n") {
+				if line == "" || line[0] == '@' {
+					continue
+				}
+				f := strings.Split(line, "\t")
+				qnames = append(qnames, f[0])
+				var flag int
+				fmt.Sscanf(f[1], "%d", &flag)
+				if flag&sam.FlagUnmapped == 0 {
+					mapped++
+				}
+			}
+			if !slices.Equal(qnames, mode.names) {
+				t.Fatalf("workers=1: SAM records are not one per read in input order")
+			}
+			if mapped < len(qnames)*9/10 {
+				t.Fatalf("workers=1: %d of %d records mapped, want nearly all", mapped, len(qnames))
+			}
+			for _, w := range []string{"2", "4"} {
+				wall := filepath.Join(dir, mode.name+"-"+w+".wall.json")
+				got, counters := runAlign(t, filepath.Join(dir, mode.name+"-"+w+".sam"), append(args, "-workers", w, "-walltrace", wall)...)
+				if !bytes.Equal(got, want) {
+					t.Errorf("workers=%s: SAM differs from workers=1", w)
+				}
+				if counters != wantCounters {
+					t.Errorf("workers=%s counters:\n%s\nworkers=1:\n%s", w, counters, wantCounters)
+				}
+				spans, _, err := trace.ParseWallFile(wall)
+				if err != nil {
+					t.Fatal(err)
+				}
+				extended := 0
+				for _, s := range spans {
+					if _, lo, hi, ok := trace.ParseWallShardName(s.Name); ok && s.Track == "seedex" {
+						extended += hi - lo
+					}
+				}
+				if extended != len(mode.names) {
+					t.Errorf("workers=%s: seedex wall shards cover %d reads, want %d", w, extended, len(mode.names))
+				}
+			}
+		})
+	}
+}

@@ -84,6 +84,16 @@ func printWallReport(w io.Writer, spans []trace.WallSpan, dropped int64, top int
 		fmt.Fprintf(w, "pool: busy %d us over window %d us   utilization %.1f%%   parallelism %.2fx\n",
 			poolBusy, poolWindow, utilPct, par)
 		fmt.Fprintf(w, "imbalance (max/mean worker busy): %.2fx\n\n", trace.WallImbalance(workers))
+		// Stages sharing the pool (casa-align seeds on its engine's track
+		// and extends on "seedex") split the busy time between them.
+		if tracks := wallTracks(spans); len(tracks) > 1 {
+			fmt.Fprintln(w, "track          shards    reads    busy_us   busy%")
+			for _, tr := range tracks {
+				fmt.Fprintf(w, "  %-12s %6d  %7d  %9d  %6.1f\n",
+					tr.name, tr.shards, tr.reads, tr.busyUS, 100*float64(tr.busyUS)/float64(max(poolBusy, 1)))
+			}
+			fmt.Fprintln(w)
+		}
 	}
 
 	if len(shards) > 0 {
@@ -140,4 +150,36 @@ func printWallReport(w io.Writer, spans []trace.WallSpan, dropped int64, top int
 			fmt.Fprintf(w, "  %s/%s  %-24s x%-4d %8d us\n", k.proc, k.track, k.name, g.count, g.dur)
 		}
 	}
+}
+
+// wallTrack sums the worker spans of one track (one pool stage).
+type wallTrack struct {
+	name          string
+	shards, reads int
+	busyUS        int64
+}
+
+// wallTracks groups the worker spans by track, sorted by name, counting
+// them as trace.WallWorkers does.
+func wallTracks(spans []trace.WallSpan) []wallTrack {
+	byName := map[string]wallTrack{}
+	for _, s := range spans {
+		if _, ok := trace.ParseWallWorkerProc(s.Proc); !ok {
+			continue
+		}
+		tr := byName[s.Track]
+		tr.name = s.Track
+		tr.shards++
+		tr.busyUS += s.Dur
+		if _, lo, hi, ok := trace.ParseWallShardName(s.Name); ok {
+			tr.reads += hi - lo
+		}
+		byName[s.Track] = tr
+	}
+	out := make([]wallTrack, 0, len(byName))
+	for _, tr := range byName {
+		out = append(out, tr)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
 }

@@ -55,6 +55,9 @@ func TestRunWallReport(t *testing.T) {
 			t.Fatalf("wall report lacks %q:\n%s", want, out)
 		}
 	}
+	if strings.Contains(out, "track ") {
+		t.Fatalf("single-track capture printed a per-track table:\n%s", out)
+	}
 	// -top 2 must leave shard 3 out of the slowest table.
 	if strings.Contains(out, trace.WallShardName(3, 75, 100)) {
 		t.Fatalf("wall report ranks more shards than -top asked for:\n%s", out)
@@ -74,5 +77,33 @@ func TestRunWallRejectsCycleTrace(t *testing.T) {
 	var buf bytes.Buffer
 	if err := runWall(&buf, path, 5); err == nil {
 		t.Fatal("runWall accepted a casa-trace/v1 cycle-domain file")
+	}
+}
+
+// TestRunWallReportTracks splits a pool shared by two stages — seeding on
+// "casa", extension on "seedex", as casa-align records them — by track.
+func TestRunWallReportTracks(t *testing.T) {
+	w := trace.NewWall(16)
+	at := func(us int) time.Time { return time.Unix(0, 0).Add(time.Duration(us) * time.Microsecond) }
+	w.Record(trace.WallWorkerProc(0), "casa", trace.WallShardName(0, 0, 50), at(0), 100*time.Microsecond)
+	w.Record(trace.WallWorkerProc(1), "casa", trace.WallShardName(1, 50, 100), at(0), 100*time.Microsecond)
+	w.Record(trace.WallWorkerProc(0), "seedex", trace.WallShardName(0, 0, 50), at(100), 300*time.Microsecond)
+	w.Record(trace.WallWorkerProc(1), "seedex", trace.WallShardName(1, 50, 100), at(100), 300*time.Microsecond)
+	path := filepath.Join(t.TempDir(), "wall.json")
+	if err := trace.WriteWallFile(path, w.Spans(), w.Dropped()); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := runWall(&buf, path, 1); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		"  casa              2      100        200    25.0",
+		"  seedex            2      100        600    75.0",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("wall report lacks %q:\n%s", want, out)
+		}
 	}
 }

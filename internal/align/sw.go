@@ -22,7 +22,6 @@ func Local(query, ref dna.Sequence, sc Scoring) Result {
 	H := mat(n+1, m+1)
 	E := mat(n+1, m+1)
 	F := mat(n+1, m+1)
-	const neg = -1 << 28
 	for j := 0; j <= m; j++ {
 		E[0][j], F[0][j] = neg, neg
 	}
@@ -86,7 +85,6 @@ func BandedGlobal(query, ref dna.Sequence, band int, sc Scoring) (Result, bool) 
 	} else if d > band {
 		return Result{}, false
 	}
-	const neg = -1 << 28
 	H := mat(n+1, m+1)
 	E := mat(n+1, m+1)
 	F := mat(n+1, m+1)
@@ -144,79 +142,6 @@ func BandedGlobal(query, ref dna.Sequence, band int, sc Scoring) (Result, bool) 
 	}
 	cg = reverseCigar(cg)
 	return Result{Score: H[n][m], Cigar: cg, QueryHi: n, RefHi: m}, true
-}
-
-// BandedFit computes a fitting alignment: the whole query aligned against
-// any window of ref (free leading and trailing reference bases), with the
-// DP restricted to |j - i| <= band. This is the seed-extension shape: the
-// read must align end-to-end while the reference window is padded by the
-// band on both sides. ok is false when no in-band fit exists.
-func BandedFit(query, ref dna.Sequence, band int, sc Scoring) (Result, bool) {
-	n, m := len(query), len(ref)
-	if band < 1 {
-		band = 1
-	}
-	if n == 0 {
-		return Result{}, false
-	}
-	const neg = -1 << 28
-	H := mat(n+1, m+1)
-	E := mat(n+1, m+1)
-	F := mat(n+1, m+1)
-	for i := 0; i <= n; i++ {
-		for j := 0; j <= m; j++ {
-			H[i][j], E[i][j], F[i][j] = neg, neg, neg
-		}
-	}
-	// Free start anywhere within the band-reachable prefix of ref.
-	for j := 0; j <= minInt(m, band); j++ {
-		H[0][j] = 0
-	}
-	for i := 1; i <= n; i++ {
-		lo := maxInt(1, i-band)
-		hi := minInt(m, i+band)
-		if i <= band {
-			H[i][0] = -sc.GapOpen - i*sc.GapExtend
-			F[i][0] = H[i][0]
-		}
-		for j := lo; j <= hi; j++ {
-			E[i][j] = maxInt(E[i][j-1]-sc.GapExtend, H[i][j-1]-sc.GapOpen-sc.GapExtend)
-			F[i][j] = maxInt(F[i-1][j]-sc.GapExtend, H[i-1][j]-sc.GapOpen-sc.GapExtend)
-			diag := neg
-			if H[i-1][j-1] > neg/2 {
-				diag = H[i-1][j-1] + sc.sub(query[i-1], ref[j-1])
-			}
-			H[i][j] = maxInt(diag, maxInt(E[i][j], F[i][j]))
-		}
-	}
-	// Free end: best cell on the last query row.
-	bestJ, bestScore := -1, neg
-	for j := maxInt(0, n-band); j <= minInt(m, n+band); j++ {
-		if H[n][j] > bestScore {
-			bestScore, bestJ = H[n][j], j
-		}
-	}
-	if bestJ < 0 || bestScore <= neg/2 {
-		return Result{}, false
-	}
-	// Traceback to the first query row.
-	var cg Cigar
-	i, j := n, bestJ
-	for i > 0 {
-		switch {
-		case j > 0 && H[i][j] == H[i-1][j-1]+sc.sub(query[i-1], ref[j-1]) && H[i-1][j-1] > neg/2:
-			cg = appendOp(cg, OpMatch, 1)
-			i, j = i-1, j-1
-		case j > 0 && H[i][j] == E[i][j]:
-			cg = appendOp(cg, OpDelete, 1)
-			j--
-		default:
-			cg = appendOp(cg, OpInsert, 1)
-			i--
-		}
-	}
-	cg = reverseCigar(cg)
-	return Result{Score: bestScore, Cigar: cg, QueryHi: n, RefLo: j, RefHi: bestJ}, true
 }
 
 // sub returns the substitution score for a pair of bases.

@@ -391,7 +391,9 @@ func stageCycles(delta PartStats, cfg Config) int64 {
 // read: the occurrences of read[m.Start..m.End], collected across the
 // partitions (duplicates from overlap regions removed), up to max
 // positions (max <= 0 means all). This is the "location of hits" the
-// hardware forwards to the SeedEx machines with each SMEM (§3).
+// hardware forwards to the SeedEx machines with each SMEM (§3). It reads
+// only the immutable filter tables and reference, never the activity
+// counters, so concurrent calls are safe.
 func (a *Accelerator) HitPositions(read dna.Sequence, m smem.Match, max int) []int32 {
 	if m.Start < 0 || m.End >= len(read) || m.Len() < a.cfg.K {
 		return nil

@@ -112,7 +112,8 @@ type ReadSeeder interface {
 // Positioner is implemented by engines that can drive alignment: both
 // strands' SMEMs plus the reference positions behind a match. Only CASA
 // models the hit-position path (the CAM rows are position-addressed);
-// the baselines model SMEM search alone.
+// the baselines model SMEM search alone. HitPositions must be safe for
+// concurrent use: casa-align's extension workers share one instance.
 type Positioner interface {
 	ReadSeeds(res Result) []Seeds
 	HitPositions(strand dna.Sequence, m smem.Match, maxHits int) []int32

@@ -238,7 +238,7 @@ func (r *Run) register(fs *flag.FlagSet) {
 	fs.StringVar(&r.Ref, "ref", "", refUsage)
 	fs.StringVar(&r.Index, "index", "", indexUsage)
 	fs.StringVar(&r.EngineName, "engine", "casa", `seeding engine (any registered name; "list" prints them)`)
-	fs.IntVar(&r.Workers, "workers", 0, "seeding worker goroutines per run (0 = one per CPU)")
+	fs.IntVar(&r.Workers, "workers", 0, "seeding and extension worker goroutines per run (0 = one per CPU)")
 	if s.MinSMEM {
 		fs.IntVar(&r.MinSMEM, "min-smem", defaultMinSMEM, "minimum SMEM length")
 	}

@@ -79,7 +79,9 @@ type Stats struct {
 	EditCycles int64 // edit machine cycles (one text column per cycle)
 }
 
-func (s *Stats) add(o Stats) {
+// Add accumulates another machine's counters, e.g. a worker clone's into
+// the machine it was cloned from.
+func (s *Stats) Add(o Stats) {
 	s.Reads += o.Reads
 	s.Extensions += o.Extensions
 	s.BSWCycles += o.BSWCycles
@@ -87,10 +89,13 @@ func (s *Stats) add(o Stats) {
 	s.EditCycles += o.EditCycles
 }
 
-// Machine is the SeedEx array bound to a reference.
+// Machine is the SeedEx array bound to a reference. The reference and
+// configuration are immutable; Stats and the BSW kernel scratch are
+// per-instance, so concurrent extension needs one Clone per goroutine.
 type Machine struct {
 	cfg Config
 	ref dna.Sequence
+	fit align.Fitter // BSW scratch, reused across extensions
 
 	Stats Stats
 }
@@ -104,6 +109,13 @@ func New(ref dna.Sequence, cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("seedex: empty reference")
 	}
 	return &Machine{cfg: cfg, ref: ref}, nil
+}
+
+// Clone returns a machine over the same reference and configuration with
+// zero Stats and its own kernel scratch. Clones extend independently; add
+// their Stats back (Stats.Add) to total a parallel run.
+func (m *Machine) Clone() *Machine {
+	return &Machine{cfg: m.cfg, ref: m.ref}
 }
 
 // ExtendRead extends every seed (up to MaxHits, longest seeds first) with
@@ -193,7 +205,7 @@ func (m *Machine) extendOne(read dna.Sequence, s Seed) (align.Result, int, bool)
 	m.Stats.Extensions++
 	// Systolic BSW: one anti-diagonal per cycle over the banded matrix.
 	m.Stats.BSWCycles += int64(len(read) + 2*m.cfg.Band)
-	res, ok := align.BandedFit(read, window, 2*m.cfg.Band+2, m.cfg.Scoring)
+	res, ok := m.fit.Fit(read, window, 2*m.cfg.Band+2, m.cfg.Scoring)
 	if !ok {
 		return align.Result{}, 0, false
 	}

@@ -2,6 +2,7 @@ package seedex
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"casa/internal/align"
@@ -296,5 +297,68 @@ func TestSeedAtReferenceEdge(t *testing.T) {
 	}
 	if a.RefStart != 0 {
 		t.Errorf("RefStart = %d, want 0", a.RefStart)
+	}
+}
+
+// TestClonesMatchSequentialRun extends the same reads on one machine and
+// on concurrent clones (run with -race): every alignment matches, and the
+// clones' Stats added back equal the sequential machine's.
+func TestClonesMatchSequentialRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	ref := randSeq(rng, 20000)
+	type job struct {
+		read  dna.Sequence
+		seeds []Seed
+	}
+	jobs := make([]job, 64)
+	for i := range jobs {
+		origin := rng.Intn(len(ref) - 150)
+		read := ref[origin : origin+150].Clone()
+		read[rng.Intn(150)] = dna.Base(rng.Intn(4))
+		seeds := []Seed{{QStart: 20, QEnd: 60, RefPos: int32(origin + 20)}}
+		for k := 0; k < 3; k++ { // decoys on random diagonals
+			seeds = append(seeds, Seed{QStart: 80, QEnd: 100, RefPos: int32(rng.Intn(len(ref)))})
+		}
+		jobs[i] = job{read, seeds}
+	}
+	seq, err := New(ref, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]Alignment, len(jobs))
+	for i, j := range jobs {
+		want[i], _ = seq.ExtendRead(j.read, j.seeds)
+	}
+
+	const workers = 4
+	clones := make([]*Machine, workers)
+	got := make([]Alignment, len(jobs))
+	done := make(chan struct{})
+	for w := range clones {
+		clones[w] = seq.Clone()
+		if clones[w].Stats != (Stats{}) {
+			t.Fatalf("clone starts with Stats %+v", clones[w].Stats)
+		}
+		go func(w int) {
+			defer func() { done <- struct{}{} }()
+			for i := w; i < len(jobs); i += workers {
+				got[i], _ = clones[w].ExtendRead(jobs[i].read, jobs[i].seeds)
+			}
+		}(w)
+	}
+	for range clones {
+		<-done
+	}
+	var total Stats
+	for i := range jobs {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("read %d: clone %+v, sequential %+v", i, got[i], want[i])
+		}
+	}
+	for _, c := range clones {
+		total.Add(c.Stats)
+	}
+	if total != seq.Stats {
+		t.Errorf("clone Stats sum %+v, sequential %+v", total, seq.Stats)
 	}
 }

@@ -3,8 +3,10 @@
 # -walltrace, then assert casa-trace -wall reads the capture back and
 # reports the expected pool shape — 4 workers, the exact shard count the
 # pool's grain math dictates, every read accounted for, no ring drops,
-# and the utilization/imbalance lines the analyzer promises. Run by
-# CI's walltrace-smoke job and by `make walltrace-smoke`.
+# and the utilization/imbalance lines the analyzer promises. Then align
+# the same reads with casa-align -walltrace and assert its extension
+# shards show on a "seedex" track. Run by CI's walltrace-smoke job and by
+# `make walltrace-smoke`.
 set -euo pipefail
 
 GO=${GO:-go}
@@ -53,4 +55,14 @@ for phase in load build seed; do
         || { echo "expected host phase span '$phase'"; exit 1; }
 done
 
-echo "walltrace smoke OK: $GOT_WORKERS/$WORKERS workers, $SHARDS shards, $READS reads"
+echo "== aligning with -walltrace =="
+(cd "$ROOT" && $GO run ./cmd/casa-align -ref "$WORKDIR/ref.fa" -reads "$WORKDIR/reads.fq" \
+    -workers $WORKERS -out "$WORKDIR/align.sam" -walltrace "$WORKDIR/align-wall.json") 2>align.log \
+    || { cat align.log; echo "casa-align failed"; exit 1; }
+(cd "$ROOT" && $GO run ./cmd/casa-trace -wall "$WORKDIR/align-wall.json") >align-wall.txt
+# casa-align extends on the seeding pool, on a "seedex" track of its own
+# that covers every read.
+grep -Eq "^  seedex +[0-9]+ +$READS " align-wall.txt \
+    || { cat align-wall.txt; echo "expected a seedex track covering $READS reads"; exit 1; }
+
+echo "walltrace smoke OK: $GOT_WORKERS/$WORKERS workers, $SHARDS shards, $READS reads; casa-align seedex track present"
