@@ -62,6 +62,7 @@ fuzz:
 	$(GO) test ./internal/idxio/ -fuzz FuzzIndexRoundTrip -fuzztime 15s
 	$(GO) test ./internal/idxio/ -fuzz FuzzIndexCorrupted -fuzztime 15s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzReadIndex -fuzztime 15s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzBuildFilter -fuzztime 15s
 	$(GO) test ./internal/align/ -run '^$$' -fuzz FuzzBandedFit -fuzztime 15s
 
 # Live-telemetry smoke: a race-built casa-smem run observed mid-flight

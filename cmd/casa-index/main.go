@@ -76,7 +76,7 @@ func parseArgs(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.IntVar(&o.minSMEM, "min-smem", 19, "minimum SMEM length recorded in the index header")
 	fs.IntVar(&o.partition, "partition", 0, "partition size in bases for partitioning engines (0 = engine default)")
 	fs.IntVar(&o.k, "k", 19, "seed k-mer size (casa engine only)")
-	fs.IntVar(&o.m, "m", 10, "mini index m-mer size (casa engine only)")
+	fs.IntVar(&o.m, "m", 10, fmt.Sprintf("mini index m-mer size, at most %d (casa engine only)", core.MaxMiniBases))
 	fs.IntVar(&o.shards, "shards", 0, "reference shards for sharded:* engines (0 = engine default)")
 	fs.IntVar(&o.shardOverlap, "shard-overlap", 0, "shard overlap in bases; must be >= the longest read seeded (0 = engine default)")
 	fs.StringVar(&o.info, "info", "", "inspect an existing index instead of building")

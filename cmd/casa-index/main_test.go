@@ -167,20 +167,35 @@ func TestMain(m *testing.M) {
 // tags hold: casa-index must exit non-zero, name the 16-base limit and
 // leave no index behind.
 func TestTagWidthLimitExits(t *testing.T) {
+	checkBuildRejected(t, []string{"-k", "30", "-m", "4"}, "k-m=26 exceeds the 16-base tag limit")
+}
+
+// TestMiniIndexLimitExits builds with m=20, whose 4^20-entry mini index
+// would ask for 8 TiB per partition: casa-index must exit non-zero, name
+// the 12-base limit and leave no index behind.
+func TestMiniIndexLimitExits(t *testing.T) {
+	checkBuildRejected(t, []string{"-k", "24", "-m", "20", "-min-smem", "24"}, "m=20 exceeds the 12-base mini index limit")
+}
+
+// checkBuildRejected runs casa-index on a small reference with the given
+// geometry flags and requires a non-zero exit whose output contains want,
+// with no index left behind.
+func checkBuildRejected(t *testing.T, geometry []string, want string) {
+	t.Helper()
 	dir := t.TempDir()
 	ref := filepath.Join(dir, "ref.fa")
 	if err := os.WriteFile(ref, []byte(">chr1\n"+strings.Repeat("ACGTTGCAAGGCT", 40)+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	out := filepath.Join(dir, "ref.casaidx")
-	cmd := exec.Command(os.Args[0], "-ref", ref, "-out", out, "-k", "30", "-m", "4")
+	cmd := exec.Command(os.Args[0], append([]string{"-ref", ref, "-out", out}, geometry...)...)
 	cmd.Env = append(os.Environ(), "CASA_INDEX_RUN_MAIN=1")
 	stderr, err := cmd.CombinedOutput()
 	if err == nil {
-		t.Fatalf("casa-index -k 30 -m 4 exited 0:\n%s", stderr)
+		t.Fatalf("casa-index %s exited 0:\n%s", strings.Join(geometry, " "), stderr)
 	}
-	if !strings.Contains(string(stderr), "k-m=26 exceeds the 16-base tag limit") {
-		t.Errorf("error does not name the tag limit:\n%s", stderr)
+	if !strings.Contains(string(stderr), want) {
+		t.Errorf("error does not say %q:\n%s", want, stderr)
 	}
 	if _, err := os.Stat(out); !os.IsNotExist(err) {
 		t.Errorf("a rejected build left %s behind (stat: %v)", out, err)

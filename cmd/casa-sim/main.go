@@ -31,7 +31,7 @@ func main() {
 		readsPath = flag.String("reads", "", "reads FASTQ (required)")
 		partition = flag.Int("partition", 4<<20, "partition size in bases")
 		k         = flag.Int("k", 19, "seed k-mer size")
-		m         = flag.Int("m", 10, "mini index m-mer size")
+		m         = flag.Int("m", 10, fmt.Sprintf("mini index m-mer size, at most %d", core.MaxMiniBases))
 		minSMEM   = flag.Int("min-smem", 19, "minimum reported SMEM length")
 		naive     = flag.Bool("naive", false, "disable the pre-seeding filter and analyses")
 		noPrepass = flag.Bool("no-exact-prepass", false, "disable the exact-match prepass")

@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"casa/internal/dna"
 	"casa/internal/dram"
@@ -45,7 +48,8 @@ type accScratch struct {
 const DefaultPartitionOverlap = 100
 
 // New splits ref into partitions of cfg.PartitionBases (overlapping by
-// DefaultPartitionOverlap) and builds each partition's filter.
+// DefaultPartitionOverlap) and builds each partition's filter, up to
+// GOMAXPROCS partitions at a time.
 func New(ref dna.Sequence, cfg Config) (*Accelerator, error) {
 	return NewWithOverlap(ref, cfg, DefaultPartitionOverlap)
 }
@@ -64,18 +68,47 @@ func NewWithOverlap(ref dna.Sequence, cfg Config, overlap int) (*Accelerator, er
 	a := &Accelerator{cfg: cfg, overlap: overlap, refLen: len(ref)}
 	step := cfg.PartitionBases - overlap
 	for start := 0; ; start += step {
-		end := min(start+cfg.PartitionBases, len(ref))
-		p, err := NewPartition(ref[start:end], cfg)
-		if err != nil {
-			return nil, err
-		}
-		a.parts = append(a.parts, p)
 		a.starts = append(a.starts, start)
-		if end == len(ref) {
+		if start+cfg.PartitionBases >= len(ref) {
 			break
 		}
 	}
+	parts, err := buildConcurrently(len(a.starts), func(i int) (*Partition, error) {
+		start := a.starts[i]
+		return NewPartition(ref[start:min(start+cfg.PartitionBases, len(ref))], cfg)
+	})
+	if err != nil {
+		return nil, err
+	}
+	a.parts = parts
 	return a, nil
+}
+
+// buildConcurrently returns build(0..n-1), run on at most GOMAXPROCS
+// goroutines. Partitions build independently (§4.1) and each goroutine
+// writes only its own slots, so the result does not depend on the
+// schedule; on failure it returns the lowest-index error.
+func buildConcurrently(n int, build func(i int) (*Partition, error)) ([]*Partition, error) {
+	parts := make([]*Partition, n)
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				parts[i], errs[i] = build(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return parts, nil
 }
 
 // Clone returns an accelerator sharing this one's immutable index state

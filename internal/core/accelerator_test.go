@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"casa/internal/dna"
@@ -37,6 +40,61 @@ func TestNewErrors(t *testing.T) {
 	bad.K = 0
 	if _, err := New(make(dna.Sequence, 100), bad); err == nil {
 		t.Error("invalid config accepted")
+	}
+}
+
+// TestNewWithOverlapDeterministic builds the same multi-partition
+// reference at GOMAXPROCS 1 and 4: the partitions build concurrently, so
+// the index bytes must not depend on how many run at once.
+func TestNewWithOverlapDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cfg := testConfig()
+	cfg.PartitionBases = 2000
+	ref := repeatRich(rand.New(rand.NewSource(9)), 13001)
+	var index [2][]byte
+	for i, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		a, err := NewWithOverlap(ref, cfg, 150)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Partitions() != 7 {
+			t.Fatalf("partitions = %d, want 7", a.Partitions())
+		}
+		var buf bytes.Buffer
+		if err := a.WriteIndex(&buf); err != nil {
+			t.Fatal(err)
+		}
+		index[i] = buf.Bytes()
+	}
+	if !bytes.Equal(index[0], index[1]) {
+		t.Error("WriteIndex bytes differ between GOMAXPROCS 1 and 4")
+	}
+
+	// Failing builds report the lowest-index error, whichever finishes
+	// first.
+	runtime.GOMAXPROCS(4)
+	for trial := range 20 {
+		_, err := buildConcurrently(9, func(i int) (*Partition, error) {
+			if i == 3 || i == 4 || i == 8 {
+				return nil, fmt.Errorf("partition %d failed", i)
+			}
+			return &Partition{}, nil
+		})
+		if err == nil || err.Error() != "partition 3 failed" {
+			t.Fatalf("trial %d: error %v, want partition 3's", trial, err)
+		}
+	}
+	parts, err := buildConcurrently(9, func(i int) (*Partition, error) {
+		return &Partition{ref: make(dna.Sequence, i)}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range parts {
+		if len(p.ref) != i {
+			t.Fatalf("slot %d holds partition %d", i, len(p.ref))
+		}
 	}
 }
 

@@ -72,6 +72,11 @@ func DefaultConfig() Config {
 // 9).
 const maxTagBases = 16
 
+// MaxMiniBases is the longest m-mer prefix the mini index is keyed by. Its
+// 4^m entries of 8 bytes cost 128 MiB per partition at m=12, 32 times the
+// paper's m=10, and every partition holds one.
+const MaxMiniBases = 12
+
 // Validate checks parameter consistency.
 func (c Config) Validate() error {
 	switch {
@@ -79,6 +84,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: k=%d out of range (1..%d)", c.K, dna.MaxK)
 	case c.M <= 0 || c.M >= c.K:
 		return fmt.Errorf("core: m=%d must be in (0, k=%d)", c.M, c.K)
+	case c.M > MaxMiniBases:
+		return fmt.Errorf("core: m=%d exceeds the %d-base mini index limit (4^m entries per partition)", c.M, MaxMiniBases)
 	case c.K-c.M > maxTagBases:
 		// The host tag array holds each (k-m)-mer suffix in 32 bits.
 		return fmt.Errorf("core: k-m=%d exceeds the %d-base tag limit (tags are held in 32 bits)", c.K-c.M, maxTagBases)

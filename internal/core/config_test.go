@@ -81,7 +81,9 @@ func TestValidateRejections(t *testing.T) {
 		func(c *Config) { c.ComputeCAMs = 0 },
 		func(c *Config) { c.PartitionBases = 10 },
 		func(c *Config) { c.PartitionBases = math.MaxInt32 + 1 }, // int32 positions
-		func(c *Config) { c.K, c.M, c.MinSMEM = 30, 13, 30 },     // k-m=17 > 32-bit tags
+		func(c *Config) { c.K, c.M, c.MinSMEM = 29, 12, 29 },     // k-m=17 > 32-bit tags
+		func(c *Config) { c.K, c.M, c.MinSMEM = 24, 13, 24 },     // m=13 > mini index limit
+		func(c *Config) { c.K, c.M, c.MinSMEM = 31, 25, 31 },     // 4^25-entry mini index
 		func(c *Config) { c.FilterBanks = 0 },
 		func(c *Config) { c.ClockHz = 0 },
 		func(c *Config) { c.UseFilterTable = false }, // analyses still on
@@ -95,14 +97,15 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
-// TestValidateLimitsAtBoundary accepts the widest tag and the largest
-// partition the host tables hold, one step short of the rejections above.
+// TestValidateLimitsAtBoundary accepts the widest tag, the longest mini
+// index prefix and the largest partition the host tables hold, one step
+// short of the rejections above.
 func TestValidateLimitsAtBoundary(t *testing.T) {
 	c := DefaultConfig()
-	c.K, c.M, c.MinSMEM = 30, 14, 30
+	c.K, c.M, c.MinSMEM = 28, MaxMiniBases, 28
 	c.PartitionBases = math.MaxInt32
 	if err := c.Validate(); err != nil {
-		t.Errorf("k-m=16 with a MaxInt32 partition rejected: %v", err)
+		t.Errorf("m=%d, k-m=16 with a MaxInt32 partition rejected: %v", MaxMiniBases, err)
 	}
 }
 

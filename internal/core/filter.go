@@ -92,6 +92,14 @@ func (f *Filter) Clone() *Filter {
 // BuildFilter constructs the filter for one reference partition. Building
 // happens offline in the paper (§4.1, "CASA builds the mini index table
 // and the tag table offline for each reference partition").
+//
+// The mini index is the bucket table of a counting sort: one rolling pass
+// counts each k-mer's m-mer prefix into its bucket, a second scatters
+// every position (ascending, since the scan runs in order) with its
+// (k-m)-mer suffix into the bucket's slice of the positions table, and
+// each bucket is then ordered stably by suffix. The suffixes are the one
+// transient table, 4 bytes per base; a bucket too large for insertion sort
+// borrows 8 bytes per entry more while it sorts.
 func BuildFilter(part dna.Sequence, cfg Config) (*Filter, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -99,61 +107,117 @@ func BuildFilter(part dna.Sequence, cfg Config) (*Filter, error) {
 	if len(part) > cfg.PartitionBases {
 		return nil, fmt.Errorf("core: partition of %d bases exceeds configured %d", len(part), cfg.PartitionBases)
 	}
-	posBits := bitsFor(len(part))
-	if 2*cfg.K+posBits > 64 {
-		return nil, fmt.Errorf("core: k=%d with %d-base partition does not fit the packed build key", cfg.K, len(part))
-	}
-
-	// Pack (k-mer, position) pairs and sort once: lexicographic k-mer
-	// order, then position order within a k-mer.
-	keys := make([]uint64, max(len(part)-cfg.K+1, 0))
-	for x := range keys {
-		keys[x] = uint64(dna.PackKmer(part, x, cfg.K))<<uint(posBits) | uint64(x)
-	}
-	slices.Sort(keys)
-
-	// Size every table exactly: one entry per distinct k-mer, one
-	// position per key.
-	distinct := 0
-	for i, key := range keys {
-		if i == 0 || key>>uint(posBits) != keys[i-1]>>uint(posBits) {
-			distinct++
-		}
-	}
+	n := max(len(part)-cfg.K+1, 0) // k-mer starts
 	f := &Filter{
 		cfg:       cfg,
 		mini:      make([]tagRange, dna.NumKmers(cfg.M)),
-		tags:      make([]uint32, 0, distinct),
-		data:      make([]SearchIndicator, 0, distinct),
-		posIndex:  make([]int32, 0, distinct+1),
-		positions: make([]int32, len(keys)),
+		positions: make([]int32, n),
 	}
 	f.initDerived()
-	posMask := uint64(1)<<uint(posBits) - 1
-	for i, key := range keys {
-		kmer := key >> uint(posBits)
-		x := int(key & posMask)
-		if i == 0 || kmer != keys[i-1]>>uint(posBits) {
-			f.tags = append(f.tags, uint32(kmer&f.suffixMask))
-			f.data = append(f.data, SearchIndicator{})
-			f.posIndex = append(f.posIndex, int32(i))
-			f.mini[kmer>>f.suffixBits].end++ // counted here, ranged below
-		}
-		last := len(f.data) - 1
-		f.data[last] = f.data[last].addOccurrence(x, cfg.Stride, cfg.Groups)
-		f.positions[i] = int32(x)
-	}
-	f.posIndex = append(f.posIndex, int32(len(keys)))
+	mini, bits, mask := f.mini, f.suffixBits, f.suffixMask
+	k := cfg.K
+	kmerMask := uint64(1)<<(2*uint(k)) - 1
 
-	// Mini index ranges: the sorted keys group the distinct k-mers by
-	// m-mer prefix in ascending order, so a running sum of the per-prefix
-	// counts gives each prefix's [start, end) in the tag array.
-	start := int32(0)
-	for p, r := range f.mini {
-		f.mini[p] = tagRange{start: start, end: start + r.end}
-		start += r.end
+	// Count: bucket sizes accumulate in each mini entry's end.
+	var kmer uint64
+	for i, b := range part {
+		kmer = (kmer<<2 | uint64(b)) & kmerMask
+		if i >= k-1 {
+			mini[kmer>>bits].end++
+		}
 	}
+	// Prefix-sum into position ranges whose end is the scatter cursor.
+	next := int32(0)
+	for p, r := range mini {
+		mini[p] = tagRange{start: next, end: next}
+		next += r.end
+	}
+	// Scatter: each bucket ends up holding its positions in ascending
+	// order, each with its suffix alongside.
+	suffixes := make([]uint32, n)
+	positions := f.positions
+	kmer = 0
+	for i, b := range part {
+		kmer = (kmer<<2 | uint64(b)) & kmerMask
+		if i >= k-1 {
+			r := &mini[kmer>>bits]
+			positions[r.end] = int32(i - k + 1)
+			suffixes[r.end] = uint32(kmer & mask)
+			r.end++
+		}
+	}
+
+	// Order each bucket by suffix, keeping positions ascending within a
+	// k-mer, and count the distinct k-mers to size the tables exactly.
+	distinct := 0
+	var wide []uint64
+	for _, r := range mini {
+		suf, pos := suffixes[r.start:r.end], positions[r.start:r.end]
+		if len(suf) > insertionSortMax {
+			wide = sortBucketWide(suf, pos, wide)
+		} else {
+			insertionSortBucket(suf, pos)
+		}
+		for j := range suf {
+			if j == 0 || suf[j] != suf[j-1] {
+				distinct++
+			}
+		}
+	}
+
+	// Fill the tag, indicator and position-index tables, rewriting each
+	// mini entry from its position range to its tag range.
+	f.tags = make([]uint32, distinct)
+	f.data = make([]SearchIndicator, distinct)
+	f.posIndex = make([]int32, distinct+1)
+	t := int32(-1)
+	for p, r := range mini {
+		mini[p].start = t + 1
+		for i := r.start; i < r.end; i++ {
+			if i == r.start || suffixes[i] != suffixes[i-1] {
+				t++
+				f.tags[t] = suffixes[i]
+				f.posIndex[t] = i
+			}
+			f.data[t] = f.data[t].addOccurrence(int(positions[i]), cfg.Stride, cfg.Groups)
+		}
+		mini[p].end = t + 1
+	}
+	f.posIndex[distinct] = int32(n)
 	return f, nil
+}
+
+// insertionSortMax is the largest mini bucket BuildFilter orders by
+// insertion sort. Buckets average n/4^m entries (4 at the paper's 4 Mbase
+// partitions and m=10); only repeats outgrow it.
+const insertionSortMax = 32
+
+// insertionSortBucket stably sorts a bucket's suffixes, moving each
+// position with its suffix.
+func insertionSortBucket(suf []uint32, pos []int32) {
+	for i := 1; i < len(suf); i++ {
+		s, p := suf[i], pos[i]
+		j := i
+		for ; j > 0 && suf[j-1] > s; j-- {
+			suf[j], pos[j] = suf[j-1], pos[j-1]
+		}
+		suf[j], pos[j] = s, p
+	}
+}
+
+// sortBucketWide sorts a large bucket by (suffix, position), which is the
+// stable suffix order because positions are distinct and arrive ascending.
+// It packs the pairs into scratch, which it grows and returns for reuse.
+func sortBucketWide(suf []uint32, pos []int32, scratch []uint64) []uint64 {
+	keys := growN(scratch, len(suf))
+	for i := range keys {
+		keys[i] = uint64(suf[i])<<32 | uint64(pos[i])
+	}
+	slices.Sort(keys)
+	for i, key := range keys {
+		suf[i], pos[i] = uint32(key>>32), int32(uint32(key))
+	}
+	return keys
 }
 
 // DistinctKmers returns the number of distinct k-mers stored.
@@ -226,13 +290,4 @@ func (f *Filter) search(r tagRange, suffix uint32) (int, bool) {
 		return lo, true
 	}
 	return 0, false
-}
-
-// bitsFor returns the number of bits needed to represent values < n.
-func bitsFor(n int) int {
-	b := 0
-	for 1<<uint(b) < n {
-		b++
-	}
-	return b
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"casa/internal/dna"
@@ -229,6 +232,225 @@ func TestFilterDefaultGeometryWorks(t *testing.T) {
 	for i := 0; i+cfg.K <= len(part); i += 997 {
 		if _, ok := f.Lookup(dna.PackKmer(part, i, cfg.K)); !ok {
 			t.Fatalf("false negative at %d with default geometry", i)
+		}
+	}
+}
+
+// buildFilterSortOracle is the filter build before the counting sort: it
+// packs (k-mer, position) pairs into one uint64 key each, sorts them once
+// and reads the tables off the sorted keys. It is kept as the oracle the
+// counting-sort build must reproduce table for table.
+func buildFilterSortOracle(part dna.Sequence, cfg Config) (*Filter, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	posBits := 0
+	for 1<<uint(posBits) < len(part) {
+		posBits++
+	}
+	if 2*cfg.K+posBits > 64 {
+		return nil, fmt.Errorf("oracle: k=%d with %d-base partition does not fit the packed build key", cfg.K, len(part))
+	}
+	keys := make([]uint64, max(len(part)-cfg.K+1, 0))
+	for x := range keys {
+		keys[x] = uint64(dna.PackKmer(part, x, cfg.K))<<uint(posBits) | uint64(x)
+	}
+	slices.Sort(keys)
+
+	distinct := 0
+	for i, key := range keys {
+		if i == 0 || key>>uint(posBits) != keys[i-1]>>uint(posBits) {
+			distinct++
+		}
+	}
+	f := &Filter{
+		cfg:       cfg,
+		mini:      make([]tagRange, dna.NumKmers(cfg.M)),
+		tags:      make([]uint32, 0, distinct),
+		data:      make([]SearchIndicator, 0, distinct),
+		posIndex:  make([]int32, 0, distinct+1),
+		positions: make([]int32, len(keys)),
+	}
+	f.initDerived()
+	posMask := uint64(1)<<uint(posBits) - 1
+	for i, key := range keys {
+		kmer := key >> uint(posBits)
+		x := int(key & posMask)
+		if i == 0 || kmer != keys[i-1]>>uint(posBits) {
+			f.tags = append(f.tags, uint32(kmer&f.suffixMask))
+			f.data = append(f.data, SearchIndicator{})
+			f.posIndex = append(f.posIndex, int32(i))
+			f.mini[kmer>>f.suffixBits].end++ // counted here, ranged below
+		}
+		last := len(f.data) - 1
+		f.data[last] = f.data[last].addOccurrence(x, cfg.Stride, cfg.Groups)
+		f.positions[i] = int32(x)
+	}
+	f.posIndex = append(f.posIndex, int32(len(keys)))
+	start := int32(0)
+	for p, r := range f.mini {
+		f.mini[p] = tagRange{start: start, end: start + r.end}
+		start += r.end
+	}
+	return f, nil
+}
+
+// sameTables reports the first of the five filter tables on which got and
+// want differ, or "" when all are equal. Each of got's tables must also be
+// sized exactly, as the oracle's are.
+func sameTables(got, want *Filter) string {
+	switch {
+	case !slices.Equal(got.mini, want.mini):
+		return "mini index"
+	case !slices.Equal(got.tags, want.tags) || cap(got.tags) != len(want.tags):
+		return "tags"
+	case !slices.Equal(got.data, want.data) || cap(got.data) != len(want.data):
+		return "search indicators"
+	case !slices.Equal(got.posIndex, want.posIndex) || cap(got.posIndex) != len(want.posIndex):
+		return "posIndex"
+	case !slices.Equal(got.positions, want.positions) || cap(got.positions) != len(want.positions):
+		return "positions"
+	}
+	return ""
+}
+
+// checkAgainstOracle builds part both ways and fails on any table that
+// differs.
+func checkAgainstOracle(t *testing.T, name string, part dna.Sequence, cfg Config) *Filter {
+	t.Helper()
+	want, err := buildFilterSortOracle(part, cfg)
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", name, err)
+	}
+	got, err := BuildFilter(part, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if table := sameTables(got, want); table != "" {
+		t.Fatalf("%s (k=%d m=%d, %d bases): %s differ from the sort oracle", name, cfg.K, cfg.M, len(part), table)
+	}
+	return got
+}
+
+// repeatRich returns a partition of n bases mixing random stretches with
+// homopolymer runs and short tandem repeats, whose k-mers pile into a few
+// mini buckets far past insertionSortMax.
+func repeatRich(rng *rand.Rand, n int) dna.Sequence {
+	s := make(dna.Sequence, 0, n)
+	for len(s) < n {
+		run := 50 + rng.Intn(300)
+		switch rng.Intn(3) {
+		case 0:
+			b := dna.Base(rng.Intn(4))
+			for range run {
+				s = append(s, b)
+			}
+		case 1:
+			unit := randSeq(rng, 1+rng.Intn(6))
+			for j := range run {
+				s = append(s, unit[j%len(unit)])
+			}
+		default:
+			s = append(s, randSeq(rng, run)...)
+		}
+	}
+	return s[:n]
+}
+
+// TestBuildFilterMatchesSortOracle requires the counting-sort build to
+// reproduce the sort build's five tables exactly: random and repeat-rich
+// partitions, partitions shorter than k and exactly k long, and (k, m)
+// pairs from m=1 to the widest 16-base tag.
+func TestBuildFilterMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	shapes := []struct{ k, m int }{
+		{7, 4}, {2, 1}, {5, 1}, {17, 1}, {12, 6}, {19, 10}, {20, 4}, {24, 8},
+	}
+	wideBuckets := 0
+	for _, sh := range shapes {
+		cfg := testConfig()
+		cfg.K, cfg.M, cfg.MinSMEM = sh.k, sh.m, sh.k
+		for _, n := range []int{0, 1, sh.k - 1, sh.k, sh.k + 1, 97, 3000} {
+			checkAgainstOracle(t, fmt.Sprintf("random %d", n), randSeq(rng, n), cfg)
+		}
+		for trial := range 3 {
+			f := checkAgainstOracle(t, fmt.Sprintf("repeats %d", trial), repeatRich(rng, 2000+rng.Intn(4000)), cfg)
+			for _, r := range f.mini {
+				if f.posIndex[r.end]-f.posIndex[r.start] > insertionSortMax {
+					wideBuckets++
+				}
+			}
+		}
+	}
+	if wideBuckets == 0 {
+		t.Fatalf("no bucket exceeded %d positions: the slices.Sort path went untested", insertionSortMax)
+	}
+}
+
+// FuzzBuildFilter requires the counting-sort build to match the sort
+// oracle on arbitrary partitions and small geometries.
+func FuzzBuildFilter(f *testing.F) {
+	f.Add([]byte("ACGTTGCAAGGCTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTACACACACACACACAC"), uint8(7), uint8(4))
+	f.Add(make([]byte, 400), uint8(5), uint8(1))
+	f.Add([]byte("GATTACA"), uint8(17), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, k, m uint8) {
+		cfg := testConfig()
+		// k in 2..24 and m in 1..min(k-1, 6), raised to k-16 where the
+		// tag limit needs it: small mini indexes keep each iteration fast.
+		cfg.K = 2 + int(k)%23
+		cfg.M = 1 + int(m)%min(cfg.K-1, 6)
+		cfg.M = max(cfg.M, cfg.K-maxTagBases)
+		cfg.MinSMEM = cfg.K
+		if len(data) > cfg.PartitionBases {
+			data = data[:cfg.PartitionBases]
+		}
+		part := make(dna.Sequence, len(data))
+		for i, b := range data {
+			part[i] = dna.Base(b & 3)
+		}
+		checkAgainstOracle(t, "fuzz", part, cfg)
+	})
+}
+
+// filterTableBytes is the heap size of a filter's five tables.
+func filterTableBytes(f *Filter) uint64 {
+	return uint64(8*len(f.mini) + 4*len(f.tags) + 16*len(f.data) + 4*len(f.posIndex) + 4*len(f.positions))
+}
+
+// TestBuildFilterTransientBytes bounds what one build allocates beyond
+// the tables it returns: the suffixes scattered beside the positions, 4
+// bytes per base, plus a little slack. A packed 8-byte key per base, as
+// the sort build used, does not fit.
+func TestBuildFilterTransientBytes(t *testing.T) {
+	const n = 1 << 20
+	cfg := DefaultConfig()
+	part := randSeq(rand.New(rand.NewSource(7)), n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f, err := BuildFilter(part, cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := filterTableBytes(f)
+	limit := tables + 4*n + n/2
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("build of %d bases allocated %d bytes: %d of tables + %d transient, over the %d limit (tables + 4.5 B/base)",
+			n, got, tables, got-tables, limit)
+	}
+}
+
+// BenchmarkBuildFilter builds one paper-sized 4 Mbase partition at the
+// paper's k=19, m=10.
+func BenchmarkBuildFilter(b *testing.B) {
+	cfg := DefaultConfig()
+	part := randSeq(rand.New(rand.NewSource(8)), cfg.PartitionBases)
+	b.SetBytes(int64(len(part)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := BuildFilter(part, cfg); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
