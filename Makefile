@@ -103,7 +103,6 @@ examples:
 	$(GO) run ./examples/alignment
 	$(GO) run ./examples/metagenomics
 	$(GO) run ./examples/longread
-	$(GO) run ./examples/variantcalling
 
 clean:
 	$(GO) clean ./...

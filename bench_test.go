@@ -16,7 +16,6 @@ import (
 
 	"casa"
 	"casa/internal/experiments"
-	"casa/internal/gencache"
 )
 
 var (
@@ -264,27 +263,6 @@ func BenchmarkAblationStride(b *testing.B) {
 			runCASA(b, ref, reads, cfg)
 		})
 	}
-}
-
-// BenchmarkGenCacheBaseline runs the GenCache model (GenAx + cache +
-// fast-seeding bypass) for comparison with the Fig 12 engines.
-func BenchmarkGenCacheBaseline(b *testing.B) {
-	ref := casa.GenerateReference(casa.DefaultGenome(128<<10, 3))
-	reads := casa.Sequences(casa.Simulate(ref, casa.DefaultProfile(100, 5)))
-	cfg := gencache.DefaultConfig()
-	cfg.GenAx.PartitionBases = 48 << 10
-	acc, err := gencache.New(ref, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var res *gencache.Result
-	for i := 0; i < b.N; i++ {
-		res = acc.SeedReads(reads)
-	}
-	b.ReportMetric(res.Throughput, "model_reads/s")
-	b.ReportMetric(float64(res.Stats.CacheMisses), "dram_misses")
-	b.ReportMetric(float64(res.Stats.FastSeeded), "bypassed_reads")
 }
 
 // BenchmarkChaining measures the collinear chaining DP on a repeat-heavy

@@ -23,7 +23,6 @@ package casa
 import (
 	"context"
 
-	"casa/internal/align"
 	"casa/internal/batch"
 	"casa/internal/chain"
 	"casa/internal/core"
@@ -32,16 +31,12 @@ import (
 	"casa/internal/engine"
 	"casa/internal/ert"
 	"casa/internal/genax"
-	"casa/internal/gencache"
-	"casa/internal/metrics"
 	"casa/internal/pairing"
 	"casa/internal/pipeline"
 	"casa/internal/progress"
 	"casa/internal/readsim"
 	"casa/internal/seedex"
 	"casa/internal/smem"
-	"casa/internal/trace"
-	"casa/internal/vcall"
 )
 
 // DNA primitives.
@@ -60,15 +55,13 @@ func FromString(s string) Sequence { return dna.FromString(s) }
 type (
 	// Match is an exact match interval on a read with its hit count.
 	Match = smem.Match
-	// Finder computes SMEMs of reads against a fixed reference.
-	Finder = smem.Finder
 )
 
 // NewBruteForceFinder returns the definition-based golden SMEM finder.
-func NewBruteForceFinder(ref Sequence) Finder { return smem.BruteForce{Ref: ref} }
+func NewBruteForceFinder(ref Sequence) smem.Finder { return smem.BruteForce{Ref: ref} }
 
 // NewFMIndexFinder returns the BWA-MEM2-style bidirectional SMEM finder.
-func NewFMIndexFinder(ref Sequence) Finder { return smem.NewBidirectional(ref) }
+func NewFMIndexFinder(ref Sequence) smem.Finder { return smem.NewBidirectional(ref) }
 
 // CASA accelerator (the paper's contribution).
 type (
@@ -80,8 +73,6 @@ type (
 	Result = core.Result
 	// ReadResult is the per-read SMEM output (both strands).
 	ReadResult = core.ReadResult
-	// Stats is the per-partition activity breakdown.
-	Stats = core.PartStats
 )
 
 // DefaultConfig returns the paper's CASA configuration (k=19, m=10,
@@ -101,42 +92,20 @@ type (
 	// BatchOptions configures the batch worker pool (worker count, shard
 	// grain). The zero value uses one worker per host CPU.
 	BatchOptions = batch.Options
-	// SeedingEngine is the uniform engine interface every seeding model
-	// implements (Clone-per-worker, deterministic Reduce); see
-	// internal/engine and DESIGN.md, "Engine registry".
-	SeedingEngine = engine.Engine
-	// EngineOptions is the engine-agnostic construction knob set
-	// understood by every registered factory.
-	EngineOptions = engine.Options
-	// EngineResult is the opaque outcome of a RunEngine call; pass it
-	// back to the engine's SMEMs (or assert its concrete type).
-	EngineResult = engine.Result
-	// EngineFactory describes one registered engine (name, aliases,
-	// description, constructor).
-	EngineFactory = engine.Factory
 )
 
 // DefaultBatchOptions returns the default pool configuration: one worker
 // per CPU, automatic shard grain.
 func DefaultBatchOptions() BatchOptions { return batch.DefaultOptions() }
 
-// NewEngine constructs a registered engine ("casa", "ert", "genax",
-// "gencache", "cpu", "fmindex", "brute" or any alias) over ref.
-func NewEngine(name string, ref Sequence, opt EngineOptions) (SeedingEngine, error) {
-	return engine.New(name, ref, opt)
-}
-
-// ListEngines returns every registered engine factory in registration
-// order.
-func ListEngines() []EngineFactory { return engine.List() }
-
-// CASAEngine wraps an already-built CASA accelerator as a SeedingEngine
-// (e.g. one loaded from a prebuilt index).
-func CASAEngine(acc *Accelerator) SeedingEngine { return engine.CASA(acc) }
+// CASAEngine wraps an already-built CASA accelerator as a seeding engine
+// (e.g. one loaded from a prebuilt index); see DESIGN.md, "Engine
+// registry".
+func CASAEngine(acc *Accelerator) engine.Engine { return engine.CASA(acc) }
 
 // RunEngine seeds reads on a worker pool of clones of e and returns a
 // result bit-identical to a sequential run at any worker count.
-func RunEngine(e SeedingEngine, reads []Sequence, o BatchOptions) EngineResult {
+func RunEngine(e engine.Engine, reads []Sequence, o BatchOptions) engine.Result {
 	return batch.SeedEngine(e, reads, o)
 }
 
@@ -146,191 +115,100 @@ func RunEngine(e SeedingEngine, reads []Sequence, o BatchOptions) EngineResult {
 // read prefix (its length is the second return value) together with
 // ctx.Err(). Metrics, trace spans and progress cells stay consistent
 // with that prefix.
-func RunEngineCtx(ctx context.Context, e SeedingEngine, reads []Sequence, o BatchOptions) (EngineResult, int, error) {
+func RunEngineCtx(ctx context.Context, e engine.Engine, reads []Sequence, o BatchOptions) (engine.Result, int, error) {
 	return batch.SeedEngineCtx(ctx, e, reads, o)
 }
-
-// Observability: engines publish activity counters and model gauges into
-// a MetricsRegistry under names of the form engine/stage/counter; see
-// docs/OBSERVABILITY.md. Set BatchOptions.Metrics to collect a batch
-// run's metrics — the merged registry is byte-identical for any worker
-// count.
-type (
-	// MetricsRegistry is an in-process counter/gauge/histogram registry.
-	MetricsRegistry = metrics.Registry
-)
-
-// NewMetricsRegistry returns an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return metrics.New() }
 
 // Live progress: a run with BatchOptions.Progress set updates lock-free
 // per-worker cells as shards drain; Snapshot aggregates them on demand
 // into a casa-progress/v1 document (reads done, throughput, ETA); see
 // docs/OBSERVABILITY.md, "Live telemetry".
 type (
-	// ProgressTracker holds a run's live per-worker progress cells.
-	ProgressTracker = progress.Tracker
 	// ProgressSnapshot is one aggregated casa-progress/v1 snapshot.
 	ProgressSnapshot = progress.Snapshot
 )
 
 // NewProgressTracker returns a tracker for a run of workers workers over
 // totalReads reads (0 = unknown; grow it later with AddTotal).
-func NewProgressTracker(runID, engine string, workers int, totalReads int64) *ProgressTracker {
+func NewProgressTracker(runID, engine string, workers int, totalReads int64) *progress.Tracker {
 	return progress.New(runID, engine, workers, totalReads)
 }
 
 // NewRunID returns a fresh 16-hex-character run identifier.
 func NewRunID() string { return progress.NewRunID() }
 
-// Tracing: engines emit per-read, per-stage spans in the modelled cycle
-// domain into a Trace session; see docs/OBSERVABILITY.md. Set
-// BatchOptions.Trace to record a batch run — the merged span stream is
-// byte-identical for any worker count.
-type (
-	// Trace is a cycle-domain span recording session.
-	Trace = trace.Trace
-	// TraceSpan is one recorded cycle-domain event.
-	TraceSpan = trace.Span
-	// TracePolicy selects which reads a Trace keeps (all, head:N,
-	// slowest:N).
-	TracePolicy = trace.Policy
-)
-
-// NewTrace returns a trace session with the given sampling policy and
-// ring capacity in spans (<= 0 picks the default).
-func NewTrace(policy TracePolicy, capacity int) *Trace { return trace.New(policy, capacity) }
-
-// ParseTracePolicy parses "all", "head:N" or "slowest:N".
-func ParseTracePolicy(s string) (TracePolicy, error) { return trace.ParsePolicy(s) }
-
-// WriteTraceFile writes a merged span stream (Trace.Spans) to path:
-// Chrome trace_event JSON (Perfetto-loadable), or JSONL when the path
-// ends in .jsonl.
-func WriteTraceFile(path string, spans []TraceSpan) error { return trace.WriteFile(path, spans) }
-
-// Baselines.
-type (
-	// ERTConfig configures the ERT baseline accelerator.
-	ERTConfig = ert.AccelConfig
-	// ERTAccelerator is the Enumerated-Radix-Trees baseline.
-	ERTAccelerator = ert.Accelerator
-	// GenAxConfig configures the GenAx baseline.
-	GenAxConfig = genax.Config
-	// GenAxAccelerator is the seed & position table baseline.
-	GenAxAccelerator = genax.Accelerator
-	// CPUConfig configures the software BWA-MEM2 baseline model.
-	CPUConfig = cpu.Config
-	// CPUSeeder is the software baseline.
-	CPUSeeder = cpu.Seeder
-)
+// Baselines: the ERT and GenAx accelerators and the software BWA-MEM2
+// model (B12T, B32T).
 
 // DefaultERTConfig returns the paper's ASIC-ERT evaluation setup.
-func DefaultERTConfig() ERTConfig { return ert.DefaultAccelConfig() }
+func DefaultERTConfig() ert.AccelConfig { return ert.DefaultAccelConfig() }
 
 // NewERT builds the ERT baseline over ref.
-func NewERT(ref Sequence, cfg ERTConfig) (*ERTAccelerator, error) {
+func NewERT(ref Sequence, cfg ert.AccelConfig) (*ert.Accelerator, error) {
 	return ert.NewAccelerator(ref, cfg)
 }
 
 // DefaultGenAxConfig returns the paper's GenAx evaluation setup.
-func DefaultGenAxConfig() GenAxConfig { return genax.DefaultConfig() }
+func DefaultGenAxConfig() genax.Config { return genax.DefaultConfig() }
 
 // NewGenAx builds the GenAx baseline over ref.
-func NewGenAx(ref Sequence, cfg GenAxConfig) (*GenAxAccelerator, error) {
+func NewGenAx(ref Sequence, cfg genax.Config) (*genax.Accelerator, error) {
 	return genax.New(ref, cfg)
 }
 
-// GenCache baseline (GenAx + fast-seeding bypass + cached tables).
-type (
-	// GenCacheConfig configures the GenCache baseline.
-	GenCacheConfig = gencache.Config
-	// GenCacheAccelerator is the GenCache model.
-	GenCacheAccelerator = gencache.Accelerator
-)
-
-// DefaultGenCacheConfig returns the GenCache setup at the paper's scale.
-func DefaultGenCacheConfig() GenCacheConfig { return gencache.DefaultConfig() }
-
-// NewGenCache builds the GenCache baseline over ref.
-func NewGenCache(ref Sequence, cfg GenCacheConfig) (*GenCacheAccelerator, error) {
-	return gencache.New(ref, cfg)
-}
-
 // B12T and B32T return the two CPU platforms of Table 2.
-func B12T() CPUConfig { return cpu.B12T() }
+func B12T() cpu.Config { return cpu.B12T() }
 
 // B32T returns the 32-thread Xeon configuration.
-func B32T() CPUConfig { return cpu.B32T() }
+func B32T() cpu.Config { return cpu.B32T() }
 
 // NewCPUSeeder builds the software baseline over ref.
-func NewCPUSeeder(ref Sequence, cfg CPUConfig) (*CPUSeeder, error) { return cpu.New(ref, cfg) }
+func NewCPUSeeder(ref Sequence, cfg cpu.Config) (*cpu.Seeder, error) { return cpu.New(ref, cfg) }
 
 // Seed extension and end-to-end pipeline.
 type (
-	// SeedExConfig configures the SeedEx machines.
-	SeedExConfig = seedex.Config
 	// SeedExMachine extends seeds with banded SW + edit machines.
 	SeedExMachine = seedex.Machine
 	// Seed is one positioned extension candidate.
 	Seed = seedex.Seed
 	// Alignment is a chosen read alignment.
 	Alignment = seedex.Alignment
-	// Cigar is a run-length encoded alignment description.
-	Cigar = align.Cigar
-	// PipelineConfig configures the end-to-end cost model.
-	PipelineConfig = pipeline.Config
-	// PipelineEngines bundles all engines for an end-to-end run.
-	PipelineEngines = pipeline.Engines
-	// Breakdown is one system's stacked end-to-end running time.
-	Breakdown = pipeline.Breakdown
 )
 
 // DefaultSeedExConfig returns the paper's 5-machine SeedEx arrangement.
-func DefaultSeedExConfig() SeedExConfig { return seedex.DefaultConfig() }
+func DefaultSeedExConfig() seedex.Config { return seedex.DefaultConfig() }
 
 // NewSeedEx builds the SeedEx machine array over ref.
-func NewSeedEx(ref Sequence, cfg SeedExConfig) (*SeedExMachine, error) {
+func NewSeedEx(ref Sequence, cfg seedex.Config) (*SeedExMachine, error) {
 	return seedex.New(ref, cfg)
 }
 
 // DefaultPipelineConfig returns the end-to-end model defaults.
-func DefaultPipelineConfig() PipelineConfig { return pipeline.DefaultConfig() }
+func DefaultPipelineConfig() pipeline.Config { return pipeline.DefaultConfig() }
 
 // BuildPipeline constructs every engine over one reference for an
 // end-to-end comparison (Fig 14).
-func BuildPipeline(ref Sequence, casaCfg Config, ertCfg ERTConfig, genaxCfg GenAxConfig,
-	cpuCfg CPUConfig, sxCfg SeedExConfig) (*PipelineEngines, error) {
+func BuildPipeline(ref Sequence, casaCfg Config, ertCfg ert.AccelConfig, genaxCfg genax.Config,
+	cpuCfg cpu.Config, sxCfg seedex.Config) (*pipeline.Engines, error) {
 	return pipeline.BuildEngines(ref, casaCfg, ertCfg, genaxCfg, cpuCfg, sxCfg)
 }
 
 // RunPipeline executes the end-to-end comparison on a read batch.
-func RunPipeline(e *PipelineEngines, reads []Sequence, cfg PipelineConfig) (*pipeline.Result, error) {
+func RunPipeline(e *pipeline.Engines, reads []Sequence, cfg pipeline.Config) (*pipeline.Result, error) {
 	return pipeline.Run(e, reads, cfg)
-}
-
-// RunPipelineTrace is RunPipeline with each system's stage waterfall
-// (the paper's Fig 14 timelines) recorded into tr as system spans, in
-// modelled-wall nanoseconds.
-func RunPipelineTrace(e *PipelineEngines, reads []Sequence, cfg PipelineConfig, tr *Trace) (*pipeline.Result, error) {
-	return pipeline.RunTrace(e, reads, cfg, tr)
 }
 
 // Seed chaining (long-read anchoring, extension preprocessing).
 type (
 	// Anchor is one exact match for chaining.
 	Anchor = chain.Anchor
-	// ChainOptions tunes the collinear chaining DP.
-	ChainOptions = chain.Options
-	// Chain is a scored collinear anchor chain.
-	Chain = chain.Chain
 )
 
 // DefaultChainOptions returns chaining parameters for short and long reads.
-func DefaultChainOptions() ChainOptions { return chain.DefaultOptions() }
+func DefaultChainOptions() chain.Options { return chain.DefaultOptions() }
 
 // BestChain returns the maximum-scoring collinear chain over the anchors.
-func BestChain(anchors []Anchor, opt ChainOptions) (Chain, error) {
+func BestChain(anchors []Anchor, opt chain.Options) (chain.Chain, error) {
 	return chain.Best(anchors, opt)
 }
 
@@ -338,78 +216,47 @@ func BestChain(anchors []Anchor, opt ChainOptions) (Chain, error) {
 type (
 	// Mate is one end's placement for pairing decisions.
 	Mate = pairing.Mate
-	// PairingOptions configures proper-pair classification and rescue.
-	PairingOptions = pairing.Options
 )
 
 // DefaultPairingOptions matches common Illumina libraries.
-func DefaultPairingOptions() PairingOptions { return pairing.DefaultOptions() }
-
-// ProperPair reports FR-orientation propriety and the template length.
-func ProperPair(a, b Mate, opt PairingOptions) (bool, int) { return pairing.Proper(a, b, opt) }
+func DefaultPairingOptions() pairing.Options { return pairing.DefaultOptions() }
 
 // RescueMate places an unaligned mate using its partner's position.
-func RescueMate(ref Sequence, mateSeq Sequence, partner Mate, opt PairingOptions) (Mate, bool) {
+func RescueMate(ref Sequence, mateSeq Sequence, partner Mate, opt pairing.Options) (Mate, bool) {
 	return pairing.Rescue(ref, mateSeq, partner, opt)
 }
 
 // Workload generation.
 type (
-	// GenomeConfig controls synthetic reference generation.
-	GenomeConfig = readsim.GenomeConfig
-	// ReadProfile controls the DWGSIM-like read simulator.
-	ReadProfile = readsim.ReadProfile
 	// Read is one simulated read with ground truth.
 	Read = readsim.Read
-	// PairProfile controls paired-end simulation.
-	PairProfile = readsim.PairProfile
-	// ReadPair is one simulated fragment's two mates.
-	ReadPair = readsim.ReadPair
 )
 
 // DefaultGenome returns a mammalian-like genome configuration.
-func DefaultGenome(length int, seed int64) GenomeConfig { return readsim.DefaultGenome(length, seed) }
+func DefaultGenome(length int, seed int64) readsim.GenomeConfig {
+	return readsim.DefaultGenome(length, seed)
+}
 
 // GenerateReference builds a synthetic genome.
-func GenerateReference(cfg GenomeConfig) Sequence { return readsim.GenerateReference(cfg) }
+func GenerateReference(cfg readsim.GenomeConfig) Sequence { return readsim.GenerateReference(cfg) }
 
 // DefaultProfile returns the paper-like read profile (101 bp, ~80% exact).
-func DefaultProfile(count int, seed int64) ReadProfile { return readsim.DefaultProfile(count, seed) }
+func DefaultProfile(count int, seed int64) readsim.ReadProfile {
+	return readsim.DefaultProfile(count, seed)
+}
 
 // Simulate samples reads from ref.
-func Simulate(ref Sequence, p ReadProfile) []Read { return readsim.Simulate(ref, p) }
+func Simulate(ref Sequence, p readsim.ReadProfile) []Read { return readsim.Simulate(ref, p) }
 
 // DefaultPairProfile returns an Illumina-like paired-end profile.
-func DefaultPairProfile(count int, seed int64) PairProfile {
+func DefaultPairProfile(count int, seed int64) readsim.PairProfile {
 	return readsim.DefaultPairProfile(count, seed)
 }
 
 // SimulatePairs samples read pairs from ref.
-func SimulatePairs(ref Sequence, p PairProfile) []ReadPair { return readsim.SimulatePairs(ref, p) }
+func SimulatePairs(ref Sequence, p readsim.PairProfile) []readsim.ReadPair {
+	return readsim.SimulatePairs(ref, p)
+}
 
 // Sequences extracts the base sequences of simulated reads.
 func Sequences(reads []Read) []Sequence { return readsim.Sequences(reads) }
-
-// Variant calling (the pipeline endpoint the paper's §1 motivates).
-type (
-	// Variant is one planted or called SNP.
-	Variant = readsim.Variant
-	// Pileup accumulates per-position allele counts from alignments.
-	Pileup = vcall.Pileup
-	// CallConfig sets the SNP-calling thresholds.
-	CallConfig = vcall.Config
-	// VariantCall is one emitted SNP call.
-	VariantCall = vcall.Call
-)
-
-// Donor derives a donor genome from ref with planted SNPs (the truth set
-// a caller should recover).
-func Donor(ref Sequence, rate float64, seed int64) (Sequence, []Variant) {
-	return readsim.Donor(ref, rate, seed)
-}
-
-// NewPileup creates an empty pileup over ref.
-func NewPileup(ref Sequence) *Pileup { return vcall.NewPileup(ref) }
-
-// DefaultCallConfig returns calling thresholds for ~20-40x coverage.
-func DefaultCallConfig() CallConfig { return vcall.DefaultConfig() }

@@ -319,10 +319,9 @@ func modelOf(e engine.Engine, res engine.Result) engine.Model {
 // benchmarked automatically.
 func buildEngines(ref dna.Sequence, minSMEM int) []engine.Engine {
 	opt := engine.Options{
-		MinSMEM:    minSMEM,
-		Partition:  len(ref) / 4,
-		TableK:     8,
-		CacheBytes: 1 << 14,
+		MinSMEM:   minSMEM,
+		Partition: len(ref) / 4,
+		TableK:    8,
 	}
 	var out []engine.Engine
 	for _, f := range engine.List() {

@@ -245,8 +245,8 @@ func inspect(path string) {
 	}
 	fmt.Printf("%s/v%d %s\n", idxio.Magic, idxio.Version, path)
 	fmt.Printf("  engine: %s\n", hdr.Engine)
-	fmt.Printf("  options: min-smem=%d partition=%d table-k=%d cache-bytes=%d exact=%v shards=%d shard-overlap=%d\n",
-		hdr.MinSMEM, hdr.Partition, hdr.TableK, hdr.CacheBytes, hdr.Exact, hdr.Shards, hdr.ShardOverlap)
+	fmt.Printf("  options: min-smem=%d partition=%d table-k=%d exact=%v shards=%d shard-overlap=%d\n",
+		hdr.MinSMEM, hdr.Partition, hdr.TableK, hdr.Exact, hdr.Shards, hdr.ShardOverlap)
 	if len(hdr.Chromosomes) > 0 {
 		fmt.Printf("  sequences: %d\n", len(hdr.Chromosomes))
 		for _, c := range hdr.Chromosomes {

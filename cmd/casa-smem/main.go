@@ -1,6 +1,6 @@
 // Command casa-smem computes SMEMs for reads against a reference with any
-// engine registered in internal/engine (casa, ert, genax, gencache, cpu,
-// fmindex, brute — `-engine list` prints them) and optionally cross-checks
+// engine registered in internal/engine (casa, ert, genax, cpu, fmindex,
+// brute — `-engine list` prints them) and optionally cross-checks
 // two engines against each other, mirroring the paper's §6 validation
 // ("CASA produces identical SMEMs to GenAx and 100% SMEMs of BWA-MEM2 are
 // contained").

@@ -22,9 +22,9 @@ var workerCounts = []int{1, 4, 16}
 
 // testEngineOptions are the registry construction knobs the batch
 // regression matrix runs under: multi-partition geometry over the
-// 1<<15-base test reference (4 partitions at 1<<13), test-sized seed
-// tables, and a gencache cache small enough that hits AND misses occur.
-var testEngineOptions = engine.Options{Partition: 1 << 13, TableK: 8, CacheBytes: 1 << 12}
+// 1<<15-base test reference (4 partitions at 1<<13) and test-sized seed
+// tables.
+var testEngineOptions = engine.Options{Partition: 1 << 13, TableK: 8}
 
 // testEngines builds one instance of every registered engine over ref
 // with the shared test options. The golden oracle is skipped: it is a

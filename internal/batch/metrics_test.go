@@ -8,44 +8,43 @@ import (
 	"casa/internal/batch"
 	"casa/internal/dna"
 	"casa/internal/engine"
-	"casa/internal/gencache"
+	"casa/internal/ert"
 	"casa/internal/metrics"
 )
 
-func testGenCache(t *testing.T, fast bool) *gencache.Accelerator {
-	t.Helper()
-	ref, _ := testWorkload(t, 1<<15, 0)
-	cfg := gencache.DefaultConfig()
-	cfg.GenAx.K = 8                    // keep the 4^K seed table test-sized
-	cfg.GenAx.PartitionBases = 1 << 13 // 4 segments
-	cfg.CacheBytes = 1 << 12           // tiny cache: hits AND misses occur
-	cfg.FastSeeding = fast
-	acc, err := gencache.New(ref, cfg)
+// TestSeedGenCacheDeterminism extends the worker-count determinism matrix
+// to an order-sensitive cache model. The one the registry ships is ERT's
+// root reuse cache: it is replayed from the recorded root streams during
+// Reduce, so with a cache small enough to evict, hit/miss counts — and
+// with them DRAM traffic, time and energy — must be byte-identical to the
+// sequential run at every pool size.
+func TestSeedGenCacheDeterminism(t *testing.T) {
+	ref, reads := testWorkload(t, 1<<15, 150)
+	// 1,024 root entries: small enough to evict, large enough to hit
+	// across neighbouring reads, so the replay order changes the counts.
+	cfg := ert.DefaultAccelConfig()
+	cfg.CacheBytes = 1 << 16
+	acc, err := ert.NewAccelerator(ref, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return acc
-}
-
-// TestSeedGenCacheDeterminism extends the worker-count determinism matrix
-// to GenCache: the order-sensitive multi-bank cache is replayed from the
-// recorded fetch streams during Reduce, so hit/miss counts — and with
-// them DRAM traffic, time and energy — must be byte-identical to the
-// sequential run at every pool size.
-func TestSeedGenCacheDeterminism(t *testing.T) {
-	for _, fast := range []bool{true, false} {
-		acc := testGenCache(t, fast)
-		_, reads := testWorkload(t, 1<<15, 150)
-		want := acc.SeedReads(reads)
-		if want.Stats.CacheHits == 0 || want.Stats.CacheMisses == 0 {
-			t.Fatalf("fast=%v: degenerate cache workload (hits=%d misses=%d)",
-				fast, want.Stats.CacheHits, want.Stats.CacheMisses)
-		}
-		for _, w := range workerCounts {
-			got := batch.Seed[*gencache.Result](engine.GenCache(acc), reads, batch.Options{Workers: w})
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("fast=%v workers=%d: batch Result differs from sequential SeedReads", fast, w)
-			}
+	want := acc.SeedReads(reads)
+	if want.CacheHits == 0 || want.CacheMiss == 0 {
+		t.Fatalf("degenerate cache workload (hits=%d misses=%d)", want.CacheHits, want.CacheMiss)
+	}
+	// The same reads replayed in a different order: shards of 8, last
+	// shard first.
+	var shuffled []dna.Sequence
+	for hi := len(reads); hi > 0; hi -= 8 {
+		shuffled = append(shuffled, reads[max(hi-8, 0):hi]...)
+	}
+	if r := acc.Reduce(shuffled, acc.Seed(reads)); r.CacheHits == want.CacheHits {
+		t.Fatalf("cache replay is order-insensitive on this workload (hits=%d either way)", r.CacheHits)
+	}
+	for _, w := range workerCounts {
+		got := batch.SeedEngine(engine.ERT(acc), reads, batch.Options{Workers: w})
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: batch Result differs from sequential SeedReads", w)
 		}
 	}
 }

@@ -22,9 +22,6 @@ var perReadAllocators = map[string]string{
 	"ert": "radix-tree walk builds per-read node state",
 	// GenAx's automaton model allocates per-read state machines.
 	"genax": "Sitara automaton model allocates per-read machine state",
-	// GenCache layers a cache model over GenAx and inherits its
-	// allocations, plus per-read cache bookkeeping.
-	"gencache": "cache model allocates per-read bookkeeping over genax",
 }
 
 // TestSeedZeroAlloc pins the tentpole guarantee: for every registered
@@ -35,10 +32,9 @@ func TestSeedZeroAlloc(t *testing.T) {
 	ref := readsim.GenerateReference(readsim.DefaultGenome(1<<14, 3))
 	reads := readsim.Sequences(readsim.Simulate(ref, readsim.DefaultProfile(32, 5)))
 	opt := engine.Options{
-		MinSMEM:    19,
-		Partition:  len(ref) / 2,
-		TableK:     8,
-		CacheBytes: 1 << 14,
+		MinSMEM:   19,
+		Partition: len(ref) / 2,
+		TableK:    8,
 	}
 	for name := range perReadAllocators {
 		if _, ok := engine.Lookup(name); !ok {

@@ -6,7 +6,6 @@ func init() {
 	Register(casaFactory())
 	Register(ertFactory())
 	Register(genaxFactory())
-	Register(gencacheFactory())
 	Register(cpuFactory())
 	Register(fmindexFactory())
 	Register(bruteFactory())

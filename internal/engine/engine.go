@@ -9,9 +9,8 @@
 // over shared read-only indexes, SeedTrace computes one shard's
 // order-independent Activity, and Reduce — always called on the engine
 // the pool was started with — folds the shard activities into the final
-// Result, replaying any order-sensitive model state (ERT's reuse cache,
-// GenCache's multi-bank cache) so the Result is bit-identical to a
-// sequential run at any worker count.
+// Result, replaying any order-sensitive model state (ERT's reuse cache)
+// so the Result is bit-identical to a sequential run at any worker count.
 package engine
 
 import (
@@ -135,28 +134,23 @@ type Options struct {
 	MinSMEM int
 
 	// Partition is the partition/segment size in bases for the
-	// partitioned engines (casa, genax, gencache). 0 keeps the engine
-	// default; CASA additionally shrinks the default down to fit small
-	// references in one partition.
+	// partitioned engines (casa, genax). 0 keeps the engine default;
+	// CASA additionally shrinks the default down to fit small references
+	// in one partition.
 	Partition int
 
-	// TableK is the seed-table k-mer width of the hash-table engines
-	// (genax, gencache); 0 = default. Benchmarks and tests shrink it so
-	// table memory scales with the test reference.
+	// TableK is the seed-table k-mer width of the hash-table engine
+	// (genax); 0 = default. Benchmarks and tests shrink it so table
+	// memory scales with the test reference.
 	TableK int
-
-	// CacheBytes is the multi-bank seed-table cache capacity of the
-	// caching engines (gencache); 0 = default.
-	CacheBytes int64
 
 	// Exact requests the golden-comparable configuration: the engine's
 	// forward-strand SMEMs must equal the brute-force finder's by
 	// definition. It forces a single partition (partition overlap
 	// double-counts hits), disables output-changing shortcuts (CASA's
-	// exact-match prepass, GenCache's fast-seeding bypass) and shrinks
-	// pivot k-mers below MinSMEM where validation requires it. The
-	// registry conformance and fuzz harnesses build every engine this
-	// way.
+	// exact-match prepass) and shrinks pivot k-mers below MinSMEM where
+	// validation requires it. The registry conformance and fuzz
+	// harnesses build every engine this way.
 	Exact bool
 
 	// Shards is the shard count of the sharded composite engines

@@ -19,7 +19,7 @@ func testRef(t *testing.T) dna.Sequence {
 func TestListOrderAndGolden(t *testing.T) {
 	// package shard's init registers one composite per persisting engine
 	// plus the oracle, in the flat registration order.
-	want := []string{"casa", "ert", "genax", "gencache", "cpu", "fmindex", "brute",
+	want := []string{"casa", "ert", "genax", "cpu", "fmindex", "brute",
 		"sharded:casa", "sharded:cpu", "sharded:fmindex", "sharded:brute"}
 	got := engine.Names()
 	if strings.Join(got, ",") != strings.Join(want, ",") {
@@ -83,7 +83,7 @@ func TestBuildUnwrapsConcreteType(t *testing.T) {
 
 func TestConfigTypeMismatch(t *testing.T) {
 	ref := testRef(t)
-	for _, name := range []string{"casa", "ert", "genax", "gencache", "cpu", "sharded:casa"} {
+	for _, name := range []string{"casa", "ert", "genax", "cpu", "sharded:casa"} {
 		if _, err := engine.New(name, ref, engine.Options{Config: 42}); err == nil {
 			t.Errorf("%s: accepted a bogus Config", name)
 		}
@@ -120,7 +120,7 @@ func TestEveryEngineSeedsAndReduces(t *testing.T) {
 
 func TestOptionalInterfaces(t *testing.T) {
 	ref := testRef(t)
-	modeled := map[string]bool{"casa": true, "ert": true, "genax": true, "gencache": true, "cpu": true}
+	modeled := map[string]bool{"casa": true, "ert": true, "genax": true, "cpu": true}
 	for _, f := range engine.List() {
 		e, err := engine.New(f.Name, ref, engine.Options{})
 		if err != nil {

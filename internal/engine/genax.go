@@ -37,38 +37,31 @@ func (e genaxEngine) Model(res Result) Model {
 
 func (e genaxEngine) Unwrap() any { return e.a }
 
-// genaxConfig resolves the shared GenAx knobs; gencache reuses it for
-// its embedded GenAx configuration.
-func genaxConfig(ref dna.Sequence, opt Options) genax.Config {
-	cfg := genax.DefaultConfig()
-	if opt.TableK > 0 {
-		cfg.K = opt.TableK
-	}
-	if opt.MinSMEM > 0 {
-		cfg.MinSMEM = opt.MinSMEM
-	}
-	if opt.Partition > 0 {
-		cfg.PartitionBases = opt.Partition
-	}
-	if opt.Exact {
-		// One segment (overlap double-counts hits) and a table k-mer no
-		// larger than the reporting floor.
-		cfg.PartitionBases = len(ref)
-		if cfg.K > cfg.MinSMEM {
-			cfg.K = cfg.MinSMEM
-		}
-	}
-	return cfg
-}
-
 func genaxFactory() Factory {
 	return Factory{
 		Name:        "genax",
 		Description: "GenAx baseline: hash seed-table RMEM search with lane-parallel intersection",
 		New: func(ref dna.Sequence, opt Options) (Engine, error) {
-			cfg := genaxConfig(ref, opt)
+			cfg := genax.DefaultConfig()
 			switch c := opt.Config.(type) {
 			case nil:
+				if opt.TableK > 0 {
+					cfg.K = opt.TableK
+				}
+				if opt.MinSMEM > 0 {
+					cfg.MinSMEM = opt.MinSMEM
+				}
+				if opt.Partition > 0 {
+					cfg.PartitionBases = opt.Partition
+				}
+				if opt.Exact {
+					// One segment (overlap double-counts hits) and a table
+					// k-mer no larger than the reporting floor.
+					cfg.PartitionBases = len(ref)
+					if cfg.K > cfg.MinSMEM {
+						cfg.K = cfg.MinSMEM
+					}
+				}
 			case genax.Config:
 				cfg = c
 			default:

@@ -31,7 +31,6 @@ func HeaderFor(name string, opt Options, chroms []idxio.Chromosome) idxio.Header
 		MinSMEM:      opt.MinSMEM,
 		Partition:    opt.Partition,
 		TableK:       opt.TableK,
-		CacheBytes:   opt.CacheBytes,
 		Exact:        opt.Exact,
 		Shards:       opt.Shards,
 		ShardOverlap: opt.ShardOverlap,
@@ -47,7 +46,6 @@ func OptionsFromHeader(hdr idxio.Header) Options {
 		MinSMEM:      hdr.MinSMEM,
 		Partition:    hdr.Partition,
 		TableK:       hdr.TableK,
-		CacheBytes:   hdr.CacheBytes,
 		Exact:        hdr.Exact,
 		Shards:       hdr.Shards,
 		ShardOverlap: hdr.ShardOverlap,

@@ -17,10 +17,9 @@ import (
 // excuse map: an engine may only skip persistence for a reason stated
 // here, and a stale excuse (the engine learned to persist) fails too.
 var nonPersisters = map[string]string{
-	"brute":    "definition-based scan of the raw reference; there is no index to persist",
-	"ert":      "radix tree builds in one linear pass over the reference; rebuild is as fast as loading",
-	"genax":    "seed hash table builds in one linear pass; rebuild is as fast as loading",
-	"gencache": "seed hash table builds in one linear pass; rebuild is as fast as loading",
+	"brute": "definition-based scan of the raw reference; there is no index to persist",
+	"ert":   "radix tree builds in one linear pass over the reference; rebuild is as fast as loading",
+	"genax": "seed hash table builds in one linear pass; rebuild is as fast as loading",
 }
 
 func TestIndexPersistenceCoverage(t *testing.T) {

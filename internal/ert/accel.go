@@ -43,7 +43,9 @@ func DefaultAccelConfig() AccelConfig {
 type Accelerator struct {
 	cfg   AccelConfig
 	index *Index
-	cache *lruCache
+	// cacheEntries is the reuse cache's capacity in root entries. Only
+	// Reduce's sequential replay holds a cache; seeding never touches it.
+	cacheEntries int
 }
 
 // NewAccelerator builds the ERT index over ref.
@@ -52,20 +54,19 @@ func NewAccelerator(ref dna.Sequence, cfg AccelConfig) (*Accelerator, error) {
 	if err != nil {
 		return nil, err
 	}
-	capacity := int(cfg.CacheBytes / cfg.RootBytes)
-	return &Accelerator{cfg: cfg, index: ix, cache: newLRU(capacity)}, nil
+	return &Accelerator{cfg: cfg, index: ix, cacheEntries: int(cfg.CacheBytes / cfg.RootBytes)}, nil
 }
 
 // Index exposes the underlying index.
 func (a *Accelerator) Index() *Index { return a.index }
 
 // Clone returns an accelerator sharing the ERT index's immutable trees
-// with fresh activity counters and its own (empty) reuse cache. Clones
-// are the per-worker engines of batch seeding; the shared reuse-cache
-// accounting is replayed sequentially in Reduce, so clone-parallel runs
-// report the same hit rates as a sequential one.
+// with fresh activity counters. Clones are the per-worker engines of
+// batch seeding; the shared reuse-cache accounting is replayed
+// sequentially in Reduce, so clone-parallel runs report the same hit
+// rates as a sequential one.
 func (a *Accelerator) Clone() *Accelerator {
-	return &Accelerator{cfg: a.cfg, index: a.index.Clone(), cache: newLRU(a.cache.capacity)}
+	return &Accelerator{cfg: a.cfg, index: a.index.Clone(), cacheEntries: a.cacheEntries}
 }
 
 // Result is the outcome of an ERT seeding run.
@@ -168,7 +169,7 @@ func (a *Accelerator) Reduce(reads []dna.Sequence, acts ...*Activity) *Result {
 
 	// Reuse-cache replay: one access per pivot k-mer per strand, in batch
 	// order, exactly as the seeding machines stream the reads.
-	cache := newLRU(a.cache.capacity)
+	cache := newLRU(a.cacheEntries)
 	var hits, miss int64
 	countStrand := func(read dna.Sequence) {
 		for i := 0; i+a.cfg.Index.K <= len(read); i++ {

@@ -2,6 +2,7 @@ package ert
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"casa/internal/dna"
@@ -224,6 +225,29 @@ func TestCacheReuseAcrossReads(t *testing.T) {
 	res := a.SeedReads([]dna.Sequence{read, read})
 	if res.CacheHits == 0 {
 		t.Error("duplicate reads produced no cache hits")
+	}
+}
+
+// TestCloneAllocatesNoCache bounds what one per-worker Clone allocates:
+// the reuse cache exists only in Reduce's replay, so a clone is a few
+// headers over the shared trees, not a cache pre-sized for the default
+// 4 MB capacity (65,536 entries).
+func TestCloneAllocatesNoCache(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	cfg := DefaultAccelConfig()
+	cfg.Index = testConfig()
+	a, err := NewAccelerator(randSeq(rng, 2000), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := a.Clone()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Errorf("Clone allocated %d bytes, want under %d", got, 64<<10)
 	}
 }
 

@@ -103,16 +103,10 @@ func (s *Stats) add(o Stats) {
 // position table (Fig 3(b)).
 type Tables struct {
 	cfg       Config
-	ref       dna.Sequence
 	seed      []int32 // len 4^K+1: position-table range per k-mer
 	positions []int32
 
 	Stats Stats
-
-	// OnFetch, when set, observes every seed-table fetch (the k-mer
-	// looked up). GenCache's cache model hooks here to classify fetches
-	// as cache hits or DRAM misses.
-	OnFetch func(kmer dna.Kmer)
 }
 
 // BuildTables constructs the tables for one segment.
@@ -123,7 +117,7 @@ func BuildTables(ref dna.Sequence, cfg Config) (*Tables, error) {
 	if len(ref) > cfg.PartitionBases {
 		return nil, fmt.Errorf("genax: segment of %d bases exceeds configured %d", len(ref), cfg.PartitionBases)
 	}
-	t := &Tables{cfg: cfg, ref: ref}
+	t := &Tables{cfg: cfg}
 	numKmers := dna.NumKmers(cfg.K)
 	counts := make([]int32, numKmers+1)
 	n := len(ref) - cfg.K + 1
@@ -153,27 +147,15 @@ func BuildTables(ref dna.Sequence, cfg Config) (*Tables, error) {
 // lookup returns the sorted positions of kmer, charging one table fetch.
 func (t *Tables) lookup(kmer dna.Kmer) []int32 {
 	t.Stats.Fetches++
-	if t.OnFetch != nil {
-		t.OnFetch(kmer)
-	}
 	return t.positions[t.seed[kmer]:t.seed[kmer+1]]
 }
 
-// Lookup exposes the seed & position table lookup for layered designs
-// (GenCache's fast-seeding path reuses the same tables).
-func (t *Tables) Lookup(kmer dna.Kmer) []int32 { return t.lookup(kmer) }
-
 // Clone returns tables sharing this segment's seed & position arrays
 // (never written after BuildTables) with fresh Stats, so clones can seed
-// concurrently. The OnFetch hook is copied: callers installing one on a
-// cloned table set must make it safe for concurrent use (or leave it nil,
-// as the plain GenAx accelerator does).
+// concurrently.
 func (t *Tables) Clone() *Tables {
-	return &Tables{cfg: t.cfg, ref: t.ref, seed: t.seed, positions: t.positions, OnFetch: t.OnFetch}
+	return &Tables{cfg: t.cfg, seed: t.seed, positions: t.positions}
 }
-
-// Ref returns the segment's reference sequence.
-func (t *Tables) Ref() dna.Sequence { return t.ref }
 
 // rmem computes the right-maximal match from pivot: the first k-mer's
 // positions, then k-strided fetch-and-intersect until empty, then a

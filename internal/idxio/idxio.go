@@ -61,7 +61,6 @@ type Header struct {
 	MinSMEM      int
 	Partition    int
 	TableK       int
-	CacheBytes   int64
 	Exact        bool
 	Shards       int
 	ShardOverlap int
@@ -100,9 +99,11 @@ func NewWriter(w io.Writer, hdr Header) (*Writer, error) {
 	if err := writeString16(&hb, hdr.Engine); err != nil {
 		return nil, fmt.Errorf("idxio: header: %w", err)
 	}
+	// The zero between TableK and Shards fills a retired slot, kept so
+	// the version-1 layout and every existing file stay valid.
 	for _, v := range []int64{
 		int64(hdr.MinSMEM), int64(hdr.Partition), int64(hdr.TableK),
-		hdr.CacheBytes, int64(hdr.Shards), int64(hdr.ShardOverlap),
+		0, int64(hdr.Shards), int64(hdr.ShardOverlap),
 	} {
 		writeU64(&hb, uint64(v))
 	}
@@ -257,7 +258,7 @@ func parseHeader(b []byte) (Header, error) {
 	hdr.MinSMEM = int(p.u64())
 	hdr.Partition = int(p.u64())
 	hdr.TableK = int(p.u64())
-	hdr.CacheBytes = int64(p.u64())
+	p.u64() // retired slot, written as zero
 	hdr.Shards = int(p.u64())
 	hdr.ShardOverlap = int(p.u64())
 	hdr.Exact = p.u8() != 0

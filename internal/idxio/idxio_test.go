@@ -2,6 +2,8 @@ package idxio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"strings"
 	"testing"
@@ -13,7 +15,6 @@ func sampleHeader() Header {
 		MinSMEM:      19,
 		Partition:    4096,
 		TableK:       8,
-		CacheBytes:   1 << 14,
 		Exact:        true,
 		Shards:       5,
 		ShardOverlap: 512,
@@ -60,7 +61,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if got.Engine != hdr.Engine || got.MinSMEM != hdr.MinSMEM ||
 		got.Partition != hdr.Partition || got.TableK != hdr.TableK ||
-		got.CacheBytes != hdr.CacheBytes || got.Exact != hdr.Exact ||
+		got.Exact != hdr.Exact ||
 		got.Shards != hdr.Shards || got.ShardOverlap != hdr.ShardOverlap {
 		t.Fatalf("header mismatch: got %+v want %+v", got, hdr)
 	}
@@ -92,6 +93,37 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if err := r.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+}
+
+// The header's retired u64 slot between TableK and Shards once held a
+// cache size: it is written as zero, and a container that stored a
+// value there still loads with every other field intact.
+func TestRetiredHeaderSlot(t *testing.T) {
+	hdr := sampleHeader()
+	data := buildSample(t, hdr)
+	// magic | version | headerLen | string16 engine | MinSMEM, Partition, TableK
+	hstart := len(Magic) + 8
+	hlen := int(binary.LittleEndian.Uint32(data[len(Magic)+4:]))
+	slot := hstart + 2 + len(hdr.Engine) + 3*8
+	if got := binary.LittleEndian.Uint64(data[slot:]); got != 0 {
+		t.Fatalf("retired slot written as %d, want 0", got)
+	}
+
+	old := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint64(old[slot:], 1<<14)
+	binary.LittleEndian.PutUint32(old[hstart+hlen:], crc32.ChecksumIEEE(old[hstart:hstart+hlen]))
+	r, got, err := NewReader(bytes.NewReader(old))
+	if err != nil {
+		t.Fatalf("NewReader with a set retired slot: %v", err)
+	}
+	if got.TableK != hdr.TableK || got.Shards != hdr.Shards ||
+		got.ShardOverlap != hdr.ShardOverlap || got.Exact != hdr.Exact ||
+		len(got.Chromosomes) != len(hdr.Chromosomes) {
+		t.Fatalf("header mismatch: got %+v want %+v", got, hdr)
+	}
+	if _, err := r.Section("fmindex/fwd"); err != nil {
+		t.Fatal(err)
 	}
 }
 

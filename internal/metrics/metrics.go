@@ -1,14 +1,14 @@
 // Package metrics is the engine-wide observability layer of the CASA
 // reproduction: a lightweight, std-lib-only registry of named counters,
-// gauges and histograms that every engine (casa, ert, genax, gencache,
-// cpu, fmindex, seedex) publishes into under a shared naming scheme.
+// gauges and histograms that every engine (casa, ert, genax, cpu,
+// fmindex, seedex) publishes into under a shared naming scheme.
 //
 // Names are slash-separated paths of the form
 //
 //	engine/stage/counter
 //
 // (e.g. "casa/pivots/filtered_table", "ert/cache/hits",
-// "gencache/model/seconds"), each segment lower-case [a-z0-9_]+. The
+// "genax/model/seconds"), each segment lower-case [a-z0-9_]+. The
 // scheme mirrors the paper's evaluation structure (§6–§7): per-stage
 // activity counters feed the Fig 12–15 breakdowns, model gauges carry the
 // finalized time/energy numbers.

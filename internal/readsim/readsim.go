@@ -249,36 +249,6 @@ func Simulate(ref dna.Sequence, p ReadProfile) []Read {
 	return reads
 }
 
-// Variant is one planted difference between a donor genome and the
-// reference (SNPs only; the small-indel machinery lives in ReadProfile).
-type Variant struct {
-	Pos int // 0-based reference position
-	Ref dna.Base
-	Alt dna.Base
-}
-
-// Donor derives a donor genome from ref by planting SNPs at the given
-// per-base rate, returning the mutated sequence and the truth set sorted
-// by position. Reads sampled from the donor carry these variants
-// haplotype-consistently, which is what a variant caller needs (the §1
-// genome-analysis pipeline this system feeds).
-func Donor(ref dna.Sequence, rate float64, seed int64) (dna.Sequence, []Variant) {
-	rng := rand.New(rand.NewSource(seed))
-	donor := ref.Clone()
-	var variants []Variant
-	for i := range donor {
-		if rng.Float64() < rate {
-			alt := dna.Base((int(donor[i]) + 1 + rng.Intn(3)) & 3)
-			if alt == donor[i] {
-				continue
-			}
-			variants = append(variants, Variant{Pos: i, Ref: donor[i], Alt: alt})
-			donor[i] = alt
-		}
-	}
-	return donor, variants
-}
-
 // PairProfile controls paired-end simulation: two reads from the ends of
 // one sequenced fragment, facing each other (Illumina FR orientation).
 type PairProfile struct {

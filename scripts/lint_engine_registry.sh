@@ -7,7 +7,7 @@
 # erodes:
 #
 #   1. internal/batch grows per-engine Seed wrappers again
-#      (func SeedCASA / SeedERT / SeedGenAx / SeedGenCache / SeedCPU ...).
+#      (func SeedCASA / SeedERT / SeedGenAx / SeedCPU ...).
 #   2. a command under cmd/ reintroduces a local engine name-switch
 #      (case "casa": ... / func build(...)) instead of engine.New.
 #
@@ -20,7 +20,7 @@ fail=0
 
 # 1. Per-engine batch wrappers. The only engine names internal/batch may
 # know are the ones flowing through engine.Engine values.
-if grep -nE 'func Seed(CASA|ERT|GenAx|GenCache|CPU|FM|Brute)' internal/batch/*.go; then
+if grep -nE 'func Seed(CASA|ERT|GenAx|CPU|FM|Brute)' internal/batch/*.go; then
     echo "lint_engine_registry: internal/batch reintroduces per-engine Seed wrappers (use batch.Seed / batch.SeedEngine)" >&2
     fail=1
 fi
@@ -29,7 +29,7 @@ fi
 # engine.New / engine.Lookup / engine.List; a case arm on an engine name
 # or a local build() dispatcher means a new engine would silently be
 # missing from that command.
-if grep -nE 'case "(casa|ert|genax|gencache|cpu|bwa|fmindex|fm|brute|bruteforce|golden)"' cmd/*/*.go; then
+if grep -nE 'case "(casa|ert|genax|cpu|bwa|fmindex|fm|brute|bruteforce|golden)"' cmd/*/*.go; then
     echo "lint_engine_registry: a command dispatches on engine names (use the internal/engine registry)" >&2
     fail=1
 fi
