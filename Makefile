@@ -13,11 +13,13 @@ build:
 
 # Structural lints the compiler cannot see (engine dispatch must stay in
 # the internal/engine registry; modelled packages must stay off the wall
-# clock; shared CLI flags and helpers must stay in internal/runcli).
+# clock; shared CLI flags and helpers must stay in internal/runcli; every
+# fuzz target must run in `make fuzz` and in CI).
 lint:
 	bash scripts/lint_engine_registry.sh
 	bash scripts/lint_time_domain.sh
 	bash scripts/lint_cli_harness.sh
+	bash scripts/lint_fuzz_targets.sh
 
 test:
 	$(GO) test ./...
@@ -56,11 +58,16 @@ bench-baseline:
 bench-all:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 
+# Every fuzz target, 15 s each; CI's fuzz-smoke job runs the same list at
+# 10 s, and scripts/lint_fuzz_targets.sh keeps the two lists complete.
 fuzz:
-	$(GO) test ./internal/seqio/ -fuzz FuzzReadFasta -fuzztime 15s
-	$(GO) test ./internal/seqio/ -fuzz FuzzReadFastq -fuzztime 15s
-	$(GO) test ./internal/idxio/ -fuzz FuzzIndexRoundTrip -fuzztime 15s
-	$(GO) test ./internal/idxio/ -fuzz FuzzIndexCorrupted -fuzztime 15s
+	$(GO) test ./internal/dna/ -run '^$$' -fuzz FuzzDNARoundTrip -fuzztime 15s
+	$(GO) test ./internal/dna/ -run '^$$' -fuzz FuzzMatchLen -fuzztime 15s
+	$(GO) test ./internal/smem/ -run '^$$' -fuzz FuzzSMEMEnginesAgree -fuzztime 15s
+	$(GO) test ./internal/seqio/ -run '^$$' -fuzz FuzzReadFasta -fuzztime 15s
+	$(GO) test ./internal/seqio/ -run '^$$' -fuzz FuzzReadFastq -fuzztime 15s
+	$(GO) test ./internal/idxio/ -run '^$$' -fuzz FuzzIndexRoundTrip -fuzztime 15s
+	$(GO) test ./internal/idxio/ -run '^$$' -fuzz FuzzIndexCorrupted -fuzztime 15s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzReadIndex -fuzztime 15s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzBuildFilter -fuzztime 15s
 	$(GO) test ./internal/align/ -run '^$$' -fuzz FuzzBandedFit -fuzztime 15s

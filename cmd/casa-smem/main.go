@@ -34,6 +34,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -128,21 +129,29 @@ func main() {
 	}
 
 	r.Finish(interrupted, func() bool {
+		// Per-read lines go through one buffer, so the report costs a few
+		// large writes instead of several per read. It is flushed before
+		// the summary or the JSON report, which keeps stdout's bytes in
+		// order.
+		out := bufio.NewWriter(os.Stdout)
 		totalSMEMs, mismatches := 0, 0
 		for i := 0; i < done; i++ {
 			ms := got[i]
 			totalSMEMs += len(ms)
 			if !*quiet && !*jsonOut {
-				fmt.Printf("%s\t%d SMEMs", names[i], len(ms))
+				fmt.Fprintf(out, "%s\t%d SMEMs", names[i], len(ms))
 				for _, m := range ms {
-					fmt.Printf("\t%s", m)
+					fmt.Fprintf(out, "\t%s", m)
 				}
-				fmt.Println()
+				out.WriteByte('\n')
 			}
 			if want != nil && i < vdone && !smem.SameIntervals(ms, want[i]) {
 				mismatches++
 				fmt.Fprintf(os.Stderr, "MISMATCH %s:\n  %s: %v\n  %s: %v\n", names[i], r.EngineName, ms, r.Verify, want[i])
 			}
+		}
+		if err := out.Flush(); err != nil {
+			r.Fatal(err)
 		}
 		if *jsonOut {
 			enc := json.NewEncoder(os.Stdout)

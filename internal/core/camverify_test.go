@@ -165,12 +165,12 @@ func TestCAMStrideSearchReplaysRMEM(t *testing.T) {
 		read := plantedRead(rng, part, 40, rng.Intn(3))
 		for pivot := 0; pivot+cfg.K <= len(read); pivot += 5 {
 			kmer := dna.PackKmer(read, pivot, cfg.K)
-			ind, ok := p.Filter().Lookup(kmer)
+			idx, ind, ok := p.Filter().lookup(kmer)
 			if !ok {
 				continue
 			}
 			// Behavioural result.
-			m, ok := p.rmemSearch(read, pivot, kmer, ind)
+			m, ok := p.rmemSearch(read, pivot, idx, ind)
 			if !ok {
 				continue
 			}

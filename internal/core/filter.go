@@ -58,6 +58,8 @@ type Filter struct {
 
 	// Stats accumulates lookup activity; reset by the caller per batch.
 	Stats FilterStats
+
+	ranges []tagRange // LookupAll's gathered mini ranges, reused per call
 }
 
 // initDerived fills the fields derived from cfg; every construction site
@@ -74,8 +76,8 @@ type tagRange struct {
 }
 
 // Clone returns a filter sharing this one's index arrays (built offline,
-// never written during lookups) with fresh Stats. Lookup and Positions on
-// distinct clones are safe to run concurrently.
+// never written during lookups) with fresh Stats and scratch. Lookups and
+// Positions on distinct clones are safe to run concurrently.
 func (f *Filter) Clone() *Filter {
 	c := &Filter{
 		cfg:       f.cfg,
@@ -227,23 +229,88 @@ func (f *Filter) DistinctKmers() int { return len(f.tags) }
 // search indicator. It charges the mini-index access, the gated tag-array
 // search, and (on a hit) the data-array access.
 func (f *Filter) Lookup(kmer dna.Kmer) (SearchIndicator, bool) {
+	_, ind, ok := f.lookup(kmer)
+	return ind, ok
+}
+
+// lookup is Lookup that also returns the k-mer's tag index, from which
+// positionsAt reads its occurrences without a second search.
+func (f *Filter) lookup(kmer dna.Kmer) (int32, SearchIndicator, bool) {
 	idx, ok := f.find(kmer)
 	if !ok {
-		return SearchIndicator{}, false
+		return -1, SearchIndicator{}, false
 	}
 	f.Stats.DataAccesses++
-	return f.data[idx], true
+	return idx, f.data[idx], true
+}
+
+// LookupAll is Lookup over every k-mer of kmers, writing each one's tag
+// index (-1 when absent), indicator and existence into the parallel
+// slices idx, inds and exists (each at least len(kmers) long), and
+// reporting whether any k-mer exists. It charges exactly the activity of
+// one Lookup per k-mer.
+//
+// The lookups run in passes, as the filter streams a read's pivots
+// (§4.1), so that independent cache misses are in flight together instead
+// of one pivot's chain at a time: the first pass gathers every mini-index
+// range, the second runs the branch-free tag searches over the gathered
+// ranges, and the third fetches the hits' indicators. The host order of
+// the accesses is not a model input: the filter's cycles come from the
+// lookup count alone.
+func (f *Filter) LookupAll(kmers []dna.Kmer, idx []int32, inds []SearchIndicator, exists []bool) bool {
+	n := len(kmers)
+	ranges := growN(f.ranges, n)
+	f.ranges = ranges
+	idx, inds, exists = idx[:n], inds[:n], exists[:n]
+	mini, bits := f.mini, f.suffixBits
+	for i, kmer := range kmers {
+		ranges[i] = mini[uint64(kmer)>>bits]
+	}
+	var rows, hits int64
+	for i, kmer := range kmers {
+		r := ranges[i]
+		rows += int64(r.end - r.start)
+		idx[i] = f.search(r, uint32(uint64(kmer)&f.suffixMask))
+	}
+	for i, j := range idx {
+		exists[i] = j >= 0
+		if j >= 0 {
+			hits++
+			inds[i] = f.data[j]
+		} else {
+			inds[i] = SearchIndicator{}
+		}
+	}
+	s := &f.Stats
+	s.Lookups += int64(n)
+	s.MiniAccesses += int64(n)
+	s.TagSearches += int64(n)
+	s.TagRowsEnabled += rows
+	s.Hits += hits
+	s.DataAccesses += hits
+	return hits > 0
 }
 
 // Positions returns the sorted occurrence positions of kmer without
 // charging filter activity (the computing phase resolves positions inside
 // the computing CAM, not the filter).
 func (f *Filter) Positions(kmer dna.Kmer) []int32 {
-	idx, ok := f.findQuiet(kmer)
-	if !ok {
+	return f.positionsAt(f.indexOf(kmer))
+}
+
+// positionsAt returns the occurrence positions of the k-mer at tag index
+// idx, or nil for idx -1 (an absent k-mer).
+func (f *Filter) positionsAt(idx int32) []int32 {
+	if idx < 0 {
 		return nil
 	}
 	return f.positions[f.posIndex[idx]:f.posIndex[idx+1]]
+}
+
+// indexOf returns kmer's tag index, or -1 when it is absent, without
+// touching Stats.
+func (f *Filter) indexOf(kmer dna.Kmer) int32 {
+	return f.search(f.mini[uint64(kmer)>>f.suffixBits], uint32(uint64(kmer)&f.suffixMask))
 }
 
 // Contains reports existence without returning the indicator (still
@@ -254,40 +321,46 @@ func (f *Filter) Contains(kmer dna.Kmer) bool {
 }
 
 // find locates kmer's tag entry, charging filter activity.
-func (f *Filter) find(kmer dna.Kmer) (int, bool) {
+func (f *Filter) find(kmer dna.Kmer) (int32, bool) {
 	f.Stats.Lookups++
 	f.Stats.MiniAccesses++
 	r := f.mini[uint64(kmer)>>f.suffixBits]
 	f.Stats.TagSearches++
 	f.Stats.TagRowsEnabled += int64(r.end - r.start)
-	idx, ok := f.search(r, uint32(uint64(kmer)&f.suffixMask))
-	if ok {
-		f.Stats.Hits++
+	idx := f.search(r, uint32(uint64(kmer)&f.suffixMask))
+	if idx < 0 {
+		return -1, false
 	}
-	return idx, ok
+	f.Stats.Hits++
+	return idx, true
 }
 
-// findQuiet locates kmer's tag entry without touching Stats.
-func (f *Filter) findQuiet(kmer dna.Kmer) (int, bool) {
-	return f.search(f.mini[uint64(kmer)>>f.suffixBits], uint32(uint64(kmer)&f.suffixMask))
-}
-
-// search is an open-coded binary search over the tag range: sort.Search's
-// closure would allocate and indirect on every lookup, and this is the
-// hottest loop of the pre-seeding phase.
-func (f *Filter) search(r tagRange, suffix uint32) (int, bool) {
-	tags := f.tags
-	lo, hi := int(r.start), int(r.end)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if tags[mid] < suffix {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// search finds suffix in the tag range r, whose tags are strictly
+// increasing. It is a branchless binary search: each step halves n and
+// advances base by half under a mask, so no step is a branch the
+// predictor must guess, the trip count depends only on the range size,
+// and consecutive pivots' searches overlap in the pipeline. base ends on
+// the last tag not above suffix, and one compare decides the hit. It
+// returns the tag index of suffix, or -1 when the range lacks it.
+func (f *Filter) search(r tagRange, suffix uint32) int32 {
+	tags := f.tags[r.start:r.end]
+	n := len(tags)
+	if n == 0 {
+		return -1
 	}
-	if lo < int(r.end) && tags[lo] == suffix {
-		return lo, true
+	base := 0
+	for n > 1 {
+		half := n >> 1
+		// All ones when tags[base+half] <= suffix, else zero. An if
+		// would stay a branch: the compiler does not turn a loop-carried
+		// update into a conditional move.
+		le := int((int64(tags[base+half]) - int64(suffix) - 1) >> 63)
+		base += half & le
+		n -= half
 	}
-	return 0, false
+	idx := r.start + int32(base)
+	if tags[base] != suffix {
+		idx = -1
+	}
+	return idx
 }

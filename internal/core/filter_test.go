@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sort"
 	"testing"
 
 	"casa/internal/dna"
@@ -175,7 +176,7 @@ func TestFilterStatsAccounting(t *testing.T) {
 		t.Errorf("range decoder gating ineffective: %d rows for %d tags",
 			s.TagRowsEnabled, f.DistinctKmers())
 	}
-	// Positions and Contains-via-findQuiet must not charge stats.
+	// Positions must not charge stats.
 	before := f.Stats
 	f.Positions(dna.PackKmer(part, 0, cfg.K))
 	if f.Stats != before {
@@ -452,5 +453,100 @@ func BenchmarkBuildFilter(b *testing.B) {
 		if _, err := BuildFilter(part, cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestSearchMatchesOracle checks the branch-free tag search against
+// sort.Search on empty, one-entry and random strictly increasing ranges,
+// for suffixes below, between, at and above the stored tags, including
+// ranges that start and end inside the tag array.
+func TestSearchMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	check := func(tags []uint32, r tagRange, suffix uint32) {
+		t.Helper()
+		f := &Filter{tags: tags}
+		span := tags[r.start:r.end]
+		want := int32(-1)
+		if i := sort.Search(len(span), func(i int) bool { return span[i] >= suffix }); i < len(span) && span[i] == suffix {
+			want = r.start + int32(i)
+		}
+		if got := f.search(r, suffix); got != want {
+			t.Fatalf("search(%v over %v, %d) = %d, want %d", r, span, suffix, got, want)
+		}
+	}
+	check(nil, tagRange{}, 5)
+	check([]uint32{7}, tagRange{0, 0}, 7)
+	for _, s := range []uint32{0, 6, 7, 8, 1<<32 - 1} {
+		check([]uint32{7}, tagRange{0, 1}, s)
+	}
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.Intn(70)
+		tags := make([]uint32, 0, n)
+		v := uint32(rng.Intn(4))
+		for range n {
+			v += 1 + uint32(rng.Intn(5)) // strictly increasing, with gaps
+			tags = append(tags, v)
+		}
+		start := int32(rng.Intn(n + 1))
+		end := start + int32(rng.Intn(n-int(start)+1))
+		r := tagRange{start, end}
+		for s := uint32(0); s <= v+2; s++ {
+			check(tags, r, s)
+		}
+	}
+}
+
+// TestLookupAllMatchesLookup requires LookupAll to return the tag indices,
+// indicators and existence flags of one Lookup per k-mer, and to charge
+// exactly the FilterStats that loop charges, on random, planted and
+// homopolymer reads (the last hammer one mini bucket).
+func TestLookupAllMatchesLookup(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	cfg := testConfig()
+	part := repeatRich(rng, 6000)
+	built, err := BuildFilter(part, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := []dna.Sequence{
+		randSeq(rng, 60),
+		part[100:201],
+		part[4000:4040],
+		dna.FromString("AAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"),
+		dna.FromString("CCCCCCCCCCCCCCCCCCCCCCCCCCCC"),
+		dna.FromString("ACGTACG"),
+	}
+	for range 50 {
+		reads = append(reads, randSeq(rng, cfg.K+rng.Intn(120)))
+	}
+	perPivot, batched := built.Clone(), built.Clone()
+	for ri, read := range reads {
+		n := len(read) - cfg.K + 1
+		kmers := make([]dna.Kmer, n)
+		for i := range kmers {
+			kmers[i] = dna.PackKmer(read, i, cfg.K)
+		}
+		idx := make([]int32, n)
+		inds := make([]SearchIndicator, n)
+		exists := make([]bool, n)
+		anyHit := batched.LookupAll(kmers, idx, inds, exists)
+		wantAny := false
+		for i, kmer := range kmers {
+			wantIdx, wantInd, wantOK := perPivot.lookup(kmer)
+			wantAny = wantAny || wantOK
+			if idx[i] != wantIdx || inds[i] != wantInd || exists[i] != wantOK {
+				t.Fatalf("read %d pivot %d: LookupAll (%d, %+v, %v), Lookup (%d, %+v, %v)",
+					ri, i, idx[i], inds[i], exists[i], wantIdx, wantInd, wantOK)
+			}
+		}
+		if anyHit != wantAny {
+			t.Fatalf("read %d: LookupAll reported a hit=%v, want %v", ri, anyHit, wantAny)
+		}
+		if batched.Stats != perPivot.Stats {
+			t.Fatalf("read %d: LookupAll stats %+v, per-pivot Lookup stats %+v", ri, batched.Stats, perPivot.Stats)
+		}
+	}
+	if perPivot.Stats.Hits == 0 || perPivot.Stats.Hits == perPivot.Stats.Lookups {
+		t.Fatalf("degenerate workload: %d hits of %d lookups", perPivot.Stats.Hits, perPivot.Stats.Lookups)
 	}
 }

@@ -72,6 +72,7 @@ type partScratch struct {
 	kmers   []dna.Kmer        // rolling k-mers of the current read
 	inds    []SearchIndicator // per-pivot search indicators
 	exists  []bool            // per-pivot filter existence
+	tagIdx  []int32           // per-pivot filter tag index (-1 absent)
 	extLens []int             // per-hit extension lengths (rmemSearch)
 	anchors []int             // exact-match anchor offsets
 	aInds   []SearchIndicator // exact-check anchor indicators
@@ -140,19 +141,15 @@ func (p *Partition) appendSeed(dst []smem.Match, read dna.Sequence, prepass bool
 	kmers := p.rollingKmersInto(read)
 	inds := growN(p.scr.inds, maxPivot+1)
 	exists := growN(p.scr.exists, maxPivot+1)
-	p.scr.inds, p.scr.exists = inds, exists
-	anyHit := false
+	tagIdx := growN(p.scr.tagIdx, maxPivot+1)
+	p.scr.inds, p.scr.exists, p.scr.tagIdx = inds, exists, tagIdx
 	if p.cfg.UseFilterTable {
-		for i := 0; i <= maxPivot; i++ {
-			inds[i], exists[i] = p.filter.Lookup(kmers[i])
-			anyHit = anyHit || exists[i]
-		}
 		// The filter streams lookups from several reads at once ("three
 		// reads (together with the reverse strands) are sent to the
 		// pre-seeding filter each time", §4.1), so its cycle cost is
 		// computed at batch granularity in the Accelerator: lookups are
 		// counted here, divided by the bank width there.
-		if !anyHit {
+		if !p.filter.LookupAll(kmers, tagIdx, inds, exists) {
 			// The read never reaches the FIFO or the computing CAMs.
 			p.Stats.ReadsDiscarded++
 			p.Stats.PivotsTotal += int64(maxPivot + 1)
@@ -166,8 +163,11 @@ func (p *Partition) appendSeed(dst []smem.Match, read dna.Sequence, prepass bool
 		for i := range inds {
 			inds[i] = SearchIndicator{}
 		}
+		// The tag indices still locate each k-mer's positions for the
+		// CAM search, without charging the absent filter.
 		for i := 0; i <= maxPivot; i++ {
 			exists[i] = true
+			tagIdx[i] = p.filter.indexOf(kmers[i])
 		}
 	}
 
@@ -176,7 +176,7 @@ func (p *Partition) appendSeed(dst []smem.Match, read dna.Sequence, prepass bool
 	// pivot loop is skipped. Reads shorter than the minimum SMEM length
 	// cannot be resolved this way (their full-read match is unreportable).
 	if prepass && L >= p.cfg.MinSMEM {
-		if hits, ok := p.exactMatch(read, kmers, inds, exists); ok {
+		if hits, ok := p.exactMatch(read, tagIdx, inds, exists); ok {
 			p.Stats.ReadsExact++
 			return append(dst, smem.Match{Start: 0, End: L - 1, Hits: hits})
 		}
@@ -217,7 +217,7 @@ func (p *Partition) appendSeed(dst []smem.Match, read dna.Sequence, prepass bool
 		}
 		p.Stats.PivotsComputed++
 		p.Stats.ComputeCycles++ // controller issues the RMEM search
-		m, ok := p.rmemSearch(read, pivot, kmers[pivot], inds[pivot])
+		m, ok := p.rmemSearch(read, pivot, tagIdx[pivot], inds[pivot])
 		if !ok {
 			continue
 		}
@@ -242,8 +242,9 @@ func (p *Partition) appendSeed(dst []smem.Match, read dna.Sequence, prepass bool
 // k-mer's entries (only the groups named by the indicator are enabled),
 // consecutive full-stride matches extend it, and a final binary search
 // pins the exact SMEM end (§4.1 "Energy-efficient SMEM Computing CAMs").
-func (p *Partition) rmemSearch(read dna.Sequence, pivot int, kmer dna.Kmer, ind SearchIndicator) (smem.Match, bool) {
-	positions := p.filter.Positions(kmer)
+// idx is the k-mer's filter tag index (-1 when absent).
+func (p *Partition) rmemSearch(read dna.Sequence, pivot int, idx int32, ind SearchIndicator) (smem.Match, bool) {
+	positions := p.filter.positionsAt(idx)
 	p.Stats.RMEMSearches++
 
 	// First search: the padded k-mer query against the enabled groups.
@@ -327,7 +328,7 @@ func (p *Partition) rmemSearch(read dna.Sequence, pivot int, kmer dna.Kmer, ind 
 // non-overlapping k-mers across the read, check that they can be mutually
 // aligned (shifted-AND, §4.2's machinery), and only then attempt the full
 // whole-read CAM match. Aborts at the first unaligned k-mer or mismatch.
-func (p *Partition) exactMatch(read dna.Sequence, kmers []dna.Kmer, inds []SearchIndicator, exists []bool) (hits int, ok bool) {
+func (p *Partition) exactMatch(read dna.Sequence, tagIdx []int32, inds []SearchIndicator, exists []bool) (hits int, ok bool) {
 	L := len(read)
 	maxPivot := L - p.cfg.K
 	anchors := p.anchorOffsets(maxPivot)
@@ -344,7 +345,7 @@ func (p *Partition) exactMatch(read dna.Sequence, kmers []dna.Kmer, inds []Searc
 	}
 
 	// Whole-read match: extend every hit of the first k-mer.
-	positions := p.filter.Positions(kmers[0])
+	positions := p.filter.positionsAt(tagIdx[0])
 	strides := (L + p.cfg.Stride - 1) / p.cfg.Stride
 	p.Stats.CAMSearches += int64(strides)
 	p.Stats.ComputeCycles += int64(strides)
@@ -364,11 +365,7 @@ func (p *Partition) exactMatch(read dna.Sequence, kmers []dna.Kmer, inds []Searc
 // lce returns the longest common extension: the number of bases for which
 // read[ri:] equals ref[pi:], bounded by both lengths.
 func (p *Partition) lce(read dna.Sequence, ri, pi int) int {
-	n := 0
-	for ri+n < len(read) && pi+n < len(p.ref) && read[ri+n] == p.ref[pi+n] {
-		n++
-	}
-	return n
+	return dna.MatchLen(read[ri:], p.ref[pi:])
 }
 
 // ExactCheck is the standalone exact-match test of the two-stage flow
@@ -387,19 +384,22 @@ func (p *Partition) ExactCheck(read dna.Sequence) (hits int, ok bool) {
 	anchors := p.anchorOffsets(maxPivot)
 	inds := growN(p.scr.aInds, len(anchors))
 	p.scr.aInds = inds
+	var first int32 // anchor 0's tag index
 	for ai, a := range anchors {
 		p.Stats.ComputeCycles++
-		ind, exists := p.filter.Lookup(dna.PackKmer(read, a, p.cfg.K))
+		idx, ind, exists := p.filter.lookup(dna.PackKmer(read, a, p.cfg.K))
 		if !exists {
 			return 0, false
 		}
 		inds[ai] = ind
-		if ai > 0 && !Aligned(inds[0], ind, 0, a, p.cfg.Stride) {
+		if ai == 0 {
+			first = idx
+		} else if !Aligned(inds[0], ind, 0, a, p.cfg.Stride) {
 			return 0, false
 		}
 	}
 	// Whole-read match: extend every hit of the first anchor.
-	positions := p.filter.Positions(dna.PackKmer(read, 0, p.cfg.K))
+	positions := p.filter.positionsAt(first)
 	strides := (L + p.cfg.Stride - 1) / p.cfg.Stride
 	p.Stats.CAMSearches += int64(strides)
 	p.Stats.ComputeCycles += int64(strides)

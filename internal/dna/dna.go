@@ -13,6 +13,7 @@ package dna
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 	"strings"
 )
@@ -143,6 +144,32 @@ func (s Sequence) Equal(t Sequence) bool {
 		}
 	}
 	return true
+}
+
+// MatchLen returns the length of the common prefix of a and b. It compares
+// eight bases per step: the XOR of two 64-bit loads is zero while the
+// words agree, and otherwise its lowest set bit names the first differing
+// byte lane. The tail shorter than a word finishes a base at a time.
+func MatchLen(a, b Sequence) int {
+	n := min(len(a), len(b))
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		if x := load8(a[i:i+8:i+8]) ^ load8(b[i:i+8:i+8]); x != 0 {
+			return i + bits.TrailingZeros64(x)>>3
+		}
+	}
+	for i < n && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
+// load8 packs s[0..7] little-endian into one word; the compiler merges the
+// byte loads into a single 64-bit load.
+func load8(s Sequence) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }
 
 // Kmer is a packed k-mer: 2 bits per base, the first base of the k-mer in

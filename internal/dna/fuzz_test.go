@@ -62,3 +62,39 @@ func FuzzDNARoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMatchLen checks the word-at-a-time MatchLen against the byte loop.
+// The seeds cover every length from 0 to 17, unequal lengths, and a
+// mismatch in each of the eight byte lanes of the first and second word.
+func FuzzMatchLen(f *testing.F) {
+	same := []byte("GATTACAGATTACAGAT")
+	for n := 0; n <= len(same); n++ {
+		f.Add(same[:n], same[:n])
+	}
+	f.Add(same, same[:11])
+	f.Add(same[:3], same)
+	for lane := 0; lane < 16; lane++ {
+		b := bytes.Clone(same)
+		b[lane] ^= 1
+		f.Add(same, b)
+	}
+	f.Fuzz(func(t *testing.T, rawA, rawB []byte) {
+		a, b := make(Sequence, len(rawA)), make(Sequence, len(rawB))
+		for i, c := range rawA {
+			a[i] = Base(c & 3)
+		}
+		for i, c := range rawB {
+			b[i] = Base(c & 3)
+		}
+		want := 0
+		for want < len(a) && want < len(b) && a[want] == b[want] {
+			want++
+		}
+		if got := MatchLen(a, b); got != want {
+			t.Fatalf("MatchLen(%s, %s) = %d, want %d", a, b, got, want)
+		}
+		if got := MatchLen(b, a); got != want {
+			t.Fatalf("MatchLen(%s, %s) = %d, want %d", b, a, got, want)
+		}
+	})
+}

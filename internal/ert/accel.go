@@ -168,21 +168,30 @@ func (a *Accelerator) Reduce(reads []dna.Sequence, acts ...*Activity) *Result {
 	}
 
 	// Reuse-cache replay: one access per pivot k-mer per strand, in batch
-	// order, exactly as the seeding machines stream the reads.
-	cache := newLRU(a.cacheEntries)
+	// order, exactly as the seeding machines stream the reads. The cache
+	// never holds more keys than the replay accesses, so its table is sized
+	// for the smaller of the two.
+	k := a.cfg.Index.K
+	accesses := 0
+	for _, r := range reads {
+		accesses += 2 * max(len(r)-k+1, 0)
+	}
+	cache := newLRU(a.cacheEntries, accesses)
 	var hits, miss int64
 	countStrand := func(read dna.Sequence) {
-		for i := 0; i+a.cfg.Index.K <= len(read); i++ {
-			if cache.access(dna.PackKmer(read, i, a.cfg.Index.K)) {
+		for i := 0; i+k <= len(read); i++ {
+			if cache.access(dna.PackKmer(read, i, k)) {
 				hits++
 			} else {
 				miss++
 			}
 		}
 	}
+	var rc dna.Sequence
 	for _, r := range reads {
 		countStrand(r)
-		countStrand(r.ReverseComplement())
+		rc = r.AppendReverseComplement(rc[:0])
+		countStrand(rc)
 	}
 	res.CacheHits, res.CacheMiss = hits, miss
 
@@ -250,26 +259,33 @@ type lruEntry struct {
 	prev, next *lruEntry
 }
 
-func newLRU(capacity int) *lruCache {
+// newLRU returns an empty cache of the given capacity whose table is
+// pre-sized for min(capacity, accesses) keys: a replay of a few thousand
+// accesses need not allocate for the full capacity.
+func newLRU(capacity, accesses int) *lruCache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &lruCache{capacity: capacity, items: make(map[dna.Kmer]*lruEntry, capacity)}
+	return &lruCache{capacity: capacity, items: make(map[dna.Kmer]*lruEntry, min(capacity, accesses))}
 }
 
-// access returns true on hit, inserting the key either way.
+// access returns true on hit, inserting the key either way. A full cache
+// recycles its evicted entry for the new key.
 func (c *lruCache) access(k dna.Kmer) bool {
 	if e, ok := c.items[k]; ok {
 		c.unlink(e)
 		c.pushFront(e)
 		return true
 	}
+	var e *lruEntry
 	if len(c.items) >= c.capacity {
-		victim := c.tail
-		c.unlink(victim)
-		delete(c.items, victim.key)
+		e = c.tail
+		c.unlink(e)
+		delete(c.items, e.key)
+		e.key = k
+	} else {
+		e = &lruEntry{key: k}
 	}
-	e := &lruEntry{key: k}
 	c.items[k] = e
 	c.pushFront(e)
 	return false

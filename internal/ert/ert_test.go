@@ -251,8 +251,39 @@ func TestCloneAllocatesNoCache(t *testing.T) {
 	}
 }
 
+// TestReduceAllocatesForBatch bounds what Reduce allocates for a 16-read
+// batch: its reuse-cache replay is sized to the batch's own pivot k-mers,
+// not pre-sized for the default 4 MB capacity (65,536 entries, about
+// 2.4 MB of table), and both strands share one reverse-complement buffer.
+func TestReduceAllocatesForBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	cfg := DefaultAccelConfig()
+	cfg.Index = testConfig()
+	ref := randSeq(rng, 4000)
+	a, err := NewAccelerator(ref, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := make([]dna.Sequence, 16)
+	for i := range reads {
+		reads[i] = plantedRead(rng, ref, 101, 2)
+	}
+	act := a.Seed(reads)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res := a.Reduce(reads, act)
+	runtime.ReadMemStats(&after)
+	if res.CacheHits+res.CacheMiss != int64(16*2*(101-cfg.Index.K+1)) {
+		t.Fatalf("replayed %d accesses, want one per pivot k-mer per strand", res.CacheHits+res.CacheMiss)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 256<<10 {
+		t.Errorf("Reduce allocated %d bytes for 16 reads, want under %d", got, 256<<10)
+	}
+}
+
 func TestLRU(t *testing.T) {
-	c := newLRU(2)
+	c := newLRU(2, 8)
 	if c.access(1) {
 		t.Error("cold access hit")
 	}
@@ -270,7 +301,7 @@ func TestLRU(t *testing.T) {
 }
 
 func TestLRUCapacityOne(t *testing.T) {
-	c := newLRU(0) // clamped to 1
+	c := newLRU(0, 8) // clamped to 1
 	c.access(1)
 	c.access(2)
 	if c.access(1) {
