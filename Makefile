@@ -83,9 +83,10 @@ live-smoke:
 serve-smoke:
 	bash scripts/serve_smoke.sh
 
-# Wall-trace smoke: seed a toy batch with casa-smem -walltrace and
-# assert casa-trace -wall reports the expected worker/shard/read counts
-# and utilization lines (see the script).
+# Trace smoke: seed a toy batch with casa-smem -walltrace and -trace and
+# assert casa-trace picks each file's report by its schema: the wall
+# report with the expected worker/shard/read counts and utilization
+# lines, the cycle report over the sampled reads (see the script).
 walltrace-smoke:
 	bash scripts/walltrace_smoke.sh
 

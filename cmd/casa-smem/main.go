@@ -16,10 +16,10 @@
 // run drives a live casa-progress/v1 tracker. -json emits a stable
 // machine-readable report (schema casa-smem/v1) on stdout; -metrics
 // writes the Prometheus-style text exposition to stderr; -trace records
-// the run's cycle-domain spans (casa-trace/v1; Chrome JSON, or JSONL for
-// .jsonl paths) with optional -trace-sample sampling; -walltrace records
-// the host wall-clock profile (casa-walltrace/v1: per-shard worker spans
-// plus the CLI's load/build/seed phases — analyze with casa-trace -wall);
+// the run's cycle-domain spans (casa-trace/v1 Chrome JSON) with optional
+// -trace-sample sampling; -walltrace records the host wall-clock profile
+// (casa-walltrace/v1: per-shard worker spans plus the CLI's
+// load/build/seed phases); casa-trace analyzes either file;
 // -http serves /metrics, /trace, /progress, /events and /debug/pprof
 // until interrupted; -progress logs periodic snapshots for non-HTTP runs;
 // -stall-timeout arms a watchdog that dumps per-worker state and
@@ -79,7 +79,7 @@ func main() {
 	// The wall trace profiles the CLI's own phases next to the batch
 	// layer's per-shard worker spans. The build phase either constructs
 	// the engine from the reference or loads the prebuilt index, so the
-	// two flows compare directly in casa-trace -wall.
+	// two flows compare directly in casa-trace's wall report.
 	loadStart := time.Now()
 	ix, err := r.Reference()
 	if err != nil {

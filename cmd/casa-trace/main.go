@@ -1,30 +1,31 @@
-// Command casa-trace analyzes casa-trace/v1 trace files (Chrome JSON or
-// JSONL, as written by casa-smem/casa-align -trace) without a browser:
-// per engine it ranks the slowest reads with per-track cycle breakdowns,
-// prints power-of-two histograms of per-read track time, and summarizes
-// stage overlap on the system timelines (the pipeline model's Fig-14
+// Command casa-trace analyzes trace files without a browser. It reads
+// the file's schema (otherData.schema) and prints that domain's report.
+//
+// A casa-trace/v1 file (casa-smem/casa-align -trace, or GET /trace) holds
+// modelled time: engine cycles (or fetches / FM-index steps — see
+// docs/OBSERVABILITY.md for each engine's unit) for read spans,
+// modelled-wall nanoseconds for pipeline system spans. Per engine the
+// report ranks the slowest reads with per-track breakdowns, prints
+// power-of-two histograms of per-read track time, and summarizes stage
+// overlap on the system timelines (the pipeline model's Fig-14
 // waterfalls).
 //
-// Times are modelled units, never host time: engine cycles (or fetches /
-// FM-index steps — see docs/OBSERVABILITY.md for each engine's unit) for
-// read spans, modelled-wall nanoseconds for pipeline system spans.
-//
-// With -wall the input is instead a casa-walltrace/v1 capture (the host
-// wall-clock domain, as written by -walltrace or served at
-// GET /debug/runtrace): the report becomes a per-worker utilization
-// table, the pool's imbalance ratio and the slowest shards.
+// A casa-walltrace/v1 file (-walltrace, or GET /debug/runtrace) holds
+// host wall-clock time: the report is a per-worker utilization table,
+// the pool's imbalance ratio and the slowest shards.
 //
 // Usage:
 //
 //	casa-trace [-top 10] trace.json
-//	casa-trace -wall [-top 10] walltrace.json
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"math/bits"
 	"os"
 	"sort"
@@ -34,38 +35,78 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("casa-trace: ")
-	top := flag.Int("top", 10, "slowest reads (or, with -wall, shards) to show")
-	wall := flag.Bool("wall", false, "input is a casa-walltrace/v1 host wall-clock capture")
-	version := flag.Bool("version", false, "print build info and exit")
-	flag.Parse()
-	if *version {
-		buildinfo.Print(os.Stdout, "casa-trace")
-		return
-	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: casa-trace [-wall] [-top N] trace.json")
-		os.Exit(2)
-	}
-	analyzer := run
-	if *wall {
-		analyzer = runWall
-	}
-	if err := analyzer(os.Stdout, flag.Arg(0), *top); err != nil {
-		log.Fatal(err)
-	}
+	os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// cli runs casa-trace on its arguments and returns the exit code: 2 for
+// a usage error, 1 when the trace cannot be read.
+func cli(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("casa-trace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	top := fs.Int("top", 10, "slowest reads (cycle report) or shards (wall report) to show")
+	version := fs.Bool("version", false, "print build info and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *version {
+		buildinfo.Print(stdout, "casa-trace")
+		return 0
+	}
+	switch {
+	case *top < 0:
+		fmt.Fprintf(stderr, "casa-trace: -top must be >= 0, got %d\n", *top)
+		return 2
+	case fs.NArg() != 1:
+		fmt.Fprintln(stderr, "usage: casa-trace [-top N] trace.json")
+		return 2
+	}
+	if err := run(stdout, fs.Arg(0), *top); err != nil {
+		fmt.Fprintf(stderr, "casa-trace: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+// run prints the report of the trace file's schema.
 func run(w io.Writer, path string, top int) error {
-	spans, err := trace.ParseFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	if err := trace.Validate(spans); err != nil {
-		fmt.Fprintf(os.Stderr, "casa-trace: warning: stream violates casa-trace/v1 invariants: %v\n", err)
+	var doc struct {
+		OtherData struct {
+			Schema string `json:"schema"`
+		} `json:"otherData"`
 	}
-	printReport(w, analyze(spans), top)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if err := dec.Decode(&doc); err != nil {
+		return fmt.Errorf("%s: not a JSON trace document: %v", path, err)
+	}
+	if dec.More() {
+		return fmt.Errorf("%s: found a stream of JSON values (JSONL), want one Chrome trace_event document", path)
+	}
+	switch schema := doc.OtherData.Schema; schema {
+	case trace.SchemaVersion:
+		spans, err := trace.ParseChrome(data)
+		if err != nil {
+			return err
+		}
+		if err := trace.Validate(spans); err != nil {
+			fmt.Fprintf(os.Stderr, "casa-trace: warning: stream violates %s invariants: %v\n", schema, err)
+		}
+		printReport(w, analyze(spans), top)
+	case trace.WallSchemaVersion:
+		spans, dropped, err := trace.ParseChromeWall(data)
+		if err != nil {
+			return err
+		}
+		printWallReport(w, spans, dropped, top)
+	default:
+		return fmt.Errorf("%s: unknown trace schema %q, want %s or %s", path, schema, trace.SchemaVersion, trace.WallSchemaVersion)
+	}
 	return nil
 }
 
@@ -110,23 +151,8 @@ func analyze(spans []trace.Span) []procReport {
 
 	stats := map[string][]readStat{}
 	for k, ss := range perRead {
-		st := readStat{read: k.read, byTrack: map[string]int64{}}
-		lo, hi := ss[0].Start, ss[0].End()
-		perTrack := map[string][]trace.Span{}
-		for _, s := range ss {
-			if s.Start < lo {
-				lo = s.Start
-			}
-			if s.End() > hi {
-				hi = s.End()
-			}
-			perTrack[s.Track] = append(perTrack[s.Track], s)
-		}
-		st.window = hi - lo
-		for t, ts := range perTrack {
-			st.byTrack[t] = unionLen(ts)
-		}
-		stats[k.proc] = append(stats[k.proc], st)
+		window, byTrack := overlapSummary(ss)
+		stats[k.proc] = append(stats[k.proc], readStat{read: k.read, window: window, byTrack: byTrack})
 	}
 
 	var out []procReport
@@ -188,25 +214,17 @@ func printReport(w io.Writer, reps []procReport, top int) {
 		fmt.Fprintf(w, "== %s: %d spans, %d reads ==\n", rep.proc, rep.spans, len(rep.reads))
 
 		if len(rep.reads) > 0 {
-			n := top
-			if n > len(rep.reads) {
-				n = len(rep.reads)
-			}
+			n := min(top, len(rep.reads))
 			fmt.Fprintf(w, "slowest %d reads (modelled units; per-track interval union):\n", n)
 			for _, st := range rep.reads[:n] {
 				fmt.Fprintf(w, "  read %6d  total %10d", st.read, st.window)
-				for _, t := range sortedTracks(st.byTrack) {
+				for _, t := range sortedKeys(st.byTrack) {
 					fmt.Fprintf(w, "  %s=%d", t, st.byTrack[t])
 				}
 				fmt.Fprintln(w)
 			}
 			fmt.Fprintln(w, "per-track histogram (bucket 2^b covers [2^(b-1), 2^b)):")
-			tracks := make([]string, 0, len(rep.hist))
-			for t := range rep.hist {
-				tracks = append(tracks, t)
-			}
-			sort.Strings(tracks)
-			for _, t := range tracks {
+			for _, t := range sortedKeys(rep.hist) {
 				fmt.Fprintf(w, "  %-12s", t)
 				for b, c := range rep.hist[t] {
 					if c > 0 {
@@ -221,7 +239,7 @@ func printReport(w io.Writer, reps []procReport, top int) {
 			wall, covered := overlapSummary(rep.system)
 			fmt.Fprintf(w, "system timeline: wall %d\n", wall)
 			var sum int64
-			for _, t := range sortedTracks(covered) {
+			for _, t := range sortedKeys(covered) {
 				c := covered[t]
 				sum += c
 				pct := 0.0
@@ -238,9 +256,10 @@ func printReport(w io.Writer, reps []procReport, top int) {
 	}
 }
 
-// overlapSummary reduces a system timeline to its wall length (max end -
-// min start) and the per-track covered lengths; covered/wall over all
-// tracks is the timeline's average stage parallelism.
+// overlapSummary reduces spans — one read's, or a system timeline — to
+// their wall length (max end - min start) and the per-track covered
+// lengths; on a system timeline, covered/wall over all tracks is the
+// average stage parallelism.
 func overlapSummary(ss []trace.Span) (wall int64, covered map[string]int64) {
 	lo, hi := ss[0].Start, ss[0].End()
 	perTrack := map[string][]trace.Span{}
@@ -260,10 +279,10 @@ func overlapSummary(ss []trace.Span) (wall int64, covered map[string]int64) {
 	return hi - lo, covered
 }
 
-func sortedTracks(m map[string]int64) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
-	for t := range m {
-		out = append(out, t)
+	for k := range m {
+		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out

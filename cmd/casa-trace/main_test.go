@@ -75,8 +75,9 @@ func TestAnalyze(t *testing.T) {
 	}
 }
 
-// TestRunEndToEnd writes both file formats and checks the rendered
-// report: same analysis regardless of framing, top-N respected.
+// TestRunEndToEnd writes a trace under two extensions — -trace writes
+// Chrome JSON whatever the path — and checks the rendered report, top-N
+// respected.
 func TestRunEndToEnd(t *testing.T) {
 	tr := trace.New(trace.PolicyAll, 0)
 	b := tr.NewBuffer("casa")

@@ -8,46 +8,26 @@ import (
 	"casa/internal/trace"
 )
 
-// runWall is the wall-clock counterpart of run: it reads a
-// casa-walltrace/v1 capture (casa-smem/casa-align -walltrace, or a saved
-// GET /debug/runtrace) and reports where the *host* time went — a
-// per-worker utilization table, the pool's load-imbalance ratio, and the
-// slowest shards. Everything here is nondeterministic host time; the
-// cycle-domain report stays in run().
-func runWall(w io.Writer, path string, top int) error {
-	spans, dropped, err := trace.ParseWallFile(path)
-	if err != nil {
-		return err
-	}
-	printWallReport(w, spans, dropped, top)
-	return nil
-}
-
 // wallShard is one shard span joined with its parsed name, for the
 // slowest-shards ranking.
 type wallShard struct {
 	span  trace.WallSpan
 	shard int
-	lo    int
-	hi    int
 }
 
+// printWallReport is the casa-walltrace/v1 report: where the host time
+// went — a per-worker utilization table, the pool's load-imbalance ratio
+// and the slowest shards. Everything here is nondeterministic host time.
 func printWallReport(w io.Writer, spans []trace.WallSpan, dropped int64, top int) {
 	fmt.Fprintf(w, "== %s: %d spans (%d dropped) ==\n", trace.WallSchemaVersion, len(spans), dropped)
 	workers, others := trace.WallWorkers(spans)
 	window := trace.WallWindow(spans)
 
 	var shards []wallShard
-	totalShards, totalReads := 0, 0
-	var poolBusy int64
-	for _, st := range workers {
-		totalShards += st.Shards
-		totalReads += st.Reads
-		poolBusy += st.BusyUS
-	}
+	totalShards, totalReads, poolBusy := poolTotals(workers)
 	for _, s := range spans {
-		if shard, lo, hi, ok := trace.ParseWallShardName(s.Name); ok {
-			shards = append(shards, wallShard{span: s, shard: shard, lo: lo, hi: hi})
+		if shard, _, _, ok := trace.ParseWallShardName(s.Name); ok {
+			shards = append(shards, wallShard{span: s, shard: shard})
 		}
 	}
 	fmt.Fprintf(w, "window: %d us   workers: %d   shards: %d   reads: %d\n\n",
@@ -86,11 +66,19 @@ func printWallReport(w io.Writer, spans []trace.WallSpan, dropped int64, top int
 		fmt.Fprintf(w, "imbalance (max/mean worker busy): %.2fx\n\n", trace.WallImbalance(workers))
 		// Stages sharing the pool (casa-align seeds on its engine's track
 		// and extends on "seedex") split the busy time between them.
-		if tracks := wallTracks(spans); len(tracks) > 1 {
+		byTrack := map[string][]trace.WallSpan{}
+		for _, s := range spans {
+			if _, ok := trace.ParseWallWorkerProc(s.Proc); ok {
+				byTrack[s.Track] = append(byTrack[s.Track], s)
+			}
+		}
+		if len(byTrack) > 1 {
 			fmt.Fprintln(w, "track          shards    reads    busy_us   busy%")
-			for _, tr := range tracks {
+			for _, track := range sortedKeys(byTrack) {
+				ws, _ := trace.WallWorkers(byTrack[track])
+				shards, reads, busy := poolTotals(ws)
 				fmt.Fprintf(w, "  %-12s %6d  %7d  %9d  %6.1f\n",
-					tr.name, tr.shards, tr.reads, tr.busyUS, 100*float64(tr.busyUS)/float64(max(poolBusy, 1)))
+					track, shards, reads, busy, 100*float64(busy)/float64(max(poolBusy, 1)))
 			}
 			fmt.Fprintln(w)
 		}
@@ -104,10 +92,7 @@ func printWallReport(w io.Writer, spans []trace.WallSpan, dropped int64, top int
 			}
 			return a.shard < b.shard
 		})
-		n := top
-		if n > len(shards) {
-			n = len(shards)
-		}
+		n := min(top, len(shards))
 		fmt.Fprintf(w, "slowest %d shards:\n", n)
 		for _, sh := range shards[:n] {
 			fmt.Fprintf(w, "  %-32s %s/%s  %8d us\n",
@@ -152,34 +137,12 @@ func printWallReport(w io.Writer, spans []trace.WallSpan, dropped int64, top int
 	}
 }
 
-// wallTrack sums the worker spans of one track (one pool stage).
-type wallTrack struct {
-	name          string
-	shards, reads int
-	busyUS        int64
-}
-
-// wallTracks groups the worker spans by track, sorted by name, counting
-// them as trace.WallWorkers does.
-func wallTracks(spans []trace.WallSpan) []wallTrack {
-	byName := map[string]wallTrack{}
-	for _, s := range spans {
-		if _, ok := trace.ParseWallWorkerProc(s.Proc); !ok {
-			continue
-		}
-		tr := byName[s.Track]
-		tr.name = s.Track
-		tr.shards++
-		tr.busyUS += s.Dur
-		if _, lo, hi, ok := trace.ParseWallShardName(s.Name); ok {
-			tr.reads += hi - lo
-		}
-		byName[s.Track] = tr
+// poolTotals sums the shards, reads and busy time of workers.
+func poolTotals(workers []trace.WallWorkerStat) (shards, reads int, busyUS int64) {
+	for _, st := range workers {
+		shards += st.Shards
+		reads += st.Reads
+		busyUS += st.BusyUS
 	}
-	out := make([]wallTrack, 0, len(byName))
-	for _, tr := range byName {
-		out = append(out, tr)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
+	return shards, reads, busyUS
 }

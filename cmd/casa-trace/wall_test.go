@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -32,7 +34,7 @@ func wallFixture(t *testing.T) string {
 
 func TestRunWallReport(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runWall(&buf, wallFixture(t), 2); err != nil {
+	if err := run(&buf, wallFixture(t), 2); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -64,19 +66,61 @@ func TestRunWallReport(t *testing.T) {
 	}
 }
 
-func TestRunWallRejectsCycleTrace(t *testing.T) {
-	// A cycle-domain trace file must be refused, not misread: the two
-	// schemas are deliberately incompatible.
-	path := filepath.Join(t.TempDir(), "cycle.json")
-	tr := trace.New(trace.Policy{}, 0)
-	b := tr.NewBuffer("e")
-	b.Emit(0, "exact", "exact", 0, 10)
-	if err := trace.WriteFile(path, tr.Spans()); err != nil {
+// TestRunPicksReportBySchema: each schema gets its own report, and a
+// file of neither schema — an unknown one, or a JSONL stream — is an
+// error naming what was found.
+func TestRunPicksReportBySchema(t *testing.T) {
+	dir := t.TempDir()
+	cycle := filepath.Join(dir, "cycle.json")
+	tr := trace.New(trace.PolicyAll, 0)
+	tr.NewBuffer("e").Emit(0, "exact", "exact", 0, 10)
+	if err := trace.WriteFile(cycle, tr.Spans()); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := runWall(&buf, path, 5); err == nil {
-		t.Fatal("runWall accepted a casa-trace/v1 cycle-domain file")
+	for path, want := range map[string]string{
+		cycle:          "== e: 1 spans, 1 reads ==",
+		wallFixture(t): "== casa-walltrace/v1: 6 spans (0 dropped) ==",
+	} {
+		var buf bytes.Buffer
+		if err := run(&buf, path, 5); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(buf.String(), want) {
+			t.Errorf("%s: report does not start with %q:\n%s", filepath.Base(path), want, buf.String())
+		}
+	}
+
+	for name, tc := range map[string]struct{ body, want string }{
+		"unknown.json": {`{"traceEvents":[],"otherData":{"schema":"bogus/v9"}}`, `unknown trace schema "bogus/v9"`},
+		"t.jsonl":      {"{\"schema\":\"casa-trace/v1\"}\n{\"proc\":\"e\",\"read\":0}\n", "JSONL"},
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := run(io.Discard, path, 5)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming %q", name, err, tc.want)
+		}
+	}
+}
+
+// TestNegativeTopIsUsageError: -top < 0 used to slice the ranking with a
+// negative bound and panic; it is a usage error (exit 2) naming the flag,
+// on a cycle and a wall trace alike.
+func TestNegativeTopIsUsageError(t *testing.T) {
+	for _, path := range []string{"cycle.json", wallFixture(t)} {
+		var stdout, stderr bytes.Buffer
+		if code := cli([]string{"-top", "-1", path}, &stdout, &stderr); code != 2 {
+			t.Fatalf("%s: exit %d, want 2", path, code)
+		}
+		if !strings.Contains(stderr.String(), "-top must be >= 0, got -1") {
+			t.Errorf("%s: stderr does not name -top:\n%s", path, stderr.String())
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := cli([]string{"-top", "0", wallFixture(t)}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-top 0: exit %d:\n%s", code, stderr.String())
 	}
 }
 
@@ -94,7 +138,7 @@ func TestRunWallReportTracks(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := runWall(&buf, path, 1); err != nil {
+	if err := run(&buf, path, 1); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

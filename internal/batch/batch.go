@@ -70,7 +70,7 @@ type Options struct {
 	// time.Now pair per shard — far off the per-read hot path — and the
 	// spans live in their own casa-walltrace/v1 domain: the modelled
 	// cycle-domain Trace and the determinism contract are untouched.
-	// casa-trace -wall turns a capture into per-worker utilization and
+	// casa-trace turns a capture into per-worker utilization and
 	// shard-skew tables; see docs/OBSERVABILITY.md.
 	Wall *trace.WallTrace
 
@@ -170,21 +170,6 @@ func RunCtx[R any](ctx context.Context, n int, o Options, fn func(worker, lo, hi
 		return r
 	}
 	results := make([]R, numShards)
-	if workers <= 1 {
-		completed := 0
-		o.labeled(0, func() {
-			for s := 0; s < numShards; s++ {
-				if ctx.Err() != nil {
-					return
-				}
-				lo, hi := s*grain, min(s*grain+grain, n)
-				results[s] = runShard(0, s, lo, hi)
-				o.shardDone(0, lo, hi)
-				completed = s + 1
-			}
-		})
-		return results[:completed], min(completed*grain, n), ctx.Err()
-	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

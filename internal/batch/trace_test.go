@@ -47,7 +47,7 @@ func TestBatchTraceDeterminism(t *testing.T) {
 			t.Errorf("%s: recorded stream invalid: %v", e.Name(), err)
 		}
 		want := chromeBytes(t, seq)
-		if _, err := trace.Parse(want); err != nil {
+		if _, err := trace.ParseChrome(want); err != nil {
 			t.Errorf("%s: exported Chrome JSON does not parse back: %v", e.Name(), err)
 		}
 		for _, w := range workerCounts[1:] {

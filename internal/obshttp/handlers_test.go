@@ -125,42 +125,6 @@ func TestIndexAdvertisesEnabledEndpoints(t *testing.T) {
 	}
 }
 
-// TestWatchdogArmsLazily covers the flag-ordering bug: StartWatchdog
-// before SetProgress must arm once the tracker arrives, not silently do
-// nothing.
-func TestWatchdogArmsLazily(t *testing.T) {
-	s, err := Start("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	s.StartWatchdog(20*time.Millisecond, nil) // no tracker yet: pending
-	s.mu.Lock()
-	armedEarly := s.watchdog != nil
-	s.mu.Unlock()
-	if armedEarly {
-		t.Fatal("watchdog armed before any tracker existed")
-	}
-
-	tr := progress.New("rid", "casa", 1, 10)
-	s.SetProgress(tr)
-	s.mu.Lock()
-	wd := s.watchdog
-	s.mu.Unlock()
-	if wd == nil {
-		t.Fatal("watchdog still unarmed after SetProgress")
-	}
-	deadline := time.After(5 * time.Second)
-	for wd.Fired() == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("lazily armed watchdog never fired on a stalled run")
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-}
-
 // TestEventsAfterFinish pins the late-subscriber contract: a client
 // connecting after the run finished gets one progress snapshot and the
 // terminal done event immediately — no hang, then EOF.

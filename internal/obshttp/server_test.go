@@ -52,7 +52,7 @@ func TestServerEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/trace after publish: code %d", code)
 	}
-	spans, err := trace.Parse([]byte(body))
+	spans, err := trace.ParseChrome([]byte(body))
 	if err != nil {
 		t.Fatalf("/trace body does not parse: %v", err)
 	}

@@ -256,9 +256,9 @@ func (r *Run) register(fs *flag.FlagSet) {
 	if s.Server {
 		fs.StringVar(&r.wallPath, "trace", "", "write the wall-clock run lifecycle trace (Chrome JSON) to this file at shutdown")
 	} else {
-		fs.StringVar(&r.tracePath, "trace", "", "write a casa-trace/v1 trace of the run (.jsonl = JSONL, else Chrome JSON)")
+		fs.StringVar(&r.tracePath, "trace", "", "write a casa-trace/v1 trace of the run (Chrome JSON) to this file")
 		fs.StringVar(&r.traceSample, "trace-sample", "all", "trace sampling policy: all, head:N, slowest:N")
-		fs.StringVar(&r.wallPath, "walltrace", "", "write a casa-walltrace/v1 host wall-clock profile of the run (Chrome JSON; analyze with casa-trace -wall)")
+		fs.StringVar(&r.wallPath, "walltrace", "", "write a casa-walltrace/v1 host wall-clock profile of the run (Chrome JSON; analyze with casa-trace)")
 		fs.StringVar(&r.httpAddr, "http", "", "serve /metrics, /trace, /progress, /events and /debug/pprof on this address until interrupted")
 		fs.DurationVar(&r.progressEvery, "progress", 0, "log a progress snapshot at this interval (0 = off)")
 		fs.DurationVar(&r.stallAfter, "stall-timeout", 0, "warn with per-worker state and a goroutine dump when no seeding shard completes for this long (0 = off)")

@@ -1,170 +1,118 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 )
 
-// Chrome trace_event export: the casa-trace/v1 mapping is
-//
-//   - one trace_event *process* per Proc (engine or pipeline system),
-//   - one *thread* per Track (stage or partition),
-//   - one complete ("X") event per span, with one modelled cycle
-//     rendered as one microsecond (trace_event's ts/dur unit), so
-//     Perfetto's time axis reads directly in cycles.
-//
-// Read spans carry read-local timestamps; the exporter serializes each
-// process's reads onto its timeline back to back (read r starts where
-// read r-1's timeline ended), which preserves every span's duration and
-// intra-read structure while giving Perfetto a single non-overlapping
-// waterfall per process. The read index is in every event's args.
-//
-// Output is deterministic: events are written in (Proc, Read, emission)
-// order with sorted metadata up front, so identical span streams —
-// guaranteed by the recorder across worker counts — produce identical
-// bytes.
+// Chrome trace_event JSON (object format, loadable in Perfetto and
+// chrome://tracing) is the file format of both time domains, written by
+// one encoder (writeChrome) and read by one decoder (parseChrome): one
+// trace_event process per Proc and one thread per Track (pid and tid
+// numbered from 1 in sorted label order, named by metadata events), one
+// complete ("X") event per span in stream order with its track as cat,
+// and otherData.schema telling the domains apart. The domains differ
+// only in how a span becomes its event (WriteChrome, WriteChromeWall).
+// Output is deterministic for a given span stream.
 
-// chromeDoc is the top-level Chrome JSON object format.
+// chromeDoc is the top-level document of both schemas.
 type chromeDoc struct {
 	TraceEvents []chromeEvent   `json:"traceEvents"`
 	OtherData   chromeOtherData `json:"otherData"`
 }
 
+// chromeOtherData is the document footer. The cycle domain writes the
+// schema alone; the wall domain fills in the rest.
 type chromeOtherData struct {
-	Schema string `json:"schema"`
+	Schema  string `json:"schema"`
+	Domain  string `json:"domain,omitempty"`
+	Spans   *int   `json:"spans,omitempty"`
+	Dropped int64  `json:"dropped,omitempty"`
 }
 
 // chromeEvent is one trace_event entry. Args is a pointer to a fixed
 // struct so field order (and therefore the output bytes) is stable.
 type chromeEvent struct {
 	Name string      `json:"name"`
-	Cat  string      `json:"cat,omitempty"`
+	Cat  string      `json:"cat,omitempty"` // the span's track
 	Ph   string      `json:"ph"`
 	Ts   int64       `json:"ts"`
 	Dur  *int64      `json:"dur,omitempty"`
 	Pid  int         `json:"pid"`
 	Tid  int         `json:"tid"`
 	Args *chromeArgs `json:"args,omitempty"`
+
+	proc string // the span's process label, behind Pid
 }
 
 type chromeArgs struct {
 	Name   string `json:"name,omitempty"`   // metadata events
-	Read   *int   `json:"read,omitempty"`   // read-scoped span events
-	Cycles *int64 `json:"cycles,omitempty"` // cycle-domain span events
-	RunID  string `json:"run_id,omitempty"` // wall-domain span events (wall.go)
+	Read   *int   `json:"read,omitempty"`   // cycle-domain read spans
+	Cycles *int64 `json:"cycles,omitempty"` // cycle-domain spans
+	RunID  string `json:"run_id,omitempty"` // wall-domain spans
 }
 
-// WriteChrome writes the span stream as Chrome trace_event JSON (object
-// format), loadable in Perfetto and chrome://tracing. spans must be in
-// the deterministic merged order Trace.Spans returns.
-func WriteChrome(w io.Writer, spans []Span) error {
-	doc := chromeDoc{
-		TraceEvents: buildChromeEvents(spans),
-		OtherData:   chromeOtherData{Schema: SchemaVersion},
+// writeChrome encodes spans — X events carrying Name, Cat, Ts, Dur, Args
+// and proc — as one trace_event document, numbering pids and tids and
+// writing their metadata events ahead of the spans.
+func writeChrome(w io.Writer, spans []chromeEvent, other chromeOtherData) error {
+	type process struct {
+		pid  int
+		tids map[string]int
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(doc)
-}
-
-func buildChromeEvents(spans []Span) []chromeEvent {
-	// Assign pids to procs and tids to tracks, both in sorted order.
-	procs := map[string]int{}
-	tracks := map[string]map[string]int{}
-	for _, s := range spans {
-		if _, ok := procs[s.Proc]; !ok {
-			procs[s.Proc] = 0
-			tracks[s.Proc] = map[string]int{}
+	procs := map[string]*process{}
+	for _, ev := range spans {
+		p := procs[ev.proc]
+		if p == nil {
+			p = &process{tids: map[string]int{}}
+			procs[ev.proc] = p
 		}
-		tracks[s.Proc][s.Track] = 0
-	}
-	procNames := sortedKeys(procs)
-	for i, p := range procNames {
-		procs[p] = i + 1
-		trackNames := sortedKeys(tracks[p])
-		for j, t := range trackNames {
-			tracks[p][t] = j + 1
-		}
+		p.tids[ev.Cat] = 0
 	}
 
-	// Per-process read base offsets: reads are laid out back to back in
-	// index order, each occupying its read-local timeline length.
-	base := map[string]map[int32]int64{}
-	for _, p := range procNames {
-		base[p] = map[int32]int64{}
-	}
-	ends := map[string]map[int32]int64{}
-	for _, s := range spans {
-		if s.Read == SystemRead {
-			continue
-		}
-		if ends[s.Proc] == nil {
-			ends[s.Proc] = map[int32]int64{}
-		}
-		if e := s.End(); e > ends[s.Proc][s.Read] {
-			ends[s.Proc][s.Read] = e
-		}
-	}
-	for p, perRead := range ends {
-		reads := make([]int32, 0, len(perRead))
-		for r := range perRead {
-			reads = append(reads, r)
-		}
-		sort.Slice(reads, func(i, j int) bool { return reads[i] < reads[j] })
-		var cursor int64
-		for _, r := range reads {
-			base[p][r] = cursor
-			cursor += perRead[r]
-		}
-	}
-
-	events := make([]chromeEvent, 0, len(spans)+2*len(procNames))
-	for _, p := range procNames {
+	events := make([]chromeEvent, 0, len(spans)+2*len(procs))
+	for i, name := range sortedKeys(procs) {
+		p := procs[name]
+		p.pid = i + 1
 		events = append(events, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: procs[p],
-			Args: &chromeArgs{Name: p},
+			Name: "process_name", Ph: "M", Pid: p.pid, Args: &chromeArgs{Name: name},
 		})
-		for _, t := range sortedKeys(tracks[p]) {
+		for j, track := range sortedKeys(p.tids) {
+			p.tids[track] = j + 1
 			events = append(events, chromeEvent{
-				Name: "thread_name", Ph: "M", Pid: procs[p], Tid: tracks[p][t],
-				Args: &chromeArgs{Name: t},
+				Name: "thread_name", Ph: "M", Pid: p.pid, Tid: j + 1, Args: &chromeArgs{Name: track},
 			})
 		}
 	}
-	for _, s := range spans {
-		s := s
-		ts := s.Start
-		args := &chromeArgs{Cycles: &s.Dur}
-		if s.Read != SystemRead {
-			ts += base[s.Proc][s.Read]
-			r := int(s.Read)
-			args.Read = &r
-		}
-		events = append(events, chromeEvent{
-			Name: s.Name, Cat: s.Track, Ph: "X", Ts: ts, Dur: &s.Dur,
-			Pid: procs[s.Proc], Tid: tracks[s.Proc][s.Track], Args: args,
-		})
+	for _, ev := range spans {
+		p := procs[ev.proc]
+		ev.Ph, ev.Pid, ev.Tid = "X", p.pid, p.tids[ev.Cat]
+		events = append(events, ev)
 	}
-	return events
+
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	return enc.Encode(chromeDoc{TraceEvents: events, OtherData: other})
 }
 
-// ParseChrome decodes Chrome trace_event JSON written by WriteChrome back
-// into a span stream. Timestamps come back absolute (the per-read base
-// offsets stay baked in), which is what the casa-trace analyses operate
-// on; Read and Dur round-trip exactly.
-func ParseChrome(data []byte) ([]Span, error) {
+// parseChrome decodes a trace_event document of the given schema into its
+// X events, in file order, with proc and Cat set to the process and
+// thread names the metadata events gave their pid and tid.
+func parseChrome(data []byte, schema string) ([]chromeEvent, chromeOtherData, error) {
 	var doc chromeDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("trace: chrome parse: %w", err)
+		return nil, doc.OtherData, fmt.Errorf("trace: chrome parse: %w", err)
 	}
-	if doc.OtherData.Schema != SchemaVersion {
-		return nil, fmt.Errorf("trace: chrome schema %q, want %q", doc.OtherData.Schema, SchemaVersion)
+	if doc.OtherData.Schema != schema {
+		return nil, doc.OtherData, fmt.Errorf("trace: chrome schema %q, want %q", doc.OtherData.Schema, schema)
 	}
 	procOf := map[int]string{}
 	trackOf := map[[2]int]string{}
-	var spans []Span
+	spans := doc.TraceEvents[:0]
 	for _, ev := range doc.TraceEvents {
 		switch ev.Ph {
 		case "M":
@@ -178,26 +126,171 @@ func ParseChrome(data []byte) ([]Span, error) {
 				trackOf[[2]int{ev.Pid, ev.Tid}] = ev.Args.Name
 			}
 		case "X":
-			s := Span{
-				Proc:  procOf[ev.Pid],
-				Track: trackOf[[2]int{ev.Pid, ev.Tid}],
-				Name:  ev.Name,
-				Read:  SystemRead,
-				Start: ev.Ts,
+			ev.proc, ev.Cat = procOf[ev.Pid], trackOf[[2]int{ev.Pid, ev.Tid}]
+			if ev.proc == "" || ev.Cat == "" {
+				return nil, doc.OtherData, fmt.Errorf("trace: event %q references pid %d / tid %d with no metadata", ev.Name, ev.Pid, ev.Tid)
 			}
-			if ev.Dur != nil {
-				s.Dur = *ev.Dur
+			if ev.Dur == nil {
+				ev.Dur = new(int64)
 			}
-			if ev.Args != nil && ev.Args.Read != nil {
-				s.Read = int32(*ev.Args.Read)
-			}
-			if s.Proc == "" || s.Track == "" {
-				return nil, fmt.Errorf("trace: event %q references pid %d / tid %d with no metadata", ev.Name, ev.Pid, ev.Tid)
-			}
-			spans = append(spans, s)
+			spans = append(spans, ev)
+		}
+	}
+	return spans, doc.OtherData, nil
+}
+
+// WriteChrome writes a cycle-domain span stream as a casa-trace/v1
+// document. One modelled cycle renders as one microsecond (trace_event's
+// ts/dur unit), so Perfetto's time axis reads in cycles. Each process's
+// reads are laid out back to back (read r starts where read r-1's
+// timeline ended), which keeps every duration and each read's structure
+// while giving one non-overlapping waterfall per process; args carry the
+// read index and the cycles. spans must be in the deterministic merged
+// order Trace.Spans returns, so streams that are identical across worker
+// counts give identical bytes.
+func WriteChrome(w io.Writer, spans []Span) error {
+	base := readBases(spans)
+	events := make([]chromeEvent, len(spans))
+	for i := range spans {
+		s := &spans[i]
+		ev := chromeEvent{
+			proc: s.Proc, Name: s.Name, Cat: s.Track, Ts: s.Start, Dur: &s.Dur,
+			Args: &chromeArgs{Cycles: &s.Dur},
+		}
+		if s.Read != SystemRead {
+			ev.Ts += base[procRead{s.Proc, s.Read}]
+			r := int(s.Read)
+			ev.Args.Read = &r
+		}
+		events[i] = ev
+	}
+	return writeChrome(w, events, chromeOtherData{Schema: SchemaVersion})
+}
+
+type procRead struct {
+	proc string
+	read int32
+}
+
+// readBases returns each read's timeline offset within its process:
+// reads are laid out back to back in index order, each occupying its
+// read-local timeline length (its latest span end).
+func readBases(spans []Span) map[procRead]int64 {
+	ends := map[procRead]int64{}
+	for _, s := range spans {
+		k := procRead{s.Proc, s.Read}
+		if e := s.End(); s.Read != SystemRead && e > ends[k] {
+			ends[k] = e
+		}
+	}
+	keys := make([]procRead, 0, len(ends))
+	for k := range ends {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		return cmp.Or(cmp.Compare(keys[i].proc, keys[j].proc), cmp.Compare(keys[i].read, keys[j].read)) < 0
+	})
+	base := make(map[procRead]int64, len(keys))
+	var cursor int64
+	for i, k := range keys {
+		if i > 0 && k.proc != keys[i-1].proc {
+			cursor = 0
+		}
+		base[k] = cursor
+		cursor += ends[k]
+	}
+	return base
+}
+
+// ParseChrome decodes a casa-trace/v1 document back into a span stream.
+// Timestamps come back absolute (the per-read base offsets stay baked
+// in), which is what the casa-trace analyses operate on; Read and Dur
+// round-trip exactly.
+func ParseChrome(data []byte) ([]Span, error) {
+	events, _, err := parseChrome(data, SchemaVersion)
+	if err != nil {
+		return nil, err
+	}
+	spans := make([]Span, len(events))
+	for i, ev := range events {
+		spans[i] = Span{Proc: ev.proc, Track: ev.Cat, Name: ev.Name, Read: SystemRead, Start: ev.Ts, Dur: *ev.Dur}
+		if ev.Args != nil && ev.Args.Read != nil {
+			spans[i].Read = int32(*ev.Args.Read)
 		}
 	}
 	return spans, nil
+}
+
+// WriteChromeWall writes a wall-clock span stream as a casa-walltrace/v1
+// document, with each span's run ID as its event name and timestamps
+// rebased onto the earliest span. dropped is the recorder's eviction
+// count (WallTrace.Dropped).
+func WriteChromeWall(w io.Writer, spans []WallSpan, dropped int64) error {
+	var epoch int64
+	for i, s := range spans {
+		if i == 0 || s.Start < epoch {
+			epoch = s.Start
+		}
+	}
+	events := make([]chromeEvent, len(spans))
+	for i := range spans {
+		s := &spans[i]
+		events[i] = chromeEvent{
+			proc: s.Proc, Name: s.Name, Cat: s.Track, Ts: s.Start - epoch, Dur: &s.Dur,
+			Args: &chromeArgs{RunID: s.Name},
+		}
+	}
+	n := len(spans)
+	return writeChrome(w, events, chromeOtherData{Schema: WallSchemaVersion, Domain: "wall", Spans: &n, Dropped: dropped})
+}
+
+// ParseChromeWall decodes a casa-walltrace/v1 document back into its
+// span stream and eviction count. Timestamps come back as exported —
+// rebased onto the stream's earliest span — which is what the wall
+// analyses operate on; durations round-trip exactly.
+func ParseChromeWall(data []byte) ([]WallSpan, int64, error) {
+	events, other, err := parseChrome(data, WallSchemaVersion)
+	if err != nil {
+		return nil, 0, err
+	}
+	spans := make([]WallSpan, len(events))
+	for i, ev := range events {
+		spans[i] = WallSpan{Proc: ev.proc, Track: ev.Cat, Name: ev.Name, Start: ev.Ts, Dur: *ev.Dur}
+	}
+	return spans, other.Dropped, nil
+}
+
+// WriteFile writes a cycle-domain span stream to path as a casa-trace/v1
+// document: what every CLI's -trace flag produces.
+func WriteFile(path string, spans []Span) error {
+	return writeFile(path, func(w io.Writer) error { return WriteChrome(w, spans) })
+}
+
+// WriteWallFile writes a wall span stream to path as a casa-walltrace/v1
+// document: what the CLIs' -walltrace flag produces.
+func WriteWallFile(path string, spans []WallSpan, dropped int64) error {
+	return writeFile(path, func(w io.Writer) error { return WriteChromeWall(w, spans, dropped) })
+}
+
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// ParseWallFile reads a casa-walltrace/v1 file.
+func ParseWallFile(path string) ([]WallSpan, int64, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	return ParseChromeWall(data)
 }
 
 func sortedKeys[V any](m map[string]V) []string {

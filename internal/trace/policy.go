@@ -12,7 +12,7 @@ import (
 //
 // The three policies:
 //
-//	all        — every read (bounded only by the ring capacity)
+//	all        — every read (bounded only by the trace capacity)
 //	head:N     — the first N reads of the batch (lowest read indices)
 //	slowest:N  — the N reads with the longest modelled timelines
 //

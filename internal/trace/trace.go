@@ -2,8 +2,9 @@
 // reproduction: a std-lib-only, allocation-conscious span recorder that
 // engines and the pipeline model emit into, with deterministic merging
 // across batch workers and export to Chrome trace_event JSON (loadable in
-// Perfetto / chrome://tracing) and a compact JSONL, both under the
-// casa-trace/v1 schema (see docs/OBSERVABILITY.md).
+// Perfetto / chrome://tracing) under the casa-trace/v1 schema (see
+// docs/OBSERVABILITY.md). The host wall-clock domain (wall.go) shares
+// the file format under its own schema, casa-walltrace/v1 (chrome.go).
 //
 // Spans live in the *modelled* time domain, never the host wall clock:
 // for the accelerator engines the unit is the engine's native cycle (or
@@ -24,7 +25,7 @@
 //   - a Trace owns the run: it hands out Buffers (NewBuffer is locked,
 //     called once per worker, off the hot path) and merges them on demand
 //     (Spans), sorting by read index, applying the sampling policy, and
-//     bounding memory with a ring-buffer sink.
+//     capping the merged stream at the trace's capacity.
 package trace
 
 import (
@@ -32,8 +33,8 @@ import (
 	"sync"
 )
 
-// SchemaVersion identifies the exported trace layout (both the Chrome
-// JSON and the JSONL framing). Bump only on incompatible changes.
+// SchemaVersion identifies the exported cycle-domain trace layout. Bump
+// only on incompatible changes.
 const SchemaVersion = "casa-trace/v1"
 
 // SystemRead is the Read value of system-timeline spans (pipeline stages,
@@ -104,8 +105,8 @@ func (b *Buffer) Len() int {
 	return len(b.spans)
 }
 
-// Trace owns one run's recording: the sampling policy, the ring capacity,
-// and the worker buffers.
+// Trace owns one run's recording: the sampling policy, the capacity of
+// the merged stream, and the worker buffers.
 type Trace struct {
 	policy   Policy
 	capacity int
@@ -114,14 +115,16 @@ type Trace struct {
 	buffers []*Buffer
 }
 
-// DefaultCapacity is the default ring-buffer sink size, in spans. At the
-// 24 bytes + two interned strings a span costs, a full default ring stays
-// around 100 MB — large enough that sampling, not the ring, is normally
-// what bounds output.
+// DefaultCapacity is the default cap, in spans, on the stream Spans
+// returns. It bounds what is exported, not what is recorded: worker
+// buffers keep every span until the run ends, so a full run's buffers
+// grow with its span count whatever the capacity. The cap is large
+// enough that sampling, not the cap, is normally what bounds output.
 const DefaultCapacity = 1 << 21
 
-// New returns a trace session with the given sampling policy and ring
-// capacity (spans retained after sampling; <= 0 means DefaultCapacity).
+// New returns a trace session with the given sampling policy and
+// capacity (spans Spans keeps after sampling; <= 0 means
+// DefaultCapacity).
 func New(policy Policy, capacity int) *Trace {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
@@ -149,11 +152,10 @@ func (t *Trace) Policy() Policy { return t.policy }
 
 // Spans merges every buffer registered so far into one deterministic
 // span stream: sorted by (Proc, Read, emission order), sampled per the
-// policy, then pushed through the ring-buffer sink (evicting the earliest
-// read spans first when over capacity). System spans always survive
-// sampling. The result is independent of worker count and of buffer
-// registration order; callers must not run Spans concurrently with
-// workers still emitting.
+// policy, then cut to the capacity (evicting the earliest reads' spans
+// first). System spans always survive sampling. The result is
+// independent of worker count and of buffer registration order; callers
+// must not run Spans concurrently with workers still emitting.
 func (t *Trace) Spans() []Span {
 	if t == nil {
 		return nil
@@ -186,10 +188,10 @@ func (t *Trace) Spans() []Span {
 	merged = t.policy.apply(merged)
 
 	if len(merged) > t.capacity {
-		// Ring-buffer semantics: keep the newest spans (the highest read
-		// indices), drop whole reads from the front so no read is ever
-		// half-represented. System spans (sorted to each proc's front by
-		// Read = -1) are re-attached untouched.
+		// Keep the newest spans (the highest read indices): drop whole
+		// reads from the front so no read is ever half-represented.
+		// System spans (sorted to each proc's front by Read = -1) are
+		// re-attached untouched.
 		merged = evictOldest(merged, t.capacity)
 	}
 	return merged
@@ -198,7 +200,7 @@ func (t *Trace) Spans() []Span {
 // evictOldest drops whole-read span groups from the front of the sorted
 // stream until at most capacity spans remain, never dropping system
 // spans. If the system spans alone exceed capacity they are all kept —
-// the ring bounds read-span memory, not the (tiny) timeline.
+// the cap bounds the exported read spans, not the (tiny) timeline.
 func evictOldest(spans []Span, capacity int) []Span {
 	var system, reads []Span
 	for _, s := range spans {

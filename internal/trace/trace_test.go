@@ -207,33 +207,15 @@ func TestChromeRoundTrip(t *testing.T) {
 	if err := Validate(back); err != nil {
 		t.Fatal(err)
 	}
-}
 
-func TestJSONLRoundTripAndSniff(t *testing.T) {
-	tr := New(PolicyAll, 0)
-	b := tr.NewBuffer("eng")
-	emitRead(b, 0, 10)
-	b.EmitSystem("io", "io", 0, 3)
-	spans := tr.Spans()
-
-	var jl, ch bytes.Buffer
-	if err := WriteJSONL(&jl, spans); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteChrome(&ch, spans); err != nil {
-		t.Fatal(err)
-	}
-	for name, data := range map[string][]byte{"jsonl": jl.Bytes(), "chrome": ch.Bytes()} {
-		back, err := Parse(data)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	for _, bad := range []string{
+		`{"otherData":{"schema":"bogus/v9"}}`,
+		`{"otherData":{"schema":"casa-walltrace/v1"}}`,
+		"{\"schema\":\"casa-trace/v1\"}\n{\"proc\":\"eng\"}\n", // a JSONL stream
+	} {
+		if _, err := ParseChrome([]byte(bad)); err == nil {
+			t.Errorf("ParseChrome accepted %q", bad)
 		}
-		if len(back) != len(spans) {
-			t.Fatalf("%s: %d spans, want %d", name, len(back), len(spans))
-		}
-	}
-	if _, err := Parse([]byte(`{"schema":"bogus/v9"}`)); err == nil {
-		t.Fatal("bad schema accepted")
 	}
 }
 

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -15,9 +13,10 @@ import (
 // queue, how long the pool actually ran, how long the response took to
 // stream. Those numbers are nondeterministic by nature, so they live in
 // their own types (WallSpan / WallTrace), their own schema
-// (casa-walltrace/v1) and their own export entry point (WriteChromeWall):
-// a wall span can never leak into a cycle-domain trace document, and the
-// cycle-domain determinism tests never see a wall timestamp.
+// (casa-walltrace/v1) and their own export entry point (WriteChromeWall,
+// over the file codec both domains share): a wall span can never leak
+// into a cycle-domain trace document, and the cycle-domain determinism
+// tests never see a wall timestamp.
 
 // WallSchemaVersion identifies the wall-clock Chrome export layout. It is
 // deliberately distinct from SchemaVersion: the two domains must not be
@@ -162,85 +161,4 @@ func (t *WallTrace) Spans() []WallSpan {
 		return a.Name < b.Name
 	})
 	return out
-}
-
-// chromeWallDoc is the wall-domain Chrome JSON object: the same
-// trace_event body as the cycle export, under its own schema marker plus
-// the domain tag and the ring's eviction count, so a consumer can tell a
-// wall trace from a cycle trace (and a truncated one from a complete one)
-// without heuristics.
-type chromeWallDoc struct {
-	TraceEvents []chromeEvent       `json:"traceEvents"`
-	OtherData   chromeWallOtherData `json:"otherData"`
-}
-
-type chromeWallOtherData struct {
-	Schema  string `json:"schema"`
-	Domain  string `json:"domain"`
-	Spans   int    `json:"spans"`
-	Dropped int64  `json:"dropped,omitempty"`
-}
-
-// WriteChromeWall writes a wall-clock span stream as Chrome trace_event
-// JSON, loadable in Perfetto and chrome://tracing: one process per Proc,
-// one thread per Track, one complete ("X") event per span with its run
-// ID as the event name, timestamps rebased so the earliest span starts
-// at ts 0 (trace_event ts/dur are microseconds, the spans' native unit —
-// Perfetto's time axis reads directly in real time). dropped is the
-// recorder's eviction count (WallTrace.Dropped). Output is deterministic
-// for a given span stream.
-func WriteChromeWall(w io.Writer, spans []WallSpan, dropped int64) error {
-	procs := map[string]int{}
-	tracks := map[string]map[string]int{}
-	for _, s := range spans {
-		if _, ok := procs[s.Proc]; !ok {
-			procs[s.Proc] = 0
-			tracks[s.Proc] = map[string]int{}
-		}
-		tracks[s.Proc][s.Track] = 0
-	}
-	procNames := sortedKeys(procs)
-	for i, p := range procNames {
-		procs[p] = i + 1
-		for j, t := range sortedKeys(tracks[p]) {
-			tracks[p][t] = j + 1
-		}
-	}
-
-	var epoch int64
-	for i, s := range spans {
-		if i == 0 || s.Start < epoch {
-			epoch = s.Start
-		}
-	}
-
-	events := make([]chromeEvent, 0, len(spans)+2*len(procNames))
-	for _, p := range procNames {
-		events = append(events, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: procs[p],
-			Args: &chromeArgs{Name: p},
-		})
-		for _, t := range sortedKeys(tracks[p]) {
-			events = append(events, chromeEvent{
-				Name: "thread_name", Ph: "M", Pid: procs[p], Tid: tracks[p][t],
-				Args: &chromeArgs{Name: t},
-			})
-		}
-	}
-	for _, s := range spans {
-		s := s
-		events = append(events, chromeEvent{
-			Name: s.Name, Cat: s.Track, Ph: "X", Ts: s.Start - epoch, Dur: &s.Dur,
-			Pid: procs[s.Proc], Tid: tracks[s.Proc][s.Track],
-			Args: &chromeArgs{RunID: s.Name},
-		})
-	}
-
-	doc := chromeWallDoc{
-		TraceEvents: events,
-		OtherData:   chromeWallOtherData{Schema: WallSchemaVersion, Domain: "wall", Spans: len(spans), Dropped: dropped},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(doc)
 }

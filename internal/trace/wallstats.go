@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,9 +12,10 @@ import (
 // shard — proc names the worker, track names the engine, the span name
 // carries the shard index, global read range and read count — and the
 // formatting/parsing pair below is the single place that contract lives:
-// the recorder (batch), the analyzer (casa-trace -wall) and the serving
-// aggregation (casa-serve's lifetime worker metrics) all go through it,
-// so the name format can evolve without the three drifting apart.
+// the recorder (batch), the analyzer (casa-trace's wall report) and the
+// serving aggregation (casa-serve's lifetime worker metrics) all go
+// through it, so the name format can evolve without the three drifting
+// apart.
 
 // wallWorkerPrefix starts every batch-worker process label.
 const wallWorkerPrefix = "worker "
@@ -157,78 +156,4 @@ func WallWindow(spans []WallSpan) int64 {
 		}
 	}
 	return hi - lo
-}
-
-// ParseChromeWall decodes a casa-walltrace/v1 Chrome trace_event
-// document (as written by WriteChromeWall) back into its span stream and
-// eviction count. Timestamps come back as exported — rebased onto the
-// stream's earliest span — which is what the wall analyses operate on;
-// durations round-trip exactly.
-func ParseChromeWall(data []byte) ([]WallSpan, int64, error) {
-	var doc struct {
-		TraceEvents []chromeEvent       `json:"traceEvents"`
-		OtherData   chromeWallOtherData `json:"otherData"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, 0, fmt.Errorf("trace: wall chrome parse: %w", err)
-	}
-	if doc.OtherData.Schema != WallSchemaVersion {
-		return nil, 0, fmt.Errorf("trace: wall chrome schema %q, want %q", doc.OtherData.Schema, WallSchemaVersion)
-	}
-	procOf := map[int]string{}
-	trackOf := map[[2]int]string{}
-	var spans []WallSpan
-	for _, ev := range doc.TraceEvents {
-		switch ev.Ph {
-		case "M":
-			if ev.Args == nil {
-				continue
-			}
-			switch ev.Name {
-			case "process_name":
-				procOf[ev.Pid] = ev.Args.Name
-			case "thread_name":
-				trackOf[[2]int{ev.Pid, ev.Tid}] = ev.Args.Name
-			}
-		case "X":
-			s := WallSpan{
-				Proc:  procOf[ev.Pid],
-				Track: trackOf[[2]int{ev.Pid, ev.Tid}],
-				Name:  ev.Name,
-				Start: ev.Ts,
-			}
-			if ev.Dur != nil {
-				s.Dur = *ev.Dur
-			}
-			if s.Proc == "" || s.Track == "" {
-				return nil, 0, fmt.Errorf("trace: wall event %q references pid %d / tid %d with no metadata", ev.Name, ev.Pid, ev.Tid)
-			}
-			spans = append(spans, s)
-		}
-	}
-	return spans, doc.OtherData.Dropped, nil
-}
-
-// ParseWallFile reads a casa-walltrace/v1 Chrome JSON file.
-func ParseWallFile(path string) ([]WallSpan, int64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	return ParseChromeWall(data)
-}
-
-// WriteWallFile writes a wall span stream as a casa-walltrace/v1 Chrome
-// JSON file — the file-sink counterpart of WriteChromeWall, what the
-// CLIs' -walltrace flag produces.
-func WriteWallFile(path string, spans []WallSpan, dropped int64) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteChromeWall(f, spans, dropped); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Wall-clock trace smoke test: seed a toy batch with casa-smem
-# -walltrace, then assert casa-trace -wall reads the capture back and
-# reports the expected pool shape — 4 workers, the exact shard count the
-# pool's grain math dictates, every read accounted for, no ring drops,
-# and the utilization/imbalance lines the analyzer promises. Then align
-# the same reads with casa-align -walltrace and assert its extension
-# shards show on a "seedex" track. Run by CI's walltrace-smoke job and by
-# `make walltrace-smoke`.
+# Trace smoke test: seed a toy batch with casa-smem writing both a
+# -walltrace and a -trace file, then assert casa-trace picks each file's
+# report from its schema. The wall report must show the expected pool
+# shape — 4 workers, the exact shard count the pool's grain math
+# dictates, every read accounted for, no ring drops, and the
+# utilization/imbalance lines the analyzer promises; the cycle report
+# must show the sampled reads. Then align the same reads with casa-align
+# -walltrace and assert its extension shards show on a "seedex" track.
+# Run by CI's walltrace-smoke job and by `make walltrace-smoke`.
 set -euo pipefail
 
 GO=${GO:-go}
@@ -28,18 +29,31 @@ echo "== generating workload =="
 (cd "$ROOT" && $GO run ./cmd/casa-gen -bases $((1 << 20)) -reads $READS -read-len 101 -seed 7 \
     -out "$WORKDIR/ref.fa" -reads-out "$WORKDIR/reads.fq")
 
-echo "== seeding with -walltrace =="
+# The cycle trace keeps the first $SAMPLED reads, so it stays small.
+SAMPLED=50
+
+echo "== seeding with -walltrace and -trace =="
 (cd "$ROOT" && $GO run ./cmd/casa-smem -ref "$WORKDIR/ref.fa" -reads "$WORKDIR/reads.fq" \
     -engine casa -max-reads 0 -workers $WORKERS -quiet \
-    -walltrace "$WORKDIR/wall.json") >smem.out 2>smem.log
+    -walltrace "$WORKDIR/wall.json" -trace "$WORKDIR/cycle.json" -trace-sample head:$SAMPLED) >smem.out 2>smem.log
 grep -q "wall trace written" smem.log || { cat smem.log; echo "no wall-trace log line"; exit 1; }
 [ -s wall.json ] || { echo "wall.json missing or empty"; exit 1; }
+[ -s cycle.json ] || { echo "cycle.json missing or empty"; exit 1; }
 
-echo "== analyzing with casa-trace -wall =="
-(cd "$ROOT" && $GO run ./cmd/casa-trace -wall "$WORKDIR/wall.json") >wall.txt
+echo "== analyzing both with casa-trace =="
+(cd "$ROOT" && $GO run ./cmd/casa-trace "$WORKDIR/wall.json") >wall.txt
 cat wall.txt
+(cd "$ROOT" && $GO run ./cmd/casa-trace -top 3 "$WORKDIR/cycle.json") >cycle.txt
+head -5 cycle.txt
 
-echo "== asserting the report =="
+echo "== asserting the cycle report =="
+head -1 cycle.txt | grep -q "^== casa: [0-9]* spans, $SAMPLED reads ==\$" \
+    || { echo "expected the cycle report for engine casa over $SAMPLED reads"; exit 1; }
+grep -q "^slowest 3 reads (modelled units" cycle.txt || { echo "expected a slowest-reads table"; exit 1; }
+if grep -q "casa-walltrace" cycle.txt; then echo "cycle trace got the wall report"; exit 1; fi
+
+echo "== asserting the wall report =="
+head -1 wall.txt | grep -q "^== casa-walltrace/v1: " || { echo "wall trace did not get the wall report"; exit 1; }
 grep -q "(0 dropped)" wall.txt || { echo "expected a drop-free capture"; exit 1; }
 GOT_WORKERS=$(sed -n 's/.*workers: \([0-9]*\).*/\1/p' wall.txt | head -1)
 [ -n "$GOT_WORKERS" ] || { echo "no workers count in the report"; exit 1; }
@@ -59,10 +73,10 @@ echo "== aligning with -walltrace =="
 (cd "$ROOT" && $GO run ./cmd/casa-align -ref "$WORKDIR/ref.fa" -reads "$WORKDIR/reads.fq" \
     -workers $WORKERS -out "$WORKDIR/align.sam" -walltrace "$WORKDIR/align-wall.json") 2>align.log \
     || { cat align.log; echo "casa-align failed"; exit 1; }
-(cd "$ROOT" && $GO run ./cmd/casa-trace -wall "$WORKDIR/align-wall.json") >align-wall.txt
+(cd "$ROOT" && $GO run ./cmd/casa-trace "$WORKDIR/align-wall.json") >align-wall.txt
 # casa-align extends on the seeding pool, on a "seedex" track of its own
 # that covers every read.
 grep -Eq "^  seedex +[0-9]+ +$READS " align-wall.txt \
     || { cat align-wall.txt; echo "expected a seedex track covering $READS reads"; exit 1; }
 
-echo "walltrace smoke OK: $GOT_WORKERS/$WORKERS workers, $SHARDS shards, $READS reads; casa-align seedex track present"
+echo "trace smoke OK: $GOT_WORKERS/$WORKERS workers, $SHARDS shards, $READS reads; cycle report over $SAMPLED reads; casa-align seedex track present"
