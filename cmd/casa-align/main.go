@@ -4,12 +4,16 @@
 // SeedEx machines extend the seeds with banded Smith-Waterman and verify
 // with Myers edit machines, and alignments stream out as SAM.
 //
-// Seeding and extension both run on the -workers pool. Each batch is
-// seeded, then its reads (whole pairs in paired mode) are split into
-// shards that workers place, rescue and turn into SAM records, each
-// worker with its own SeedEx machine; the records are written in read
-// order, so the SAM and the modelled seedex counters are the same at any
-// worker count.
+// Seeding and extension both run on the -workers pool. The reads (the
+// two mate files pulled in lockstep in paired mode) stream through one
+// ordered batch pipeline (internal/batch Stream): each batch of -batch
+// reads or pairs is seeded, then its reads (whole pairs in paired mode)
+// are split into shards that workers place, rescue and turn into SAM
+// records, each worker with its own SeedEx machine; the records are
+// written in read order, so the SAM and the modelled seedex counters
+// are the same at any worker count. The seeding model is reduced once
+// per run, so the engine's counters and model gauges cover every read
+// whatever the batch size.
 //
 // Any engine registered in internal/engine can seed (-engine; "list"
 // prints them). casa resolves both strands and hit positions natively;
@@ -88,6 +92,10 @@ func main() {
 	// completed prefix is aligned and flushed, partial telemetry is
 	// written, and the command exits 130.
 	r := runcli.Begin(runcli.Align)
+	if *batchSize < 1 {
+		fmt.Fprintf(os.Stderr, "casa-align: -batch %d: want at least 1\n", *batchSize)
+		os.Exit(2)
+	}
 
 	// The reference is parsed once: the same index feeds the engine (or
 	// the -index cross-check), extension and the SAM header.
@@ -139,11 +147,7 @@ func main() {
 		a.sxs[w] = sx.Clone()
 	}
 
-	if *reads2 == "" {
-		err = a.runSingle(*readsPath, *batchSize)
-	} else {
-		err = a.runPaired(*readsPath, *reads2, *batchSize)
-	}
+	err = a.run(*readsPath, *reads2, *batchSize)
 	r.Tracker.Finish()
 	interrupted := errors.Is(err, context.Canceled)
 	if err != nil && !interrupted {
@@ -168,153 +172,177 @@ func main() {
 	r.Finish(interrupted, func() bool { return a.mismatches > 0 })
 }
 
-// seedBatch seeds one batch and returns per-read forward/reverse seed
-// sets covering the completed prefix. Engines with native positioning
-// (casa) resolve both strands in one pass; other engines seed the
-// reverse complements in a second pass (outside the progress/trace
-// accounting, which counts each read once). With -verify set, the
-// forward SMEMs are cross-checked against the verify engine.
-func (a *aligner) seedBatch(reads []dna.Sequence) ([]engine.Seeds, int, error) {
-	res, done, err := batch.SeedEngineCtx(a.ctx, a.eng, reads, a.pool)
-	var seeds []engine.Seeds
-	if a.pos != nil {
-		seeds = a.pos.ReadSeeds(res)
-	} else {
-		fwd := a.eng.SMEMs(res)
-		seeds = make([]engine.Seeds, done)
-		for i := range seeds {
-			seeds[i].Forward = fwd[i]
-		}
-		if err == nil && done > 0 {
-			rcs := make([]dna.Sequence, done)
-			for i, r := range reads[:done] {
-				rcs[i] = r.ReverseComplement()
-			}
-			rpool := a.pool
-			rpool.Progress = nil
-			rpool.Trace = nil
-			var rres engine.Result
-			var rdone int
-			rres, rdone, err = batch.SeedEngineCtx(a.ctx, a.eng, rcs, rpool)
-			for i, ms := range a.eng.SMEMs(rres)[:rdone] {
-				seeds[i].Reverse = ms
-			}
-			if rdone < done {
-				done = rdone
-			}
-		}
-	}
-	if a.veng != nil && err == nil {
-		vpool := a.pool
-		vpool.Progress = nil
-		vpool.Trace = nil
-		vres, vdone, verr := batch.SeedEngineCtx(a.ctx, a.veng, reads[:done], vpool)
-		if verr == nil {
-			for i, want := range a.veng.SMEMs(vres)[:vdone] {
-				if !smem.SameIntervals(seeds[i].Forward, want) {
-					a.mismatches++
-				}
-			}
-		}
-	}
-	return seeds, done, err
-}
-
-// runSingle streams single-end reads in batches. On cancellation the
-// current batch's completed read prefix is still extended and written,
-// and the error is context.Canceled.
-func (a *aligner) runSingle(path string, batchSize int) error {
-	in, err := os.Open(path)
+// run streams the input through the seeding pool in batches of
+// batchSize reads (pairs in paired mode, whose mates interleave: global
+// read index = 2*pair + mate), extends each batch as soon as it is
+// seeded and writes its records in read order. On cancellation the
+// current batch's completed prefix — whole pairs only — is still
+// extended and written, and the error is context.Canceled.
+func (a *aligner) run(path1, path2 string, batchSize int) error {
+	src, err := openReads(path1, path2)
 	if err != nil {
 		return err
 	}
-	defer in.Close()
-
-	var recs []seqio.Record
-	flush := func() error {
-		if len(recs) == 0 {
-			return nil
+	defer src.close()
+	step := 1
+	if path2 != "" {
+		step = 2
+	}
+	var recs []seqio.Record // the batch being seeded, mates interleaved
+	next := func() ([]dna.Sequence, error) {
+		var err error
+		if recs, err = src.next(batchSize * step); err != nil {
+			return nil, err
 		}
+		if len(recs) == 0 {
+			return nil, io.EOF
+		}
+		a.tracker.AddTotal(int64(len(recs)))
 		reads := make([]dna.Sequence, len(recs))
 		for i := range recs {
 			reads[i] = recs[i].Seq
 		}
-		a.tracker.AddTotal(int64(len(reads)))
-		// Later batches keep globally unique read indices in the trace.
-		a.pool.ReadBase = a.total
-		seeds, done, seedErr := a.seedBatch(reads)
-		out := make([]sam.Record, done)
-		a.extend(done, 1, func(sx *seedex.Machine, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out[i] = a.recordSingle(recs[i], a.place(sx, recs[i].Seq, seeds[i]))
-			}
-		})
-		if err := a.write(out); err != nil {
-			return err
-		}
-		a.total += done
-		// Extension reports no progress: refresh the stall watchdog so a
-		// long extension is not reported as a hang.
-		a.tracker.Touch()
-		recs = recs[:0]
-		return seedErr
+		return reads, nil
 	}
-	err = seqio.ForEachFastq(in, func(rec seqio.Record) error {
-		recs = append(recs, rec)
-		if len(recs) >= batchSize {
-			return flush()
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	return flush()
-}
-
-// runPaired streams mate pairs in lockstep batches. On cancellation only
-// fully-seeded pairs of the current batch are extended and written.
-func (a *aligner) runPaired(path1, path2 string, batchSize int) error {
-	r1, err := readAllFastq(path1)
-	if err != nil {
-		return err
-	}
-	r2, err := readAllFastq(path2)
-	if err != nil {
-		return err
-	}
-	if len(r1) != len(r2) {
-		return fmt.Errorf("casa-align: mate files differ in length: %d vs %d", len(r1), len(r2))
-	}
-	a.tracker.AddTotal(int64(2 * len(r1)))
-	for lo := 0; lo < len(r1); lo += batchSize {
-		hi := min(lo+batchSize, len(r1))
-		var reads []dna.Sequence
-		for i := lo; i < hi; i++ {
-			reads = append(reads, r1[i].Seq, r2[i].Seq)
-		}
-		a.pool.ReadBase = 2 * lo // mates interleave: global read index = 2*pair + mate
-		seeds, done, seedErr := a.seedBatch(reads)
-		out := make([]sam.Record, done/2*2) // whole pairs only
-		a.extend(len(out), 2, func(sx *seedex.Machine, klo, khi int) {
-			for k := klo; k < khi; k += 2 {
-				i := lo + k/2
-				p1 := a.place(sx, r1[i].Seq, seeds[k])
-				p2 := a.place(sx, r2[i].Seq, seeds[k+1])
-				p1, p2 = a.rescuePair(r1[i], r2[i], p1, p2)
-				out[k], out[k+1] = a.recordPair(r1[i], r2[i], p1, p2)
+	emit := func(b batch.Batch) error {
+		seeds := a.strandSeeds(b)
+		out := make([]sam.Record, len(seeds)/step*step)
+		a.extend(len(out), step, b.Base, func(sx *seedex.Machine, lo, hi int) {
+			for k := lo; k < hi; k += step {
+				if step == 1 {
+					out[k] = a.recordSingle(recs[k], a.place(sx, recs[k].Seq, seeds[k]))
+					continue
+				}
+				r1, r2 := recs[k], recs[k+1]
+				p1, p2 := a.rescuePair(r1, r2, a.place(sx, r1.Seq, seeds[k]), a.place(sx, r2.Seq, seeds[k+1]))
+				out[k], out[k+1] = a.recordPair(r1, r2, p1, p2)
 			}
 		})
 		if err := a.write(out); err != nil {
 			return err
 		}
 		a.total += len(out)
+		// Extension reports no progress: refresh the stall watchdog so a
+		// long extension is not reported as a hang.
 		a.tracker.Touch()
-		if seedErr != nil {
-			return seedErr
+		return nil
+	}
+	_, _, err = batch.Stream(a.ctx, a.eng, next, emit, a.pool)
+	return err
+}
+
+// strandSeeds completes one seeded batch's seeds. Engines with native
+// positioning (casa) resolve both strands in the stream; other engines
+// seed the reverse complements in a second pass (outside the progress and
+// trace accounting, which counts each read once), and only reads seeded
+// on both strands are returned. With -verify set, the forward SMEMs are
+// cross-checked against the verify engine.
+func (a *aligner) strandSeeds(b batch.Batch) []engine.Seeds {
+	seeds := b.Seeds
+	side := a.pool
+	side.Progress, side.Trace, side.ReadBase = nil, nil, b.Base
+	if a.pos == nil {
+		rcs := make([]dna.Sequence, len(b.Reads))
+		for i, r := range b.Reads {
+			rcs[i] = r.ReverseComplement()
+		}
+		res, n, _ := batch.SeedEngineCtx(a.ctx, a.eng, rcs, side)
+		for i, ms := range a.eng.SMEMs(res)[:n] {
+			seeds[i].Reverse = ms
+		}
+		seeds = seeds[:n]
+	}
+	if a.veng != nil {
+		res, n, err := batch.SeedEngineCtx(a.ctx, a.veng, b.Reads[:len(seeds)], side)
+		if err == nil {
+			for i, want := range a.veng.SMEMs(res)[:n] {
+				if !smem.SameIntervals(seeds[i].Forward, want) {
+					a.mismatches++
+				}
+			}
 		}
 	}
-	return nil
+	return seeds
+}
+
+// readSource pulls reads from one FASTQ file, or from two mate files in
+// lockstep.
+type readSource struct {
+	files  []*os.File
+	mates  []*seqio.FastqReader
+	counts []int // records read from each file
+}
+
+// openReads opens path1, and path2 when it is not empty.
+func openReads(path1, path2 string) (*readSource, error) {
+	src := &readSource{}
+	for _, p := range []string{path1, path2} {
+		if p == "" {
+			continue
+		}
+		f, err := os.Open(p)
+		if err != nil {
+			src.close()
+			return nil, err
+		}
+		src.files = append(src.files, f)
+		src.mates = append(src.mates, seqio.NewFastqReader(f))
+	}
+	src.counts = make([]int, len(src.mates))
+	return src, nil
+}
+
+func (s *readSource) close() {
+	for _, f := range s.files {
+		f.Close()
+	}
+}
+
+// next returns up to n records — whole pairs in paired mode, mates
+// interleaved — and an empty batch at the end of the input. Mate files
+// that end at different records are an error naming both lengths.
+func (s *readSource) next(n int) ([]seqio.Record, error) {
+	var out []seqio.Record
+	for len(out)+len(s.mates) <= n {
+		ended := 0
+		for i, fr := range s.mates {
+			rec, err := fr.Next()
+			if err == io.EOF {
+				ended++
+				continue
+			}
+			if err != nil {
+				return nil, err
+			}
+			s.counts[i]++
+			out = append(out, rec)
+		}
+		switch {
+		case ended == len(s.mates):
+			return out, nil
+		case ended > 0:
+			return nil, s.lengthMismatch()
+		}
+	}
+	return out, nil
+}
+
+// lengthMismatch counts the rest of the longer mate file and reports both
+// files' record counts.
+func (s *readSource) lengthMismatch() error {
+	for i, fr := range s.mates {
+		for {
+			_, err := fr.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return err
+			}
+			s.counts[i]++
+		}
+	}
+	return fmt.Errorf("casa-align: mate files differ in length: %d vs %d", s.counts[0], s.counts[1])
 }
 
 // extendShardsPerWorker is how many extension shards each worker gets
@@ -327,12 +355,13 @@ const extendShardsPerWorker = 4
 // stay together), fn(sx, lo, hi) on each with the worker's own SeedEx
 // machine. Each shard writes only its own reads' output slots, so no
 // locking is needed. The shards show in -walltrace on the "seedex" track,
-// named by global read range like the seeding shards.
-func (a *aligner) extend(n, step int, fn func(sx *seedex.Machine, lo, hi int)) {
+// named by global read range (base is the batch's first read) like the
+// seeding shards.
+func (a *aligner) extend(n, step, base int, fn func(sx *seedex.Machine, lo, hi int)) {
 	workers := len(a.sxs)
 	units := (n + step - 1) / step
 	grain := step * max(1, (units+extendShardsPerWorker*workers-1)/(extendShardsPerWorker*workers))
-	opt := batch.Options{Workers: workers, Grain: grain, Wall: a.pool.Wall, Engine: seedex.Engine, ReadBase: a.pool.ReadBase}
+	opt := batch.Options{Workers: workers, Grain: grain, Wall: a.pool.Wall, Engine: seedex.Engine, ReadBase: base}
 	batch.Run(n, opt, func(w, lo, hi int) struct{} {
 		fn(a.sxs[w], lo, hi)
 		return struct{}{}
@@ -554,13 +583,4 @@ func reverseQual(q []byte) []byte {
 		out[len(q)-1-i] = c
 	}
 	return out
-}
-
-func readAllFastq(path string) ([]seqio.Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return seqio.ReadFastq(f)
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -78,27 +79,45 @@ func alignFixture(t *testing.T, dir string) (ref, reads, r1, r2 string) {
 // wrote and the seedex/* and align/* counter lines of its metrics.
 func runAlign(t *testing.T, out string, args ...string) (samOut []byte, counters string) {
 	t.Helper()
+	samOut, stderr := runAlignMetrics(t, out, args...)
+	counters = metricLines(stderr, "seedex_", "align_")
+	if counters == "" {
+		t.Fatalf("no seedex/align counters in the metrics:\n%s", stderr)
+	}
+	return samOut, counters
+}
+
+// runAlignMetrics runs casa-align with args plus -metrics, returning the
+// SAM it wrote and its stderr.
+func runAlignMetrics(t *testing.T, out string, args ...string) (samOut []byte, stderr string) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], append(args, "-out", out, "-metrics")...)
 	cmd.Env = append(os.Environ(), "CASA_ALIGN_RUN_MAIN=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
+	var errOut bytes.Buffer
+	cmd.Stderr = &errOut
 	if err := cmd.Run(); err != nil {
-		t.Fatalf("casa-align %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
-	}
-	var lines []string
-	for _, l := range strings.Split(stderr.String(), "\n") {
-		if strings.HasPrefix(l, "seedex_") || strings.HasPrefix(l, "align_") {
-			lines = append(lines, l)
-		}
-	}
-	if len(lines) == 0 {
-		t.Fatalf("no seedex/align counters in the metrics:\n%s", stderr.String())
+		t.Fatalf("casa-align %s: %v\n%s", strings.Join(args, " "), err, errOut.String())
 	}
 	samOut, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return samOut, strings.Join(lines, "\n")
+	return samOut, errOut.String()
+}
+
+// metricLines returns the metrics exposition lines of stderr that start
+// with one of prefixes.
+func metricLines(stderr string, prefixes ...string) string {
+	var lines []string
+	for _, l := range strings.Split(stderr, "\n") {
+		for _, p := range prefixes {
+			if strings.HasPrefix(l, p) {
+				lines = append(lines, l)
+				break
+			}
+		}
+	}
+	return strings.Join(lines, "\n")
 }
 
 // TestOutputIndependentOfWorkers pins the parallel extension contract:
@@ -183,5 +202,49 @@ func TestOutputIndependentOfWorkers(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+func readAllFastq(path string) ([]seqio.Record, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return seqio.ReadFastq(f)
+}
+
+// TestModelGaugesCoverRun checks that the seeding model is reduced once
+// per run, not per batch: small batches and one batch holding the whole
+// input print the same casa_* lines, and casa_model_reads counts every
+// read seeded.
+func TestModelGaugesCoverRun(t *testing.T) {
+	dir := t.TempDir()
+	ref, _, r1, r2 := alignFixture(t, dir)
+	var want string
+	for _, batch := range []string{"64", "1000000"} {
+		_, stderr := runAlignMetrics(t, filepath.Join(dir, "b"+batch+".sam"),
+			"-ref", ref, "-reads", r1, "-reads2", r2, "-batch", batch, "-workers", "2")
+		got := metricLines(stderr, "casa_")
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Errorf("-batch %s casa_* lines:\n%s\n-batch 64:\n%s", batch, got, want)
+		}
+		total := metricLines(stderr, "align_reads_total ")
+		if n := strings.TrimPrefix(total, "align_reads_total "); n == "" || metricLines(stderr, "casa_model_reads ") != "casa_model_reads "+n {
+			t.Errorf("-batch %s: %q next to %q", batch, metricLines(stderr, "casa_model_reads "), total)
+		}
+	}
+}
+
+// TestBatchMustBePositive checks that a -batch below one is a usage
+// error (exit 2), not a run that aligns nothing.
+func TestBatchMustBePositive(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-ref", "ref.fa", "-reads", "reads.fq", "-batch", "0")
+	cmd.Env = append(os.Environ(), "CASA_ALIGN_RUN_MAIN=1")
+	var exitErr *exec.ExitError
+	if err := cmd.Run(); !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 {
+		t.Errorf("-batch 0: %v, want exit status 2", err)
 	}
 }

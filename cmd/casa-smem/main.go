@@ -5,11 +5,17 @@
 // ("CASA produces identical SMEMs to GenAx and 100% SMEMs of BWA-MEM2 are
 // contained").
 //
-// Reads are seeded as one batch over a worker pool (-workers); results
-// are reported in input order regardless of completion order. The run is
-// interruptible: SIGINT stops handing out new shards, drains the
-// in-flight ones, and the command still emits its report, metrics and
-// trace for the completed read prefix before exiting with status 130.
+// Reads stream through one ordered batch pipeline (internal/batch
+// Stream): the FASTQ is parsed in its own goroutine, at most two batches
+// ahead, while the index loads; each batch is seeded on the worker pool
+// (-workers) and its lines are written and flushed as soon as it is
+// seeded, in input order regardless of completion order; the engine's
+// model is reduced once over the whole run, so every counter and gauge
+// equals a one-batch run's. The run is interruptible: SIGINT stops
+// handing out new shards, drains the in-flight ones, writes the current
+// batch's completed prefix, and the command still emits its summary,
+// metrics and trace for the completed read prefix before exiting with
+// status 130.
 //
 // Observability (see docs/OBSERVABILITY.md): every engine publishes its
 // activity counters and model gauges into a metrics registry, and every
@@ -34,12 +40,14 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strconv"
 	"time"
 
 	"casa/internal/batch"
@@ -56,13 +64,10 @@ import (
 // HTTP API share one casa-smem/v1 type, so a batch seeded offline and one
 // POSTed to /v1/seed produce byte-identical modelled fields.
 
-// findAll seeds reads on the pool and returns the engine's forward-strand
-// SMEM sets in input order; on cancellation the slice covers exactly the
-// completed read prefix (length n) and err is ctx.Err().
-func findAll(ctx context.Context, e engine.Engine, reads []dna.Sequence, pool batch.Options) ([][]smem.Match, int, error) {
-	res, done, err := batch.SeedEngineCtx(ctx, e, reads, pool)
-	return e.SMEMs(res), done, err
-}
+// batchSize is the number of reads seeded and written per batch. Output,
+// metrics and traces do not depend on it; tests shrink it to split their
+// fixtures into several batches.
+var batchSize = 4096
 
 func main() {
 	var (
@@ -77,20 +82,23 @@ func main() {
 	r := runcli.Begin(runcli.Smem)
 
 	// The wall trace profiles the CLI's own phases next to the batch
-	// layer's per-shard worker spans. The build phase either constructs
-	// the engine from the reference or loads the prebuilt index, so the
-	// two flows compare directly in casa-trace's wall report.
+	// layer's per-shard worker spans. load ends with the FASTQ parse,
+	// which runs alongside the reference load, the engine build (or index
+	// load) and seeding; build covers only that engine construction, so
+	// the two flows compare directly in casa-trace's wall report; seed
+	// covers the stream, and each batch's write is an output span.
 	loadStart := time.Now()
+	in, err := os.Open(*readsPath)
+	if err != nil {
+		r.Fatal(err)
+	}
+	stop := make(chan struct{})
+	batches := parseBatches(in, *maxReads, batchSize, stop, func() { r.Phase("load", loadStart) })
 	ix, err := r.Reference()
 	if err != nil {
 		r.Fatal(err)
 	}
-	reads, names, err := loadReads(*readsPath, *maxReads)
-	if err != nil {
-		r.Fatal(err)
-	}
-	r.Phase("load", loadStart)
-	r.Start(int64(len(reads)), "reads", len(reads), "workers", r.Pool().WorkerCount(), "min_smem", r.MinSMEM)
+	r.Start(0, "workers", r.Pool().WorkerCount(), "batch", batchSize, "max_reads", *maxReads, "min_smem", r.MinSMEM)
 
 	buildStart := time.Now()
 	eng, err := r.Engine(ix)
@@ -98,19 +106,74 @@ func main() {
 		r.Fatal(err)
 	}
 	r.Phase("build", buildStart)
+
+	// The verify pass re-seeds every read after the stream, so only a
+	// verified run keeps them with their names.
+	verify := r.Verify != ""
+	var names, allNames []string
+	var allReads []dna.Sequence
+	next := func() ([]dna.Sequence, error) {
+		var b readBatch
+		var ok bool
+		select {
+		case b, ok = <-batches:
+		case <-r.Ctx.Done():
+			// An interrupt while the input is slow to arrive (a pipe)
+			// ends the run without waiting for the next batch.
+			return nil, r.Ctx.Err()
+		}
+		if !ok {
+			return nil, io.EOF
+		}
+		if b.err != nil {
+			return nil, b.err
+		}
+		r.Tracker.AddTotal(int64(len(b.reads)))
+		names = b.names
+		if verify {
+			allReads = append(allReads, b.reads...)
+			allNames = append(allNames, b.names...)
+		}
+		return b.reads, nil
+	}
+	printLines := !*quiet && !*jsonOut
+	totalSMEMs := 0
+	var lines []byte
+	emit := func(b batch.Batch) error {
+		start := time.Now()
+		lines = lines[:0]
+		for i, s := range b.Seeds {
+			totalSMEMs += len(s.Forward)
+			if printLines {
+				lines = appendReadLine(lines, names[i], s.Forward)
+			}
+		}
+		if len(lines) > 0 {
+			if _, err := os.Stdout.Write(lines); err != nil {
+				return err
+			}
+		}
+		r.Phase("output", start)
+		return nil
+	}
 	seedStart := time.Now()
-	got, done, runErr := findAll(r.Ctx, eng, reads, r.Pool())
+	res, done, runErr := batch.Stream(r.Ctx, eng, next, emit, r.Pool())
 	r.Phase("seed", seedStart)
+	close(stop)
 	r.Tracker.Finish()
-	interrupted := runErr != nil
+	interrupted := errors.Is(runErr, context.Canceled)
+	if runErr != nil && !interrupted {
+		r.Fatal(runErr)
+	}
 	if interrupted {
-		r.Log.Warn("run interrupted; reporting the completed prefix",
-			"reads_done", done, "total_reads", len(reads))
+		r.Log.Warn("run interrupted; reporting the completed prefix", "reads_done", done)
 	}
 
-	var want [][]smem.Match
+	var got, want [][]smem.Match
 	vdone := 0
-	if r.Verify != "" && !interrupted {
+	verified := verify && !interrupted
+	if verified {
+		got = eng.SMEMs(res)
 		ver, err := engine.New(r.Verify, ix.Flat(), r.Options)
 		if err != nil {
 			r.Fatal(err)
@@ -120,7 +183,8 @@ func main() {
 		// progress tracker — the live run it describes is finished.
 		vpool := r.Pool()
 		vpool.Progress = nil
-		want, vdone, err = findAll(r.Ctx, ver, reads, vpool)
+		vres, n, err := batch.SeedEngineCtx(r.Ctx, ver, allReads, vpool)
+		want, vdone = ver.SMEMs(vres), n
 		if err != nil {
 			interrupted = true
 			r.Log.Warn("verify pass interrupted; cross-checking the completed prefix",
@@ -129,29 +193,12 @@ func main() {
 	}
 
 	r.Finish(interrupted, func() bool {
-		// Per-read lines go through one buffer, so the report costs a few
-		// large writes instead of several per read. It is flushed before
-		// the summary or the JSON report, which keeps stdout's bytes in
-		// order.
-		out := bufio.NewWriter(os.Stdout)
-		totalSMEMs, mismatches := 0, 0
-		for i := 0; i < done; i++ {
-			ms := got[i]
-			totalSMEMs += len(ms)
-			if !*quiet && !*jsonOut {
-				fmt.Fprintf(out, "%s\t%d SMEMs", names[i], len(ms))
-				for _, m := range ms {
-					fmt.Fprintf(out, "\t%s", m)
-				}
-				out.WriteByte('\n')
-			}
-			if want != nil && i < vdone && !smem.SameIntervals(ms, want[i]) {
+		mismatches := 0
+		for i := 0; i < vdone; i++ {
+			if !smem.SameIntervals(got[i], want[i]) {
 				mismatches++
-				fmt.Fprintf(os.Stderr, "MISMATCH %s:\n  %s: %v\n  %s: %v\n", names[i], r.EngineName, ms, r.Verify, want[i])
+				fmt.Fprintf(os.Stderr, "MISMATCH %s:\n  %s: %v\n  %s: %v\n", allNames[i], r.EngineName, got[i], r.Verify, want[i])
 			}
-		}
-		if err := out.Flush(); err != nil {
-			r.Fatal(err)
 		}
 		if *jsonOut {
 			enc := json.NewEncoder(os.Stdout)
@@ -173,11 +220,11 @@ func main() {
 			}
 		} else {
 			fmt.Printf("\n%d reads, %d SMEMs via %s", done, totalSMEMs, r.EngineName)
-			if want != nil {
+			if verified {
 				fmt.Printf("; %d mismatches vs %s", mismatches, r.Verify)
 			}
 			if interrupted {
-				fmt.Printf(" (interrupted: %d of %d reads)", done, len(reads))
+				fmt.Printf(" (interrupted after %d reads)", done)
 			}
 			fmt.Println()
 		}
@@ -185,21 +232,75 @@ func main() {
 	})
 }
 
-func loadReads(readsPath string, maxReads int) ([]dna.Sequence, []string, error) {
-	qf, err := os.Open(readsPath)
-	if err != nil {
-		return nil, nil, err
+// appendReadLine appends one read's report line: its name, its SMEM
+// count and each SMEM, tab-separated.
+func appendReadLine(b []byte, name string, ms []smem.Match) []byte {
+	b = append(b, name...)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(len(ms)), 10)
+	b = append(b, " SMEMs"...)
+	for _, m := range ms {
+		b = append(b, '\t')
+		b = m.Append(b)
 	}
-	defer qf.Close()
-	var reads []dna.Sequence
-	var names []string
-	err = seqio.ForEachFastq(qf, func(rec seqio.Record) error {
-		if maxReads > 0 && len(reads) >= maxReads {
-			return nil
+	return append(b, '\n')
+}
+
+// readBatch is one parsed batch of reads with their names, or the parse
+// error that ended the input.
+type readBatch struct {
+	reads []dna.Sequence
+	names []string
+	err   error
+}
+
+// parseBatches parses the FASTQ in its own goroutine into batches of up
+// to size reads. It runs at most two batches ahead of the consumer: one
+// waits in the channel, one is parsed or waiting to be sent. It stops
+// after maxReads reads (0 = all) without reading further, after sending
+// a parse error, or when stop is closed; then it calls done and closes
+// the channel.
+func parseBatches(in io.ReadCloser, maxReads, size int, stop <-chan struct{}, done func()) <-chan readBatch {
+	ch := make(chan readBatch, 1)
+	send := func(b readBatch) bool {
+		select {
+		case ch <- b:
+			return true
+		case <-stop:
+			return false
 		}
-		reads = append(reads, rec.Seq)
-		names = append(names, rec.Name)
-		return nil
-	})
-	return reads, names, err
+	}
+	go func() {
+		defer close(ch)
+		defer done()
+		defer in.Close()
+		fr := seqio.NewFastqReader(in)
+		for total := 0; maxReads <= 0 || total < maxReads; {
+			n := size
+			if maxReads > 0 {
+				n = min(n, maxReads-total)
+			}
+			b := readBatch{reads: make([]dna.Sequence, 0, n), names: make([]string, 0, n)}
+			var err error
+			for len(b.reads) < n {
+				var rec seqio.Record
+				if rec, err = fr.Next(); err != nil {
+					break
+				}
+				b.reads = append(b.reads, rec.Seq)
+				b.names = append(b.names, rec.Name)
+			}
+			total += len(b.reads)
+			if len(b.reads) > 0 && !send(b) {
+				return
+			}
+			if err != nil {
+				if err != io.EOF {
+					send(readBatch{err: err})
+				}
+				return
+			}
+		}
+	}()
+	return ch
 }

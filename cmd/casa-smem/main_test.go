@@ -20,8 +20,12 @@ import (
 // TestMain lets a test drive the command end to end: with
 // CASA_SMEM_RUN_MAIN=1 in its environment the test binary runs main on
 // its own arguments instead of the tests.
+// CASA_SMEM_BATCH, when set, overrides the stream's batch size.
 func TestMain(m *testing.M) {
 	if os.Getenv("CASA_SMEM_RUN_MAIN") == "1" {
+		if n, err := strconv.Atoi(os.Getenv("CASA_SMEM_BATCH")); err == nil {
+			batchSize = n
+		}
 		main()
 		os.Exit(0)
 	}
@@ -66,17 +70,35 @@ func smemFixture(t *testing.T, dir string) (ref, reads string) {
 	return ref, reads
 }
 
+// smemCmd returns the command running casa-smem with args, seeding in
+// batches of batch reads (0 keeps the default).
+func smemCmd(batch int, args ...string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "CASA_SMEM_RUN_MAIN=1")
+	if batch > 0 {
+		cmd.Env = append(cmd.Env, "CASA_SMEM_BATCH="+strconv.Itoa(batch))
+	}
+	return cmd
+}
+
+// runSmemBatch runs casa-smem with args at the given batch size and
+// returns its stdout and stderr; the run must exit 0.
+func runSmemBatch(t *testing.T, batch int, args ...string) (stdout, stderr []byte) {
+	t.Helper()
+	cmd := smemCmd(batch, args...)
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("casa-smem %s: %v\n%s", strings.Join(args, " "), err, errOut.String())
+	}
+	return out.Bytes(), errOut.Bytes()
+}
+
 // runSmem runs casa-smem with args and returns its stdout.
 func runSmem(t *testing.T, args ...string) []byte {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "CASA_SMEM_RUN_MAIN=1")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("casa-smem %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
-	}
-	return stdout.Bytes()
+	out, _ := runSmemBatch(t, 0, args...)
+	return out
 }
 
 // TestReportBytes pins casa-smem's stdout: the text report is the same

@@ -79,12 +79,15 @@ type Options struct {
 	// Empty means the Seed* entry point's default ("casa", "ert", ...).
 	Engine string
 
-	// ReadBase is the global index of reads[0], for callers that stream a
-	// long input through Seed* in successive batches (casa-align): trace
-	// spans are keyed by ReadBase + index-in-batch, so every read of the
-	// whole run keeps a unique, stable identity. Zero for single-batch
-	// callers.
+	// ReadBase is the global index of reads[0]: trace spans, wall shard
+	// names and progress are keyed by ReadBase + index-in-batch, so every
+	// read of a run seeded in successive batches keeps a unique, stable
+	// identity. Stream sets it per batch; zero for single-batch callers.
 	ReadBase int
+
+	// shardBase is the run-wide index of the first shard, so a Stream's
+	// wall shard names count shards across its batches.
+	shardBase int
 
 	// Progress, when non-nil, receives live per-worker liveness as shards
 	// drain: each completed shard bumps the worker's cell (reads done,
@@ -166,7 +169,7 @@ func RunCtx[R any](ctx context.Context, n int, o Options, fn func(worker, lo, hi
 		start := time.Now()
 		r := fn(w, lo, hi)
 		o.Wall.Record(trace.WallWorkerProc(w), o.wallTrack(),
-			trace.WallShardName(s, o.ReadBase+lo, o.ReadBase+hi), start, time.Since(start))
+			trace.WallShardName(o.shardBase+s, o.ReadBase+lo, o.ReadBase+hi), start, time.Since(start))
 		return r
 	}
 	results := make([]R, numShards)

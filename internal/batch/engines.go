@@ -3,6 +3,8 @@ package batch
 import (
 	"context"
 	"fmt"
+	"io"
+	"slices"
 
 	"casa/internal/dna"
 	"casa/internal/engine"
@@ -95,12 +97,8 @@ func SeedEngine(e engine.Engine, reads []dna.Sequence, o Options) engine.Result 
 // SeedEngineCtx seeds reads on a pool of engine clones — slot 0 is e
 // itself — and reduces the shard activities on e into one Result,
 // bit-identical to a sequential run: parallelism changes host wall-clock
-// only, never the modelled hardware. Per shard, the worker's activity
-// publishes into a private registry (merged into o.Metrics in worker
-// order after the drain), spans land in the worker's trace buffer, and
-// engines with a cycle model attribute shard cycles to the worker's
-// progress cell. Every counter lives in the shard activities, so
-// repeated calls on one engine publish the same registry.
+// only, never the modelled hardware. It is the one-batch Stream; see
+// there for where metrics, spans and progress go.
 //
 // Cancelling ctx stops handing out new shards, drains the in-flight
 // ones, and reduces exactly the completed prefix: the Result covers the
@@ -108,23 +106,103 @@ func SeedEngine(e engine.Engine, reads []dna.Sequence, o Options) engine.Result 
 // progress consistent with that prefix, and the error is ctx.Err(). A
 // run that completes returns n == len(reads) and a nil error.
 func SeedEngineCtx(ctx context.Context, e engine.Engine, reads []dna.Sequence, o Options) (engine.Result, int, error) {
+	sent := false
+	return Stream(ctx, e, func() ([]dna.Sequence, error) {
+		if sent {
+			return nil, io.EOF
+		}
+		sent = true
+		return reads, nil
+	}, nil, o)
+}
+
+// Batch is one seeded batch of a Stream, handed to its consumer in input
+// order.
+type Batch struct {
+	// Base is the run-wide index of Reads[0].
+	Base int
+	// Reads are the batch's seeded reads: the whole batch, or its
+	// completed prefix when the run was cancelled mid-batch.
+	Reads []dna.Sequence
+	// Seeds are the per-read seeds of Reads (engine.Engine.Seeds).
+	Seeds []engine.Seeds
+}
+
+// Stream seeds the read batches next produces, one after another, on one
+// pool of engine clones — slot 0 is e itself — and hands each batch's
+// seeds to emit (which may be nil) in input order as soon as the batch
+// is seeded. next returns io.EOF after the last batch.
+//
+// The pool lives for the whole run: per shard, the worker's activity
+// publishes into a private registry, spans land in the worker's trace
+// buffer keyed by run-wide read index, and engines with a cycle model
+// attribute shard cycles to the worker's progress cell. After the last
+// batch the registries merge into o.Metrics in worker order and the
+// run's activities reduce on e once, so the Result, every counter and
+// model gauge and the trace are those of one batch holding all the
+// reads, whatever the batch sizes. Every counter lives in the shard
+// activities, so repeated runs on one engine publish the same registry.
+//
+// The run stops at the first error of next or emit, or when ctx is
+// cancelled: the in-flight batch drains its claimed shards and its
+// completed prefix is still emitted. The Result covers the first n
+// reads (n is the second return value) and the error is the one that
+// stopped the run — ctx.Err() on cancellation, nil at io.EOF.
+func Stream(ctx context.Context, e engine.Engine, next func() ([]dna.Sequence, error), emit func(Batch) error, o Options) (engine.Result, int, error) {
 	o = withEngine(o, e.Name())
 	engines := clonePool(e, o.WorkerCount(), engine.Engine.Clone)
 	regs := workerRegistries(o)
 	bufs := traceBuffers(o)
 	cycles, _ := e.(engine.CycleCoster)
-	acts, done, err := RunCtx(ctx, len(reads), o, func(w, lo, hi int) engine.Activity {
-		act := engines[w].SeedTrace(reads[lo:hi], bufs[w], o.ReadBase+lo)
-		if regs != nil {
-			act.PublishMetrics(regs[w])
+	var (
+		acts   []engine.Activity
+		seeded [][]dna.Sequence
+		done   int
+		err    error
+	)
+	bo := o
+	for err == nil {
+		if err = ctx.Err(); err != nil {
+			break
 		}
-		if o.Progress != nil && cycles != nil {
-			o.Progress.AddCycles(w, cycles.ActivityCycles(act))
+		reads, nerr := next()
+		if nerr != nil {
+			if nerr != io.EOF {
+				err = nerr
+			}
+			break
 		}
-		return act
-	})
+		base := o.ReadBase + done
+		bo.ReadBase = base
+		bacts, n, serr := RunCtx(ctx, len(reads), bo, func(w, lo, hi int) engine.Activity {
+			act := engines[w].SeedTrace(reads[lo:hi], bufs[w], base+lo)
+			if regs != nil {
+				act.PublishMetrics(regs[w])
+			}
+			if o.Progress != nil && cycles != nil {
+				o.Progress.AddCycles(w, cycles.ActivityCycles(act))
+			}
+			return act
+		})
+		bo.shardBase += len(bacts)
+		acts = append(acts, bacts...)
+		seeded = append(seeded, reads[:n])
+		done += n
+		err = serr
+		if emit != nil && n > 0 {
+			if eerr := emit(Batch{Base: base, Reads: reads[:n], Seeds: e.Seeds(reads[:n], bacts)}); err == nil {
+				err = eerr
+			}
+		}
+	}
+	var all []dna.Sequence
+	if len(seeded) == 1 {
+		all = seeded[0] // a one-batch run reduces the caller's slice
+	} else {
+		all = slices.Concat(seeded...)
+	}
 	reduceStart := o.wallNow()
-	res := e.Reduce(reads[:done], acts)
+	res := e.Reduce(all, acts)
 	o.wallPhase("reduce", reduceStart)
 	if o.Metrics != nil {
 		mergeStart := o.wallNow()

@@ -363,6 +363,14 @@ func (a *Accelerator) Reduce(acts ...*Activity) *Result {
 	res := &Result{DRAM: dram.NewTraffic(dram.CASAConfig())}
 	stage1 := make([]PartStats, len(a.parts))
 	stage2 := make([]PartStats, len(a.parts))
+	n := 0
+	for _, act := range acts {
+		n += len(act.Reads)
+	}
+	// Sized once: after a large index load every byte allocated is RSS
+	// until the next GC cycle, and growing by append allocates several
+	// times the final size.
+	res.Reads = make([]ReadResult, 0, n)
 	var readBytes int64
 	for _, act := range acts {
 		res.Reads = append(res.Reads, act.Reads...)

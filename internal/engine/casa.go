@@ -30,6 +30,16 @@ func (e *casaEngine) Reduce(_ []dna.Sequence, acts []Activity) Result {
 	return e.a.Reduce(typedActs[*core.Activity](acts)...)
 }
 
+func (e *casaEngine) Seeds(reads []dna.Sequence, acts []Activity) []Seeds {
+	out := make([]Seeds, 0, len(reads))
+	for _, a := range acts {
+		for _, rr := range a.(*core.Activity).Reads {
+			out = append(out, Seeds{Forward: rr.Forward, Reverse: rr.Reverse})
+		}
+	}
+	return out
+}
+
 func (e *casaEngine) SMEMs(res Result) [][]smem.Match {
 	r := res.(*core.Result)
 	out := make([][]smem.Match, len(r.Reads))

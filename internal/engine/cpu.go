@@ -30,6 +30,10 @@ func (e *cpuEngine) Reduce(_ []dna.Sequence, acts []Activity) Result {
 	return e.s.Reduce(typedActs[*cpu.Activity](acts)...)
 }
 
+func (e *cpuEngine) Seeds(reads []dna.Sequence, acts []Activity) []Seeds {
+	return forwardSeeds(reads, acts, func(a *cpu.Activity) [][]smem.Match { return a.Reads })
+}
+
 func (e *cpuEngine) SMEMs(res Result) [][]smem.Match {
 	return res.(*cpu.Result).Reads
 }

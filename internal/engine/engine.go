@@ -62,6 +62,14 @@ type Engine interface {
 	// SMEMs returns the per-read forward-strand SMEM sets of one of this
 	// engine's Results, in read order.
 	SMEMs(res Result) [][]smem.Match
+
+	// Seeds returns the per-read seeds that shard activities — in shard
+	// order, covering exactly reads — carry, without reducing them: a
+	// streaming caller uses each batch's seeds as soon as it is seeded
+	// and still reduces the whole run once. Forward equals what SMEMs
+	// reports after Reduce; Reverse is set by Positioners (what
+	// ReadSeeds reports) and nil otherwise.
+	Seeds(reads []dna.Sequence, acts []Activity) []Seeds
 }
 
 // Model carries an engine's simulated-hardware outputs for one Result:

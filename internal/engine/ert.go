@@ -28,6 +28,10 @@ func (e ertEngine) Reduce(reads []dna.Sequence, acts []Activity) Result {
 	return e.a.Reduce(reads, typedActs[*ert.Activity](acts)...)
 }
 
+func (e ertEngine) Seeds(reads []dna.Sequence, acts []Activity) []Seeds {
+	return forwardSeeds(reads, acts, func(a *ert.Activity) [][]smem.Match { return a.Reads })
+}
+
 func (e ertEngine) SMEMs(res Result) [][]smem.Match {
 	return res.(*ert.Result).Reads
 }

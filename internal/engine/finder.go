@@ -127,6 +127,10 @@ func (e *finderEngine) Reduce(_ []dna.Sequence, acts []Activity) Result {
 	return finderResult{merged}
 }
 
+func (e *finderEngine) Seeds(reads []dna.Sequence, acts []Activity) []Seeds {
+	return forwardSeeds(reads, acts, func(a finderActivity) [][]smem.Match { return a.smems })
+}
+
 func (e *finderEngine) SMEMs(res Result) [][]smem.Match {
 	return res.(finderResult).smems
 }

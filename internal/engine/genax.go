@@ -26,6 +26,10 @@ func (e genaxEngine) Reduce(_ []dna.Sequence, acts []Activity) Result {
 	return e.a.Reduce(typedActs[*genax.Activity](acts)...)
 }
 
+func (e genaxEngine) Seeds(reads []dna.Sequence, acts []Activity) []Seeds {
+	return forwardSeeds(reads, acts, func(a *genax.Activity) [][]smem.Match { return a.Reads })
+}
+
 func (e genaxEngine) SMEMs(res Result) [][]smem.Match {
 	return res.(*genax.Result).Reads
 }

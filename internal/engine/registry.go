@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"casa/internal/dna"
+	"casa/internal/smem"
 )
 
 // Factory describes one registered engine: how to construct it over a
@@ -133,6 +134,19 @@ func typedActs[A any](acts []Activity) []A {
 	out := make([]A, len(acts))
 	for i, a := range acts {
 		out[i] = a.(A)
+	}
+	return out
+}
+
+// forwardSeeds implements Engine.Seeds for engines that are not
+// Positioners: the per-read forward SMEM sets smems reads off each typed
+// activity, in shard order.
+func forwardSeeds[A any](reads []dna.Sequence, acts []Activity, smems func(A) [][]smem.Match) []Seeds {
+	out := make([]Seeds, 0, len(reads))
+	for _, a := range acts {
+		for _, ms := range smems(a.(A)) {
+			out = append(out, Seeds{Forward: ms})
+		}
 	}
 	return out
 }

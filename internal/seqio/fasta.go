@@ -89,9 +89,7 @@ func WriteFasta(w io.Writer, recs []Record, width int) error {
 	return bw.Flush()
 }
 
-// ReadFastq parses all FASTQ records from r. Multi-line sequences are not
-// supported (Illumina FASTQ is strictly 4 lines per record, which is what
-// the evaluation datasets use).
+// ReadFastq parses all FASTQ records from r (see FastqReader.Next).
 func ReadFastq(r io.Reader) ([]Record, error) {
 	var recs []Record
 	err := ForEachFastq(r, func(rec Record) error {
@@ -102,63 +100,114 @@ func ReadFastq(r io.Reader) ([]Record, error) {
 }
 
 // ForEachFastq streams FASTQ records to fn without accumulating them,
-// for read sets too large to hold unpacked in memory.
+// for read sets too large to hold unpacked in memory. It stops at the
+// first error fn returns and returns it.
 func ForEachFastq(r io.Reader, fn func(Record) error) error {
-	br := bufio.NewReaderSize(r, 1<<16)
-	lineNo := 0
-	readLine := func() ([]byte, error) {
-		line, err := br.ReadBytes('\n')
-		if len(line) > 0 {
-			lineNo++
-			return bytes.TrimRight(line, "\r\n"), nil
-		}
-		return nil, err
-	}
+	fr := NewFastqReader(r)
 	for {
-		header, err := readLine()
+		rec, err := fr.Next()
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
-			return fmt.Errorf("seqio: read: %w", err)
+			return err
 		}
-		if len(header) == 0 {
-			continue
-		}
-		if header[0] != '@' {
-			return fmt.Errorf("seqio: line %d: FASTQ header must start with '@', got %q", lineNo, header)
-		}
-		seqLine, err := readLine()
-		if err != nil {
-			return fmt.Errorf("seqio: line %d: truncated FASTQ record (missing sequence)", lineNo)
-		}
-		plus, err := readLine()
-		if err != nil || len(plus) == 0 || plus[0] != '+' {
-			return fmt.Errorf("seqio: line %d: FASTQ separator '+' missing", lineNo)
-		}
-		name, desc := splitHeader(string(header[1:]))
-		// The separator line may repeat the header; when it carries text,
-		// a name that contradicts the '@' header means the record
-		// boundaries are off by a line (or the file is corrupt).
-		if sep := string(plus[1:]); sep != "" {
-			sepName, _ := splitHeader(sep)
-			if sepName != name {
-				return fmt.Errorf("seqio: line %d: FASTQ separator %q contradicts header %q", lineNo, sepName, name)
-			}
-		}
-		qual, err := readLine()
-		if err != nil {
-			return fmt.Errorf("seqio: line %d: truncated FASTQ record (missing quality)", lineNo)
-		}
-		if len(qual) != len(seqLine) {
-			return fmt.Errorf("seqio: line %d: quality length %d != sequence length %d", lineNo, len(qual), len(seqLine))
-		}
-		var seq dna.Sequence
-		appendBases(&seq, seqLine)
-		if e := fn(Record{Name: name, Desc: desc, Seq: seq, Qual: append([]byte(nil), qual...)}); e != nil {
-			return e
+		if err := fn(rec); err != nil {
+			return err
 		}
 	}
+}
+
+// lineBuf is the FASTQ reader's buffer size. Lines that fit are parsed
+// in place; longer lines are copied out whole.
+const lineBuf = 1 << 16
+
+// FastqReader parses FASTQ records one at a time, for callers that pull
+// reads at their own pace: a batch at a time, or two mate files in
+// lockstep. Each record owns its memory (one header string, the decoded
+// sequence and the qualities); nothing aliases the reader's buffer.
+type FastqReader struct {
+	br     *bufio.Reader
+	lineNo int
+	long   []byte // holds a line longer than the buffer
+}
+
+// NewFastqReader returns a reader parsing the FASTQ text of r.
+func NewFastqReader(r io.Reader) *FastqReader {
+	return &FastqReader{br: bufio.NewReaderSize(r, lineBuf)}
+}
+
+// readLine returns the next line without its line ending, or the read
+// error when no bytes are left. A final line without a newline counts.
+// The slice is valid only until the next call.
+func (fr *FastqReader) readLine() ([]byte, error) {
+	line, err := fr.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		fr.long = append(fr.long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = fr.br.ReadSlice('\n')
+			fr.long = append(fr.long, line...)
+		}
+		line = fr.long
+	}
+	if len(line) > 0 {
+		fr.lineNo++
+		return bytes.TrimRight(line, "\r\n"), nil
+	}
+	return nil, err
+}
+
+// Next parses the next record, skipping blank lines before its header.
+// It returns io.EOF after the last record. Multi-line sequences are not
+// supported (Illumina FASTQ is strictly 4 lines per record).
+func (fr *FastqReader) Next() (Record, error) {
+	var header []byte
+	for len(header) == 0 {
+		var err error
+		header, err = fr.readLine()
+		if err == io.EOF {
+			return Record{}, io.EOF
+		}
+		if err != nil {
+			return Record{}, fmt.Errorf("seqio: read: %w", err)
+		}
+	}
+	if header[0] != '@' {
+		return Record{}, fmt.Errorf("seqio: line %d: FASTQ header must start with '@', got %q", fr.lineNo, header)
+	}
+	name, desc := splitHeader(string(header[1:]))
+	// Each line is consumed before the next read reuses the buffer: the
+	// sequence is decoded now and the separator checked at once.
+	seqLine, err := fr.readLine()
+	if err != nil {
+		return Record{}, fmt.Errorf("seqio: line %d: truncated FASTQ record (missing sequence)", fr.lineNo)
+	}
+	seq := make(dna.Sequence, 0, len(seqLine))
+	appendBases(&seq, seqLine)
+	plus, err := fr.readLine()
+	if err != nil || len(plus) == 0 || plus[0] != '+' {
+		return Record{}, fmt.Errorf("seqio: line %d: FASTQ separator '+' missing", fr.lineNo)
+	}
+	// The separator line may repeat the header; when it carries text,
+	// a name that contradicts the '@' header means the record
+	// boundaries are off by a line (or the file is corrupt).
+	if sep := plus[1:]; len(sep) > 0 {
+		sepName := sep
+		if i := bytes.IndexAny(sep, " \t"); i >= 0 {
+			sepName = sep[:i]
+		}
+		if string(sepName) != name {
+			return Record{}, fmt.Errorf("seqio: line %d: FASTQ separator %q contradicts header %q", fr.lineNo, sepName, name)
+		}
+	}
+	qual, err := fr.readLine()
+	if err != nil {
+		return Record{}, fmt.Errorf("seqio: line %d: truncated FASTQ record (missing quality)", fr.lineNo)
+	}
+	if len(qual) != len(seq) {
+		return Record{}, fmt.Errorf("seqio: line %d: quality length %d != sequence length %d", fr.lineNo, len(qual), len(seq))
+	}
+	return Record{Name: name, Desc: desc, Seq: seq, Qual: append(make([]byte, 0, len(qual)), qual...)}, nil
 }
 
 // WriteFastq writes records in 4-line FASTQ format. Records without

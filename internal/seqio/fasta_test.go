@@ -2,8 +2,13 @@ package seqio
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"casa/internal/dna"
 )
@@ -284,5 +289,94 @@ func TestFastaCRLF(t *testing.T) {
 	}
 	if recs[0].Seq.String() != "ACGT" {
 		t.Errorf("CRLF handling: %q", recs[0].Seq.String())
+	}
+}
+
+// TestFastqReaderLineEdges covers the line layouts the buffered reader
+// must handle: a sequence line longer than its buffer (copied out whole),
+// CRLF line endings, a final record without a trailing newline, and
+// blank lines between records.
+func TestFastqReaderLineEdges(t *testing.T) {
+	long := strings.Repeat("ACGT", lineBuf/4+1000)
+	longQual := strings.Repeat("I", len(long))
+	cases := []struct {
+		name, in string
+		seqs     []string
+	}{
+		{"long line", "@a\n" + long + "\n+\n" + longQual + "\n@b\nGT\n+\nII\n", []string{long, "GT"}},
+		{"long header", "@" + strings.Repeat("n", lineBuf+10) + "\nAC\n+\nII\n", []string{"AC"}},
+		{"crlf", "@a x\r\nAC\r\n+a\r\nII\r\n@b\r\nGT\r\n+\r\nII\r\n", []string{"AC", "GT"}},
+		{"no final newline", "@a\nAC\n+\nII\n@b\nGT\n+\nII", []string{"AC", "GT"}},
+		{"blank lines", "\n@a\nAC\n+\nII\n\n\r\n@b\nGT\n+\nII\n\n", []string{"AC", "GT"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fr := NewFastqReader(strings.NewReader(c.in))
+			var got []string
+			for {
+				rec, err := fr.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rec.Qual) != len(rec.Seq) {
+					t.Fatalf("record %s: %d qualities for %d bases", rec.Name, len(rec.Qual), len(rec.Seq))
+				}
+				got = append(got, rec.Seq.String())
+			}
+			if !slices.Equal(got, c.seqs) {
+				t.Errorf("sequences differ from %d expected", len(c.seqs))
+			}
+		})
+	}
+}
+
+// TestFastqErrorMessages pins every FASTQ parse error, line number
+// included.
+func TestFastqErrorMessages(t *testing.T) {
+	cases := []struct{ in, want string }{
+		{"ACGT\n+\nIIII\n", `seqio: line 1: FASTQ header must start with '@', got "ACGT"`},
+		{"@r\nACGT\nIIII\n", `seqio: line 3: FASTQ separator '+' missing`},
+		{"@r\nACGT\n", `seqio: line 2: FASTQ separator '+' missing`},
+		{"@r\n", `seqio: line 1: truncated FASTQ record (missing sequence)`},
+		{"@r\nACGT\n+\n", `seqio: line 3: truncated FASTQ record (missing quality)`},
+		{"@r\nACGT\n+\nII\n", `seqio: line 4: quality length 2 != sequence length 4`},
+		{"@r\nAC\n+\nII\n@s x\nACGT\n+OTHER y\nIIII\n", `seqio: line 7: FASTQ separator "OTHER" contradicts header "s"`},
+		{"@r\r\nACGT\r\n+\r\nII\r\n", `seqio: line 4: quality length 2 != sequence length 4`},
+	}
+	for _, c := range cases {
+		_, err := ReadFastq(strings.NewReader(c.in))
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%q: error %v, want %s", c.in, err, c.want)
+		}
+	}
+	if _, err := ReadFastq(iotest.ErrReader(errors.New("disk gone"))); err == nil || err.Error() != "seqio: read: disk gone" {
+		t.Errorf("read error: %v", err)
+	}
+}
+
+// TestFastqReaderAllocs pins the parser's per-record cost: one header
+// string, the sequence and the qualities.
+func TestFastqReaderAllocs(t *testing.T) {
+	var b strings.Builder
+	for i := 0; i < 100; i++ {
+		fmt.Fprintf(&b, "@read%d sim\n%s\n+\n%s\n", i, strings.Repeat("ACGTN", 20), strings.Repeat("I", 100))
+	}
+	in := b.String()
+	var sr strings.Reader
+	fr := NewFastqReader(&sr)
+	allocs := testing.AllocsPerRun(20, func() {
+		sr.Reset(in)
+		fr.br.Reset(&sr)
+		for {
+			if _, err := fr.Next(); err != nil {
+				break
+			}
+		}
+	})
+	if perRecord := allocs / 100; perRecord > 3 {
+		t.Errorf("%.2f allocations per record, want at most 3", perRecord)
 	}
 }

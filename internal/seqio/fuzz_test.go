@@ -86,6 +86,18 @@ func FuzzReadFastq(f *testing.F) {
 	f.Add("@r\nACGT\n+\nII\n")
 	f.Add("@a\nAC\n+\nII\n@b\nGT\n+\nII\n")
 	f.Add("")
+	// Line layouts: a sequence line longer than the reader's buffer, CRLF
+	// endings, a missing final newline and blank lines between records.
+	f.Add("@l\n" + strings.Repeat("ACGT", lineBuf/4+1) + "\n+\n" + strings.Repeat("I", lineBuf+4) + "\n")
+	f.Add("@a x\r\nAC\r\n+a\r\nII\r\n")
+	f.Add("@a\nAC\n+\nII\n@b\nGT\n+\nII")
+	f.Add("\n@a\nAC\n+\nII\n\n\r\n@b\nGT\n+\nII\n")
+	// One seed per parse error.
+	f.Add("ACGT\n+\nIIII\n")
+	f.Add("@r\nACGT\nIIII\n")
+	f.Add("@r\n")
+	f.Add("@r\nACGT\n+\n")
+	f.Add("@r\nACGT\n+OTHER y\nIIII\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		recs, err := ReadFastq(strings.NewReader(in))
 		if err != nil {

@@ -286,6 +286,9 @@ func (e *blockingEngine) Reduce(reads []dna.Sequence, acts []engine.Activity) en
 func (e *blockingEngine) SMEMs(res engine.Result) [][]smem.Match {
 	return make([][]smem.Match, res.(blockRes).n)
 }
+func (e *blockingEngine) Seeds(reads []dna.Sequence, _ []engine.Activity) []engine.Seeds {
+	return make([]engine.Seeds, len(reads))
+}
 
 // fastqBatch builds a tiny FASTQ payload of n reads.
 func fastqBatch(n int) []byte {

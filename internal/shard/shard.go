@@ -239,20 +239,24 @@ func (r *result) PublishModelMetrics(reg *metrics.Registry) {
 	}
 }
 
-// Reduce implements Engine: batch-shard activities (one per pool
-// worker chunk, in read order) are transposed to reference-shard order,
-// each inner engine reduces its own activities — on the origin
-// instance, preserving order-sensitive model state — and the per-read
-// SMEM sets are merged.
-func (s *Sharded) Reduce(reads []dna.Sequence, acts []engine.Activity) engine.Result {
-	perShard := make([][]engine.Activity, len(s.inners))
+// perShard transposes batch-shard activities (one per pool worker
+// chunk, in read order) to reference-shard order.
+func (s *Sharded) perShard(acts []engine.Activity) [][]engine.Activity {
+	out := make([][]engine.Activity, len(s.inners))
 	for _, a := range acts {
-		sa := a.(*activity)
-		for j, inner := range sa.acts {
-			perShard[j] = append(perShard[j], inner)
+		for j, inner := range a.(*activity).acts {
+			out[j] = append(out[j], inner)
 		}
 	}
-	res := &result{smems: make([][]smem.Match, len(reads))}
+	return out
+}
+
+// Reduce implements Engine: each inner engine reduces its own
+// activities — on the origin instance, preserving order-sensitive model
+// state — and the per-read SMEM sets are merged.
+func (s *Sharded) Reduce(reads []dna.Sequence, acts []engine.Activity) engine.Result {
+	perShard := s.perShard(acts)
+	res := &result{}
 	shardSMEMs := make([][][]smem.Match, len(s.inners))
 	for j, inner := range s.inners {
 		ir := inner.Reduce(reads, perShard[j])
@@ -267,16 +271,41 @@ func (s *Sharded) Reduce(reads []dna.Sequence, acts []engine.Activity) engine.Re
 	if res.hasModel && res.model.Seconds > 0 {
 		res.model.ReadsPerS = float64(len(reads)) / res.model.Seconds
 	}
-	var buf, out []smem.Match
+	res.smems = s.mergeReads(reads, func(j, i int) []smem.Match { return shardSMEMs[j][i] })
+	return res
+}
+
+// Seeds implements Engine: the inner engines' unreduced per-read seeds,
+// merged per read like Reduce merges them. Sharded engines report the
+// forward strand only.
+func (s *Sharded) Seeds(reads []dna.Sequence, acts []engine.Activity) []engine.Seeds {
+	perShard := s.perShard(acts)
+	shardSeeds := make([][]engine.Seeds, len(s.inners))
+	for j, inner := range s.inners {
+		shardSeeds[j] = inner.Seeds(reads, perShard[j])
+	}
+	merged := s.mergeReads(reads, func(j, i int) []smem.Match { return shardSeeds[j][i].Forward })
+	out := make([]engine.Seeds, len(merged))
+	for i, ms := range merged {
+		out[i].Forward = ms
+	}
+	return out
+}
+
+// mergeReads merges every read's shard-local SMEM candidates — smems(j,
+// i) is shard j's set for read i — into the flat engine's answer.
+func (s *Sharded) mergeReads(reads []dna.Sequence, smems func(j, i int) []smem.Match) [][]smem.Match {
+	out := make([][]smem.Match, len(reads))
+	var buf, merged []smem.Match
 	for i, read := range reads {
 		buf = buf[:0]
 		for j := range s.inners {
-			buf = append(buf, shardSMEMs[j][i]...)
+			buf = append(buf, smems(j, i)...)
 		}
-		out = s.mergeAppend(out[:0], buf, read)
-		res.smems[i] = smem.Retain(out)
+		merged = s.mergeAppend(merged[:0], buf, read)
+		out[i] = smem.Retain(merged)
 	}
-	return res
+	return out
 }
 
 // SMEMs implements Engine.

@@ -15,8 +15,8 @@
 package smem
 
 import (
-	"fmt"
 	"slices"
+	"strconv"
 
 	"casa/internal/dna"
 	"casa/internal/fmindex"
@@ -36,9 +36,18 @@ func (m Match) Len() int { return m.End - m.Start + 1 }
 // Contains reports whether m fully contains o on the read.
 func (m Match) Contains(o Match) bool { return m.Start <= o.Start && o.End <= m.End }
 
-// String formats the match for diagnostics.
-func (m Match) String() string {
-	return fmt.Sprintf("[%d,%d]x%d", m.Start, m.End, m.Hits)
+// String formats the match as "[start,end]xhits".
+func (m Match) String() string { return string(m.Append(nil)) }
+
+// Append appends m's String form to b without allocating beyond b's
+// growth, for writers that format many matches into one buffer.
+func (m Match) Append(b []byte) []byte {
+	b = append(b, '[')
+	b = strconv.AppendInt(b, int64(m.Start), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(m.End), 10)
+	b = append(b, "]x"...)
+	return strconv.AppendInt(b, int64(m.Hits), 10)
 }
 
 // sortInline is the size up to which the canonicalizing sorts use insertion

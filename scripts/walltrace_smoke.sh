@@ -16,14 +16,16 @@ WORKDIR=$(mktemp -d)
 trap 'rm -rf "$WORKDIR"' EXIT
 cd "$WORKDIR"
 
-# 8000 reads on 4 workers: grain = ceil(8000/(4*4)) = 500, so exactly
-# 16 shards — a fixed shape the assertions below can pin. The shard and
-# read totals are exact regardless of how the workers split them; how
-# many of the 4 workers actually claim a shard from the dynamic handout
-# is scheduling-dependent, so the worker count is only bounded.
+# 8000 reads stream through casa-smem in batches of 4096 and 3904 reads;
+# on 4 workers each batch's grain is ceil(batch/(4*4)) (256 and 244), so
+# each batch has exactly 16 shards and the run 32 — a fixed shape the
+# assertions below can pin. The shard and read totals are exact
+# regardless of how the workers split them; how many of the 4 workers
+# actually claim a shard from the dynamic handout is
+# scheduling-dependent, so the worker count is only bounded.
 READS=8000
 WORKERS=4
-SHARDS=16
+SHARDS=32
 
 echo "== generating workload =="
 (cd "$ROOT" && $GO run ./cmd/casa-gen -bases $((1 << 20)) -reads $READS -read-len 101 -seed 7 \
@@ -64,10 +66,23 @@ grep -q "reads: $READS" wall.txt || { echo "expected reads: $READS"; exit 1; }
 grep -q "utilization" wall.txt || { echo "expected a pool utilization line"; exit 1; }
 grep -q "imbalance (max/mean worker busy):" wall.txt || { echo "expected an imbalance line"; exit 1; }
 # Host phases from the CLI ride along as non-worker spans.
-for phase in load build seed; do
+for phase in load build seed output; do
     grep -q " $phase\$" wall.txt || grep -q " $phase " wall.txt \
         || { echo "expected host phase span '$phase'"; exit 1; }
 done
+# The stream writes each batch as soon as it is seeded: the first output
+# span ends before the last seed shard starts. The Chrome JSON carries
+# one field per line; an X event's "name" precedes its "ts" and "dur".
+read -r FIRST_OUT LAST_SHARD < <(awk '
+    /"name":/ { name = $0 }
+    /"ts":/   { ts = $2 + 0 }
+    /"dur":/  {
+        if (name ~ /"output"/ && (first == "" || ts + $2 < first)) first = ts + $2
+        if (name ~ /"shard [0-9]+ reads/ && ts > last) last = ts
+    }
+    END { print first, last }' wall.json)
+[ -n "$FIRST_OUT" ] && [ "$FIRST_OUT" -le "$LAST_SHARD" ] \
+    || { echo "first output span ends at ${FIRST_OUT:-none}, after the last seed shard starts at $LAST_SHARD"; exit 1; }
 
 echo "== aligning with -walltrace =="
 (cd "$ROOT" && $GO run ./cmd/casa-align -ref "$WORKDIR/ref.fa" -reads "$WORKDIR/reads.fq" \
