@@ -25,7 +25,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/batch/ ./internal/core/ ./internal/pipeline/ ./internal/serve/ ./internal/obshttp/ ./internal/progress/ ./internal/trace/ ./internal/runcli/ ./internal/seedex/ ./internal/align/ ./cmd/casa-align/
+	$(GO) test -race ./internal/batch/ ./internal/core/ ./internal/shard/ ./internal/pipeline/ ./internal/serve/ ./internal/obshttp/ ./internal/progress/ ./internal/trace/ ./internal/runcli/ ./internal/seedex/ ./internal/align/ ./cmd/casa-align/
 
 cover:
 	$(GO) test -cover ./...
@@ -69,6 +69,7 @@ fuzz:
 	$(GO) test ./internal/idxio/ -run '^$$' -fuzz FuzzIndexRoundTrip -fuzztime 15s
 	$(GO) test ./internal/idxio/ -run '^$$' -fuzz FuzzIndexCorrupted -fuzztime 15s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzReadIndex -fuzztime 15s
+	$(GO) test ./internal/fmindex/ -run '^$$' -fuzz FuzzDeserialize -fuzztime 15s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzBuildFilter -fuzztime 15s
 	$(GO) test ./internal/align/ -run '^$$' -fuzz FuzzBandedFit -fuzztime 15s
 

@@ -67,6 +67,7 @@ type aligner struct {
 	ctx        context.Context
 	eng        engine.Engine
 	pos        engine.Positioner // nil = direct-scan fallback over flat
+	strands    bool              // eng's Seeds carry the reverse strand
 	veng       engine.Engine     // nil = no -verify cross-check
 	flat       dna.Sequence
 	sxs        []*seedex.Machine // one clone per extension worker
@@ -136,16 +137,7 @@ func main() {
 	// (single-end) or learned at load (paired): the tracker starts at 0
 	// and grows via AddTotal, and percent/ETA stay 0 until it is known.
 	r.Start(0, "workers", r.Pool().WorkerCount(), "batch", *batchSize, "paired", *reads2 != "")
-	pos, _ := eng.(engine.Positioner)
-	a := &aligner{
-		ctx: r.Ctx, eng: eng, pos: pos, veng: veng, flat: ix.Flat(),
-		ix: ix, maxHits: *maxHits,
-		pool: r.Pool(), tracker: r.Tracker, writer: writer,
-	}
-	a.sxs = make([]*seedex.Machine, a.pool.WorkerCount())
-	for w := range a.sxs {
-		a.sxs[w] = sx.Clone()
-	}
+	a := newAligner(r.Ctx, eng, veng, ix, sx, *maxHits, r.Pool(), r.Tracker, writer)
 
 	err = a.run(*readsPath, *reads2, *batchSize)
 	r.Tracker.Finish()
@@ -170,6 +162,25 @@ func main() {
 		r.Log.Info("seed verification finished", "verify", r.Verify, "mismatches", a.mismatches)
 	}
 	r.Finish(interrupted, func() bool { return a.mismatches > 0 })
+}
+
+// newAligner makes an aligner that seeds with eng on pool, cross-checks
+// the forward seeds against veng when it is not nil, and extends with one
+// clone of sx per pool worker.
+func newAligner(ctx context.Context, eng, veng engine.Engine, ix *refidx.Index, sx *seedex.Machine,
+	maxHits int, pool batch.Options, tracker *progress.Tracker, writer *sam.Writer) *aligner {
+	pos, _ := eng.(engine.Positioner)
+	_, strands := eng.(engine.StrandSeeder)
+	a := &aligner{
+		ctx: ctx, eng: eng, pos: pos, strands: strands, veng: veng, flat: ix.Flat(),
+		ix: ix, maxHits: maxHits,
+		pool: pool, tracker: tracker, writer: writer,
+	}
+	a.sxs = make([]*seedex.Machine, pool.WorkerCount())
+	for w := range a.sxs {
+		a.sxs[w] = sx.Clone()
+	}
+	return a
 }
 
 // run streams the input through the seeding pool in batches of
@@ -231,8 +242,8 @@ func (a *aligner) run(path1, path2 string, batchSize int) error {
 	return err
 }
 
-// strandSeeds completes one seeded batch's seeds. Engines with native
-// positioning (casa) resolve both strands in the stream; other engines
+// strandSeeds completes one seeded batch's seeds. StrandSeeders (casa,
+// cpu, ert, genax) resolve both strands in the stream; other engines
 // seed the reverse complements in a second pass (outside the progress and
 // trace accounting, which counts each read once), and only reads seeded
 // on both strands are returned. With -verify set, the forward SMEMs are
@@ -241,7 +252,7 @@ func (a *aligner) strandSeeds(b batch.Batch) []engine.Seeds {
 	seeds := b.Seeds
 	side := a.pool
 	side.Progress, side.Trace, side.ReadBase = nil, nil, b.Base
-	if a.pos == nil {
+	if !a.strands {
 		rcs := make([]dna.Sequence, len(b.Reads))
 		for i, r := range b.Reads {
 			rcs[i] = r.ReverseComplement()

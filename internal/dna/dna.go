@@ -318,12 +318,19 @@ func AppendUnpacked(dst Sequence, packed []byte, n int) Sequence {
 	return dst
 }
 
-// ReadPacked reads n bases stored in AppendPacked's layout from r. It reads
-// in bounded chunks and grows the sequence only as bytes arrive, so a
-// corrupted length cannot force an allocation the stream does not back.
+// ReadPacked reads n bases stored in AppendPacked's layout from r. When r
+// reports its unread length through a Len() int method, the sequence is
+// allocated once for the bases that length can still hold: exactly n
+// when the stream backs them. Otherwise it starts at a bounded chunk and
+// grows only as bytes arrive. Either way a corrupted length cannot force
+// an allocation the stream does not back.
 func ReadPacked(r io.Reader, n int) (Sequence, error) {
 	chunk := make([]byte, min(PackedLen(n), 1<<16))
-	seq := make(Sequence, 0, min(n, 1<<20))
+	size := min(n, 1<<20)
+	if lr, ok := r.(interface{ Len() int }); ok {
+		size = min(n, 4*min(lr.Len(), PackedLen(n)))
+	}
+	seq := make(Sequence, 0, size)
 	for len(seq) < n {
 		c := min(PackedLen(n-len(seq)), len(chunk))
 		if _, err := io.ReadFull(r, chunk[:c]); err != nil {

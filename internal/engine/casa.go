@@ -40,6 +40,8 @@ func (e *casaEngine) Seeds(reads []dna.Sequence, acts []Activity) []Seeds {
 	return out
 }
 
+func (e *casaEngine) SeedsBothStrands() {}
+
 func (e *casaEngine) SMEMs(res Result) [][]smem.Match {
 	r := res.(*core.Result)
 	out := make([][]smem.Match, len(r.Reads))

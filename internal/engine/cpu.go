@@ -31,8 +31,10 @@ func (e *cpuEngine) Reduce(_ []dna.Sequence, acts []Activity) Result {
 }
 
 func (e *cpuEngine) Seeds(reads []dna.Sequence, acts []Activity) []Seeds {
-	return forwardSeeds(reads, acts, func(a *cpu.Activity) [][]smem.Match { return a.Reads })
+	return activitySeeds(reads, acts, func(a *cpu.Activity) ([][]smem.Match, [][]smem.Match) { return a.Reads, a.Rev })
 }
+
+func (e *cpuEngine) SeedsBothStrands() {}
 
 func (e *cpuEngine) SMEMs(res Result) [][]smem.Match {
 	return res.(*cpu.Result).Reads

@@ -67,8 +67,8 @@ type Engine interface {
 	// order, covering exactly reads — carry, without reducing them: a
 	// streaming caller uses each batch's seeds as soon as it is seeded
 	// and still reduces the whole run once. Forward equals what SMEMs
-	// reports after Reduce; Reverse is set by Positioners (what
-	// ReadSeeds reports) and nil otherwise.
+	// reports after Reduce; Reverse is set by StrandSeeders and nil
+	// otherwise.
 	Seeds(reads []dna.Sequence, acts []Activity) []Seeds
 }
 
@@ -114,6 +114,15 @@ type Seeds struct {
 // scratch on the instance, so the usual Clone-per-worker rule applies.
 type ReadSeeder interface {
 	SeedReadInto(dst *Seeds, read dna.Sequence) bool
+}
+
+// StrandSeeder is implemented by engines whose Seeds fill Reverse as
+// well as Forward: casa, whose positioning path seeds both strands, and
+// cpu, ert and genax, whose activities already carry the
+// reverse-complement search. A caller that needs both strands from
+// another engine seeds the reverse complements itself.
+type StrandSeeder interface {
+	SeedsBothStrands()
 }
 
 // Positioner is implemented by engines that can drive alignment: both

@@ -144,6 +144,44 @@ func TestOptionalInterfaces(t *testing.T) {
 		if _, ok := e.(engine.Unwrapper); !ok {
 			t.Errorf("%s: no Unwrapper", f.Name)
 		}
+		if _, ok := e.(engine.StrandSeeder); ok != modeled[f.Name] {
+			t.Errorf("%s: StrandSeeder=%v", f.Name, ok)
+		}
+	}
+}
+
+// TestStrandSeedsMatchReverseComplementPass requires a StrandSeeder's
+// Seeds to carry, as Reverse, exactly the SMEMs a second pass over the
+// reverse-complemented reads finds, and every other engine's Seeds to
+// leave Reverse nil.
+func TestStrandSeedsMatchReverseComplementPass(t *testing.T) {
+	ref := testRef(t)
+	reads := readsim.Sequences(readsim.Simulate(ref, readsim.DefaultProfile(12, 5)))
+	rcs := make([]dna.Sequence, len(reads))
+	for i, r := range reads {
+		rcs[i] = r.ReverseComplement()
+	}
+	for _, f := range engine.List() {
+		e, err := engine.New(f.Name, ref, engine.Options{MinSMEM: 19, TableK: 8})
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		// Two shards, so activitySeeds walks more than one activity.
+		acts := []engine.Activity{e.SeedTrace(reads[:5], nil, 0), e.SeedTrace(reads[5:], nil, 5)}
+		seeds := e.Seeds(reads, acts)
+		if len(seeds) != len(reads) {
+			t.Fatalf("%s: %d seeds for %d reads", f.Name, len(seeds), len(reads))
+		}
+		_, both := e.(engine.StrandSeeder)
+		want := e.SMEMs(e.Reduce(rcs, []engine.Activity{e.SeedTrace(rcs, nil, 0)}))
+		for i, s := range seeds {
+			switch {
+			case both && !smem.Equal(s.Reverse, want[i]):
+				t.Errorf("%s read %d: Reverse %v, reverse-complement pass %v", f.Name, i, s.Reverse, want[i])
+			case !both && s.Reverse != nil:
+				t.Errorf("%s read %d: Reverse set by an engine that is not a StrandSeeder", f.Name, i)
+			}
+		}
 	}
 }
 

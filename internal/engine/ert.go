@@ -29,8 +29,10 @@ func (e ertEngine) Reduce(reads []dna.Sequence, acts []Activity) Result {
 }
 
 func (e ertEngine) Seeds(reads []dna.Sequence, acts []Activity) []Seeds {
-	return forwardSeeds(reads, acts, func(a *ert.Activity) [][]smem.Match { return a.Reads })
+	return activitySeeds(reads, acts, func(a *ert.Activity) ([][]smem.Match, [][]smem.Match) { return a.Reads, a.Rev })
 }
+
+func (e ertEngine) SeedsBothStrands() {}
 
 func (e ertEngine) SMEMs(res Result) [][]smem.Match {
 	return res.(*ert.Result).Reads

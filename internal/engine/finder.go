@@ -128,7 +128,7 @@ func (e *finderEngine) Reduce(_ []dna.Sequence, acts []Activity) Result {
 }
 
 func (e *finderEngine) Seeds(reads []dna.Sequence, acts []Activity) []Seeds {
-	return forwardSeeds(reads, acts, func(a finderActivity) [][]smem.Match { return a.smems })
+	return activitySeeds(reads, acts, func(a finderActivity) ([][]smem.Match, [][]smem.Match) { return a.smems, nil })
 }
 
 func (e *finderEngine) SMEMs(res Result) [][]smem.Match {

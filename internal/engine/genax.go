@@ -27,8 +27,10 @@ func (e genaxEngine) Reduce(_ []dna.Sequence, acts []Activity) Result {
 }
 
 func (e genaxEngine) Seeds(reads []dna.Sequence, acts []Activity) []Seeds {
-	return forwardSeeds(reads, acts, func(a *genax.Activity) [][]smem.Match { return a.Reads })
+	return activitySeeds(reads, acts, func(a *genax.Activity) ([][]smem.Match, [][]smem.Match) { return a.Reads, a.Rev })
 }
+
+func (e genaxEngine) SeedsBothStrands() {}
 
 func (e genaxEngine) SMEMs(res Result) [][]smem.Match {
 	return res.(*genax.Result).Reads

@@ -14,9 +14,12 @@ import (
 // can serialize their built indexes into a casa-idx container and
 // reconstruct themselves from one. SaveIndex appends only the sections
 // the engine owns; LoadIndex consumes them in the same order on an
-// instance produced by the factory's NewEmpty. Engines without the
-// capability rebuild from FASTA (Factory.NewEmpty == nil documents the
-// excuse).
+// instance produced by the factory's NewEmpty. LoadIndex may leave table
+// derivations running on r (idxio.Reader.Go); the engine is ready once
+// r.Wait returns nil, which the package-level LoadIndex (through Close)
+// and every composite's LoadIndex see to before returning. Engines
+// without the capability rebuild from FASTA (Factory.NewEmpty == nil
+// documents the excuse).
 type IndexPersister interface {
 	SaveIndex(w *idxio.Writer) error
 	LoadIndex(r *idxio.Reader) error
@@ -97,7 +100,7 @@ func LoadIndex(r io.Reader) (Engine, idxio.Header, error) {
 		return nil, hdr, fmt.Errorf("engine: %s: NewEmpty returned a non-persisting engine", f.Name)
 	}
 	if err := p.LoadIndex(ir); err != nil {
-		return nil, hdr, err
+		return nil, hdr, ir.Wait(err)
 	}
 	if err := ir.Close(); err != nil {
 		return nil, hdr, err
@@ -119,23 +122,16 @@ func saveBidirectional(w *idxio.Writer, prefix string, f *smem.Bidirectional) er
 
 // loadBidirectional reads saveBidirectional's sections back, checking
 // the two indexes describe the same text (Rev indexes its reversal).
+// Each index's tables are derived on r.Go while the next section is
+// read, so the finder is ready once r.Wait returns nil.
 func loadBidirectional(r *idxio.Reader, prefix string) (*smem.Bidirectional, error) {
-	pr := r.Prefixed(prefix)
-	sec, err := pr.Section("fwd")
+	fwd, err := decodeIndex(r, prefix, "fwd")
 	if err != nil {
 		return nil, err
 	}
-	fwd, err := fmindex.Deserialize(sec)
-	if err != nil {
-		return nil, fmt.Errorf("engine: section %q: %w", prefix+"fwd", err)
-	}
-	sec, err = pr.Section("rev")
+	rev, err := decodeIndex(r, prefix, "rev")
 	if err != nil {
 		return nil, err
-	}
-	rev, err := fmindex.Deserialize(sec)
-	if err != nil {
-		return nil, fmt.Errorf("engine: section %q: %w", prefix+"rev", err)
 	}
 	ft, rt := fwd.Text(), rev.Text()
 	if len(ft) != len(rt) {
@@ -149,4 +145,24 @@ func loadBidirectional(r *idxio.Reader, prefix string) (*smem.Bidirectional, err
 		}
 	}
 	return smem.FromIndex(&fmindex.Bidirectional{Fwd: fwd, Rev: rev}), nil
+}
+
+// decodeIndex reads one serialized FMIndex section and starts deriving
+// its tables on r.Go.
+func decodeIndex(r *idxio.Reader, prefix, name string) (*fmindex.FMIndex, error) {
+	sec, err := r.Prefixed(prefix).Section(name)
+	if err != nil {
+		return nil, err
+	}
+	f, err := fmindex.Decode(sec)
+	if err != nil {
+		return nil, fmt.Errorf("engine: section %q: %w", prefix+name, err)
+	}
+	r.Go(func() error {
+		if err := f.Derive(); err != nil {
+			return fmt.Errorf("engine: section %q: %w", prefix+name, err)
+		}
+		return nil
+	})
+	return f, nil
 }

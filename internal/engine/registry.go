@@ -138,14 +138,19 @@ func typedActs[A any](acts []Activity) []A {
 	return out
 }
 
-// forwardSeeds implements Engine.Seeds for engines that are not
-// Positioners: the per-read forward SMEM sets smems reads off each typed
-// activity, in shard order.
-func forwardSeeds[A any](reads []dna.Sequence, acts []Activity, smems func(A) [][]smem.Match) []Seeds {
+// activitySeeds implements Engine.Seeds from typed activities: strands
+// reads one activity's per-read forward and reverse-complement SMEM sets
+// (rev nil for a forward-strand engine), taken in shard order.
+func activitySeeds[A any](reads []dna.Sequence, acts []Activity, strands func(A) (fwd, rev [][]smem.Match)) []Seeds {
 	out := make([]Seeds, 0, len(reads))
 	for _, a := range acts {
-		for _, ms := range smems(a.(A)) {
-			out = append(out, Seeds{Forward: ms})
+		fwd, rev := strands(a.(A))
+		for i, ms := range fwd {
+			s := Seeds{Forward: ms}
+			if rev != nil {
+				s.Reverse = rev[i]
+			}
+			out = append(out, s)
 		}
 	}
 	return out

@@ -20,6 +20,7 @@
 package fmindex
 
 import (
+	"fmt"
 	"math/bits"
 
 	"casa/internal/dna"
@@ -66,49 +67,76 @@ type FMIndex struct {
 // Build constructs the index over text. The sentinel is implicit; text is
 // retained (not copied) for match verification and slicing.
 func Build(text dna.Sequence) *FMIndex {
-	return build(text, suffixarray.Build(text))
+	f := &FMIndex{text: text, sa: suffixarray.Build(text), n: len(text)}
+	if err := f.Derive(); err != nil {
+		panic(err) // suffixarray.Build returns a permutation of 0..n
+	}
+	return f
 }
 
-// build derives the occ planes and C table from a text and its suffix
-// array (which Build computes and BuildFromSA validates).
-func build(text dna.Sequence, sa []int32) *FMIndex {
-	n := len(text)
-	f := &FMIndex{text: text, sa: sa, n: n}
-
-	nb := (n + 1 + 63) / 64
-	f.occ = make([]occBlock, nb+1)
-	var run [4]int32
-	for i, p := range sa {
-		if i%64 == 0 {
-			f.occ[i/64].counts = run
-		}
-		var b dna.Base
-		if p == 0 {
-			f.sentRow = int32(i) // sentinel precedes the first suffix
-			b = 0                // placeholder bits; excluded via sentRow
-		} else {
-			b = text[p-1]
-			run[b]++
-		}
-		f.occ[i/64].p0 |= uint64(b&1) << uint(i%64)
-		f.occ[i/64].p1 |= uint64(b>>1) << uint(i%64)
+// Derive checks that the suffix array is a permutation of 0..n, so a
+// hostile one cannot make the index read out of bounds, and derives the
+// occ planes, sentRow and the C table from it. It makes one pass over the
+// suffix array: each 64-row block's two bit planes are assembled in
+// registers and stored once, and the block's base counts come from
+// popcounts of the planes (the sentinel row's placeholder A bits taken
+// back out), not from one counter update per row. The permutation check
+// keeps one bit per row, the only transient allocation. On error the
+// index is left without tables.
+func (f *FMIndex) Derive() error {
+	text, sa, n := f.text, f.sa, f.n
+	if len(sa) != n+1 {
+		return fmt.Errorf("fmindex: suffix array has %d rows for %d bases (want %d)", len(sa), n, n+1)
 	}
-	f.occ[nb].counts = run
+	nb := (n + 1 + 63) / 64
+	seen := make([]uint64, nb)
+	occ := make([]occBlock, nb+1)
+	var run [4]int32
+	var sentRow int32
+	for k := range nb {
+		rows := sa[k*64 : min(k*64+64, n+1)]
+		var p0, p1 uint64
+		var sent int32
+		for j, p := range rows {
+			if p < 0 || int(p) > n {
+				return fmt.Errorf("fmindex: suffix array row %d out of range [0, %d]", p, n)
+			}
+			w, bit := p>>6, uint64(1)<<uint(p&63)
+			if seen[w]&bit != 0 {
+				return fmt.Errorf("fmindex: duplicate suffix array row %d", p)
+			}
+			seen[w] |= bit
+			if p == 0 {
+				sentRow, sent = int32(k*64+j), 1 // sentinel precedes the first suffix
+				continue
+			}
+			b := uint64(text[p-1])
+			p0 |= (b & 1) << uint(j)
+			p1 |= (b >> 1) << uint(j)
+		}
+		occ[k] = occBlock{counts: run, p0: p0, p1: p1}
+		c := int32(bits.OnesCount64(p0 &^ p1))
+		g := int32(bits.OnesCount64(p1 &^ p0))
+		t := int32(bits.OnesCount64(p0 & p1))
+		run[0] += int32(len(rows)) - sent - c - g - t
+		run[1] += c
+		run[2] += g
+		run[3] += t
+	}
+	occ[nb].counts = run
 
 	// C table: c[s] = number of symbols strictly smaller than s, over the
-	// 5-symbol alphabet (0 = sentinel, 1..4 = bases).
-	var counts [5]int32
-	counts[0] = 1
-	for _, b := range text {
-		counts[b+1]++
-	}
+	// 5-symbol alphabet (0 = sentinel, 1..4 = bases). The BWT holds every
+	// text base once, so its closing counts are the text's base counts.
+	counts := [5]int32{1, run[0], run[1], run[2], run[3]}
 	var sum int32
 	for s := 0; s < 5; s++ {
 		f.c[s] = sum
 		sum += counts[s]
 	}
 	f.c[5] = sum
-	return f
+	f.occ, f.sentRow = occ, sentRow
+	return nil
 }
 
 // Len returns the text length (without sentinel).

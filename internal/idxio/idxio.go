@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"runtime"
 )
 
 // Magic identifies a casa-idx container; Version is the format version
@@ -203,6 +204,15 @@ type readerState struct {
 	r   io.Reader
 	cur *sectionReader // section currently being consumed, if any
 	end bool           // end marker consumed
+
+	derivs []*derivation // started by Go and not yet joined, in start order
+	slots  chan struct{} // one token per derivation in flight
+}
+
+// derivation is one Go call's work: done closes once err is set.
+type derivation struct {
+	done chan struct{}
+	err  error
 }
 
 // Reader walks a container's sections in order. Engines receive a Reader
@@ -347,14 +357,63 @@ func (r *Reader) next() (string, *sectionReader, error) {
 	return name, sr, nil
 }
 
-// Close drains any unfinished section and requires the end marker,
-// verifying that every written section was accounted for.
+// Go runs derive on its own goroutine while the caller reads on. derive
+// turns payload bytes already read into an engine's in-memory tables,
+// such as an FM-index's occ planes, so deriving one section overlaps
+// reading the next. At most GOMAXPROCS derivations run at once; past
+// that, Go blocks until one finishes. A section's checksum is verified
+// only when the next section opens, so derive must stay memory-safe on
+// bytes that turn out to be corrupted. What derive produces may be used
+// only once Wait, or Close, has returned nil.
+func (r *Reader) Go(derive func() error) {
+	st := r.st
+	if st.slots == nil {
+		st.slots = make(chan struct{}, runtime.GOMAXPROCS(0))
+	}
+	d := &derivation{done: make(chan struct{})}
+	st.derivs = append(st.derivs, d)
+	st.slots <- struct{}{}
+	go func() {
+		d.err = derive()
+		<-st.slots
+		close(d.done)
+	}()
+}
+
+// Wait joins every derivation started with Go and returns the first of
+// their errors in the order they were started, or else err, the error
+// (possibly nil) that stopped the caller's own reading. A derivation
+// works on sections read before that error occurred, so this is the
+// error a load that derived each section before reading the next would
+// have met first.
+func (r *Reader) Wait(err error) error {
+	var first error
+	for _, d := range r.st.derivs {
+		<-d.done
+		if first == nil {
+			first = d.err
+		}
+	}
+	r.st.derivs = nil
+	if first != nil {
+		return first
+	}
+	return err
+}
+
+// Close drains any unfinished section, requires the end marker,
+// verifying that every written section was accounted for, and waits for
+// every derivation started with Go.
 func (r *Reader) Close() error {
+	return r.Wait(r.drain())
+}
+
+func (r *Reader) drain() error {
 	if r.prefix != "" {
 		return fmt.Errorf("idxio: cannot close a prefixed section reader (%q)", r.prefix)
 	}
 	for !r.st.end {
-		name, sr, err := r.next()
+		_, sr, err := r.next()
 		if err != nil {
 			return err
 		}
@@ -364,7 +423,6 @@ func (r *Reader) Close() error {
 		if err := sr.finish(); err != nil {
 			return err
 		}
-		_ = name
 	}
 	return nil
 }

@@ -436,8 +436,22 @@ func (s *Sharded) SaveIndex(w *idxio.Writer) error {
 }
 
 // LoadIndex implements engine.IndexPersister on a factory NewEmpty
-// instance: geometry first, then one inner engine per shard.
+// instance: geometry first, then one inner engine per shard. The inner
+// engines' table derivations run while later shards are read, and all of
+// them are joined before LoadIndex returns, the first error in section
+// order winning.
 func (s *Sharded) LoadIndex(r *idxio.Reader) error {
+	if err := r.Wait(s.loadShards(r)); err != nil {
+		return err
+	}
+	// Window contents were restored by readGeometry; recompute the
+	// derived state.
+	s.finish()
+	return nil
+}
+
+// loadShards reads the geometry and every shard's inner engine.
+func (s *Sharded) loadShards(r *idxio.Reader) error {
 	if s.factory.NewEmpty == nil {
 		return fmt.Errorf("shard: inner engine %s does not support index persistence", s.factory.Name)
 	}
@@ -463,9 +477,6 @@ func (s *Sharded) LoadIndex(r *idxio.Reader) error {
 		}
 		s.inners = append(s.inners, inner)
 	}
-	// Window contents were restored by readGeometry; recompute the
-	// derived state.
-	s.finish()
 	return nil
 }
 
