@@ -19,8 +19,8 @@ import (
 func camImage(part dna.Sequence, cfg Config) *cam.Bank {
 	entries := (len(part) + cfg.Stride - 1) / cfg.Stride
 	// One array per group round-robin: array i gets entries i, i+groups...
-	// To keep GroupOf(entry) == entry%groups (the addOccurrence
-	// convention maps position x to group (x/stride)%groups), use one
+	// To keep GroupOf(entry) == entry%groups (occupiedGroups maps
+	// position x to group (x/stride)%groups), use one
 	// entry per "array" with groups-sized round robin. Rows per array can
 	// be 1 for the test; the energy geometry is irrelevant here.
 	bank := cam.NewBank(entries, 1, 2*cfg.Stride, cfg.Groups)
@@ -66,19 +66,21 @@ func TestCAMImageMatchesIndicatorSearches(t *testing.T) {
 
 	for x := 0; x+cfg.K <= len(part); x += 3 {
 		kmer := dna.PackKmer(part, x, cfg.K)
-		ind, ok := f.Lookup(kmer)
+		starts, ok := f.Lookup(kmer)
 		if !ok {
 			t.Fatalf("present k-mer missing from filter")
 		}
 		// Gather CAM-detected occurrence positions using only the
 		// indicator (start offsets + group mask), as the hardware does.
+		// The filter derives the group mask from the positions.
+		groups := occupiedGroups(f.Positions(kmer), cfg)
 		found := map[int]bool{}
 		for s := 0; s < cfg.Stride; s++ {
-			if ind.StartMask>>uint(s)&1 == 0 {
+			if starts>>uint(s)&1 == 0 {
 				continue
 			}
 			key, care, rem := padQuery(kmer, cfg.K, s, cfg.Stride)
-			for _, m := range bank.SearchGroups(key, care, ind.GroupMask) {
+			for _, m := range bank.SearchGroups(key, care, groups) {
 				// The candidate's remainder must continue in the successor
 				// entry (the next multi-stride match cycle).
 				pos := m.Array*cfg.Stride + s
@@ -121,13 +123,14 @@ func TestCAMGroupGatingNeverLosesMatches(t *testing.T) {
 	bank := camImage(part, cfg)
 	for x := 0; x+cfg.K <= len(part); x += 7 {
 		kmer := dna.PackKmer(part, x, cfg.K)
-		ind, _ := f.Lookup(kmer)
+		starts, _ := f.Lookup(kmer)
+		groups := occupiedGroups(f.Positions(kmer), cfg)
 		for s := 0; s < cfg.Stride; s++ {
-			if ind.StartMask>>uint(s)&1 == 0 {
+			if starts>>uint(s)&1 == 0 {
 				continue
 			}
 			key, care, _ := padQuery(kmer, cfg.K, s, cfg.Stride)
-			gated := bank.SearchGroups(key, care, ind.GroupMask)
+			gated := bank.SearchGroups(key, care, groups)
 			all := bank.SearchGroups(key, care, ^uint64(0))
 			// Each gated match appears among the all-groups matches, and
 			// every all-groups match at this offset whose group is in the
@@ -165,12 +168,13 @@ func TestCAMStrideSearchReplaysRMEM(t *testing.T) {
 		read := plantedRead(rng, part, 40, rng.Intn(3))
 		for pivot := 0; pivot+cfg.K <= len(read); pivot += 5 {
 			kmer := dna.PackKmer(read, pivot, cfg.K)
-			idx, ind, ok := p.Filter().lookup(kmer)
+			idx, starts, ok := p.Filter().lookup(kmer)
 			if !ok {
 				continue
 			}
+			groups := occupiedGroups(p.Filter().positionsAt(idx), cfg)
 			// Behavioural result.
-			m, ok := p.rmemSearch(read, pivot, idx, ind)
+			m, ok := p.rmemSearch(read, pivot, idx)
 			if !ok {
 				continue
 			}
@@ -179,11 +183,11 @@ func TestCAMStrideSearchReplaysRMEM(t *testing.T) {
 			// CAM's enabled-successor search does), and track the longest.
 			best := 0
 			for s := 0; s < cfg.Stride; s++ {
-				if ind.StartMask>>uint(s)&1 == 0 {
+				if starts>>uint(s)&1 == 0 {
 					continue
 				}
 				key, care, rem := padQuery(kmer, cfg.K, s, cfg.Stride)
-				for _, bm := range bank.SearchGroups(key, care, ind.GroupMask) {
+				for _, bm := range bank.SearchGroups(key, care, groups) {
 					pos := bm.Array*cfg.Stride + s
 					// Verify the k-mer remainder, then extend base by base
 					// (a stride search is just a bulk comparison; per-base

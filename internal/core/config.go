@@ -73,7 +73,7 @@ func DefaultConfig() Config {
 const maxTagBases = 16
 
 // MaxMiniBases is the longest m-mer prefix the mini index is keyed by. Its
-// 4^m entries of 8 bytes cost 128 MiB per partition at m=12, 32 times the
+// 4^m bounds of 4 bytes cost 64 MiB per partition at m=12, 16 times the
 // paper's m=10, and every partition holds one.
 const MaxMiniBases = 12
 

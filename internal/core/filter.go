@@ -41,15 +41,18 @@ func (s *FilterStats) add(o FilterStats) {
 // occurrence positions; the hardware equivalent is the computing CAM
 // itself (positions are recovered by CAM matching), but the SMEM computing
 // model needs them to resolve hits without a bit-level search of millions
-// of entries per pivot.
+// of entries per pivot. Because the positions are at hand, the data array
+// holds only each indicator's start mask: its group mask is
+// occupiedGroups of the positions, derived where the group gating reads
+// it.
 type Filter struct {
 	cfg Config
 
-	mini      []tagRange // len 4^M
-	tags      []uint32   // sorted (k-m)-mer values, grouped by m-mer prefix
-	data      []SearchIndicator
-	posIndex  []int32 // len(tags)+1: range of positions per tag entry
-	positions []int32 // occurrence start positions, sorted per k-mer
+	mini      []int32  // len 4^M+1: bucket p's tags are tags[mini[p]:mini[p+1]]
+	tags      []uint32 // sorted (k-m)-mer values, grouped by m-mer prefix
+	data      []uint64 // per tag: the start mask of its search indicator
+	posIndex  []int32  // len(tags)+1: range of positions per tag entry
+	positions []int32  // occurrence start positions, sorted per k-mer
 
 	// Derived from cfg once at construction (initDerived) so the per-lookup
 	// hot path does not recompute the tag split on every call.
@@ -69,10 +72,16 @@ func (f *Filter) initDerived() {
 	f.suffixMask = uint64(1)<<f.suffixBits - 1
 }
 
-// tagRange is one mini-index entry: the start/end pointers into the tag
-// array for all (k-m)-mers sharing this m-mer prefix.
+// tagRange is one mini bucket's start/end pointers into the tag array:
+// the (k-m)-mers sharing one m-mer prefix.
 type tagRange struct {
 	start, end int32
+}
+
+// bucket returns the tag range of kmer's mini bucket.
+func (f *Filter) bucket(kmer dna.Kmer) tagRange {
+	p := uint64(kmer) >> f.suffixBits
+	return tagRange{f.mini[p], f.mini[p+1]}
 }
 
 // Clone returns a filter sharing this one's index arrays (built offline,
@@ -99,9 +108,10 @@ func (f *Filter) Clone() *Filter {
 // counts each k-mer's m-mer prefix into its bucket, a second scatters
 // every position (ascending, since the scan runs in order) with its
 // (k-m)-mer suffix into the bucket's slice of the positions table, and
-// each bucket is then ordered stably by suffix. The suffixes are the one
-// transient table, 4 bytes per base; a bucket too large for insertion sort
-// borrows 8 bytes per entry more while it sorts.
+// each bucket is then ordered stably by suffix. The bound array serves as
+// the counts, then the scatter cursors, then the tag bounds. The suffixes
+// are the one transient table, 4 bytes per base; a bucket too large for
+// insertion sort borrows 8 bytes per entry more while it sorts.
 func BuildFilter(part dna.Sequence, cfg Config) (*Filter, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -110,9 +120,10 @@ func BuildFilter(part dna.Sequence, cfg Config) (*Filter, error) {
 		return nil, fmt.Errorf("core: partition of %d bases exceeds configured %d", len(part), cfg.PartitionBases)
 	}
 	n := max(len(part)-cfg.K+1, 0) // k-mer starts
+	buckets := dna.NumKmers(cfg.M)
 	f := &Filter{
 		cfg:       cfg,
-		mini:      make([]tagRange, dna.NumKmers(cfg.M)),
+		mini:      make([]int32, buckets+1),
 		positions: make([]int32, n),
 	}
 	f.initDerived()
@@ -120,32 +131,32 @@ func BuildFilter(part dna.Sequence, cfg Config) (*Filter, error) {
 	k := cfg.K
 	kmerMask := uint64(1)<<(2*uint(k)) - 1
 
-	// Count: bucket sizes accumulate in each mini entry's end.
+	// Count: bucket p's size accumulates in mini[p+1].
 	var kmer uint64
 	for i, b := range part {
 		kmer = (kmer<<2 | uint64(b)) & kmerMask
 		if i >= k-1 {
-			mini[kmer>>bits].end++
+			mini[kmer>>bits+1]++
 		}
 	}
-	// Prefix-sum into position ranges whose end is the scatter cursor.
-	next := int32(0)
-	for p, r := range mini {
-		mini[p] = tagRange{start: next, end: next}
-		next += r.end
+	// Prefix-sum: mini[p] becomes bucket p's first position, the cursor
+	// the scatter advances.
+	for p := 1; p <= buckets; p++ {
+		mini[p] += mini[p-1]
 	}
 	// Scatter: each bucket ends up holding its positions in ascending
-	// order, each with its suffix alongside.
+	// order, each with its suffix alongside. Afterwards mini[p] is bucket
+	// p's end, so bucket p spans the previous bucket's end to mini[p].
 	suffixes := make([]uint32, n)
 	positions := f.positions
 	kmer = 0
 	for i, b := range part {
 		kmer = (kmer<<2 | uint64(b)) & kmerMask
 		if i >= k-1 {
-			r := &mini[kmer>>bits]
-			positions[r.end] = int32(i - k + 1)
-			suffixes[r.end] = uint32(kmer & mask)
-			r.end++
+			c := &mini[kmer>>bits]
+			positions[*c] = int32(i - k + 1)
+			suffixes[*c] = uint32(kmer & mask)
+			*c++
 		}
 	}
 
@@ -153,8 +164,9 @@ func BuildFilter(part dna.Sequence, cfg Config) (*Filter, error) {
 	// k-mer, and count the distinct k-mers to size the tables exactly.
 	distinct := 0
 	var wide []uint64
-	for _, r := range mini {
-		suf, pos := suffixes[r.start:r.end], positions[r.start:r.end]
+	lo := int32(0)
+	for _, hi := range mini[:buckets] {
+		suf, pos := suffixes[lo:hi], positions[lo:hi]
 		if len(suf) > insertionSortMax {
 			wide = sortBucketWide(suf, pos, wide)
 		} else {
@@ -165,26 +177,31 @@ func BuildFilter(part dna.Sequence, cfg Config) (*Filter, error) {
 				distinct++
 			}
 		}
+		lo = hi
 	}
 
-	// Fill the tag, indicator and position-index tables, rewriting each
-	// mini entry from its position range to its tag range.
+	// Fill the tag, start-mask and position-index tables, rewriting each
+	// bucket's bound from its position end to its first tag.
 	f.tags = make([]uint32, distinct)
-	f.data = make([]SearchIndicator, distinct)
+	f.data = make([]uint64, distinct)
 	f.posIndex = make([]int32, distinct+1)
+	stride := int32(cfg.Stride)
 	t := int32(-1)
-	for p, r := range mini {
-		mini[p].start = t + 1
-		for i := r.start; i < r.end; i++ {
-			if i == r.start || suffixes[i] != suffixes[i-1] {
+	lo = 0
+	for p := range buckets {
+		hi := mini[p]
+		mini[p] = t + 1
+		for i := lo; i < hi; i++ {
+			if i == lo || suffixes[i] != suffixes[i-1] {
 				t++
 				f.tags[t] = suffixes[i]
 				f.posIndex[t] = i
 			}
-			f.data[t] = f.data[t].addOccurrence(int(positions[i]), cfg.Stride, cfg.Groups)
+			f.data[t] |= 1 << uint(positions[i]%stride)
 		}
-		mini[p].end = t + 1
+		lo = hi
 	}
+	mini[buckets] = int32(distinct)
 	f.posIndex[distinct] = int32(n)
 	return f, nil
 }
@@ -226,29 +243,29 @@ func sortBucketWide(suf []uint32, pos []int32, scratch []uint64) []uint64 {
 func (f *Filter) DistinctKmers() int { return len(f.tags) }
 
 // Lookup reports whether kmer exists in the partition and returns its
-// search indicator. It charges the mini-index access, the gated tag-array
-// search, and (on a hit) the data-array access.
-func (f *Filter) Lookup(kmer dna.Kmer) (SearchIndicator, bool) {
-	_, ind, ok := f.lookup(kmer)
-	return ind, ok
+// search indicator's start mask. It charges the mini-index access, the
+// gated tag-array search, and (on a hit) the data-array access.
+func (f *Filter) Lookup(kmer dna.Kmer) (uint64, bool) {
+	_, starts, ok := f.lookup(kmer)
+	return starts, ok
 }
 
 // lookup is Lookup that also returns the k-mer's tag index, from which
 // positionsAt reads its occurrences without a second search.
-func (f *Filter) lookup(kmer dna.Kmer) (int32, SearchIndicator, bool) {
+func (f *Filter) lookup(kmer dna.Kmer) (int32, uint64, bool) {
 	idx, ok := f.find(kmer)
 	if !ok {
-		return -1, SearchIndicator{}, false
+		return -1, 0, false
 	}
 	f.Stats.DataAccesses++
 	return idx, f.data[idx], true
 }
 
 // LookupAll is Lookup over every k-mer of kmers, writing each one's tag
-// index (-1 when absent), indicator and existence into the parallel
-// slices idx, inds and exists (each at least len(kmers) long), and
-// reporting whether any k-mer exists. It charges exactly the activity of
-// one Lookup per k-mer.
+// index (-1 when absent), start mask (0 when absent) and existence into
+// the parallel slices idx, starts and exists (each at least len(kmers)
+// long), and reporting whether any k-mer exists. It charges exactly the
+// activity of one Lookup per k-mer.
 //
 // The lookups run in passes, as the filter streams a read's pivots
 // (§4.1), so that independent cache misses are in flight together instead
@@ -257,14 +274,13 @@ func (f *Filter) lookup(kmer dna.Kmer) (int32, SearchIndicator, bool) {
 // ranges, and the third fetches the hits' indicators. The host order of
 // the accesses is not a model input: the filter's cycles come from the
 // lookup count alone.
-func (f *Filter) LookupAll(kmers []dna.Kmer, idx []int32, inds []SearchIndicator, exists []bool) bool {
+func (f *Filter) LookupAll(kmers []dna.Kmer, idx []int32, starts []uint64, exists []bool) bool {
 	n := len(kmers)
 	ranges := growN(f.ranges, n)
 	f.ranges = ranges
-	idx, inds, exists = idx[:n], inds[:n], exists[:n]
-	mini, bits := f.mini, f.suffixBits
+	idx, starts, exists = idx[:n], starts[:n], exists[:n]
 	for i, kmer := range kmers {
-		ranges[i] = mini[uint64(kmer)>>bits]
+		ranges[i] = f.bucket(kmer)
 	}
 	var rows, hits int64
 	for i, kmer := range kmers {
@@ -276,9 +292,9 @@ func (f *Filter) LookupAll(kmers []dna.Kmer, idx []int32, inds []SearchIndicator
 		exists[i] = j >= 0
 		if j >= 0 {
 			hits++
-			inds[i] = f.data[j]
+			starts[i] = f.data[j]
 		} else {
-			inds[i] = SearchIndicator{}
+			starts[i] = 0
 		}
 	}
 	s := &f.Stats
@@ -310,7 +326,7 @@ func (f *Filter) positionsAt(idx int32) []int32 {
 // indexOf returns kmer's tag index, or -1 when it is absent, without
 // touching Stats.
 func (f *Filter) indexOf(kmer dna.Kmer) int32 {
-	return f.search(f.mini[uint64(kmer)>>f.suffixBits], uint32(uint64(kmer)&f.suffixMask))
+	return f.search(f.bucket(kmer), uint32(uint64(kmer)&f.suffixMask))
 }
 
 // Contains reports existence without returning the indicator (still
@@ -324,7 +340,7 @@ func (f *Filter) Contains(kmer dna.Kmer) bool {
 func (f *Filter) find(kmer dna.Kmer) (int32, bool) {
 	f.Stats.Lookups++
 	f.Stats.MiniAccesses++
-	r := f.mini[uint64(kmer)>>f.suffixBits]
+	r := f.bucket(kmer)
 	f.Stats.TagSearches++
 	f.Stats.TagRowsEnabled += int64(r.end - r.start)
 	idx := f.search(r, uint32(uint64(kmer)&f.suffixMask))

@@ -91,23 +91,22 @@ func TestFilterIndicatorsMatchOccurrences(t *testing.T) {
 	}
 	for i := 0; i+cfg.K <= len(part); i += 17 {
 		km := dna.PackKmer(part, i, cfg.K)
-		ind, ok := f.Lookup(km)
+		starts, ok := f.Lookup(km)
 		if !ok {
 			t.Fatalf("present k-mer missing")
 		}
 		// Recompute the expected indicator from all occurrences.
-		var want SearchIndicator
-		for _, pos := range f.Positions(km) {
-			want = want.addOccurrence(int(pos), cfg.Stride, cfg.Groups)
-		}
-		if ind != want {
-			t.Fatalf("indicator mismatch at %d: %+v vs %+v", i, ind, want)
+		positions := f.Positions(km)
+		want := indicatorOf(positions, cfg)
+		got := indicator{starts, occupiedGroups(positions, cfg)}
+		if got != want {
+			t.Fatalf("indicator mismatch at %d: %+v vs %+v", i, got, want)
 		}
 		// This occurrence's own offsets must be present.
-		if ind.StartMask&(1<<uint(i%cfg.Stride)) == 0 {
+		if got.starts&(1<<uint(i%cfg.Stride)) == 0 {
 			t.Fatalf("own start offset missing at %d", i)
 		}
-		if ind.GroupMask&(1<<uint((i/cfg.Stride)%cfg.Groups)) == 0 {
+		if got.groups&(1<<uint((i/cfg.Stride)%cfg.Groups)) == 0 {
 			t.Fatalf("own group missing at %d", i)
 		}
 	}
@@ -237,20 +236,43 @@ func TestFilterDefaultGeometryWorks(t *testing.T) {
 	}
 }
 
+// indicator is a k-mer's search indicator as the paper's data array holds
+// it: the start mask and the group mask, accumulated one occurrence at a
+// time by addOccurrence. The filter must hold its start mask, and
+// occupiedGroups of its positions must equal its group mask.
+type indicator struct{ starts, groups uint64 }
+
+// addOccurrence records an occurrence at partition position x.
+func (s indicator) addOccurrence(x int, cfg Config) indicator {
+	s.starts |= 1 << uint(x%cfg.Stride)
+	s.groups |= 1 << uint((x/cfg.Stride)%cfg.Groups)
+	return s
+}
+
+// indicatorOf accumulates the indicator of a k-mer's occurrences.
+func indicatorOf(positions []int32, cfg Config) indicator {
+	var s indicator
+	for _, pos := range positions {
+		s = s.addOccurrence(int(pos), cfg)
+	}
+	return s
+}
+
 // buildFilterSortOracle is the filter build before the counting sort: it
 // packs (k-mer, position) pairs into one uint64 key each, sorts them once
 // and reads the tables off the sorted keys. It is kept as the oracle the
-// counting-sort build must reproduce table for table.
-func buildFilterSortOracle(part dna.Sequence, cfg Config) (*Filter, error) {
+// counting-sort build must reproduce table for table. It also returns
+// each tag's full indicator.
+func buildFilterSortOracle(part dna.Sequence, cfg Config) (*Filter, []indicator, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	posBits := 0
 	for 1<<uint(posBits) < len(part) {
 		posBits++
 	}
 	if 2*cfg.K+posBits > 64 {
-		return nil, fmt.Errorf("oracle: k=%d with %d-base partition does not fit the packed build key", cfg.K, len(part))
+		return nil, nil, fmt.Errorf("oracle: k=%d with %d-base partition does not fit the packed build key", cfg.K, len(part))
 	}
 	keys := make([]uint64, max(len(part)-cfg.K+1, 0))
 	for x := range keys {
@@ -266,34 +288,36 @@ func buildFilterSortOracle(part dna.Sequence, cfg Config) (*Filter, error) {
 	}
 	f := &Filter{
 		cfg:       cfg,
-		mini:      make([]tagRange, dna.NumKmers(cfg.M)),
+		mini:      make([]int32, dna.NumKmers(cfg.M)+1),
 		tags:      make([]uint32, 0, distinct),
-		data:      make([]SearchIndicator, 0, distinct),
+		data:      make([]uint64, 0, distinct),
 		posIndex:  make([]int32, 0, distinct+1),
 		positions: make([]int32, len(keys)),
 	}
 	f.initDerived()
+	inds := make([]indicator, 0, distinct)
 	posMask := uint64(1)<<uint(posBits) - 1
 	for i, key := range keys {
 		kmer := key >> uint(posBits)
 		x := int(key & posMask)
 		if i == 0 || kmer != keys[i-1]>>uint(posBits) {
 			f.tags = append(f.tags, uint32(kmer&f.suffixMask))
-			f.data = append(f.data, SearchIndicator{})
+			inds = append(inds, indicator{})
 			f.posIndex = append(f.posIndex, int32(i))
-			f.mini[kmer>>f.suffixBits].end++ // counted here, ranged below
+			f.mini[kmer>>f.suffixBits+1]++ // counted here, summed below
 		}
-		last := len(f.data) - 1
-		f.data[last] = f.data[last].addOccurrence(x, cfg.Stride, cfg.Groups)
+		last := len(inds) - 1
+		inds[last] = inds[last].addOccurrence(x, cfg)
 		f.positions[i] = int32(x)
 	}
-	f.posIndex = append(f.posIndex, int32(len(keys)))
-	start := int32(0)
-	for p, r := range f.mini {
-		f.mini[p] = tagRange{start: start, end: start + r.end}
-		start += r.end
+	for _, ind := range inds {
+		f.data = append(f.data, ind.starts)
 	}
-	return f, nil
+	f.posIndex = append(f.posIndex, int32(len(keys)))
+	for p := 1; p < len(f.mini); p++ {
+		f.mini[p] += f.mini[p-1]
+	}
+	return f, inds, nil
 }
 
 // sameTables reports the first of the five filter tables on which got and
@@ -316,10 +340,11 @@ func sameTables(got, want *Filter) string {
 }
 
 // checkAgainstOracle builds part both ways and fails on any table that
-// differs.
+// differs, or on a tag whose positions' occupiedGroups is not the
+// oracle's group mask.
 func checkAgainstOracle(t *testing.T, name string, part dna.Sequence, cfg Config) *Filter {
 	t.Helper()
-	want, err := buildFilterSortOracle(part, cfg)
+	want, inds, err := buildFilterSortOracle(part, cfg)
 	if err != nil {
 		t.Fatalf("%s: oracle: %v", name, err)
 	}
@@ -329,6 +354,12 @@ func checkAgainstOracle(t *testing.T, name string, part dna.Sequence, cfg Config
 	}
 	if table := sameTables(got, want); table != "" {
 		t.Fatalf("%s (k=%d m=%d, %d bases): %s differ from the sort oracle", name, cfg.K, cfg.M, len(part), table)
+	}
+	for i, ind := range inds {
+		if groups := occupiedGroups(got.positionsAt(int32(i)), cfg); groups != ind.groups {
+			t.Fatalf("%s (k=%d m=%d, %d bases): tag %d occupies groups %b, the oracle's group mask is %b",
+				name, cfg.K, cfg.M, len(part), i, groups, ind.groups)
+		}
 	}
 	return got
 }
@@ -359,25 +390,29 @@ func repeatRich(rng *rand.Rand, n int) dna.Sequence {
 }
 
 // TestBuildFilterMatchesSortOracle requires the counting-sort build to
-// reproduce the sort build's five tables exactly: random and repeat-rich
-// partitions, partitions shorter than k and exactly k long, and (k, m)
-// pairs from m=1 to the widest 16-base tag.
+// reproduce the sort build's five tables exactly, and each tag's derived
+// group mask to equal the sort build's: random and repeat-rich
+// partitions, partitions shorter than k and exactly k long, (k, m) pairs
+// from m=1 to the widest 16-base tag, and the ablations' widest
+// indicators (stride 64, 40 groups).
 func TestBuildFilterMatchesSortOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	shapes := []struct{ k, m int }{
-		{7, 4}, {2, 1}, {5, 1}, {17, 1}, {12, 6}, {19, 10}, {20, 4}, {24, 8},
+	shapes := []struct{ k, m, stride, groups int }{
+		{7, 4, 5, 4}, {2, 1, 5, 4}, {5, 1, 5, 4}, {17, 1, 5, 4}, {12, 6, 5, 4},
+		{19, 10, 40, 20}, {20, 4, 64, 20}, {24, 8, 40, 40}, {9, 3, 64, 40},
 	}
 	wideBuckets := 0
 	for _, sh := range shapes {
 		cfg := testConfig()
 		cfg.K, cfg.M, cfg.MinSMEM = sh.k, sh.m, sh.k
+		cfg.Stride, cfg.Groups = sh.stride, sh.groups
 		for _, n := range []int{0, 1, sh.k - 1, sh.k, sh.k + 1, 97, 3000} {
 			checkAgainstOracle(t, fmt.Sprintf("random %d", n), randSeq(rng, n), cfg)
 		}
 		for trial := range 3 {
 			f := checkAgainstOracle(t, fmt.Sprintf("repeats %d", trial), repeatRich(rng, 2000+rng.Intn(4000)), cfg)
-			for _, r := range f.mini {
-				if f.posIndex[r.end]-f.posIndex[r.start] > insertionSortMax {
+			for p := range len(f.mini) - 1 {
+				if f.posIndex[f.mini[p+1]]-f.posIndex[f.mini[p]] > insertionSortMax {
 					wideBuckets++
 				}
 			}
@@ -413,9 +448,11 @@ func FuzzBuildFilter(f *testing.F) {
 	})
 }
 
-// filterTableBytes is the heap size of a filter's five tables.
+// filterTableBytes is the heap size of a filter's five tables: a 4-byte
+// bound per mini bucket (plus one), a 4-byte tag and an 8-byte start mask
+// per distinct k-mer, and the 4-byte position index and positions.
 func filterTableBytes(f *Filter) uint64 {
-	return uint64(8*len(f.mini) + 4*len(f.tags) + 16*len(f.data) + 4*len(f.posIndex) + 4*len(f.positions))
+	return uint64(4*len(f.mini) + 4*len(f.tags) + 8*len(f.data) + 4*len(f.posIndex) + 4*len(f.positions))
 }
 
 // TestBuildFilterTransientBytes bounds what one build allocates beyond
@@ -527,16 +564,16 @@ func TestLookupAllMatchesLookup(t *testing.T) {
 			kmers[i] = dna.PackKmer(read, i, cfg.K)
 		}
 		idx := make([]int32, n)
-		inds := make([]SearchIndicator, n)
+		starts := make([]uint64, n)
 		exists := make([]bool, n)
-		anyHit := batched.LookupAll(kmers, idx, inds, exists)
+		anyHit := batched.LookupAll(kmers, idx, starts, exists)
 		wantAny := false
 		for i, kmer := range kmers {
-			wantIdx, wantInd, wantOK := perPivot.lookup(kmer)
+			wantIdx, wantStarts, wantOK := perPivot.lookup(kmer)
 			wantAny = wantAny || wantOK
-			if idx[i] != wantIdx || inds[i] != wantInd || exists[i] != wantOK {
-				t.Fatalf("read %d pivot %d: LookupAll (%d, %+v, %v), Lookup (%d, %+v, %v)",
-					ri, i, idx[i], inds[i], exists[i], wantIdx, wantInd, wantOK)
+			if idx[i] != wantIdx || starts[i] != wantStarts || exists[i] != wantOK {
+				t.Fatalf("read %d pivot %d: LookupAll (%d, %b, %v), Lookup (%d, %b, %v)",
+					ri, i, idx[i], starts[i], exists[i], wantIdx, wantStarts, wantOK)
 			}
 		}
 		if anyHit != wantAny {

@@ -1,34 +1,27 @@
 package core
 
-import "math/bits"
+// A k-mer's search indicator is the per-k-mer word of the pre-seeding
+// filter's data array (§3, "search indicator ... a tuple that combines the
+// start position and the group indicator of a k-mer"): a start mask whose
+// bit s is set when some occurrence x of the k-mer has x mod Stride == s
+// (how many X bases to pad, §3 "Non-overlapped Storage"), and a group mask
+// whose bit g is set when some occurrence lives in computing-CAM group g.
+// With the default Stride=40 and Groups=20 it is the paper's 60-bit word.
+//
+// The host filter stores only the start masks, one uint64 per k-mer: the
+// group mask is a function of the k-mer's occurrence positions, which the
+// behavioural model keeps anyway, so occupiedGroups derives it where it is
+// read (rmemSearch's group gating, WriteIndex's file word).
 
-// SearchIndicator is the per-k-mer word stored in the pre-seeding filter's
-// data array (§3, "search indicator ... a tuple that combines the start
-// position and the group indicator of a k-mer"). StartMask bit s is set
-// when some occurrence x of the k-mer has x mod Stride == s (how many X
-// bases to pad, §3 "Non-overlapped Storage"); GroupMask bit g is set when
-// some occurrence lives in computing-CAM group g. With the default
-// Stride=40 and Groups=20 the indicator is the paper's 60-bit data-array
-// word.
-type SearchIndicator struct {
-	StartMask uint64 // Stride bits: start offsets within a CAM entry
-	GroupMask uint64 // Groups bits: CAM groups containing the k-mer
-}
-
-// Empty reports whether the k-mer has no recorded occurrence.
-func (s SearchIndicator) Empty() bool { return s.StartMask == 0 && s.GroupMask == 0 }
-
-// StartCount returns the number of distinct start offsets.
-func (s SearchIndicator) StartCount() int { return bits.OnesCount64(s.StartMask) }
-
-// GroupCount returns the number of CAM groups to enable.
-func (s SearchIndicator) GroupCount() int { return bits.OnesCount64(s.GroupMask) }
-
-// addOccurrence records an occurrence at partition position x.
-func (s SearchIndicator) addOccurrence(x, stride, groups int) SearchIndicator {
-	s.StartMask |= 1 << uint(x%stride)
-	s.GroupMask |= 1 << uint((x/stride)%groups)
-	return s
+// occupiedGroups returns the group mask of a k-mer's occurrence positions:
+// position x lives in CAM entry x/Stride, and entries are spread round
+// robin over Groups groups.
+func occupiedGroups(positions []int32, cfg Config) uint64 {
+	var mask uint64
+	for _, pos := range positions {
+		mask |= 1 << uint((int(pos)/cfg.Stride)%cfg.Groups)
+	}
+	return mask
 }
 
 // rotateMask rotates a stride-bit mask left by d (mod stride).
@@ -39,9 +32,10 @@ func rotateMask(mask uint64, d, stride int) uint64 {
 }
 
 // Aligned implements the paper's Analysis 2 alignment test (§4.2) between
-// the k-mer starting at pivot z and the CRkM starting at read index
-// crkmStart: the pair is *possibly aligned* iff some occurrence offset a of
-// z's k-mer and some offset b of the CRkM satisfy
+// the k-mer starting at pivot z, whose start mask is pivotStarts, and the
+// CRkM starting at read index crkmStart, whose start mask is crkmStarts:
+// the pair is *possibly aligned* iff some occurrence offset a of z's k-mer
+// and some offset b of the CRkM satisfy
 //
 //	(b - a) mod stride == (crkmStart - z) mod stride.
 //
@@ -49,7 +43,7 @@ func rotateMask(mask uint64, d, stride int) uint64 {
 // CAM architecture evaluates with a shifted-AND on the start masks; it may
 // over-approximate (report aligned for a truly unaligned pair), never the
 // reverse, so discarding unaligned pivots is always safe.
-func Aligned(pivotInd, crkmInd SearchIndicator, z, crkmStart, stride int) bool {
+func Aligned(pivotStarts, crkmStarts uint64, z, crkmStart, stride int) bool {
 	d := crkmStart - z
-	return rotateMask(pivotInd.StartMask, d, stride)&crkmInd.StartMask != 0
+	return rotateMask(pivotStarts, d, stride)&crkmStarts != 0
 }

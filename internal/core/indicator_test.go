@@ -6,23 +6,36 @@ import (
 )
 
 func TestIndicatorAddOccurrence(t *testing.T) {
-	var s SearchIndicator
-	s = s.addOccurrence(85, 40, 20) // 85 mod 40 = 5; entry 85/40=2, group 2
-	if s.StartMask != 1<<5 {
-		t.Errorf("StartMask = %b", s.StartMask)
+	cfg := DefaultConfig() // stride 40, groups 20
+	var s indicator
+	s = s.addOccurrence(85, cfg) // 85 mod 40 = 5; entry 85/40=2, group 2
+	if s.starts != 1<<5 || s.groups != 1<<2 {
+		t.Errorf("indicator = %+v", s)
 	}
-	if s.GroupMask != 1<<2 {
-		t.Errorf("GroupMask = %b", s.GroupMask)
+	s = s.addOccurrence(5, cfg) // same offset, group 0
+	if s.starts != 1<<5 || s.groups != 1<<2|1 {
+		t.Errorf("indicator = %+v", s)
 	}
-	s = s.addOccurrence(5, 40, 20) // same offset, group 0
-	if s.StartCount() != 1 || s.GroupCount() != 2 {
-		t.Errorf("counts = %d, %d", s.StartCount(), s.GroupCount())
+}
+
+// TestOccupiedGroups checks the group mask the filter derives from
+// positions, including entries past the last group, which wrap round
+// robin, and a stride of 64 with 40 groups, whose indicator is wider than
+// one word.
+func TestOccupiedGroups(t *testing.T) {
+	cfg := DefaultConfig()
+	if got := occupiedGroups([]int32{5, 85}, cfg); got != 1<<2|1 {
+		t.Errorf("occupiedGroups = %b", got)
 	}
-	if s.Empty() {
-		t.Error("non-empty indicator reported empty")
+	if got := occupiedGroups([]int32{20 * 40, 21*40 + 39}, cfg); got != 1|1<<1 {
+		t.Errorf("wrapped groups = %b", got)
 	}
-	if (SearchIndicator{}).Empty() != true {
-		t.Error("zero indicator not empty")
+	if got := occupiedGroups(nil, cfg); got != 0 {
+		t.Errorf("no positions = %b", got)
+	}
+	cfg.Stride, cfg.Groups = 64, 40
+	if got := occupiedGroups([]int32{39 * 64, 40 * 64}, cfg); got != 1<<39|1 {
+		t.Errorf("stride 64, 40 groups = %b", got)
 	}
 }
 
@@ -47,14 +60,14 @@ func TestAlignedPaperExample(t *testing.T) {
 	// read distance is 4, 4 mod 5 = 4, but the hit distance mod 5 is 0:
 	// unaligned, pivot 4 is disposable. (1-based indices in the paper;
 	// 0-based below: z=3, crkmStart=7.)
-	pivotInd := SearchIndicator{StartMask: 1 << 4}
-	crkmInd := SearchIndicator{StartMask: 1 << 4}
-	if Aligned(pivotInd, crkmInd, 3, 7, 5) {
+	pivotStarts := uint64(1 << 4)
+	crkmStarts := uint64(1 << 4)
+	if Aligned(pivotStarts, crkmStarts, 3, 7, 5) {
 		t.Error("paper example 2 must be unaligned")
 	}
 	// If TCAT instead started at offset 3 = (4+4) mod 5, they would align.
-	crkmAligned := SearchIndicator{StartMask: 1 << 3}
-	if !Aligned(pivotInd, crkmAligned, 3, 7, 5) {
+	crkmAligned := uint64(1 << 3)
+	if !Aligned(pivotStarts, crkmAligned, 3, 7, 5) {
 		t.Error("offset (4+4) mod 5 = 3 must align")
 	}
 }
@@ -70,12 +83,12 @@ func TestAlignedNeverFalseNegative(t *testing.T) {
 		d := crkmStart - z
 		a := rng.Intn(1 << 20) // pivot k-mer hit position
 		b := a + d             // CRkM hit at the exact distance
-		pivotInd := SearchIndicator{StartMask: 1 << uint(a%stride)}
-		crkmInd := SearchIndicator{StartMask: 1 << uint(b%stride)}
+		pivotStarts := uint64(1) << uint(a%stride)
+		crkmStarts := uint64(1) << uint(b%stride)
 		// Noise offsets must not break the guarantee.
-		pivotInd.StartMask |= 1 << uint(rng.Intn(stride))
-		crkmInd.StartMask |= 1 << uint(rng.Intn(stride))
-		if !Aligned(pivotInd, crkmInd, z, crkmStart, stride) {
+		pivotStarts |= 1 << uint(rng.Intn(stride))
+		crkmStarts |= 1 << uint(rng.Intn(stride))
+		if !Aligned(pivotStarts, crkmStarts, z, crkmStart, stride) {
 			t.Fatalf("trial %d: exact-distance hits reported unaligned (z=%d, crkm=%d, a=%d, b=%d)",
 				trial, z, crkmStart, a, b)
 		}
@@ -85,10 +98,8 @@ func TestAlignedNeverFalseNegative(t *testing.T) {
 func TestAlignedDetectsImpossibleDistances(t *testing.T) {
 	// A single offset pair whose congruence differs from the read distance
 	// must be unaligned.
-	pivotInd := SearchIndicator{StartMask: 1 << 0}
-	crkmInd := SearchIndicator{StartMask: 1 << 10}
 	// Read distance 5: need offset b = (0+5) mod 40 = 5, but only 10 set.
-	if Aligned(pivotInd, crkmInd, 0, 5, 40) {
+	if Aligned(1<<0, 1<<10, 0, 5, 40) {
 		t.Error("impossible congruence reported aligned")
 	}
 }

@@ -5,13 +5,17 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"io"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
 	"casa/internal/dna"
+	"casa/internal/idxio"
+	"casa/internal/smem"
 )
 
 // goldenBuilds are the fixed small builds whose WriteIndex bytes are
@@ -115,6 +119,120 @@ func TestLoadedFilterEqualsBuilt(t *testing.T) {
 	}
 }
 
+// TestLoadIgnoresGroupWords fills every group word of a valid index with
+// garbage and stores it in a container section, so its checksum is
+// valid. The index must load into the built tables, seed exactly as the
+// built accelerator does and write the original bytes back: the loader
+// skips the group words and the writer derives them from positions.
+func TestLoadIgnoresGroupWords(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for i, g := range goldenBuilds {
+		built, good := buildGolden(t, i)
+		garbled := slices.Clone(good)
+		for pi := range built.parts {
+			o := offsetsOf(built, pi)
+			for j := range built.parts[pi].filter.tags {
+				binary.LittleEndian.PutUint64(garbled[o.data+16*j+8:], rng.Uint64())
+			}
+		}
+		var file bytes.Buffer
+		w, err := idxio.NewWriter(&file, idxio.Header{Engine: "casa"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Section("casa/accelerator", func(sw io.Writer) error {
+			_, err := sw.Write(garbled)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, _, err := idxio.NewReader(&file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sec, err := r.Section("casa/accelerator")
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := ReadIndex(sec)
+		if err != nil {
+			t.Fatalf("%s: index with garbage group words: %v", g.name, err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatalf("%s: %v", g.name, err)
+		}
+		for pi, bp := range built.parts {
+			if table := sameTables(loaded.parts[pi].filter, bp.filter); table != "" {
+				t.Fatalf("%s partition %d: loaded %s differ from built", g.name, pi, table)
+			}
+		}
+		var rewritten bytes.Buffer
+		if err := loaded.WriteIndex(&rewritten); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rewritten.Bytes(), good) {
+			t.Errorf("%s: the loaded index writes different bytes from the built one", g.name)
+		}
+		ref := randSeq(rand.New(rand.NewSource(g.seed)), g.refLen)
+		var reads []dna.Sequence
+		for range 30 {
+			reads = append(reads, plantedRead(rng, ref, 60, rng.Intn(3)))
+		}
+		want, got := built.SeedReads(reads), loaded.SeedReads(reads)
+		for ri := range reads {
+			if !smem.Equal(want.Reads[ri].Forward, got.Reads[ri].Forward) ||
+				!smem.Equal(want.Reads[ri].Reverse, got.Reads[ri].Reverse) {
+				t.Fatalf("%s read %d: loaded %v, built %v", g.name, ri, got.Reads[ri], want.Reads[ri])
+			}
+		}
+		if want.Cycles != got.Cycles || !reflect.DeepEqual(want.Stats, got.Stats) {
+			t.Errorf("%s: modelled activity differs: loaded %d cycles %+v, built %d cycles %+v",
+				g.name, got.Cycles, got.Stats, want.Cycles, want.Stats)
+		}
+	}
+}
+
+// TestPartitionLiveBytes bounds the heap a one-partition accelerator
+// keeps, built and loaded, at the paper's k=19, m=10 on 1 Mbase of random
+// sequence, where nearly every k-mer is distinct. A base costs 1 byte of
+// reference and 4 of positions, a distinct k-mer a 4-byte tag, an 8-byte
+// start mask and a 4-byte position-index entry, and the mini index a
+// 4-byte bound per bucket (4 MiB): about 25 bytes per base in all.
+// Two-word indicators and 8-byte mini entries (37 bytes per base) do not
+// fit.
+func TestPartitionLiveBytes(t *testing.T) {
+	const n = 1 << 20
+	const limit = 26 // bytes per base
+	cfg := DefaultConfig()
+	cfg.PartitionBases = n
+	data := singlePartitionIndex(t, n)
+	live := func(name string, build func() (*Accelerator, error)) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		a, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(a)
+		perBase := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+		t.Logf("%s partition: %.2f live bytes per base", name, perBase)
+		if perBase > limit {
+			t.Errorf("%s partition keeps %.2f bytes per base, over the %d limit", name, perBase, limit)
+		}
+	}
+	live("built", func() (*Accelerator, error) {
+		return New(randSeq(rand.New(rand.NewSource(n)), n), cfg)
+	})
+	live("loaded", func() (*Accelerator, error) { return ReadIndex(bytes.NewReader(data)) })
+	runtime.KeepAlive(data) // live across both windows, so neither counts it
+}
+
 // singlePartitionIndex builds a one-partition index of n bases at the
 // paper's k=19, m=10 and returns its WriteIndex bytes.
 func singlePartitionIndex(t testing.TB, n int) []byte {
@@ -179,7 +297,7 @@ func offsetsOf(a *Accelerator, pi int) partOffsets {
 		o.ref = o.n + 8
 		o.nMini = o.ref + dna.PackedLen(len(p.ref))
 		o.mini = o.nMini + 8
-		o.nTags = o.mini + 4*len(f.mini)
+		o.nTags = o.mini + 4*(len(f.mini)-1)
 		o.tags = o.nTags + 8
 		o.data = o.tags + 8*len(f.tags)
 		o.nPos = o.data + 16*len(f.tags)
@@ -204,7 +322,10 @@ func TestReadIndexRejectsMalformed(t *testing.T) {
 	put32 := func(b []byte, off int, v uint32) { binary.LittleEndian.PutUint32(b[off:], v) }
 	put64 := func(b []byte, off int, v uint64) { binary.LittleEndian.PutUint64(b[off:], v) }
 	// A mini bucket holding at least two tags, for the ordering case.
-	wide := slices.IndexFunc(f.mini, func(r tagRange) bool { return r.end-r.start >= 2 })
+	wide := 0
+	for f.mini[wide+1]-f.mini[wide] < 2 {
+		wide++
+	}
 	nTags, nPos := len(f.tags), len(f.positions)
 	cases := []struct {
 		name   string
@@ -219,7 +340,7 @@ func TestReadIndexRejectsMalformed(t *testing.T) {
 		{"mini end past tags", func(b []byte) []byte { put32(b, o.nTags-4, uint32(nTags+1)); return b }, "tag count is"},
 		{"tag too wide", func(b []byte) []byte { put64(b, o.tags, 1<<f.suffixBits); return b }, "wider than"},
 		{"tag order", func(b []byte) []byte {
-			i := int(f.mini[wide].start)
+			i := int(f.mini[wide])
 			put64(b, o.tags+8*(i+1), uint64(f.tags[i]))
 			return b
 		}, "does not increase within mini bucket"},

@@ -69,13 +69,13 @@ type Partition struct {
 // a seeding call, so after warm-up the per-read path stops allocating.
 // Clone hands each worker a partition with empty scratch of its own.
 type partScratch struct {
-	kmers   []dna.Kmer        // rolling k-mers of the current read
-	inds    []SearchIndicator // per-pivot search indicators
-	exists  []bool            // per-pivot filter existence
-	tagIdx  []int32           // per-pivot filter tag index (-1 absent)
-	extLens []int             // per-hit extension lengths (rmemSearch)
-	anchors []int             // exact-match anchor offsets
-	aInds   []SearchIndicator // exact-check anchor indicators
+	kmers   []dna.Kmer // rolling k-mers of the current read
+	starts  []uint64   // per-pivot start masks
+	exists  []bool     // per-pivot filter existence
+	tagIdx  []int32    // per-pivot filter tag index (-1 absent)
+	extLens []int      // per-hit extension lengths (rmemSearch)
+	anchors []int      // exact-match anchor offsets
+	aStarts []uint64   // exact-check anchor start masks
 }
 
 // growN returns s resized to n entries, reusing capacity when possible.
@@ -136,20 +136,21 @@ func (p *Partition) appendSeed(dst []smem.Match, read dna.Sequence, prepass bool
 
 	// Pre-seeding phase: fetch the search indicators of every pivot's
 	// k-mer (both the pivot checks and the CRkM checks of Algorithm 1 read
-	// from this array; the hardware ships it through the FIFO with the
-	// read). Without the filter table the naive design skips this phase.
+	// their start masks; the hardware ships them through the FIFO with
+	// the read). Without the filter table the naive design skips this
+	// phase.
 	kmers := p.rollingKmersInto(read)
-	inds := growN(p.scr.inds, maxPivot+1)
+	starts := growN(p.scr.starts, maxPivot+1)
 	exists := growN(p.scr.exists, maxPivot+1)
 	tagIdx := growN(p.scr.tagIdx, maxPivot+1)
-	p.scr.inds, p.scr.exists, p.scr.tagIdx = inds, exists, tagIdx
+	p.scr.starts, p.scr.exists, p.scr.tagIdx = starts, exists, tagIdx
 	if p.cfg.UseFilterTable {
 		// The filter streams lookups from several reads at once ("three
 		// reads (together with the reverse strands) are sent to the
 		// pre-seeding filter each time", §4.1), so its cycle cost is
 		// computed at batch granularity in the Accelerator: lookups are
 		// counted here, divided by the bank width there.
-		if !p.filter.LookupAll(kmers, tagIdx, inds, exists) {
+		if !p.filter.LookupAll(kmers, tagIdx, starts, exists) {
 			// The read never reaches the FIFO or the computing CAMs.
 			p.Stats.ReadsDiscarded++
 			p.Stats.PivotsTotal += int64(maxPivot + 1)
@@ -157,12 +158,10 @@ func (p *Partition) appendSeed(dst []smem.Match, read dna.Sequence, prepass bool
 			return dst
 		}
 	} else {
-		// Clear stale indicators from the previous read: the no-table
+		// Clear stale start masks from the previous read: the no-table
 		// configuration leaves them untouched (exactMatch still reads them,
 		// and must see the zero value the old fresh allocation provided).
-		for i := range inds {
-			inds[i] = SearchIndicator{}
-		}
+		clear(starts)
 		// The tag indices still locate each k-mer's positions for the
 		// CAM search, without charging the absent filter.
 		for i := 0; i <= maxPivot; i++ {
@@ -176,7 +175,7 @@ func (p *Partition) appendSeed(dst []smem.Match, read dna.Sequence, prepass bool
 	// pivot loop is skipped. Reads shorter than the minimum SMEM length
 	// cannot be resolved this way (their full-read match is unreportable).
 	if prepass && L >= p.cfg.MinSMEM {
-		if hits, ok := p.exactMatch(read, tagIdx, inds, exists); ok {
+		if hits, ok := p.exactMatch(read, tagIdx, starts, exists); ok {
 			p.Stats.ReadsExact++
 			return append(dst, smem.Match{Start: 0, End: L - 1, Hits: hits})
 		}
@@ -209,7 +208,7 @@ func (p *Partition) appendSeed(dst []smem.Match, read dna.Sequence, prepass bool
 				// Analysis 2: shifted-AND alignment test between the
 				// pivot's k-mer and the CRkM (over-approximates "aligned",
 				// never "unaligned", so discarding is safe).
-				if !Aligned(inds[pivot], inds[crkmStart], pivot, crkmStart, p.cfg.Stride) {
+				if !Aligned(starts[pivot], starts[crkmStart], pivot, crkmStart, p.cfg.Stride) {
 					p.Stats.PivotsFilteredAlign++
 					continue
 				}
@@ -217,7 +216,7 @@ func (p *Partition) appendSeed(dst []smem.Match, read dna.Sequence, prepass bool
 		}
 		p.Stats.PivotsComputed++
 		p.Stats.ComputeCycles++ // controller issues the RMEM search
-		m, ok := p.rmemSearch(read, pivot, tagIdx[pivot], inds[pivot])
+		m, ok := p.rmemSearch(read, pivot, tagIdx[pivot])
 		if !ok {
 			continue
 		}
@@ -243,20 +242,18 @@ func (p *Partition) appendSeed(dst []smem.Match, read dna.Sequence, prepass bool
 // consecutive full-stride matches extend it, and a final binary search
 // pins the exact SMEM end (§4.1 "Energy-efficient SMEM Computing CAMs").
 // idx is the k-mer's filter tag index (-1 when absent).
-func (p *Partition) rmemSearch(read dna.Sequence, pivot int, idx int32, ind SearchIndicator) (smem.Match, bool) {
+func (p *Partition) rmemSearch(read dna.Sequence, pivot int, idx int32) (smem.Match, bool) {
 	positions := p.filter.positionsAt(idx)
 	p.Stats.RMEMSearches++
 
 	// First search: the padded k-mer query against the enabled groups.
 	// groupRows is the match-line cost of a non-entry-gated search: the
-	// k-mer's groups when group gating is on, the whole CAM otherwise.
+	// groups of the indicator's group mask when group gating is on, the
+	// whole CAM otherwise.
 	entries := int64(p.cfg.EntriesPerPartition())
 	groupRows := entries
 	if p.cfg.GroupGating && p.cfg.UseFilterTable {
-		groups := int64(ind.GroupCount())
-		if groups == 0 {
-			groups = int64(bits.OnesCount64(occupiedGroups(positions, p.cfg)))
-		}
+		groups := int64(bits.OnesCount64(occupiedGroups(positions, p.cfg)))
 		groupRows = entries / int64(p.cfg.Groups) * groups
 	}
 	p.Stats.CAMSearches++
@@ -328,7 +325,7 @@ func (p *Partition) rmemSearch(read dna.Sequence, pivot int, idx int32, ind Sear
 // non-overlapping k-mers across the read, check that they can be mutually
 // aligned (shifted-AND, §4.2's machinery), and only then attempt the full
 // whole-read CAM match. Aborts at the first unaligned k-mer or mismatch.
-func (p *Partition) exactMatch(read dna.Sequence, tagIdx []int32, inds []SearchIndicator, exists []bool) (hits int, ok bool) {
+func (p *Partition) exactMatch(read dna.Sequence, tagIdx []int32, starts []uint64, exists []bool) (hits int, ok bool) {
 	L := len(read)
 	maxPivot := L - p.cfg.K
 	anchors := p.anchorOffsets(maxPivot)
@@ -337,7 +334,7 @@ func (p *Partition) exactMatch(read dna.Sequence, tagIdx []int32, inds []SearchI
 		if !exists[a] {
 			return 0, false
 		}
-		if a > 0 && !Aligned(inds[0], inds[a], 0, a, p.cfg.Stride) {
+		if a > 0 && !Aligned(starts[0], starts[a], 0, a, p.cfg.Stride) {
 			// The anchor cannot be at distance a from the first k-mer in
 			// any CAM alignment: the read cannot match exactly.
 			return 0, false
@@ -382,19 +379,19 @@ func (p *Partition) ExactCheck(read dna.Sequence) (hits int, ok bool) {
 		return 0, false
 	}
 	anchors := p.anchorOffsets(maxPivot)
-	inds := growN(p.scr.aInds, len(anchors))
-	p.scr.aInds = inds
+	starts := growN(p.scr.aStarts, len(anchors))
+	p.scr.aStarts = starts
 	var first int32 // anchor 0's tag index
 	for ai, a := range anchors {
 		p.Stats.ComputeCycles++
-		idx, ind, exists := p.filter.lookup(dna.PackKmer(read, a, p.cfg.K))
+		idx, s, exists := p.filter.lookup(dna.PackKmer(read, a, p.cfg.K))
 		if !exists {
 			return 0, false
 		}
-		inds[ai] = ind
+		starts[ai] = s
 		if ai == 0 {
 			first = idx
-		} else if !Aligned(inds[0], ind, 0, a, p.cfg.Stride) {
+		} else if !Aligned(starts[0], s, 0, a, p.cfg.Stride) {
 			return 0, false
 		}
 	}
@@ -454,14 +451,4 @@ func (p *Partition) rollingKmersInto(read dna.Sequence) []dna.Kmer {
 		}
 	}
 	return out
-}
-
-// occupiedGroups returns the group mask actually covering the positions,
-// used when an indicator is unavailable (naive mode energy accounting).
-func occupiedGroups(positions []int32, cfg Config) uint64 {
-	var mask uint64
-	for _, pos := range positions {
-		mask |= 1 << uint((int(pos)/cfg.Stride)%cfg.Groups)
-	}
-	return mask
 }

@@ -71,15 +71,13 @@ func TestPropertyIndicatorSubsumesOccurrences(t *testing.T) {
 		// indicator, and the indicator must contain nothing else.
 		for i := 0; i+cfg.K <= len(part); i += 5 {
 			km := dna.PackKmer(part, i, cfg.K)
-			ind, ok := filter.Lookup(km)
+			starts, ok := filter.Lookup(km)
 			if !ok {
 				return false
 			}
-			var want SearchIndicator
-			for _, pos := range filter.Positions(km) {
-				want = want.addOccurrence(int(pos), cfg.Stride, cfg.Groups)
-			}
-			if ind != want {
+			positions := filter.Positions(km)
+			want := indicatorOf(positions, cfg)
+			if starts != want.starts || occupiedGroups(positions, cfg) != want.groups {
 				return false
 			}
 		}

@@ -22,7 +22,13 @@ import (
 //	         | u64 nTags | nTags x u64 tag | nTags x (u64 start mask, u64 group mask)
 //	         | u64 nPos | (nTags+1) x u32 posIndex | nPos x u32 position )
 //
-// TestWriteIndexGolden pins these bytes.
+// TestWriteIndexGolden pins these bytes. The file is wider than the
+// tables it loads into. The mini bucket ends become the filter's bound
+// array behind a leading 0. The filter keeps only the start masks: each
+// group word is derived from the k-mer's positions (occupiedGroups) when
+// written and skipped when read, as idxio skips its retired header slot,
+// so a damaged group word cannot change what a loaded index seeds. The
+// u64 tags and two-word indicators stay until a format version bump.
 
 // indexMagic identifies the file format; the trailing digit is the
 // version.
@@ -125,19 +131,19 @@ func writePartition(w *bufio.Writer, p *Partition) error {
 		return err
 	}
 	f := p.filter
-	// Mini index: store only the bucket end offsets (starts are the
-	// previous end), one varint-free u32 per 4^M entries.
-	writeU64(w, uint64(len(f.mini)))
-	for _, r := range f.mini {
-		writeU32(w, uint32(r.end))
+	// Mini index: the bucket end offsets, one u32 per 4^M buckets (the
+	// bound array without its leading 0).
+	writeU64(w, uint64(len(f.mini)-1))
+	for _, end := range f.mini[1:] {
+		writeU32(w, uint32(end))
 	}
 	writeU64(w, uint64(len(f.tags)))
 	for _, t := range f.tags {
 		writeU64(w, uint64(t))
 	}
-	for _, d := range f.data {
-		writeU64(w, d.StartMask)
-		writeU64(w, d.GroupMask)
+	for t, starts := range f.data {
+		writeU64(w, starts)
+		writeU64(w, occupiedGroups(f.positionsAt(int32(t)), f.cfg))
 	}
 	writeU64(w, uint64(len(f.positions)))
 	for _, pi := range f.posIndex {
@@ -183,15 +189,15 @@ func readPartition(d *decoder, cfg Config, n int) (*Partition, error) {
 	}
 	f := &Filter{cfg: cfg}
 	f.initDerived()
+	// The bucket ends land behind the bound array's leading 0.
 	prevEnd := uint32(0)
-	f.mini, err = decodeTable(d, "mini index", nMini, 4, func(dst []tagRange, b []byte, first int) error {
+	f.mini, err = decodeTable(d, "mini index", nMini, 4, 1, func(dst []int32, b []byte, first int) error {
 		for j := range dst {
 			end := binary.LittleEndian.Uint32(b[4*j:])
 			if end < prevEnd {
 				return fmt.Errorf("bucket %d ends at %d, before its start %d", first+j, end, prevEnd)
 			}
-			dst[j] = tagRange{start: int32(prevEnd), end: int32(end)}
-			prevEnd = end
+			dst[j], prevEnd = int32(end), end
 		}
 		return nil
 	})
@@ -214,7 +220,7 @@ func readPartition(d *decoder, cfg Config, n int) (*Partition, error) {
 	// array, a test that stays branch-predictable on valid input.
 	bucket, bucketEnd := -1, 0
 	var prevKmer uint64
-	f.tags, err = decodeTable(d, "tags", nTags, 8, func(dst []uint32, b []byte, first int) error {
+	f.tags, err = decodeTable(d, "tags", nTags, 8, 0, func(dst []uint32, b []byte, first int) error {
 		// Work on locals: the captured state would otherwise round-trip
 		// through memory on every tag.
 		mini, mask, bits := f.mini, f.suffixMask, f.suffixBits
@@ -226,7 +232,7 @@ func readPartition(d *decoder, cfg Config, n int) (*Partition, error) {
 			}
 			for i >= end {
 				bkt++
-				end = int(mini[bkt].end)
+				end = int(mini[bkt+1])
 			}
 			kmer := uint64(bkt)<<bits | v
 			if i > 0 && kmer <= prev {
@@ -240,12 +246,10 @@ func readPartition(d *decoder, cfg Config, n int) (*Partition, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.data, err = decodeTable(d, "search indicators", nTags, 16, func(dst []SearchIndicator, b []byte, _ int) error {
+	// Each indicator's start mask; its group word is skipped.
+	f.data, err = decodeTable(d, "search indicators", nTags, 16, 0, func(dst []uint64, b []byte, _ int) error {
 		for j := range dst {
-			dst[j] = SearchIndicator{
-				StartMask: binary.LittleEndian.Uint64(b[16*j:]),
-				GroupMask: binary.LittleEndian.Uint64(b[16*j+8:]),
-			}
+			dst[j] = binary.LittleEndian.Uint64(b[16*j:])
 		}
 		return nil
 	})
@@ -261,7 +265,7 @@ func readPartition(d *decoder, cfg Config, n int) (*Partition, error) {
 		return nil, fmt.Errorf("position count %d exceeds partition size", nPos)
 	}
 	prevIdx := uint32(0) // posIndex runs non-decreasingly from 0 to nPos
-	f.posIndex, err = decodeTable(d, "posIndex", nTags+1, 4, func(dst []int32, b []byte, first int) error {
+	f.posIndex, err = decodeTable(d, "posIndex", nTags+1, 4, 0, func(dst []int32, b []byte, first int) error {
 		for j := range dst {
 			v, hi := binary.LittleEndian.Uint32(b[4*j:]), nPos
 			if first+j == 0 {
@@ -281,7 +285,7 @@ func readPartition(d *decoder, cfg Config, n int) (*Partition, error) {
 		return nil, fmt.Errorf("posIndex ends at %d, position count is %d", prevIdx, nPos)
 	}
 	lastStart := int64(n) - int64(cfg.K) // the partition's last k-mer start
-	f.positions, err = decodeTable(d, "positions", nPos, 4, func(dst []int32, b []byte, first int) error {
+	f.positions, err = decodeTable(d, "positions", nPos, 4, 0, func(dst []int32, b []byte, first int) error {
 		for j := range dst {
 			v := binary.LittleEndian.Uint32(b[4*j:])
 			if int64(v) > lastStart {
@@ -298,15 +302,16 @@ func readPartition(d *decoder, cfg Config, n int) (*Partition, error) {
 }
 
 // decodeTable checks that count entries of size bytes fit in the unread
-// payload, allocates them once, and fills them from the stream: fn decodes
-// each run of whole entries b into dst, the run starting at entry first.
-func decodeTable[T any](d *decoder, table string, count uint64, size int, fn func(dst []T, b []byte, first int) error) ([]T, error) {
+// payload, allocates them once behind lead zero entries, and fills them
+// from the stream: fn decodes each run of whole entries b into dst, the
+// run starting at entry first.
+func decodeTable[T any](d *decoder, table string, count uint64, size, lead int, fn func(dst []T, b []byte, first int) error) ([]T, error) {
 	if err := d.claim(table, count, size); err != nil {
 		return nil, err
 	}
-	out := make([]T, count)
+	out := make([]T, uint64(lead)+count)
 	if err := d.array(int(count), size, func(b []byte, first int) error {
-		return fn(out[first:first+len(b)/size], b, first)
+		return fn(out[lead+first:lead+first+len(b)/size], b, first)
 	}); err != nil {
 		return nil, fmt.Errorf("%s: %w", table, err)
 	}

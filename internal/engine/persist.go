@@ -125,42 +125,44 @@ func saveBidirectional(w *idxio.Writer, prefix string, f *smem.Bidirectional) er
 // Each index's tables are derived on r.Go while the next section is
 // read, so the finder is ready once r.Wait returns nil.
 func loadBidirectional(r *idxio.Reader, prefix string) (*smem.Bidirectional, error) {
-	fwd, err := decodeIndex(r, prefix, "fwd")
+	fwd, err := decodeIndex(r, prefix+"fwd")
 	if err != nil {
 		return nil, err
 	}
-	rev, err := decodeIndex(r, prefix, "rev")
+	rev, err := decodeIndex(r, prefix+"rev")
 	if err != nil {
 		return nil, err
 	}
 	ft, rt := fwd.Text(), rev.Text()
 	if len(ft) != len(rt) {
 		return nil, fmt.Errorf("engine: sections %q/%q index texts of different lengths (%d, %d)",
-			prefix+"fwd", prefix+"rev", len(ft), len(rt))
+			r.Name(prefix+"fwd"), r.Name(prefix+"rev"), len(ft), len(rt))
 	}
 	for i, b := range ft {
 		if rt[len(rt)-1-i] != b {
 			return nil, fmt.Errorf("engine: section %q does not index the reversal of %q (base %d)",
-				prefix+"rev", prefix+"fwd", i)
+				r.Name(prefix+"rev"), r.Name(prefix+"fwd"), i)
 		}
 	}
 	return smem.FromIndex(&fmindex.Bidirectional{Fwd: fwd, Rev: rev}), nil
 }
 
 // decodeIndex reads one serialized FMIndex section and starts deriving
-// its tables on r.Go.
-func decodeIndex(r *idxio.Reader, prefix, name string) (*fmindex.FMIndex, error) {
-	sec, err := r.Prefixed(prefix).Section(name)
+// its tables on r.Go. Its errors name the section in full, as idxio's
+// do.
+func decodeIndex(r *idxio.Reader, name string) (*fmindex.FMIndex, error) {
+	sec, err := r.Section(name)
 	if err != nil {
 		return nil, err
 	}
+	full := r.Name(name)
 	f, err := fmindex.Decode(sec)
 	if err != nil {
-		return nil, fmt.Errorf("engine: section %q: %w", prefix+name, err)
+		return nil, fmt.Errorf("engine: section %q: %w", full, err)
 	}
 	r.Go(func() error {
 		if err := f.Derive(); err != nil {
-			return fmt.Errorf("engine: section %q: %w", prefix+name, err)
+			return fmt.Errorf("engine: section %q: %w", full, err)
 		}
 		return nil
 	})

@@ -297,13 +297,18 @@ func (r *Reader) Prefixed(prefix string) *Reader {
 	return &Reader{st: r.st, prefix: r.prefix + prefix}
 }
 
+// Name returns the full container name of this reader's section name,
+// every Prefixed prefix included, as idxio's own errors name it: an
+// engine reporting a malformed payload names the section the same way.
+func (r *Reader) Name(name string) string { return r.prefix + name }
+
 // Section finishes the previous section (draining and CRC-checking it)
 // and opens the next one, which must carry the given name. The returned
 // reader yields exactly the section's payload bytes, and its Len() int
 // method reports how many remain unread, so a decoder can bound a length
 // the payload claims before allocating for it.
 func (r *Reader) Section(name string) (io.Reader, error) {
-	full := r.prefix + name
+	full := r.Name(name)
 	got, sr, err := r.next()
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package idxio
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"strings"
@@ -175,6 +176,9 @@ func TestPrefixedRoundTrip(t *testing.T) {
 	}
 	for i, want := range []string{"alpha", "beta"} {
 		pr := r.Prefixed("shard" + string(rune('0'+i)) + "/")
+		if got, want := pr.Prefixed("cpu/").Name("config"), fmt.Sprintf("shard%d/cpu/config", i); got != want {
+			t.Fatalf("Name = %q, want %q", got, want)
+		}
 		sec, err := pr.Section("cpu/config")
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)

@@ -70,7 +70,7 @@ func corruptions(t *testing.T, shards int) []corruption {
 				copy(payload[end-8:end-4], payload[end-4:])
 				binary.LittleEndian.PutUint32(data[crcAt:], crc32.ChecksumIEEE(payload))
 				row := binary.LittleEndian.Uint32(payload[end-4:])
-				return fmt.Sprintf("engine: section %q: fmindex: duplicate suffix array row %d", "fmindex/"+dir, row)
+				return fmt.Sprintf("engine: section %q: fmindex: duplicate suffix array row %d", full, row)
 			}})
 		}
 	}

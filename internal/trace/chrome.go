@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bufio"
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"fmt"
@@ -19,7 +21,8 @@ import (
 // only in how a span becomes its event (WriteChrome, WriteChromeWall).
 // Output is deterministic for a given span stream.
 
-// chromeDoc is the top-level document of both schemas.
+// chromeDoc is the top-level document of both schemas, as parseChrome
+// reads it; writeChrome streams the same document a member at a time.
 type chromeDoc struct {
 	TraceEvents []chromeEvent   `json:"traceEvents"`
 	OtherData   chromeOtherData `json:"otherData"`
@@ -58,7 +61,10 @@ type chromeArgs struct {
 
 // writeChrome encodes spans — X events carrying Name, Cat, Ts, Dur, Args
 // and proc — as one trace_event document, numbering pids and tids and
-// writing their metadata events ahead of the spans.
+// writing their metadata events ahead of the spans. It streams the
+// document through one buffered writer an event at a time, in the bytes
+// a json.Encoder indenting by one space writes for the whole chromeDoc,
+// so export holds no second copy of the events or of the document.
 func writeChrome(w io.Writer, spans []chromeEvent, other chromeOtherData) error {
 	type process struct {
 		pid  int
@@ -74,29 +80,57 @@ func writeChrome(w io.Writer, spans []chromeEvent, other chromeOtherData) error 
 		p.tids[ev.Cat] = 0
 	}
 
-	events := make([]chromeEvent, 0, len(spans)+2*len(procs))
+	bw := bufio.NewWriterSize(w, 64<<10)
+	// Each member is encoded into buf, indented for its depth in the
+	// document, and copied out without the newline Encode ends it with.
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	member := func(v any) error {
+		buf.Reset()
+		if err := enc.Encode(v); err != nil {
+			return err
+		}
+		_, err := bw.Write(buf.Bytes()[:buf.Len()-1])
+		return err
+	}
+	enc.SetIndent("  ", " ") // events sit two levels deep
+	bw.WriteString("{\n \"traceEvents\": [")
+	sep := "\n  "
+	event := func(ev chromeEvent) error {
+		bw.WriteString(sep)
+		sep = ",\n  "
+		return member(ev)
+	}
 	for i, name := range sortedKeys(procs) {
 		p := procs[name]
 		p.pid = i + 1
-		events = append(events, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: p.pid, Args: &chromeArgs{Name: name},
-		})
+		if err := event(chromeEvent{Name: "process_name", Ph: "M", Pid: p.pid, Args: &chromeArgs{Name: name}}); err != nil {
+			return err
+		}
 		for j, track := range sortedKeys(p.tids) {
 			p.tids[track] = j + 1
-			events = append(events, chromeEvent{
-				Name: "thread_name", Ph: "M", Pid: p.pid, Tid: j + 1, Args: &chromeArgs{Name: track},
-			})
+			if err := event(chromeEvent{Name: "thread_name", Ph: "M", Pid: p.pid, Tid: j + 1, Args: &chromeArgs{Name: track}}); err != nil {
+				return err
+			}
 		}
 	}
 	for _, ev := range spans {
 		p := procs[ev.proc]
 		ev.Ph, ev.Pid, ev.Tid = "X", p.pid, p.tids[ev.Cat]
-		events = append(events, ev)
+		if err := event(ev); err != nil {
+			return err
+		}
 	}
-
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(chromeDoc{TraceEvents: events, OtherData: other})
+	if len(spans) > 0 {
+		bw.WriteString("\n ")
+	}
+	bw.WriteString("],\n \"otherData\": ")
+	enc.SetIndent(" ", " ")
+	if err := member(other); err != nil {
+		return err
+	}
+	bw.WriteString("\n}\n")
+	return bw.Flush()
 }
 
 // parseChrome decodes a trace_event document of the given schema into its

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -114,6 +115,45 @@ func TestWallChromeGolden(t *testing.T) {
 		want.Start -= epoch
 		if s != want {
 			t.Fatalf("span %d: %+v, want %+v", i, s, want)
+		}
+	}
+}
+
+// TestChromeStreamIsIndentedDocument requires the streamed export to be
+// byte for byte what encoding one whole document with a one-space
+// json.Encoder indent gives, for empty streams, the goldens and names
+// that need escaping.
+func TestChromeStreamIsIndentedDocument(t *testing.T) {
+	tr := New(PolicyAll, 0)
+	b := tr.NewBuffer(`<engine & "co">`)
+	b.Emit(0, `tab\t`, "é", 0, 3)
+	b.Emit(1, "x", "</script>", 3, 4)
+	escaped := tr.Spans()
+	w := goldenWall()
+	for _, tc := range []struct {
+		name  string
+		write func(*bytes.Buffer) error
+	}{
+		{"empty cycle", func(buf *bytes.Buffer) error { return WriteChrome(buf, nil) }},
+		{"empty wall", func(buf *bytes.Buffer) error { return WriteChromeWall(buf, nil, 0) }},
+		{"golden cycle", func(buf *bytes.Buffer) error { return WriteChrome(buf, goldenCycleSpans()) }},
+		{"golden wall", func(buf *bytes.Buffer) error { return WriteChromeWall(buf, w.Spans(), w.Dropped()) }},
+		{"escaped names", func(buf *bytes.Buffer) error { return WriteChrome(buf, escaped) }},
+	} {
+		var got bytes.Buffer
+		if err := tc.write(&got); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var compact, want bytes.Buffer
+		if err := json.Compact(&compact, got.Bytes()); err != nil {
+			t.Fatalf("%s: export is not JSON: %v\n%s", tc.name, err, got.Bytes())
+		}
+		if err := json.Indent(&want, compact.Bytes(), "", " "); err != nil {
+			t.Fatal(err)
+		}
+		want.WriteByte('\n')
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: streamed export\n%s\nwant the indented document\n%s", tc.name, got.Bytes(), want.Bytes())
 		}
 	}
 }
