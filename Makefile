@@ -74,7 +74,8 @@ fuzz:
 	$(GO) test ./internal/align/ -run '^$$' -fuzz FuzzBandedFit -fuzztime 15s
 
 # Live-telemetry smoke: a race-built casa-smem run observed mid-flight
-# through /progress and /events, then interrupted (see the script).
+# through /v1/runs/{id} and its event stream, then interrupted (see the
+# script).
 live-smoke:
 	bash scripts/live_smoke.sh
 

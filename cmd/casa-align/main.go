@@ -19,15 +19,16 @@
 // prints them). casa resolves both strands and hit positions natively;
 // other engines seed the reverse complements in a second pass and fall
 // back to a direct-scan positioner. -verify cross-checks the seeding
-// engine's forward SMEMs against a second engine batch by batch.
+// engine's forward SMEMs against a second engine batch by batch; that
+// engine's model, like the seeding engine's, is reduced once per run.
 //
 // The run is interruptible: SIGINT stops seeding new shards, the current
 // batch's completed prefix is extended and written, and the command
 // flushes the SAM output plus partial metrics/trace before exiting with
 // status 130. Live state is observable the same way as casa-smem: -http
-// adds /progress and /events, -progress logs terminal snapshots,
-// -stall-timeout arms a watchdog; diagnostics are run-scoped structured
-// logs on stderr (-log-level, -log-format).
+// serves the run at /v1/runs/{id} and /v1/runs/{id}/events, -progress
+// logs terminal snapshots, -stall-timeout arms a watchdog; diagnostics
+// are run-scoped structured logs on stderr (-log-level, -log-format).
 //
 // Usage:
 //
@@ -68,7 +69,7 @@ type aligner struct {
 	eng        engine.Engine
 	pos        engine.Positioner // nil = direct-scan fallback over flat
 	strands    bool              // eng's Seeds carry the reverse strand
-	veng       engine.Engine     // nil = no -verify cross-check
+	verify     *batch.Seeder     // the -verify engine's pool; nil = no cross-check
 	flat       dna.Sequence
 	sxs        []*seedex.Machine // one clone per extension worker
 	ix         *refidx.Index
@@ -172,9 +173,14 @@ func newAligner(ctx context.Context, eng, veng engine.Engine, ix *refidx.Index, 
 	pos, _ := eng.(engine.Positioner)
 	_, strands := eng.(engine.StrandSeeder)
 	a := &aligner{
-		ctx: ctx, eng: eng, pos: pos, strands: strands, veng: veng, flat: ix.Flat(),
+		ctx: ctx, eng: eng, pos: pos, strands: strands, flat: ix.Flat(),
 		ix: ix, maxHits: maxHits,
 		pool: pool, tracker: tracker, writer: writer,
+	}
+	if veng != nil {
+		vpool := pool
+		vpool.Progress, vpool.Trace = nil, nil
+		a.verify = batch.NewSeeder(veng, vpool)
 	}
 	a.sxs = make([]*seedex.Machine, pool.WorkerCount())
 	for w := range a.sxs {
@@ -239,6 +245,9 @@ func (a *aligner) run(path1, path2 string, batchSize int) error {
 		return nil
 	}
 	_, _, err = batch.Stream(a.ctx, a.eng, next, emit, a.pool)
+	if a.verify != nil {
+		a.verify.Reduce()
+	}
 	return err
 }
 
@@ -247,7 +256,9 @@ func (a *aligner) run(path1, path2 string, batchSize int) error {
 // seed the reverse complements in a second pass (outside the progress and
 // trace accounting, which counts each read once), and only reads seeded
 // on both strands are returned. With -verify set, the forward SMEMs are
-// cross-checked against the verify engine.
+// cross-checked against the verify engine, seeded on its own pool
+// (a.verify) that run reduces once, so its counters and model gauges
+// cover every batch.
 func (a *aligner) strandSeeds(b batch.Batch) []engine.Seeds {
 	seeds := b.Seeds
 	side := a.pool
@@ -263,11 +274,11 @@ func (a *aligner) strandSeeds(b batch.Batch) []engine.Seeds {
 		}
 		seeds = seeds[:n]
 	}
-	if a.veng != nil {
-		res, n, err := batch.SeedEngineCtx(a.ctx, a.veng, b.Reads[:len(seeds)], side)
+	if a.verify != nil {
+		vb, err := a.verify.Seed(a.ctx, b.Reads[:len(seeds)])
 		if err == nil {
-			for i, want := range a.veng.SMEMs(res)[:n] {
-				if !smem.SameIntervals(seeds[i].Forward, want) {
+			for i, want := range vb.Seeds {
+				if !smem.SameIntervals(seeds[i].Forward, want.Forward) {
 					a.mismatches++
 				}
 			}

@@ -220,27 +220,38 @@ func readAllFastq(path string) ([]seqio.Record, error) {
 	return seqio.ReadFastq(f)
 }
 
-// TestModelGaugesCoverRun checks that the seeding model is reduced once
-// per run, not per batch: small batches and one batch holding the whole
-// input print the same casa_* lines, and casa_model_reads counts every
-// read seeded.
+// TestModelGaugesCoverRun checks that the seeding model, and the
+// -verify engine's, is reduced once per run, not per batch: small
+// batches and one batch holding the whole input print the same metric
+// lines, and the model's reads gauge counts every read seeded.
 func TestModelGaugesCoverRun(t *testing.T) {
 	dir := t.TempDir()
 	ref, _, r1, r2 := alignFixture(t, dir)
-	var want string
-	for _, batch := range []string{"64", "1000000"} {
-		_, stderr := runAlignMetrics(t, filepath.Join(dir, "b"+batch+".sam"),
-			"-ref", ref, "-reads", r1, "-reads2", r2, "-batch", batch, "-workers", "2")
-		got := metricLines(stderr, "casa_")
-		if want == "" {
-			want = got
-		} else if got != want {
-			t.Errorf("-batch %s casa_* lines:\n%s\n-batch 64:\n%s", batch, got, want)
-		}
-		total := metricLines(stderr, "align_reads_total ")
-		if n := strings.TrimPrefix(total, "align_reads_total "); n == "" || metricLines(stderr, "casa_model_reads ") != "casa_model_reads "+n {
-			t.Errorf("-batch %s: %q next to %q", batch, metricLines(stderr, "casa_model_reads "), total)
-		}
+	for _, tc := range []struct {
+		name, prefix string
+		args         []string
+	}{
+		{name: "casa", prefix: "casa_"},
+		{name: "-verify cpu", prefix: "cpu_", args: []string{"-verify", "cpu"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var want string
+			for _, batch := range []string{"64", "1000000"} {
+				args := append([]string{"-ref", ref, "-reads", r1, "-reads2", r2, "-batch", batch, "-workers", "2"}, tc.args...)
+				_, stderr := runAlignMetrics(t, filepath.Join(dir, "b"+batch+".sam"), args...)
+				got := metricLines(stderr, tc.prefix)
+				if want == "" {
+					want = got
+				} else if got != want {
+					t.Errorf("-batch %s %s* lines:\n%s\n-batch 64:\n%s", batch, tc.prefix, got, want)
+				}
+				total := metricLines(stderr, "align_reads_total ")
+				model := tc.prefix + "model_reads "
+				if n := strings.TrimPrefix(total, "align_reads_total "); n == "" || metricLines(stderr, model) != model+n {
+					t.Errorf("-batch %s: %q next to %q", batch, metricLines(stderr, model), total)
+				}
+			}
+		})
 	}
 }
 

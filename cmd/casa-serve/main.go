@@ -5,28 +5,32 @@
 // one-shot batch run (see internal/serve for the API and queueing
 // semantics).
 //
-//	POST /v1/seed      submit a FASTA/FASTQ batch (raw body or
-//	                   curl -F reads=@reads.fq); answers a casa-smem/v1
-//	                   JSON report, or an SSE stream of per-shard
-//	                   progress events then the report with
-//	                   Accept: text/event-stream; ?include=smems adds
-//	                   per-read SMEM sets
-//	GET  /v1/runs[/{id}]  run inventory / casa-progress/v1 snapshots
-//	GET  /v1/stats     lifetime summary (casa-serve-stats/v1 JSON)
-//	GET  /healthz, /metrics, /debug/runtrace, /debug/pprof/
+//	POST /v1/seed               submit a FASTA/FASTQ batch (raw body or
+//	                            curl -F reads=@reads.fq); answers a
+//	                            casa-smem/v1 JSON report, or an SSE stream
+//	                            of per-shard progress events then the
+//	                            report with Accept: text/event-stream;
+//	                            ?include=smems adds per-read SMEM sets
+//	GET  /v1/runs[/{id}]        run inventory / casa-progress/v1 snapshots
+//	GET  /v1/runs/{id}/events   one run's SSE progress stream, then "done"
+//	GET  /v1/stats              lifetime summary (casa-serve-stats/v1 JSON)
+//	GET  /healthz, /metrics, /walltrace, /debug/pprof/
+//
+// The run, trace, metrics and profile endpoints are the same handlers,
+// at the same paths, as the CLIs' -http sidecar (internal/obshttp).
 //
 // A full queue answers 429 with a Retry-After derived from observed run
 // durations; disconnected clients free their slot via the pool's drain
 // semantics. SIGTERM/SIGINT drain gracefully: stop accepting, finish the
 // in-flight and queued runs, flush metrics (-metrics) and the wall-clock
-// run lifecycle trace (-trace), exit 0. A second signal kills the
+// run lifecycle trace (-walltrace), exit 0. A second signal kills the
 // process. The shared flags, the -index policy and the shutdown writes
 // live in internal/runcli; see docs/OBSERVABILITY.md for the serving
 // telemetry surface.
 //
 // Usage:
 //
-//	casa-serve -ref ref.fa [-addr :8844] [-engine casa] [-min-smem 19] [-workers 8] [-queue 8] [-metrics] [-trace run.json] [-log-format json]
+//	casa-serve -ref ref.fa [-addr :8844] [-engine casa] [-min-smem 19] [-workers 8] [-queue 8] [-metrics] [-walltrace run.json] [-log-format json]
 //	casa-serve -index ref.casaidx [-addr :8844]
 package main
 

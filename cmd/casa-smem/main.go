@@ -26,8 +26,8 @@
 // -trace-sample sampling; -walltrace records the host wall-clock profile
 // (casa-walltrace/v1: per-shard worker spans plus the CLI's
 // load/build/seed phases); casa-trace analyzes either file;
-// -http serves /metrics, /trace, /progress, /events and /debug/pprof
-// until interrupted; -progress logs periodic snapshots for non-HTTP runs;
+// -http serves the run at /v1/runs/{id} and /v1/runs/{id}/events, with
+// /metrics, /trace, /walltrace and /debug/pprof/, until interrupted; -progress logs periodic snapshots for non-HTTP runs;
 // -stall-timeout arms a watchdog that dumps per-worker state and
 // goroutines when no shard completes in time. Diagnostics go to stderr
 // as run-scoped structured logs (-log-level, -log-format). The shared

@@ -10,7 +10,7 @@
 // overlap on the system timelines (the pipeline model's Fig-14
 // waterfalls).
 //
-// A casa-walltrace/v1 file (-walltrace, or GET /debug/runtrace) holds
+// A casa-walltrace/v1 file (-walltrace, or GET /walltrace) holds
 // host wall-clock time: the report is a per-worker utilization table,
 // the pool's imbalance ratio and the slowest shards.
 //

@@ -93,9 +93,9 @@ type Options struct {
 	// drain: each completed shard bumps the worker's cell (reads done,
 	// shards done, last global read index) with a handful of uncontended
 	// atomic adds — the live counterpart of the post-run Metrics/Trace
-	// snapshots, served by internal/obshttp's /progress and /events. The
-	// tracker must have at least WorkerCount() cells (updates to missing
-	// cells are dropped).
+	// snapshots, served by internal/obshttp's /v1/runs/{id} and its
+	// event stream. The tracker must have at least WorkerCount() cells
+	// (updates to missing cells are dropped).
 	Progress *progress.Tracker
 }
 

@@ -131,7 +131,8 @@ type Batch struct {
 // Stream seeds the read batches next produces, one after another, on one
 // pool of engine clones — slot 0 is e itself — and hands each batch's
 // seeds to emit (which may be nil) in input order as soon as the batch
-// is seeded. next returns io.EOF after the last batch.
+// is seeded. next returns io.EOF after the last batch. It is a Seeder
+// driven to the end of its input.
 //
 // The pool lives for the whole run: per shard, the worker's activity
 // publishes into a private registry, spans land in the worker's trace
@@ -149,18 +150,8 @@ type Batch struct {
 // reads (n is the second return value) and the error is the one that
 // stopped the run — ctx.Err() on cancellation, nil at io.EOF.
 func Stream(ctx context.Context, e engine.Engine, next func() ([]dna.Sequence, error), emit func(Batch) error, o Options) (engine.Result, int, error) {
-	o = withEngine(o, e.Name())
-	engines := clonePool(e, o.WorkerCount(), engine.Engine.Clone)
-	regs := workerRegistries(o)
-	bufs := traceBuffers(o)
-	cycles, _ := e.(engine.CycleCoster)
-	var (
-		acts   []engine.Activity
-		seeded [][]dna.Sequence
-		done   int
-		err    error
-	)
-	bo := o
+	s := NewSeeder(e, o)
+	var err error
 	for err == nil {
 		if err = ctx.Err(); err != nil {
 			break
@@ -172,22 +163,7 @@ func Stream(ctx context.Context, e engine.Engine, next func() ([]dna.Sequence, e
 			}
 			break
 		}
-		base := o.ReadBase + done
-		bo.ReadBase = base
-		bacts, n, serr := RunCtx(ctx, len(reads), bo, func(w, lo, hi int) engine.Activity {
-			act := engines[w].SeedTrace(reads[lo:hi], bufs[w], base+lo)
-			if regs != nil {
-				act.PublishMetrics(regs[w])
-			}
-			if o.Progress != nil && cycles != nil {
-				o.Progress.AddCycles(w, cycles.ActivityCycles(act))
-			}
-			return act
-		})
-		bo.shardBase += len(bacts)
-		acts = append(acts, bacts...)
-		seeded = append(seeded, reads[:n])
-		done += n
+		base, bacts, n, serr := s.seed(ctx, reads)
 		err = serr
 		if emit != nil && n > 0 {
 			if eerr := emit(Batch{Base: base, Reads: reads[:n], Seeds: e.Seeds(reads[:n], bacts)}); err == nil {
@@ -195,20 +171,92 @@ func Stream(ctx context.Context, e engine.Engine, next func() ([]dna.Sequence, e
 			}
 		}
 	}
-	var all []dna.Sequence
-	if len(seeded) == 1 {
-		all = seeded[0] // a one-batch run reduces the caller's slice
-	} else {
-		all = slices.Concat(seeded...)
-	}
-	reduceStart := o.wallNow()
-	res := e.Reduce(all, acts)
-	o.wallPhase("reduce", reduceStart)
-	if o.Metrics != nil {
-		mergeStart := o.wallNow()
-		mergeRegistries(o, regs)
-		res.PublishModelMetrics(o.Metrics)
-		o.wallPhase("merge-metrics", mergeStart)
-	}
+	res, done := s.Reduce()
 	return res, done, err
+}
+
+// Seeder seeds read batches one after another on one pool of engine
+// clones and reduces them once, for callers that drive the batches
+// themselves: Stream's pool, with the same per-shard metrics, spans,
+// progress and wall spans (see Stream). casa-align cross-checks each
+// seeded batch against a -verify engine on a second Seeder, so the
+// verify engine's model gauges cover the run, not its last batch.
+type Seeder struct {
+	e       engine.Engine
+	o, bo   Options // bo carries the next batch's ReadBase and shardBase
+	engines []engine.Engine
+	regs    []*metrics.Registry
+	bufs    []*trace.Buffer
+	cycles  engine.CycleCoster
+	acts    []engine.Activity
+	seeded  [][]dna.Sequence
+	done    int
+}
+
+// NewSeeder returns a Seeder over a pool of o.WorkerCount() engines:
+// slot 0 is e itself, the rest its clones.
+func NewSeeder(e engine.Engine, o Options) *Seeder {
+	o = withEngine(o, e.Name())
+	s := &Seeder{
+		e: e, o: o, bo: o,
+		engines: clonePool(e, o.WorkerCount(), engine.Engine.Clone),
+		regs:    workerRegistries(o),
+		bufs:    traceBuffers(o),
+	}
+	s.cycles, _ = e.(engine.CycleCoster)
+	return s
+}
+
+// Seed seeds the next batch and returns it with its seeds. On
+// cancellation the batch is the completed prefix and the error is
+// ctx.Err().
+func (s *Seeder) Seed(ctx context.Context, reads []dna.Sequence) (Batch, error) {
+	base, bacts, n, err := s.seed(ctx, reads)
+	return Batch{Base: base, Reads: reads[:n], Seeds: s.e.Seeds(reads[:n], bacts)}, err
+}
+
+// seed runs one batch on the pool: it returns the batch's run-wide base,
+// its shard activities, the completed read count and ctx.Err() when
+// cancelled.
+func (s *Seeder) seed(ctx context.Context, reads []dna.Sequence) (int, []engine.Activity, int, error) {
+	base := s.o.ReadBase + s.done
+	s.bo.ReadBase = base
+	bacts, n, err := RunCtx(ctx, len(reads), s.bo, func(w, lo, hi int) engine.Activity {
+		act := s.engines[w].SeedTrace(reads[lo:hi], s.bufs[w], base+lo)
+		if s.regs != nil {
+			act.PublishMetrics(s.regs[w])
+		}
+		if s.o.Progress != nil && s.cycles != nil {
+			s.o.Progress.AddCycles(w, s.cycles.ActivityCycles(act))
+		}
+		return act
+	})
+	s.bo.shardBase += len(bacts)
+	s.acts = append(s.acts, bacts...)
+	s.seeded = append(s.seeded, reads[:n])
+	s.done += n
+	return base, bacts, n, err
+}
+
+// Reduce reduces every read seeded so far on the engine once, merges the
+// workers' registries into o.Metrics and publishes the model gauges, and
+// returns the Result with the number of reads it covers. Call it once,
+// after the last batch.
+func (s *Seeder) Reduce() (engine.Result, int) {
+	var all []dna.Sequence
+	if len(s.seeded) == 1 {
+		all = s.seeded[0] // a one-batch run reduces the caller's slice
+	} else {
+		all = slices.Concat(s.seeded...)
+	}
+	reduceStart := s.o.wallNow()
+	res := s.e.Reduce(all, s.acts)
+	s.o.wallPhase("reduce", reduceStart)
+	if s.o.Metrics != nil {
+		mergeStart := s.o.wallNow()
+		mergeRegistries(s.o, s.regs)
+		res.PublishModelMetrics(s.o.Metrics)
+		s.o.wallPhase("merge-metrics", mergeStart)
+	}
+	return res, s.done
 }

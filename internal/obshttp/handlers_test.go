@@ -35,18 +35,15 @@ func traceSpans() []trace.Span {
 	return tr.Spans()
 }
 
-// TestMethodMatrix drives every read-only endpoint with every relevant
-// method: GET and HEAD pass through to the handler, everything else is
-// 405 with an Allow header naming GET.
+// TestMethodMatrix drives every read-only endpoint of the sidecar with
+// every relevant method: GET and HEAD pass through to the handler,
+// everything else is 405 with an Allow header naming GET and HEAD.
 func TestMethodMatrix(t *testing.T) {
-	reg := metrics.New()
-	s, err := Start("127.0.0.1:0", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 	tr := progress.New("rid", "casa", 1, 10)
-	s.SetProgress(tr)
+	wall := trace.NewWall(0)
+	wall.Record("casa-smem", "phase", "load", time.Now(), time.Millisecond)
+	s := startRun(t, metrics.New(), tr, wall)
+	defer s.Close()
 	s.PublishTrace(traceSpans())
 	base := "http://" + s.Addr()
 
@@ -56,12 +53,14 @@ func TestMethodMatrix(t *testing.T) {
 		getCode int
 	}{
 		{"/", http.StatusOK},
-		{"/progress", http.StatusOK},
-		{"/events", http.StatusOK}, // run finished below, so the stream terminates
+		{"/v1/runs", http.StatusOK},
+		{"/v1/runs/rid", http.StatusOK},
+		{"/v1/runs/rid/events", http.StatusOK}, // run finished below, so the stream terminates
 		{"/metrics", http.StatusOK},
 		{"/trace", http.StatusOK},
+		{"/walltrace", http.StatusOK},
 	}
-	tr.Finish() // lets GET /events return instead of streaming forever
+	tr.Finish() // lets GET /v1/runs/rid/events return instead of streaming on
 	for _, ep := range endpoints {
 		for _, method := range []string{
 			http.MethodGet, http.MethodHead, http.MethodPost,
@@ -85,14 +84,12 @@ func TestMethodMatrix(t *testing.T) {
 	}
 }
 
-// TestIndexAdvertisesEnabledEndpoints pins the dynamic index page: the
-// live endpoints appear only once their backing state is attached, and
-// /metrics without a registry is a 503, not a 404.
+// TestIndexAdvertisesEnabledEndpoints pins the index page: it lists what
+// the mux serves right now, so /trace appears once a trace is published,
+// /walltrace only with a wall recorder, and /metrics only with a
+// registry (without one it is a 503, not a 404).
 func TestIndexAdvertisesEnabledEndpoints(t *testing.T) {
-	s, err := Start("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := startRun(t, nil, progress.New("rid", "casa", 1, 10), nil)
 	defer s.Close()
 	base := "http://" + s.Addr()
 
@@ -100,47 +97,47 @@ func TestIndexAdvertisesEnabledEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("index: code %d", code)
 	}
-	for _, absent := range []string{"/metrics", "/progress", "/events", "/trace"} {
-		if strings.Contains(body, absent) {
+	for _, absent := range []string{"/metrics", "/trace", "/walltrace"} {
+		if strings.Contains(body, absent+"\n") {
 			t.Errorf("bare index advertises %s, which would 503", absent)
 		}
 	}
-	if !strings.Contains(body, "/debug/pprof/") {
-		t.Error("index does not list /debug/pprof/, which is always served")
-	}
-	if code, _ := get(t, base+"/metrics"); code != http.StatusServiceUnavailable {
-		t.Fatalf("/metrics with nil registry: code %d, want 503", code)
-	}
-
-	s.SetProgress(progress.New("rid", "casa", 1, 10))
-	s.PublishTrace(traceSpans())
-	_, body = get(t, base+"/")
-	for _, present := range []string{"/progress", "/events", "/trace"} {
+	for _, present := range []string{"/v1/runs\n", "/v1/runs/{id}\n", "/v1/runs/{id}/events\n", "/debug/pprof/\n"} {
 		if !strings.Contains(body, present) {
-			t.Errorf("index misses %s after it became available", present)
+			t.Errorf("index does not list %q, which is always served", present)
 		}
 	}
-	if strings.Contains(body, "/metrics") {
-		t.Error("index advertises /metrics on a server started without a registry")
+	for _, path := range []string{"/metrics", "/trace", "/walltrace"} {
+		if code, _ := get(t, base+path); code != http.StatusServiceUnavailable {
+			t.Errorf("%s unconfigured: code %d, want 503", path, code)
+		}
+	}
+
+	s.PublishTrace(traceSpans())
+	if _, body = get(t, base+"/"); !strings.Contains(body, "GET  /trace\n") {
+		t.Errorf("index misses /trace after it was published:\n%s", body)
+	}
+
+	w := startRun(t, nil, progress.New("rid", "casa", 1, 10), trace.NewWall(0))
+	defer w.Close()
+	if _, body = get(t, "http://"+w.Addr()+"/"); !strings.Contains(body, "GET  /walltrace\n") {
+		t.Errorf("index misses /walltrace with a wall recorder:\n%s", body)
 	}
 }
 
 // TestEventsAfterFinish pins the late-subscriber contract: a client
 // connecting after the run finished gets one progress snapshot and the
-// terminal done event immediately — no hang, then EOF.
+// terminal done event immediately — no hang, then EOF — even with a
+// shard-completion signal still pending.
 func TestEventsAfterFinish(t *testing.T) {
-	s, err := Start("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 	tr := progress.New("rid", "casa", 1, 20)
 	tr.ShardDone(0, 20, 19)
 	tr.Finish()
-	s.SetProgress(tr)
+	s := startRun(t, nil, tr, nil)
+	defer s.Close()
 
 	client := http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get("http://" + s.Addr() + "/events")
+	resp, err := client.Get(eventsURL(s, tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,20 +159,13 @@ func TestEventsAfterFinish(t *testing.T) {
 // startup, whichever side wins the race.
 func TestShutdownRacesEventsStream(t *testing.T) {
 	for i := 0; i < 10; i++ {
-		s, err := Start("127.0.0.1:0", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
 		tr := progress.New("rid", "casa", 1, 0)
-		s.SetProgress(tr)
-		if err := s.SetEventInterval(time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
+		s := startRun(t, nil, tr, nil)
 
 		streamDone := make(chan struct{})
 		go func() {
 			defer close(streamDone)
-			resp, err := http.Get("http://" + s.Addr() + "/events")
+			resp, err := http.Get(eventsURL(s, tr))
 			if err != nil {
 				return // shutdown won before the connection: fine
 			}
@@ -194,26 +184,5 @@ func TestShutdownRacesEventsStream(t *testing.T) {
 			t.Fatalf("iteration %d: shutdown hung against a racing stream", i)
 		}
 		<-streamDone
-	}
-}
-
-// TestSetEventInterval pins the validation contract: non-positive
-// cadences are errors and leave the configured interval untouched.
-func TestSetEventInterval(t *testing.T) {
-	s, err := Start("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.SetEventInterval(50 * time.Millisecond); err != nil {
-		t.Fatalf("positive interval rejected: %v", err)
-	}
-	for _, d := range []time.Duration{0, -time.Second} {
-		if err := s.SetEventInterval(d); err == nil {
-			t.Fatalf("SetEventInterval(%v) accepted, want error", d)
-		}
-	}
-	if _, interval := s.progressState(); interval != 50*time.Millisecond {
-		t.Fatalf("rejected interval overwrote the configured one: %v", interval)
 	}
 }

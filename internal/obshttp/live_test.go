@@ -8,40 +8,60 @@ import (
 	"testing"
 	"time"
 
+	"casa/internal/metrics"
 	"casa/internal/progress"
+	"casa/internal/trace"
 )
 
-// TestProgressEndpoint round-trips a snapshot through /progress and
-// checks the 503 contract without a tracker.
-func TestProgressEndpoint(t *testing.T) {
-	s, err := Start("127.0.0.1:0", nil)
+// startRun starts a sidecar whose registry holds tr, as runcli starts it.
+func startRun(t *testing.T, reg *metrics.Registry, tr *progress.Tracker, wall *trace.WallTrace) *Server {
+	t.Helper()
+	runs := progress.NewRegistry(1)
+	if err := runs.Add(tr); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Start("127.0.0.1:0", reg, runs, wall)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s
+}
+
+// eventsURL is the event stream of the sidecar's run tr.
+func eventsURL(s *Server, tr *progress.Tracker) string {
+	return "http://" + s.Addr() + "/v1/runs/" + tr.RunID() + "/events"
+}
+
+// TestProgressEndpoint round-trips a snapshot through /v1/runs/{id},
+// checks the 404 contract for a run the registry does not hold, and
+// that the retired /progress path is gone.
+func TestProgressEndpoint(t *testing.T) {
+	tr := progress.New("runid42", "casa", 2, 100)
+	s := startRun(t, nil, tr, nil)
 	defer s.Close()
 	base := "http://" + s.Addr()
 
-	if code, _ := get(t, base+"/progress"); code != http.StatusServiceUnavailable {
-		t.Fatalf("/progress without tracker: code %d, want 503", code)
+	if code, _ := get(t, base+"/v1/runs/feedfacefeedface"); code != http.StatusNotFound {
+		t.Fatalf("unknown run: code %d, want 404", code)
 	}
-	if code, _ := get(t, base+"/events"); code != http.StatusServiceUnavailable {
-		t.Fatalf("/events without tracker: code %d, want 503", code)
+	if code, _ := get(t, base+"/v1/runs/feedfacefeedface/events"); code != http.StatusNotFound {
+		t.Fatalf("unknown run's events: code %d, want 404", code)
+	}
+	if code, _ := get(t, base+"/progress"); code != http.StatusNotFound {
+		t.Fatalf("/progress: code %d, want 404", code)
 	}
 
-	tr := progress.New("runid42", "casa", 2, 100)
 	tr.ShardDone(0, 25, 24)
-	s.SetProgress(tr)
-
-	code, body := get(t, base+"/progress")
+	code, body := get(t, base+"/v1/runs/runid42")
 	if code != http.StatusOK {
-		t.Fatalf("/progress: code %d body %q", code, body)
+		t.Fatalf("/v1/runs/runid42: code %d body %q", code, body)
 	}
 	var snap progress.Snapshot
 	if err := json.Unmarshal([]byte(body), &snap); err != nil {
-		t.Fatalf("/progress body does not parse: %v", err)
+		t.Fatalf("/v1/runs/runid42 body does not parse: %v", err)
 	}
-	if snap.Schema != progress.SchemaVersion || snap.RunID != "runid42" || snap.ReadsDone != 25 {
-		t.Fatalf("/progress snapshot wrong: %+v", snap)
+	if snap.Schema != progress.SchemaVersion || snap.RunID != "runid42" || snap.ReadsDone != 25 || snap.Done {
+		t.Fatalf("/v1/runs/runid42 snapshot wrong: %+v", snap)
 	}
 }
 
@@ -75,30 +95,25 @@ func readSSE(t *testing.T, body *bufio.Scanner) []sseEvent {
 	return events
 }
 
-// TestEventsStream drives a tracker while a client holds /events open:
-// the stream must deliver at least two distinct progress snapshots, end
-// with a terminal "done" event, and then close.
+// TestEventsStream drives a tracker while a client holds the run's event
+// stream open: each shard completion is an event, so the stream delivers
+// at least two distinct progress snapshots, ends with a terminal "done"
+// event, and then closes.
 func TestEventsStream(t *testing.T) {
-	s, err := Start("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := progress.New("rid", "casa", 1, 50)
+	s := startRun(t, nil, tr, nil)
 	defer s.Close()
 
-	tr := progress.New("rid", "casa", 1, 50)
-	s.SetProgress(tr)
-	s.SetEventInterval(5 * time.Millisecond)
-
-	resp, err := http.Get("http://" + s.Addr() + "/events")
+	resp, err := http.Get(eventsURL(s, tr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/events: code %d", resp.StatusCode)
+		t.Fatalf("events: code %d", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("/events content type %q", ct)
+		t.Fatalf("events content type %q", ct)
 	}
 
 	go func() {
@@ -133,15 +148,10 @@ func TestEventsStream(t *testing.T) {
 // hang on an open SSE stream: the quit channel ends the handler and the
 // client sees EOF.
 func TestEventsStreamEndsOnShutdown(t *testing.T) {
-	s, err := Start("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tr := progress.New("rid", "casa", 1, 0)
-	s.SetProgress(tr)
-	s.SetEventInterval(10 * time.Millisecond)
+	s := startRun(t, nil, tr, nil)
 
-	resp, err := http.Get("http://" + s.Addr() + "/events")
+	resp, err := http.Get(eventsURL(s, tr))
 	if err != nil {
 		t.Fatal(err)
 	}

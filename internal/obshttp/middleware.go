@@ -37,13 +37,16 @@ const maxEndpointLabels = 64
 
 // EndpointLabel maps a request path to the metric-name segment its
 // per-endpoint metrics are filed under: "/v1/seed" -> "v1_seed", "/" ->
-// "index". Run-scoped paths collapse ("/v1/runs/<id>" -> "v1_runs_id"),
-// as do the pprof profiles, so label cardinality stays bounded by the
+// "index". Run-scoped paths collapse ("/v1/runs/<id>" -> "v1_runs_id",
+// "/v1/runs/<id>/events" -> "v1_runs_id_events"), as do the pprof
+// profiles, so label cardinality stays bounded by the
 // serving surface, not by traffic.
 func EndpointLabel(path string) string {
 	switch {
 	case path == "" || path == "/":
 		return "index"
+	case strings.HasPrefix(path, "/v1/runs/") && strings.HasSuffix(path, "/events"):
+		return "v1_runs_id_events"
 	case strings.HasPrefix(path, "/v1/runs/"):
 		return "v1_runs_id"
 	case strings.HasPrefix(path, "/debug/pprof"):
@@ -209,7 +212,7 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Flush implements http.Flusher so NewEventStream's upgrade check passes
+// Flush implements http.Flusher so newEventStream's upgrade check passes
 // through the wrapper.
 func (w *statusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {

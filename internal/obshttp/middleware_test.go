@@ -15,18 +15,19 @@ import (
 
 func TestEndpointLabel(t *testing.T) {
 	cases := map[string]string{
-		"":                     "index",
-		"/":                    "index",
-		"/v1/seed":             "v1_seed",
-		"/v1/runs":             "v1_runs",
-		"/v1/runs/aabbccdd":    "v1_runs_id",
-		"/v1/stats":            "v1_stats",
-		"/metrics":             "metrics",
-		"/healthz":             "healthz",
-		"/debug/pprof/profile": "debug_pprof",
-		"/debug/runtrace":      "debug_runtrace",
-		"/Weird//Path-%2e":     "weird_path_2e",
-		"/...":                 "other",
+		"":                         "index",
+		"/":                        "index",
+		"/v1/seed":                 "v1_seed",
+		"/v1/runs":                 "v1_runs",
+		"/v1/runs/aabbccdd":        "v1_runs_id",
+		"/v1/runs/aabbccdd/events": "v1_runs_id_events",
+		"/v1/stats":                "v1_stats",
+		"/metrics":                 "metrics",
+		"/healthz":                 "healthz",
+		"/debug/pprof/profile":     "debug_pprof",
+		"/walltrace":               "walltrace",
+		"/Weird//Path-%2e":         "weird_path_2e",
+		"/...":                     "other",
 	}
 	for path, want := range cases {
 		if got := EndpointLabel(path); got != want {
@@ -117,8 +118,8 @@ func TestInstrumentPreservesStreaming(t *testing.T) {
 	// The wrapped writer must still upgrade to SSE (http.Flusher) and
 	// count the streamed bytes.
 	mux := http.NewServeMux()
-	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
-		es, err := NewEventStream(w)
+	mux.HandleFunc("/stream", func(w http.ResponseWriter, r *http.Request) {
+		es, err := newEventStream(w)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -129,7 +130,7 @@ func TestInstrumentPreservesStreaming(t *testing.T) {
 	srv := httptest.NewServer(Instrument(mux, reg, nil))
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/events")
+	resp, err := http.Get(srv.URL + "/stream")
 	if err != nil {
 		t.Fatal(err)
 	}

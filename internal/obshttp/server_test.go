@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"casa/internal/metrics"
+	"casa/internal/progress"
 	"casa/internal/trace"
 )
 
@@ -28,10 +29,7 @@ func TestServerEndpoints(t *testing.T) {
 	reg := metrics.New()
 	reg.Counter("obshttp_test/hits").Add(7)
 
-	s, err := Start("127.0.0.1:0", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := startRun(t, reg, progress.New("rid", "casa", 1, 10), nil)
 	defer s.Close()
 	base := "http://" + s.Addr()
 

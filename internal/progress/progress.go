@@ -3,8 +3,9 @@
 // this package answers "how far along is it right now?" for runs that
 // take minutes to hours — per-worker liveness, percent-complete, host
 // and model throughput, and an ETA, aggregated on demand into a
-// casa-progress/v1 JSON snapshot served by internal/obshttp's /progress
-// and /events endpoints and by the CLIs' -progress ticker.
+// casa-progress/v1 JSON snapshot served by internal/obshttp's
+// /v1/runs/{id} and /v1/runs/{id}/events endpoints and logged by the
+// CLIs' -progress ticker.
 //
 // The hot-path contract mirrors internal/batch: each worker owns one
 // cache-line-padded cell of atomic counters and touches nothing shared,

@@ -61,9 +61,9 @@ type Spec struct {
 
 	// Server marks a long-running server: SIGTERM drains as SIGINT does,
 	// the logger carries pid and server_id instead of run_id and engine,
-	// the batch telemetry flags (-trace-sample, -walltrace, -http,
-	// -progress, -stall-timeout) are absent, and -trace names the file
-	// the server's wall-clock run lifecycle trace is written to.
+	// and the batch telemetry flags (-trace, -trace-sample, -http,
+	// -progress, -stall-timeout) are absent. -walltrace names the file the
+	// server's wall-clock run lifecycle trace is written to at shutdown.
 	Server bool
 }
 
@@ -99,8 +99,8 @@ type Run struct {
 	// Trace records cycle-domain spans when -trace or -http can consume
 	// them.
 	Trace *trace.Trace
-	// Wall records host wall-clock spans for the wall-trace file; a
-	// server sets it to its run lifecycle trace.
+	// Wall records host wall-clock spans when -walltrace or -http can
+	// consume them; a server sets it to its run lifecycle trace.
 	Wall *trace.WallTrace
 	// Tracker is the run's live progress, set by Start.
 	Tracker *progress.Tracker
@@ -160,11 +160,12 @@ func Parse(fs *flag.FlagSet, spec Spec, args []string) (*Run, *Exit) {
 	r := &Run{spec: spec}
 	r.register(fs)
 	if err := fs.Parse(args); err != nil {
-		// The flag set has already reported the error.
+		// The flag set has already reported the error (and exits by
+		// itself under flag.ExitOnError, as Begin's does).
 		if errors.Is(err, flag.ErrHelp) {
 			return nil, &Exit{Code: 0}
 		}
-		return nil, &Exit{Code: 2}
+		return nil, &Exit{Code: 2, Err: err}
 	}
 	if r.version {
 		buildinfo.Print(os.Stdout, spec.Name)
@@ -220,7 +221,7 @@ func Parse(fs *flag.FlagSet, spec Spec, args []string) (*Run, *Exit) {
 		}
 		r.Trace = trace.New(policy, 0)
 	}
-	if r.wallPath != "" {
+	if r.wallPath != "" || r.httpAddr != "" {
 		r.Wall = trace.NewWall(0)
 	}
 	return r, nil
@@ -253,13 +254,17 @@ func (r *Run) register(fs *flag.FlagSet) {
 		fs.IntVar(&r.shardOverlap, "shard-overlap", 0, "shard overlap in bases for sharded:* engines (0 = engine default)")
 	}
 	fs.BoolVar(&r.metrics, "metrics", false, "write the metrics text exposition to stderr when the run ends")
+	fs.StringVar(&r.wallPath, "walltrace", "", "write a casa-walltrace/v1 host wall-clock trace of the run (Chrome JSON; analyze with casa-trace) to this file when it ends")
 	if s.Server {
-		fs.StringVar(&r.wallPath, "trace", "", "write the wall-clock run lifecycle trace (Chrome JSON) to this file at shutdown")
+		// -trace is the cycle trace, which a server does not record: the
+		// name answers with the wall trace's flag.
+		fs.Func("trace", "renamed: use -walltrace", func(string) error {
+			return errors.New("casa-serve writes its wall-clock trace with -walltrace")
+		})
 	} else {
 		fs.StringVar(&r.tracePath, "trace", "", "write a casa-trace/v1 trace of the run (Chrome JSON) to this file")
 		fs.StringVar(&r.traceSample, "trace-sample", "all", "trace sampling policy: all, head:N, slowest:N")
-		fs.StringVar(&r.wallPath, "walltrace", "", "write a casa-walltrace/v1 host wall-clock profile of the run (Chrome JSON; analyze with casa-trace)")
-		fs.StringVar(&r.httpAddr, "http", "", "serve /metrics, /trace, /progress, /events and /debug/pprof on this address until interrupted")
+		fs.StringVar(&r.httpAddr, "http", "", "serve the run (/v1/runs/{id} and its /events stream), /metrics, /trace, /walltrace and /debug/pprof/ on this address until interrupted")
 		fs.DurationVar(&r.progressEvery, "progress", 0, "log a progress snapshot at this interval (0 = off)")
 		fs.DurationVar(&r.stallAfter, "stall-timeout", 0, "warn with per-worker state and a goroutine dump when no seeding shard completes for this long (0 = off)")
 	}
@@ -418,13 +423,17 @@ func (r *Run) Start(total int64, attrs ...any) {
 	r.Log.Info("run starting", attrs...)
 	if r.httpAddr != "" {
 		// Start before the run so /debug/pprof can profile it and
-		// /progress and /events observe it live.
-		srv, err := obshttp.Start(r.httpAddr, r.Registry)
+		// /v1/runs/{id} and its events observe it live: the run is the one
+		// entry of the sidecar's run registry, under its run_id.
+		runs := progress.NewRegistry(1)
+		if err := runs.Add(r.Tracker); err != nil {
+			r.Fatal(err)
+		}
+		srv, err := obshttp.Start(r.httpAddr, r.Registry, runs, r.Wall)
 		if err != nil {
 			r.Fatal(err)
 		}
 		r.srv = srv
-		srv.SetProgress(r.Tracker)
 		r.Log.Info("observability server listening", "addr", srv.Addr())
 	}
 	if r.stallAfter > 0 {
@@ -519,7 +528,7 @@ func (r *Run) Finish(interrupted bool, report func() (failed bool)) {
 }
 
 // logSnapshot emits one progress snapshot as an info record — the
-// terminal counterpart of the /progress endpoint.
+// terminal counterpart of the /v1/runs/{id} endpoint.
 func logSnapshot(log *slog.Logger, s progress.Snapshot) {
 	log.Info("progress",
 		"reads_done", s.ReadsDone,

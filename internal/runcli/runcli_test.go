@@ -205,13 +205,13 @@ func TestFlagExitMatrix(t *testing.T) {
 		{name: "serve -index -min-smem conflict", spec: Serve, args: []string{"-index", fx.index, "-min-smem", "25"}, code: 2, errHas: "-min-smem 25"},
 		{name: "serve -index -partition conflict", spec: Serve, args: []string{"-index", fx.index, "-partition", "1024"}, code: 2, errHas: "-partition 1024"},
 		{name: "serve -index -engine conflict", spec: Serve, args: []string{"-index", fx.index, "-engine", "casa"}, code: 2, errHas: "-engine casa"},
-		{name: "serve has no -walltrace", spec: Serve, args: []string{"-ref", fx.ref, "-walltrace", "w.json"}, code: 2},
+		{name: "serve -trace names -walltrace", spec: Serve, args: []string{"-ref", fx.ref, "-trace", "x.json"}, code: 2, errHas: "-walltrace"},
 		{name: "serve has no -event-interval", spec: Serve, args: []string{"-ref", fx.ref, "-event-interval", "1s"}, code: 2},
 		{name: "serve has no -trace-spans", spec: Serve, args: []string{"-ref", fx.ref, "-trace-spans", "10"}, code: 2},
 		{name: "serve -engine list", spec: Serve, args: []string{"-engine", "list"}, code: 0},
 		{name: "serve -version", spec: Serve, args: []string{"-version"}, code: 0},
 		{
-			name: "serve -index takes the header", spec: Serve, args: []string{"-index", fx.index, "-trace", "run.json"}, code: 0,
+			name: "serve -index takes the header", spec: Serve, args: []string{"-index", fx.index, "-walltrace", "run.json"}, code: 0,
 			check: func(t *testing.T, r *Run) {
 				if r.EngineName != "fmindex" || r.Options.MinSMEM != 19 || r.Trace != nil || r.Wall != nil || r.wallPath != "run.json" {
 					t.Errorf("engine %q options %+v trace %v wall %v path %q", r.EngineName, r.Options, r.Trace, r.Wall, r.wallPath)

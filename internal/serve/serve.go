@@ -16,19 +16,21 @@
 // runs, and then stops the dispatcher — the SIGTERM drain casa-serve
 // relies on.
 //
-// Endpoints (handler plumbing shared with internal/obshttp):
+// Endpoints (the run, trace, metrics and profile handlers are
+// internal/obshttp's, mounted here exactly as on the CLIs' -http sidecar):
 //
-//	POST /v1/seed        seed a FASTA/FASTQ batch (body or multipart);
-//	                     JSON casa-smem/v1 report, or — with
-//	                     Accept: text/event-stream — an SSE stream of
-//	                     per-shard "progress" events then one "report"
-//	GET  /v1/runs        run IDs known to this process
-//	GET  /v1/runs/{id}   one run's casa-progress/v1 snapshot
-//	GET  /v1/stats       lifetime summary (casa-serve-stats/v1 JSON)
-//	GET  /healthz        200 serving / 503 draining
-//	GET  /metrics        lifetime serving + per-endpoint http metrics
-//	GET  /debug/runtrace wall-clock run lifecycle trace (Chrome JSON)
-//	     /debug/pprof/   the standard profiles
+//	POST /v1/seed               seed a FASTA/FASTQ batch (body or
+//	                            multipart); JSON casa-smem/v1 report, or —
+//	                            with Accept: text/event-stream — an SSE
+//	                            stream of "progress" events then one "report"
+//	GET  /v1/runs               run IDs known to this process
+//	GET  /v1/runs/{id}          one run's casa-progress/v1 snapshot
+//	GET  /v1/runs/{id}/events   SSE: the run's "progress" events, then "done"
+//	GET  /v1/stats              lifetime summary (casa-serve-stats/v1 JSON)
+//	GET  /healthz               200 serving / 503 draining
+//	GET  /metrics               lifetime serving + per-endpoint http metrics
+//	GET  /walltrace             wall-clock run lifecycle trace (casa-walltrace/v1)
+//	     /debug/pprof/          the standard profiles
 //
 // Observability (see telemetry.go and docs/OBSERVABILITY.md): every
 // request flows through obshttp.Instrument (per-endpoint counts, status
@@ -42,7 +44,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -61,9 +62,6 @@ import (
 	"casa/internal/progress"
 	"casa/internal/trace"
 )
-
-// eventInterval is the SSE heartbeat cadence between shard completions.
-const eventInterval = time.Second
 
 // Config tunes the serving layer. The zero value serves the casa engine
 // with library defaults.
@@ -145,7 +143,7 @@ type Server struct {
 	srv     *http.Server
 	reg     *metrics.Registry  // lifetime serving counters, at /metrics
 	runs    *progress.Registry // run ID -> tracker, at /v1/runs/{id}
-	wall    *trace.WallTrace   // run lifecycle spans, at /debug/runtrace
+	wall    *trace.WallTrace   // run lifecycle spans, at /walltrace
 	started time.Time          // process uptime origin for /v1/stats
 
 	// Hot serving instruments, resolved once (Registry lookups lock).
@@ -207,22 +205,20 @@ func StartEngine(addr string, proto engine.Engine, cfg Config) (*Server, error) 
 	s.histImbalance = s.reg.Histogram("lifetime/batch/imbalance_permille", wallBounds)
 	s.gQueueDepth = s.reg.Gauge("serve/queue/depth")
 
-	mux := http.NewServeMux()
-	mux.HandleFunc("/", s.handleIndex)
-	mux.HandleFunc("/v1/seed", s.handleSeed)
-	mux.HandleFunc("/v1/runs", s.handleRuns)
-	mux.HandleFunc("/v1/runs/", s.handleRun)
-	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/metrics", obshttp.MetricsHandler(s.reg))
-	mux.HandleFunc("/debug/runtrace", s.handleRunTrace)
-	obshttp.RegisterPprof(mux)
+	m := obshttp.NewMux(fmt.Sprintf("casa-serve (%s engine)", proto.Name()))
+	m.Handle("/v1/seed", s.handleSeed, nil, http.MethodPost)
+	m.Runs(s.runs, nil)
+	m.Handle("/v1/stats", s.handleStats, nil, http.MethodGet)
+	m.Handle("/healthz", s.handleHealthz, nil, http.MethodGet)
+	m.Metrics(s.reg)
+	m.Trace("/walltrace", obshttp.WallDoc(s.wall), "")
+	m.Pprof()
 
 	s.srv = &http.Server{
 		// Every request passes through the instrumentation middleware:
 		// per-endpoint wall-clock metrics into the serving registry and
 		// one access-log record per request, run-ID-correlated.
-		Handler: obshttp.Instrument(mux, s.reg, cfg.Log),
+		Handler: obshttp.Instrument(m, s.reg, cfg.Log),
 		// A seed request legitimately waits behind the queue for minutes,
 		// so there is no fixed write budget; slowloris protection comes
 		// from the header/read timeouts, and queue admission bounds how
@@ -353,9 +349,6 @@ func (s *Server) runJob(j *job) {
 // asks for text/event-stream.
 func (s *Server) handleSeed(w http.ResponseWriter, r *http.Request) {
 	received := time.Now()
-	if !obshttp.RequireMethod(w, r, http.MethodPost) {
-		return
-	}
 	if s.draining.Load() {
 		http.Error(w, "server is draining", http.StatusServiceUnavailable)
 		return
@@ -439,41 +432,22 @@ func (s *Server) handleSeed(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// streamSeed answers one admitted job as an SSE stream: an immediate
-// snapshot, one "progress" event per completed shard (coalesced under
-// load) with heartbeats in between, and the terminal "report" event.
+// streamSeed answers one admitted job as an SSE stream: the run's
+// progress events (obshttp.StreamRun) and the terminal "report" event.
 func (s *Server) streamSeed(w http.ResponseWriter, r *http.Request, j *job) {
-	es, err := obshttp.NewEventStream(w)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
 	s.reg.Counter("serve/sse/streams").Add(1)
 	active := s.reg.Gauge("serve/sse/active")
 	active.Add(1)
 	defer active.Add(-1)
-	if err := es.Emit("progress", j.tracker.Snapshot()); err != nil {
+	es := obshttp.StreamRun(w, r, j.tracker, nil)
+	if es == nil {
 		return
 	}
-	heartbeat := time.NewTicker(eventInterval)
-	defer heartbeat.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case rep := <-j.done:
-			_ = es.Emit("report", rep)
-			s.recordReporting(j, time.Now())
-			return
-		case <-j.tracker.Updates():
-			if err := es.Emit("progress", j.tracker.Snapshot()); err != nil {
-				return
-			}
-		case <-heartbeat.C:
-			if err := es.Emit("progress", j.tracker.Snapshot()); err != nil {
-				return
-			}
-		}
+	select {
+	case rep := <-j.done:
+		_ = es.Emit("report", rep)
+		s.recordReporting(j, time.Now())
+	case <-r.Context().Done():
 	}
 }
 
@@ -495,40 +469,12 @@ func parseInclude(r *http.Request) (smems bool, err error) {
 	return smems, nil
 }
 
-// handleRuns lists the run IDs known to this process.
-func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
-	if !obshttp.RequireMethod(w, r, http.MethodGet) {
-		return
-	}
-	obshttp.WriteJSON(w, struct {
-		Runs []string `json:"runs"`
-	}{Runs: s.runs.IDs()})
-}
-
-// handleRun serves one run's casa-progress/v1 snapshot — live runs keep
-// updating, finished runs answer their terminal snapshot until evicted.
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	if !obshttp.RequireMethod(w, r, http.MethodGet) {
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, "/v1/runs/")
-	t, ok := s.runs.Get(id)
-	if !ok {
-		http.Error(w, fmt.Sprintf("unknown run %q", id), http.StatusNotFound)
-		return
-	}
-	obshttp.WriteJSON(w, t.Snapshot())
-}
-
 // handleHealthz distinguishes a serving process from a draining one, the
 // readiness signal load balancers and the smoke test key on. The body
 // carries the build identity so "which build is this replica running?"
 // is one curl, not a deploy-log archaeology session; status-code-only
 // consumers are unaffected.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !obshttp.RequireMethod(w, r, http.MethodGet) {
-		return
-	}
 	if s.draining.Load() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
@@ -540,28 +486,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}{Status: "ok", Engine: s.proto.Name(), Build: buildinfo.Current()})
 }
 
-// handleIndex lists the serving surface.
-func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
-	if !obshttp.RequireMethod(w, r, http.MethodGet) {
-		return
-	}
-	fmt.Fprintf(w, "casa-serve (%s engine):\n  POST /v1/seed\n  GET  /v1/runs\n  GET  /v1/runs/{id}\n  GET  /v1/stats\n  GET  /healthz\n  GET  /metrics\n  GET  /debug/runtrace\n       /debug/pprof/\n",
-		s.proto.Name())
-}
-
-// WriteRunTrace writes the wall-clock run lifecycle trace as Chrome
-// trace_event JSON (casa-walltrace/v1) — the document /debug/runtrace
-// serves, and what casa-serve's -trace flag writes at shutdown.
-func (s *Server) WriteRunTrace(w io.Writer) error {
-	return trace.WriteChromeWall(w, s.wall.Spans(), s.wall.Dropped())
-}
-
 // RunTrace returns the wall-clock run lifecycle trace (for casa-serve's
-// -trace file at shutdown).
+// -walltrace file at shutdown).
 func (s *Server) RunTrace() *trace.WallTrace { return s.wall }
 
 // Metrics returns the process-level serving registry (for a final flush

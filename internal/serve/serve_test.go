@@ -731,7 +731,7 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestRunTraceEndpoint checks /debug/runtrace serves a Chrome trace with
+// TestRunTraceEndpoint checks /walltrace serves a Chrome trace with
 // the lifecycle span chain of a completed run, named by its run ID.
 func TestRunTraceEndpoint(t *testing.T) {
 	ref, fq, _ := testRef(t, 1<<13, 5, 60)
@@ -758,13 +758,13 @@ func TestRunTraceEndpoint(t *testing.T) {
 	}
 	getTrace := func() traceDoc {
 		t.Helper()
-		resp, err := http.Get(base + "/debug/runtrace")
+		resp, err := http.Get(base + "/walltrace")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET /debug/runtrace: code %d", resp.StatusCode)
+			t.Fatalf("GET /walltrace: code %d", resp.StatusCode)
 		}
 		var doc traceDoc
 		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {

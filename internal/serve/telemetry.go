@@ -10,8 +10,8 @@ package serve
 //	reporting  serializing/streaming the response back
 //
 // — each recorded as one wall-clock span (internal/trace's WallTrace,
-// run ID as the span name) exported at /debug/runtrace and via
-// casa-serve's -trace flag, and folded into lifetime histograms
+// run ID as the span name) exported at /walltrace and via
+// casa-serve's -walltrace flag, and folded into lifetime histograms
 // (serve/queue/wait_us, serve/run/duration_us) served at /metrics and
 // summarized at /v1/stats. None of this touches the modelled cycle
 // domain: the engine still runs on a per-request registry whose numbers
@@ -65,7 +65,7 @@ func (s *Server) recordReporting(j *job, wrote time.Time) {
 // histogram behind run_imbalance_permille in /v1/stats), and the spans
 // themselves are nested into the lifecycle trace — re-labelled onto the
 // casa-serve process with the worker/host label as the track and the run
-// ID prefixed to the span name, so /debug/runtrace shows each run's
+// ID prefixed to the span name, so /walltrace shows each run's
 // shard gantt directly under its received→…→reporting chain.
 func (s *Server) foldRunWall(runID string, runWall *trace.WallTrace) {
 	spans := runWall.Spans()
@@ -212,21 +212,5 @@ func (s *Server) stats() Stats {
 
 // handleStats serves the lifetime summary at GET /v1/stats.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if !obshttp.RequireMethod(w, r, http.MethodGet) {
-		return
-	}
 	obshttp.WriteJSON(w, s.stats())
-}
-
-// handleRunTrace serves the wall-clock lifecycle trace as Chrome
-// trace_event JSON (casa-walltrace/v1) at GET /debug/runtrace — load it
-// in Perfetto to see every recent run's received→…→reporting waterfall.
-func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request) {
-	if !obshttp.RequireMethod(w, r, http.MethodGet) {
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := s.WriteRunTrace(w); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
 }

@@ -59,19 +59,24 @@ type chromeArgs struct {
 	RunID  string `json:"run_id,omitempty"` // wall-domain spans
 }
 
-// writeChrome encodes spans — X events carrying Name, Cat, Ts, Dur, Args
-// and proc — as one trace_event document, numbering pids and tids and
-// writing their metadata events ahead of the spans. It streams the
-// document through one buffered writer an event at a time, in the bytes
-// a json.Encoder indenting by one space writes for the whole chromeDoc,
-// so export holds no second copy of the events or of the document.
-func writeChrome(w io.Writer, spans []chromeEvent, other chromeOtherData) error {
+// writeChrome encodes n spans as one trace_event document: span(i, ev)
+// sets ev to span i's X event (Name, Cat, Ts, Dur, Args and proc; ev may
+// point into caller-owned storage, as it is written before the next
+// call). A first pass over the spans collects and numbers the process
+// and track labels, whose metadata events lead the document; a second
+// pass writes each span's event as it is built. The document streams
+// through one buffered writer an event at a time, in the bytes a
+// json.Encoder indenting by one space writes for the whole chromeDoc, so
+// export holds neither an event slice nor the encoded document.
+func writeChrome(w io.Writer, n int, span func(i int, ev *chromeEvent), other chromeOtherData) error {
 	type process struct {
 		pid  int
 		tids map[string]int
 	}
 	procs := map[string]*process{}
-	for _, ev := range spans {
+	var ev chromeEvent
+	for i := 0; i < n; i++ {
+		span(i, &ev)
 		p := procs[ev.proc]
 		if p == nil {
 			p = &process{tids: map[string]int{}}
@@ -96,7 +101,7 @@ func writeChrome(w io.Writer, spans []chromeEvent, other chromeOtherData) error 
 	enc.SetIndent("  ", " ") // events sit two levels deep
 	bw.WriteString("{\n \"traceEvents\": [")
 	sep := "\n  "
-	event := func(ev chromeEvent) error {
+	event := func(ev *chromeEvent) error {
 		bw.WriteString(sep)
 		sep = ",\n  "
 		return member(ev)
@@ -104,24 +109,25 @@ func writeChrome(w io.Writer, spans []chromeEvent, other chromeOtherData) error 
 	for i, name := range sortedKeys(procs) {
 		p := procs[name]
 		p.pid = i + 1
-		if err := event(chromeEvent{Name: "process_name", Ph: "M", Pid: p.pid, Args: &chromeArgs{Name: name}}); err != nil {
+		if err := event(&chromeEvent{Name: "process_name", Ph: "M", Pid: p.pid, Args: &chromeArgs{Name: name}}); err != nil {
 			return err
 		}
 		for j, track := range sortedKeys(p.tids) {
 			p.tids[track] = j + 1
-			if err := event(chromeEvent{Name: "thread_name", Ph: "M", Pid: p.pid, Tid: j + 1, Args: &chromeArgs{Name: track}}); err != nil {
+			if err := event(&chromeEvent{Name: "thread_name", Ph: "M", Pid: p.pid, Tid: j + 1, Args: &chromeArgs{Name: track}}); err != nil {
 				return err
 			}
 		}
 	}
-	for _, ev := range spans {
+	for i := 0; i < n; i++ {
+		span(i, &ev)
 		p := procs[ev.proc]
 		ev.Ph, ev.Pid, ev.Tid = "X", p.pid, p.tids[ev.Cat]
-		if err := event(ev); err != nil {
+		if err := event(&ev); err != nil {
 			return err
 		}
 	}
-	if len(spans) > 0 {
+	if n > 0 {
 		bw.WriteString("\n ")
 	}
 	bw.WriteString("],\n \"otherData\": ")
@@ -184,21 +190,18 @@ func parseChrome(data []byte, schema string) ([]chromeEvent, chromeOtherData, er
 // counts give identical bytes.
 func WriteChrome(w io.Writer, spans []Span) error {
 	base := readBases(spans)
-	events := make([]chromeEvent, len(spans))
-	for i := range spans {
+	var args chromeArgs
+	var read int
+	return writeChrome(w, len(spans), func(i int, ev *chromeEvent) {
 		s := &spans[i]
-		ev := chromeEvent{
-			proc: s.Proc, Name: s.Name, Cat: s.Track, Ts: s.Start, Dur: &s.Dur,
-			Args: &chromeArgs{Cycles: &s.Dur},
-		}
+		args.Cycles, args.Read = &s.Dur, nil
+		*ev = chromeEvent{proc: s.Proc, Name: s.Name, Cat: s.Track, Ts: s.Start, Dur: &s.Dur, Args: &args}
 		if s.Read != SystemRead {
 			ev.Ts += base[procRead{s.Proc, s.Read}]
-			r := int(s.Read)
-			ev.Args.Read = &r
+			read = int(s.Read)
+			args.Read = &read
 		}
-		events[i] = ev
-	}
-	return writeChrome(w, events, chromeOtherData{Schema: SchemaVersion})
+	}, chromeOtherData{Schema: SchemaVersion})
 }
 
 type procRead struct {
@@ -266,16 +269,13 @@ func WriteChromeWall(w io.Writer, spans []WallSpan, dropped int64) error {
 			epoch = s.Start
 		}
 	}
-	events := make([]chromeEvent, len(spans))
-	for i := range spans {
-		s := &spans[i]
-		events[i] = chromeEvent{
-			proc: s.Proc, Name: s.Name, Cat: s.Track, Ts: s.Start - epoch, Dur: &s.Dur,
-			Args: &chromeArgs{RunID: s.Name},
-		}
-	}
+	var args chromeArgs
 	n := len(spans)
-	return writeChrome(w, events, chromeOtherData{Schema: WallSchemaVersion, Domain: "wall", Spans: &n, Dropped: dropped})
+	return writeChrome(w, n, func(i int, ev *chromeEvent) {
+		s := &spans[i]
+		args.RunID = s.Name
+		*ev = chromeEvent{proc: s.Proc, Name: s.Name, Cat: s.Track, Ts: s.Start - epoch, Dur: &s.Dur, Args: &args}
+	}, chromeOtherData{Schema: WallSchemaVersion, Domain: "wall", Spans: &n, Dropped: dropped})
 }
 
 // ParseChromeWall decodes a casa-walltrace/v1 document back into its

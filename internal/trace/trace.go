@@ -70,13 +70,30 @@ type Buffer struct {
 	proc  string
 	spans []Span
 	seq   int64
+
+	// head is the read budget of a head:N policy (0: no budget). A worker
+	// meets its reads in increasing index order, across shards and
+	// batches, so once a buffer holds head distinct reads (the highest is
+	// last) it holds the head lowest reads it will ever see, and every
+	// read of the run's head lowest that it was given: spans of a later
+	// read are dropped at Emit instead of at the merge.
+	head, reads int
+	last        int32
 }
 
-// Emit records one read-scoped span. No-op on a nil buffer or a negative
-// duration (a cycle model rounding to nothing is not an event).
+// Emit records one read-scoped span. No-op on a nil buffer, a negative
+// duration (a cycle model rounding to nothing is not an event), or a
+// read past a head:N buffer's budget.
 func (b *Buffer) Emit(read int, track, name string, start, dur int64) {
 	if b == nil || dur < 0 {
 		return
+	}
+	if b.head > 0 && int32(read) > b.last {
+		if b.reads == b.head {
+			return
+		}
+		b.reads++
+		b.last = int32(read)
 	}
 	b.spans = append(b.spans, Span{
 		Proc: b.proc, Track: track, Name: name,
@@ -140,7 +157,10 @@ func (t *Trace) NewBuffer(proc string) *Buffer {
 	if t == nil {
 		return nil
 	}
-	b := &Buffer{proc: proc}
+	b := &Buffer{proc: proc, last: SystemRead}
+	if t.policy.Kind == "head" {
+		b.head = t.policy.N
+	}
 	t.mu.Lock()
 	t.buffers = append(t.buffers, b)
 	t.mu.Unlock()

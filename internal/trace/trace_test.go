@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -94,6 +95,51 @@ func TestSamplingPolicies(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("%s: system span dropped", name)
+		}
+	}
+}
+
+// TestHeadSamplingAtEmit records 40 reads in shards of 3 claimed round
+// robin by 4 worker buffers, each shard's reads emitted twice in turn
+// (as the sharded engine emits one pass per reference shard): under
+// head:N each buffer stops taking reads after N of them, and the merged
+// stream is the one head:N selects from the full recording.
+func TestHeadSamplingAtEmit(t *testing.T) {
+	record := func(policy Policy) (*Trace, []*Buffer) {
+		tr := New(policy, 0)
+		bs := make([]*Buffer, 4)
+		for i := range bs {
+			bs[i] = tr.NewBuffer("eng")
+		}
+		bs[0].EmitSystem("io", "io", 0, 1)
+		for shard := 0; shard*3 < 40; shard++ {
+			b := bs[shard%len(bs)]
+			for pass := 0; pass < 2; pass++ {
+				for r := shard * 3; r < min(shard*3+3, 40); r++ {
+					b.Emit(r, "seed", fmt.Sprintf("p%d", pass), int64(pass), 1)
+				}
+			}
+		}
+		return tr, bs
+	}
+	full, _ := record(PolicyAll)
+	for _, n := range []int{1, 5, 12, 40} {
+		policy := Policy{Kind: "head", N: n}
+		tr, bs := record(policy)
+		for i, b := range bs {
+			if b.Len() > 1+2*n {
+				t.Errorf("head:%d buffer %d holds %d spans, want at most %d", n, i, b.Len(), 1+2*n)
+			}
+		}
+		var got, want bytes.Buffer
+		if err := WriteChrome(&got, tr.Spans()); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteChrome(&want, policy.apply(full.Spans())); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("head:%d trace differs from sampling the full recording:\n got %s\nwant %s", n, got.Bytes(), want.Bytes())
 		}
 	}
 }

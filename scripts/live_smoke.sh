@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Live-telemetry smoke test: start casa-smem -http on a workload large
-# enough to observe mid-run state, assert /progress reports a strictly
-# partial snapshot while the run is in flight, assert /events streams at
-# least two events, then interrupt the run and require a clean exit with
-# partial telemetry. Run by CI's live-smoke job (with -race) and by
+# enough to observe mid-run state, read the run's ID from /v1/runs,
+# assert /v1/runs/{id} reports a strictly partial snapshot while the run
+# is in flight, assert /v1/runs/{id}/events streams at least two events,
+# then interrupt the run and require a clean exit with partial
+# telemetry. Run by CI's live-smoke job (with -race) and by
 # `make live-smoke`.
 set -euo pipefail
 
@@ -37,11 +38,17 @@ done
 [ -n "$ADDR" ] || { cat run.log; echo "no listen address in the log"; exit 1; }
 echo "server at $ADDR"
 
-echo "== polling /progress for a mid-run snapshot =="
+echo "== reading the run ID from /v1/runs =="
+RUN_ID=$(curl -sf "http://$ADDR/v1/runs" | tr -d ' \n' | sed -n 's/.*"runs":\["\([0-9a-f]*\)".*/\1/p')
+[ -n "$RUN_ID" ] || { curl -s "http://$ADDR/v1/runs"; echo "no run in /v1/runs"; exit 1; }
+grep -q "run_id=$RUN_ID" run.log || { cat run.log; echo "run $RUN_ID is not the run_id the log carries"; exit 1; }
+echo "run $RUN_ID"
+
+echo "== polling /v1/runs/$RUN_ID for a mid-run snapshot =="
 # Require 0 < reads_done < total_reads at least once while the run is live.
 MIDRUN=
 for _ in $(seq 1 600); do
-    SNAP=$(curl -sf "http://$ADDR/progress" || true)
+    SNAP=$(curl -sf "http://$ADDR/v1/runs/$RUN_ID" || true)
     [ -n "$SNAP" ] || { sleep 0.1; continue; }
     READS_DONE=$(printf '%s' "$SNAP" | sed -n 's/.*"reads_done": \([0-9]*\).*/\1/p')
     TOTAL=$(printf '%s' "$SNAP" | sed -n 's/.*"total_reads": \([0-9]*\).*/\1/p')
@@ -53,11 +60,11 @@ for _ in $(seq 1 600); do
     [ "$DONE" = "true" ] && break
     sleep 0.05
 done
-[ -n "$MIDRUN" ] || { cat run.log; echo "never observed a mid-run /progress snapshot (0 < reads_done < total)"; exit 1; }
+[ -n "$MIDRUN" ] || { cat run.log; echo "never observed a mid-run /v1/runs/$RUN_ID snapshot (0 < reads_done < total)"; exit 1; }
 echo "mid-run snapshot: $MIDRUN reads"
 
-echo "== checking /events streams =="
-curl -sN --max-time 10 "http://$ADDR/events" >events.txt || true
+echo "== checking /v1/runs/$RUN_ID/events streams =="
+curl -sN --max-time 10 "http://$ADDR/v1/runs/$RUN_ID/events" >events.txt || true
 EVENTS=$(grep -c '^event: ' events.txt || true)
 [ "$EVENTS" -ge 2 ] || { cat events.txt; echo "SSE stream delivered $EVENTS events, want >= 2"; exit 1; }
 grep -q '^data: {"schema":"casa-progress/v1"' events.txt || { head events.txt; echo "SSE data is not casa-progress/v1"; exit 1; }

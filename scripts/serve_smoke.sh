@@ -6,8 +6,8 @@
 # batch over SSE and require per-shard progress events plus a terminal
 # report event, run two POSTs concurrently, check the telemetry surface
 # (/metrics histograms, run-ID-correlated access logs, /v1/stats,
-# /debug/runtrace), then SIGTERM the server and require a graceful drain
-# with exit 0 plus a -trace Chrome JSON dump. Run by CI's serve-smoke job
+# /walltrace), then SIGTERM the server and require a graceful drain
+# with exit 0 plus a -walltrace Chrome JSON dump. Run by CI's serve-smoke job
 # and by `make serve-smoke`.
 set -euo pipefail
 
@@ -34,7 +34,7 @@ WANT_SMEMS=$(sed -n 's/.*"smems": \([0-9]*\).*/\1/p' offline.json | head -1)
 echo "offline: $WANT_READS reads, $WANT_SMEMS SMEMs"
 
 echo "== starting casa-serve =="
-./casa-serve -ref ref.fa -engine casa -addr 127.0.0.1:0 -trace runtrace.json >serve.out 2>serve.log &
+./casa-serve -ref ref.fa -engine casa -addr 127.0.0.1:0 -walltrace walltrace.json >serve.out 2>serve.log &
 SERVE_PID=$!
 ADDR=
 for _ in $(seq 1 600); do
@@ -115,12 +115,12 @@ COMPLETED=$(sed -n 's/.*"runs_completed": \([0-9]*\).*/\1/p' stats.json | head -
 grep -q '"p50_us"' stats.json || { cat stats.json; echo "stats has no latency quantiles"; exit 1; }
 echo "stats: $COMPLETED completed runs"
 
-echo "== GET /debug/runtrace =="
-curl -sf "http://$ADDR/debug/runtrace" >runtrace_live.json
-grep -q '"schema": "casa-walltrace/v1"' runtrace_live.json || { head runtrace_live.json; echo "runtrace is not casa-walltrace/v1"; exit 1; }
-grep -q '"traceEvents"' runtrace_live.json || { echo "runtrace has no traceEvents"; exit 1; }
+echo "== GET /walltrace =="
+curl -sf "http://$ADDR/walltrace" >walltrace_live.json
+grep -q '"schema": "casa-walltrace/v1"' walltrace_live.json || { head walltrace_live.json; echo "/walltrace is not casa-walltrace/v1"; exit 1; }
+grep -q '"traceEvents"' walltrace_live.json || { echo "/walltrace has no traceEvents"; exit 1; }
 for track in received queued running reporting; do
-    grep -q "\"$track\"" runtrace_live.json || { echo "runtrace has no $track spans"; exit 1; }
+    grep -q "\"$track\"" walltrace_live.json || { echo "/walltrace has no $track spans"; exit 1; }
 done
 
 echo "== SIGTERM drains and exits 0 =="
@@ -130,9 +130,15 @@ wait "$SERVE_PID" || RC=$?
 [ "$RC" = "0" ] || { cat serve.log; echo "casa-serve exited $RC after SIGTERM"; exit 1; }
 grep -q 'drained, exiting' serve.log || { tail serve.log; echo "no drain record in the log"; exit 1; }
 
-echo "== -trace wrote the lifecycle trace at shutdown =="
-[ -s runtrace.json ] || { echo "-trace wrote no runtrace.json"; exit 1; }
-grep -q '"schema": "casa-walltrace/v1"' runtrace.json || { head runtrace.json; echo "shutdown trace is not casa-walltrace/v1"; exit 1; }
-grep -q '"ph": "X"' runtrace.json || { echo "shutdown trace has no complete events"; exit 1; }
+echo "== -walltrace wrote the lifecycle trace at shutdown =="
+[ -s walltrace.json ] || { echo "-walltrace wrote no walltrace.json"; exit 1; }
+grep -q '"schema": "casa-walltrace/v1"' walltrace.json || { head walltrace.json; echo "shutdown trace is not casa-walltrace/v1"; exit 1; }
+grep -q '"ph": "X"' walltrace.json || { echo "shutdown trace has no complete events"; exit 1; }
+
+echo "== -trace is not casa-serve's flag =="
+RC=0
+./casa-serve -ref ref.fa -trace x.json >renamed.out 2>renamed.err || RC=$?
+[ "$RC" = "2" ] || { cat renamed.err; echo "casa-serve -trace exited $RC, want 2"; exit 1; }
+grep -q -- '-walltrace' renamed.err || { cat renamed.err; echo "casa-serve -trace does not name -walltrace"; exit 1; }
 
 echo "serve smoke OK"
