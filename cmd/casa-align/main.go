@@ -214,11 +214,15 @@ func (a *aligner) run(path1, path2 string, batchSize int) error {
 		if len(recs) == 0 {
 			return nil, io.EOF
 		}
-		a.tracker.AddTotal(int64(len(recs)))
 		reads := make([]dna.Sequence, len(recs))
+		names := make([]string, len(recs))
 		for i := range recs {
-			reads[i] = recs[i].Seq
+			reads[i], names[i] = recs[i].Seq, recs[i].Name
 		}
+		if err := engine.CheckReads(a.eng, reads, names); err != nil {
+			return nil, err
+		}
+		a.tracker.AddTotal(int64(len(recs)))
 		return reads, nil
 	}
 	emit := func(b batch.Batch) error {

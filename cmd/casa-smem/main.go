@@ -128,6 +128,9 @@ func main() {
 		if b.err != nil {
 			return nil, b.err
 		}
+		if err := engine.CheckReads(eng, b.reads, b.names); err != nil {
+			return nil, err
+		}
 		r.Tracker.AddTotal(int64(len(b.reads)))
 		names = b.names
 		if verify {

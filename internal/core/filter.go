@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"casa/internal/dna"
+	"casa/internal/hugemem"
 )
 
 // FilterStats counts pre-seeding filter activity for the cycle and energy
@@ -123,8 +125,8 @@ func BuildFilter(part dna.Sequence, cfg Config) (*Filter, error) {
 	buckets := dna.NumKmers(cfg.M)
 	f := &Filter{
 		cfg:       cfg,
-		mini:      make([]int32, buckets+1),
-		positions: make([]int32, n),
+		mini:      hugemem.Advise(make([]int32, buckets+1)),
+		positions: hugemem.Advise(make([]int32, n)),
 	}
 	f.initDerived()
 	mini, bits, mask := f.mini, f.suffixBits, f.suffixMask
@@ -147,7 +149,7 @@ func BuildFilter(part dna.Sequence, cfg Config) (*Filter, error) {
 	// Scatter: each bucket ends up holding its positions in ascending
 	// order, each with its suffix alongside. Afterwards mini[p] is bucket
 	// p's end, so bucket p spans the previous bucket's end to mini[p].
-	suffixes := make([]uint32, n)
+	suffixes := hugemem.Advise(make([]uint32, n))
 	positions := f.positions
 	kmer = 0
 	for i, b := range part {
@@ -182,10 +184,10 @@ func BuildFilter(part dna.Sequence, cfg Config) (*Filter, error) {
 
 	// Fill the tag, start-mask and position-index tables, rewriting each
 	// bucket's bound from its position end to its first tag.
-	f.tags = make([]uint32, distinct)
-	f.data = make([]uint64, distinct)
-	f.posIndex = make([]int32, distinct+1)
-	stride := int32(cfg.Stride)
+	f.tags = hugemem.Advise(make([]uint32, distinct))
+	f.data = hugemem.Advise(make([]uint64, distinct))
+	f.posIndex = hugemem.Advise(make([]int32, distinct+1))
+	stride := newModulus(uint32(cfg.Stride))
 	t := int32(-1)
 	lo = 0
 	for p := range buckets {
@@ -197,13 +199,27 @@ func BuildFilter(part dna.Sequence, cfg Config) (*Filter, error) {
 				f.tags[t] = suffixes[i]
 				f.posIndex[t] = i
 			}
-			f.data[t] |= 1 << uint(positions[i]%stride)
+			f.data[t] |= 1 << stride.of(uint32(positions[i]))
 		}
 		lo = hi
 	}
 	mini[buckets] = int32(distinct)
 	f.posIndex[distinct] = int32(n)
 	return f, nil
+}
+
+// modulus computes x % d without a divide instruction (Lemire, Kaser and
+// Kurz, "Faster remainder by direct computation"): with m the 64-bit
+// reciprocal of d rounded up, the low word of m*x is the fraction x/d,
+// and multiplying it by d carries x % d into the high word. It is exact
+// for every 32-bit x and d >= 1.
+type modulus struct{ m, d uint64 }
+
+func newModulus(d uint32) modulus { return modulus{^uint64(0)/uint64(d) + 1, uint64(d)} }
+
+func (q modulus) of(x uint32) uint {
+	hi, _ := bits.Mul64(q.m*uint64(x), q.d)
+	return uint(hi)
 }
 
 // insertionSortMax is the largest mini bucket BuildFilter orders by

@@ -479,6 +479,25 @@ func TestBuildFilterTransientBytes(t *testing.T) {
 	}
 }
 
+// TestModulusMatchesDivision checks the divide-free remainder against %
+// for every stride Config allows and every divisor up to 1000, at the
+// edges of the 32-bit range and at random values.
+func TestModulusMatchesDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for d := uint32(1); d <= 1000; d++ {
+		q := newModulus(d)
+		xs := []uint32{0, 1, d - 1, d, d + 1, 2*d - 1, 1<<31 - 1, 1 << 31, 1<<32 - 1}
+		for range 200 {
+			xs = append(xs, rng.Uint32())
+		}
+		for _, x := range xs {
+			if got, want := q.of(x), uint(x%d); got != want {
+				t.Fatalf("%d mod %d = %d, want %d", x, d, got, want)
+			}
+		}
+	}
+}
+
 // BenchmarkBuildFilter builds one paper-sized 4 Mbase partition at the
 // paper's k=19, m=10.
 func BenchmarkBuildFilter(b *testing.B) {

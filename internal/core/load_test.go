@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -327,6 +328,28 @@ func TestReadIndexRejectsMalformed(t *testing.T) {
 		wide++
 	}
 	nTags, nPos := len(f.tags), len(f.positions)
+	// A k7m4 partition with more tags than one decode chunk holds, whose
+	// second chunk starts inside a bucket, for the chunk-boundary cases.
+	big, err := New(randSeq(rand.New(rand.NewSource(5)), 20000), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bigBuf bytes.Buffer
+	if err := big.WriteIndex(&bigBuf); err != nil {
+		t.Fatal(err)
+	}
+	bo, bf := offsetsOf(big, 0), big.parts[0].filter
+	second := loadChunk / 8 // the second chunk's first tag
+	if len(bf.tags) <= second || bf.tags[second] <= bf.tags[second-1] {
+		t.Fatalf("tag %d of %d does not continue a bucket", second, len(bf.tags))
+	}
+	atSecond := func(v uint64) func([]byte) []byte {
+		return func([]byte) []byte {
+			b := slices.Clone(bigBuf.Bytes())
+			put64(b, bo.tags+8*second, v)
+			return b
+		}
+	}
 	cases := []struct {
 		name   string
 		mutate func(b []byte) []byte
@@ -344,6 +367,9 @@ func TestReadIndexRejectsMalformed(t *testing.T) {
 			put64(b, o.tags+8*(i+1), uint64(f.tags[i]))
 			return b
 		}, "does not increase within mini bucket"},
+		{"tag too wide at a bucket head", func(b []byte) []byte { put64(b, o.tags+8*int(f.mini[wide]), 1<<f.suffixBits); return b }, "wider than"},
+		{"tag too wide at a chunk start", atSecond(1 << bf.suffixBits), fmt.Sprintf("tag %d is %#x, wider than", second, 1<<bf.suffixBits)},
+		{"tag order at a chunk start", atSecond(uint64(bf.tags[second-1])), fmt.Sprintf("tag %d (%#x) does not increase within mini bucket", second, bf.tags[second-1])},
 		{"posIndex start", func(b []byte) []byte { put32(b, o.posIndex, 1); return b }, "posIndex: entry 0"},
 		{"posIndex decreases", func(b []byte) []byte { put32(b, o.posIndex+8, 0); return b }, "posIndex: entry 2"},
 		{"posIndex past positions", func(b []byte) []byte { put32(b, o.posIndex+4, uint32(nPos+1)); return b }, "posIndex: entry 1"},
@@ -391,6 +417,116 @@ func TestReadIndexBoundsClaimsByPayload(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Errorf("refusing the claim allocated %d bytes", grew)
+	}
+}
+
+// TestTagCheckMatchesOracle overwrites tags of a two-chunk partition,
+// around the chunk boundary, at its end and anywhere, with nearby,
+// equal, smaller and too-wide values and requires ReadIndex
+// to accept exactly the tag arrays whose full k-mers (bucket, tag)
+// strictly increase within the suffix width, and otherwise to name the
+// first offending tag, as a direct per-tag walk finds it.
+func TestTagCheckMatchesOracle(t *testing.T) {
+	a, err := New(randSeq(rand.New(rand.NewSource(5)), 20000), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := a.WriteIndex(&buf); err != nil {
+		t.Fatal(err)
+	}
+	o, f := offsetsOf(a, 0), a.parts[0].filter
+	firstBad := func(tags []uint64) int {
+		bkt := 0
+		var prev uint64
+		for i, v := range tags {
+			for int(f.mini[bkt+1]) <= i {
+				bkt++
+			}
+			kmer := uint64(bkt)<<f.suffixBits | v
+			if v > f.suffixMask || (i > 0 && kmer <= prev) {
+				return i
+			}
+			prev = kmer
+		}
+		return -1
+	}
+	rng := rand.New(rand.NewSource(6))
+	for trial := range 300 {
+		tags := make([]uint64, len(f.tags))
+		for i, v := range f.tags {
+			tags[i] = uint64(v)
+		}
+		b := slices.Clone(buf.Bytes())
+		for range 1 + rng.Intn(3) {
+			i := rng.Intn(len(tags))
+			switch trial % 3 {
+			case 0:
+				i = loadChunk/8 - 2 + rng.Intn(4) // around the chunk boundary
+			case 1:
+				i = len(tags) - 1 - rng.Intn(70) // in the last, partial word of heads
+			}
+			switch rng.Intn(4) {
+			case 0:
+				tags[i] += uint64(rng.Intn(5)) - 2
+			case 1:
+				tags[i] = tags[max(i-1, 0)]
+			case 2:
+				tags[i] = uint64(rng.Intn(int(f.suffixMask) + 1))
+			default:
+				tags[i] = f.suffixMask + 1 + uint64(rng.Intn(3))
+			}
+			binary.LittleEndian.PutUint64(b[o.tags+8*i:], tags[i])
+		}
+		_, err := ReadIndex(bytes.NewReader(b))
+		switch bad := firstBad(tags); {
+		case bad < 0 && err != nil:
+			t.Fatalf("trial %d: valid tags refused: %v", trial, err)
+		case bad >= 0 && (err == nil || !strings.Contains(err.Error(), fmt.Sprintf("tags: tag %d ", bad))):
+			t.Fatalf("trial %d: tag %d (%#x) is the first bad one, got error %v", trial, bad, tags[bad], err)
+		}
+	}
+}
+
+// TestFoldTagsMatchesOracle drives foldTags directly on chunks of every
+// length up to 200 tags (whole and partial bitset words), with random
+// bucket heads and tags that mostly increase, and requires its verdict,
+// its decoded tags and its last tag to match a per-tag walk.
+func TestFoldTagsMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const mask = 1<<10 - 1
+	for n := 1; n <= 200; n++ {
+		for range 20 {
+			heads := make([]uint64, (n+63)/64)
+			b := make([]byte, 8*n)
+			prev := uint64(rng.Intn(mask))
+			want, p := false, prev
+			for i := range n {
+				head := rng.Intn(8) == 0
+				if head {
+					heads[i/64] |= 1 << (i % 64)
+				}
+				v := p + uint64(rng.Intn(40)) + 1
+				if rng.Intn(4*n) == 0 {
+					v = p - uint64(rng.Intn(3)) // equal or smaller
+				}
+				if v > mask || (!head && v <= p) {
+					want = true
+				}
+				binary.LittleEndian.PutUint64(b[8*i:], v)
+				p = v
+			}
+			dst := make([]uint32, n)
+			bad, last := foldTags(dst, b, heads, prev, mask)
+			if (bad != 0) != want || last != p {
+				t.Fatalf("%d tags: bad %#x (want a failure: %v), last %d (want %d)", n, bad, want, last, p)
+			}
+			for i, v := range dst {
+				if uint64(v) != binary.LittleEndian.Uint64(b[8*i:])&0xffffffff {
+					t.Fatalf("%d tags: tag %d decoded as %d", n, i, v)
+				}
+			}
+		}
 	}
 }
 

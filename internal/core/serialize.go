@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 
 	"casa/internal/dna"
+	"casa/internal/hugemem"
 )
 
 // Index serialization: the paper builds the pre-seeding filter tables
@@ -29,6 +31,15 @@ import (
 // written and skipped when read, as idxio skips its retired header slot,
 // so a damaged group word cannot change what a loaded index seeds. The
 // u64 tags and two-word indicators stay until a format version bump.
+//
+// ReadIndex validates each table as it decodes it into an array advised
+// for huge pages (hugemem). The mini pass marks each nonempty bucket's
+// first tag in a bitset; a tag must fit the 2(k-m) suffix bits and,
+// unless marked, exceed its predecessor. foldTags folds both tests over
+// a 64 KiB chunk into one bad word with no data-dependent branch, and
+// only a bad chunk is rescanned (badTag) to name its first offending
+// tag. The posIndex and positions range checks fold the same way
+// (foldRange), each rescanned by its per-entry loop.
 
 // indexMagic identifies the file format; the trailing digit is the
 // version.
@@ -55,7 +66,8 @@ func (a *Accelerator) WriteIndex(w io.Writer) error {
 }
 
 // loadChunk is the size of the one buffer ReadIndex decodes every table
-// through.
+// through. It holds a multiple of 64 tags, so each chunk of tags starts
+// on a word of the bucket-head bitset (foldTags).
 const loadChunk = 64 << 10
 
 // ReadIndex reconstructs an accelerator from WriteIndex output. Each table
@@ -169,7 +181,7 @@ func readPartition(d *decoder, cfg Config, n int) (*Partition, error) {
 	if err := d.claim("reference", uint64(packedLen), 1); err != nil {
 		return nil, err
 	}
-	ref := make(dna.Sequence, 0, n)
+	ref := hugemem.Advise(make(dna.Sequence, 0, n))
 	if err := d.array(packedLen, 1, func(b []byte, first int) error {
 		ref = dna.AppendUnpacked(ref, b, min(n-len(ref), 4*len(b)))
 		if first+len(b) == packedLen && n%4 != 0 && b[len(b)-1]>>uint(2*(n%4)) != 0 {
@@ -189,14 +201,20 @@ func readPartition(d *decoder, cfg Config, n int) (*Partition, error) {
 	}
 	f := &Filter{cfg: cfg}
 	f.initDerived()
-	// The bucket ends land behind the bound array's leading 0.
-	prevEnd := uint32(0)
+	// The bucket ends land behind the bound array's leading 0. heads
+	// marks each nonempty bucket's first tag for the tag check below; a
+	// damaged end past the partition, which the tag count refuses, is
+	// clamped to stay inside it.
+	heads := d.bitset(n/64 + 1)
+	prevEnd, top := uint32(0), uint32(n)
 	f.mini, err = decodeTable(d, "mini index", nMini, 4, 1, func(dst []int32, b []byte, first int) error {
 		for j := range dst {
 			end := binary.LittleEndian.Uint32(b[4*j:])
 			if end < prevEnd {
 				return fmt.Errorf("bucket %d ends at %d, before its start %d", first+j, end, prevEnd)
 			}
+			s := min(prevEnd, top)
+			heads[s/64] |= uint64((prevEnd-end)>>31) << (s % 64) // 1 when end > prevEnd
 			dst[j], prevEnd = int32(end), end
 		}
 		return nil
@@ -215,33 +233,17 @@ func readPartition(d *decoder, cfg Config, n int) (*Partition, error) {
 	if nTags != uint64(prevEnd) {
 		return nil, fmt.Errorf("mini index ends at %d, tag count is %d", prevEnd, nTags)
 	}
-	// Tags must strictly increase within each mini bucket: equivalently,
-	// the full k-mers (bucket prefix, tag) strictly increase across the
-	// array, a test that stays branch-predictable on valid input.
-	bucket, bucketEnd := -1, 0
-	var prevKmer uint64
+	// Tags must strictly increase within each mini bucket: every tag
+	// heads does not mark must exceed its predecessor. Every tag must fit
+	// the suffix width.
+	var prevTag uint64
 	f.tags, err = decodeTable(d, "tags", nTags, 8, 0, func(dst []uint32, b []byte, first int) error {
-		// Work on locals: the captured state would otherwise round-trip
-		// through memory on every tag.
-		mini, mask, bits := f.mini, f.suffixMask, f.suffixBits
-		bkt, end, prev := bucket, bucketEnd, prevKmer
-		for j := range dst {
-			v, i := binary.LittleEndian.Uint64(b[8*j:]), first+j
-			if v > mask {
-				return fmt.Errorf("tag %d is %#x, wider than the %d bits of k-m=%d", i, v, bits, cfg.K-cfg.M)
-			}
-			for i >= end {
-				bkt++
-				end = int(mini[bkt+1])
-			}
-			kmer := uint64(bkt)<<bits | v
-			if i > 0 && kmer <= prev {
-				return fmt.Errorf("tag %d (%#x) does not increase within mini bucket %d", i, v, bkt)
-			}
-			dst[j], prev = uint32(v), kmer
+		bad, last := foldTags(dst, b, heads[first/64:], prevTag, f.suffixMask)
+		if bad == 0 {
+			prevTag = last
+			return nil
 		}
-		bucket, bucketEnd, prevKmer = bkt, end, prev
-		return nil
+		return badTag(f, heads, b, first, prevTag)
 	})
 	if err != nil {
 		return nil, err
@@ -266,7 +268,12 @@ func readPartition(d *decoder, cfg Config, n int) (*Partition, error) {
 	}
 	prevIdx := uint32(0) // posIndex runs non-decreasingly from 0 to nPos
 	f.posIndex, err = decodeTable(d, "posIndex", nTags+1, 4, 0, func(dst []int32, b []byte, first int) error {
-		for j := range dst {
+		bad, last := foldRange(dst, b, int64(prevIdx), int64(nPos), -1)
+		if !bad && (first > 0 || dst[0] == 0) {
+			prevIdx = uint32(last)
+			return nil
+		}
+		for j := range dst { // rescan for the first entry out of range
 			v, hi := binary.LittleEndian.Uint32(b[4*j:]), nPos
 			if first+j == 0 {
 				hi = 0
@@ -286,7 +293,10 @@ func readPartition(d *decoder, cfg Config, n int) (*Partition, error) {
 	}
 	lastStart := int64(n) - int64(cfg.K) // the partition's last k-mer start
 	f.positions, err = decodeTable(d, "positions", nPos, 4, 0, func(dst []int32, b []byte, first int) error {
-		for j := range dst {
+		if bad, _ := foldRange(dst, b, 0, lastStart, 0); !bad {
+			return nil
+		}
+		for j := range dst { // rescan for the first position out of range
 			v := binary.LittleEndian.Uint32(b[4*j:])
 			if int64(v) > lastStart {
 				return fmt.Errorf("position %d is %d, past the last k-mer start %d", first+j, v, lastStart)
@@ -301,6 +311,74 @@ func readPartition(d *decoder, cfg Config, n int) (*Partition, error) {
 	return &Partition{cfg: cfg, ref: ref, filter: f}, nil
 }
 
+// bitset returns a zeroed bitset of the given words, reused across
+// partitions.
+func (d *decoder) bitset(words int) []uint64 {
+	d.heads = growN(d.heads, words)
+	clear(d.heads)
+	return d.heads
+}
+
+// foldTags decodes a chunk of tags into dst, prev being the tag before
+// it and heads the chunk's words of the bucket-head bitset (a chunk
+// starts on a word boundary). It folds both tag tests into one word,
+// nonzero when a test fails, so a valid chunk runs without a
+// data-dependent branch: the tags' bits above mask, and per 64 tags the
+// unmarked ones not above their predecessor (v-prev-1 borrows exactly
+// then, as both fit in the mask unless the width test already failed).
+// It also returns the chunk's last tag.
+func foldTags(dst []uint32, b []byte, heads []uint64, prev, mask uint64) (bad, last uint64) {
+	b = b[:8*len(dst)]
+	var wide uint64
+	for w := 0; w < len(dst); w += 64 {
+		run := dst[w:min(w+64, len(dst))]
+		src := b[8*w : 8*(w+len(run))]
+		var down uint64 // shifts in each tag's borrow at the top
+		for j := range run {
+			v := binary.LittleEndian.Uint64(src[8*j:])
+			down = down>>1 | (v-prev-1)&(1<<63)
+			wide |= v
+			run[j], prev = uint32(v), v
+		}
+		// Bit k is now tag w+k's borrow.
+		bad |= down >> (64 - len(run)) &^ heads[w/64]
+	}
+	return bad | wide&^mask, prev
+}
+
+// foldRange decodes a chunk of u32 entries into dst and reports, without
+// a data-dependent branch, whether one falls outside [lo, hi]: lo is
+// prev, then each entry in turn where order is -1 (a non-decreasing
+// table), and stays prev where order is 0. It also returns the chunk's
+// last entry.
+func foldRange(dst []int32, b []byte, prev, hi, order int64) (bad bool, last int64) {
+	b = b[:4*len(dst)]
+	var out, v int64
+	for j := range dst {
+		v = int64(binary.LittleEndian.Uint32(b[4*j:]))
+		out |= (v - prev) | (hi - v) // negative when v < prev or v > hi
+		dst[j], prev = int32(v), prev&^order|v&order
+	}
+	return out < 0, v
+}
+
+// badTag rescans a tags chunk that failed the folded check and reports
+// its first offending entry; prev is the tag before the chunk.
+func badTag(f *Filter, heads []uint64, b []byte, first int, prev uint64) error {
+	for j := 0; j < len(b)/8; j++ {
+		v, i := binary.LittleEndian.Uint64(b[8*j:]), first+j
+		if v > f.suffixMask {
+			return fmt.Errorf("tag %d is %#x, wider than the %d bits of k-m=%d", i, v, f.suffixBits, f.cfg.K-f.cfg.M)
+		}
+		if heads[i/64]>>(i%64)&1 == 0 && v <= prev {
+			bkt := sort.Search(len(f.mini)-1, func(p int) bool { return int(f.mini[p+1]) > i })
+			return fmt.Errorf("tag %d (%#x) does not increase within mini bucket %d", i, v, bkt)
+		}
+		prev = v
+	}
+	return nil
+}
+
 // decodeTable checks that count entries of size bytes fit in the unread
 // payload, allocates them once behind lead zero entries, and fills them
 // from the stream: fn decodes each run of whole entries b into dst, the
@@ -309,7 +387,7 @@ func decodeTable[T any](d *decoder, table string, count uint64, size, lead int, 
 	if err := d.claim(table, count, size); err != nil {
 		return nil, err
 	}
-	out := make([]T, uint64(lead)+count)
+	out := hugemem.Advise(make([]T, uint64(lead)+count))
 	if err := d.array(int(count), size, func(b []byte, first int) error {
 		return fn(out[lead+first:lead+first+len(b)/size], b, first)
 	}); err != nil {
@@ -326,6 +404,7 @@ type decoder struct {
 	r     io.Reader
 	left  int64
 	chunk []byte
+	heads []uint64 // the mini buckets' first tags, reused by bitset
 }
 
 // next reads the next n <= len(chunk) bytes into the chunk.

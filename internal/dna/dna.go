@@ -16,6 +16,8 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
+
+	"casa/internal/hugemem"
 )
 
 // Base is a 2-bit nucleotide code: A=0, C=1, G=2, T=3.
@@ -330,7 +332,7 @@ func ReadPacked(r io.Reader, n int) (Sequence, error) {
 	if lr, ok := r.(interface{ Len() int }); ok {
 		size = min(n, 4*min(lr.Len(), PackedLen(n)))
 	}
-	seq := make(Sequence, 0, size)
+	seq := hugemem.Advise(make(Sequence, 0, size))
 	for len(seq) < n {
 		c := min(PackedLen(n-len(seq)), len(chunk))
 		if _, err := io.ReadFull(r, chunk[:c]); err != nil {

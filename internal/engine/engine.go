@@ -14,6 +14,9 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
+
 	"casa/internal/dna"
 	"casa/internal/metrics"
 	"casa/internal/smem"
@@ -135,6 +138,35 @@ type Positioner interface {
 	HitPositions(strand dna.Sequence, m smem.Match, maxHits int) []int32
 }
 
+// ReadLimiter is implemented by engines whose answer is exact only for
+// reads up to some length: the sharded composites, whose shards overlap
+// by that many bases. CheckRead returns an error wrapping ErrReadTooLong
+// for a read past the limit.
+type ReadLimiter interface {
+	CheckRead(read dna.Sequence) error
+}
+
+// ErrReadTooLong marks a read that an engine would seed with SMEMs
+// missing (see ReadLimiter).
+var ErrReadTooLong = errors.New("read too long")
+
+// CheckReads checks reads against e's read limit, if it has one, and
+// names the first read past it by its names entry. Callers run it on
+// every batch before seeding, so a read the engine cannot seed exactly
+// fails the run instead of losing SMEMs.
+func CheckReads(e Engine, reads []dna.Sequence, names []string) error {
+	rl, ok := e.(ReadLimiter)
+	if !ok {
+		return nil
+	}
+	for i, read := range reads {
+		if err := rl.CheckRead(read); err != nil {
+			return fmt.Errorf("read %q: %w", names[i], err)
+		}
+	}
+	return nil
+}
+
 // Unwrapper exposes the concrete engine behind an adapter
 // (*core.Accelerator, *ert.Accelerator, ...) for callers that need the
 // full native API; Build is the typed front door.
@@ -176,8 +208,8 @@ type Options struct {
 
 	// ShardOverlap is the inter-shard overlap in bases of the sharded
 	// composite engines; it must be at least the longest read seeded, or
-	// SMEMs spanning a shard boundary are lost. 0 = their default. The
-	// flat engines ignore it.
+	// SMEMs spanning a shard boundary are lost, so CheckReads refuses
+	// longer reads. 0 = their default. The flat engines ignore it.
 	ShardOverlap int
 
 	// Config, when non-nil, must hold the engine's native configuration

@@ -24,6 +24,7 @@ import (
 	"math/bits"
 
 	"casa/internal/dna"
+	"casa/internal/hugemem"
 	"casa/internal/suffixarray"
 )
 
@@ -90,7 +91,7 @@ func (f *FMIndex) Derive() error {
 	}
 	nb := (n + 1 + 63) / 64
 	seen := make([]uint64, nb)
-	occ := make([]occBlock, nb+1)
+	occ := hugemem.Advise(make([]occBlock, nb+1))
 	var run [4]int32
 	var sentRow int32
 	for k := range nb {

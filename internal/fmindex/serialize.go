@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"casa/internal/dna"
+	"casa/internal/hugemem"
 	"casa/internal/suffixarray"
 )
 
@@ -112,7 +113,7 @@ func Decode(r io.Reader) (*FMIndex, error) {
 	}
 
 	var chunk [serializeChunk / 16]byte
-	sa := make([]int32, 0, rows)
+	sa := hugemem.Advise(make([]int32, 0, rows))
 	for len(sa) < n+1 {
 		c := min(n+1-len(sa), len(chunk)/4)
 		if _, err := io.ReadFull(r, chunk[:4*c]); err != nil {

@@ -57,6 +57,12 @@ func TestServerEndpoints(t *testing.T) {
 	if len(spans) != 2 {
 		t.Fatalf("/trace returned %d spans, want 2", len(spans))
 	}
+	// The published stream replaced the buffers; a second fetch, after
+	// the trace merged again, serves the same bytes.
+	tr.Spans()
+	if code, again := get(t, base+"/trace"); code != http.StatusOK || again != body {
+		t.Fatalf("second /trace fetch: code %d, %d bytes differ from the first %d", code, len(again), len(body))
+	}
 
 	if code, _ := get(t, base+"/debug/pprof/cmdline"); code != http.StatusOK {
 		t.Fatalf("/debug/pprof/cmdline: code %d", code)

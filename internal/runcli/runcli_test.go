@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"log/slog"
 	"math/rand"
@@ -19,7 +20,7 @@ import (
 	"casa/internal/idxio"
 	"casa/internal/refidx"
 	"casa/internal/seqio"
-	_ "casa/internal/shard"
+	"casa/internal/shard"
 )
 
 // fixture is a small two-chromosome reference, a second reference with a
@@ -173,6 +174,12 @@ func TestFlagExitMatrix(t *testing.T) {
 			},
 		},
 
+		{
+			name: "smem sharded read past -shard-overlap", spec: Smem,
+			args: with("-ref", fx.ref, "-engine", "sharded:fmindex", "-shards", "2", "-shard-overlap", "300"), code: 0,
+			check: refusesReadsPast(300),
+		},
+
 		// casa-align
 		{name: "align without -ref", spec: Align, args: reads, code: 2},
 		{name: "align -index without -ref", spec: Align, args: with("-index", fx.index), code: 2},
@@ -197,6 +204,12 @@ func TestFlagExitMatrix(t *testing.T) {
 					t.Errorf("engine %q options %+v", r.EngineName, r.Options)
 				}
 			},
+		},
+
+		{
+			name: "align sharded read past the default overlap", spec: Align,
+			args: with("-ref", fx.ref, "-engine", "sharded:fmindex"), code: 0,
+			check: refusesReadsPast(shard.DefaultOverlap),
 		},
 
 		// casa-serve
@@ -243,6 +256,32 @@ func TestFlagExitMatrix(t *testing.T) {
 				tc.check(t, r)
 			}
 		})
+	}
+}
+
+// refusesReadsPast checks a resolved sharded run: its engine seeds a
+// read of overlap bases, and refuses one base more with ErrReadTooLong
+// naming the read and the overlap, as the CLIs' batch check reports it.
+func refusesReadsPast(overlap int) func(*testing.T, *Run) {
+	return func(t *testing.T, r *Run) {
+		ix, err := r.Reference()
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := r.Engine(ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat := ix.Flat()
+		fits := []dna.Sequence{flat[:overlap]}
+		if err := engine.CheckReads(eng, fits, []string{"fits"}); err != nil {
+			t.Errorf("a %d-base read: %v", overlap, err)
+		}
+		err = engine.CheckReads(eng, []dna.Sequence{flat[:overlap], flat[:overlap+1]}, []string{"fits", "long"})
+		want := fmt.Sprintf(`read "long": read too long: %d bases exceed the %d-base shard overlap`, overlap+1, overlap)
+		if !errors.Is(err, engine.ErrReadTooLong) || !strings.Contains(err.Error(), want) {
+			t.Errorf("a %d-base read: error %v, want ErrReadTooLong mentioning %q", overlap+1, err, want)
+		}
 	}
 }
 

@@ -374,15 +374,16 @@ func (s *Server) handleSeed(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reads := make([]dna.Sequence, len(recs))
-	var names []string
-	if wantResults {
-		names = make([]string, len(recs))
-	}
+	names := make([]string, len(recs))
 	for i, rec := range recs {
-		reads[i] = rec.Seq
-		if names != nil {
-			names[i] = rec.Name
-		}
+		reads[i], names[i] = rec.Seq, rec.Name
+	}
+	if err := engine.CheckReads(s.proto, reads, names); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if !wantResults {
+		names = nil
 	}
 
 	runID := progress.NewRunID()

@@ -20,6 +20,7 @@ import (
 	"casa/internal/engine"
 	"casa/internal/metrics"
 	"casa/internal/seqio"
+	_ "casa/internal/shard" // registers sharded:fmindex
 	"casa/internal/smem"
 	"casa/internal/trace"
 )
@@ -528,6 +529,32 @@ func TestSeedRejections(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge && resp.StatusCode != http.StatusOK {
 		t.Fatalf("multipart: code %d", resp.StatusCode)
+	}
+}
+
+// TestSeedRejectsReadPastShardOverlap: a sharded engine seeds exactly
+// only reads up to its shard overlap, so a longer read is a 400 naming
+// the read and the overlap, while a batch of reads that fit is seeded.
+func TestSeedRejectsReadPastShardOverlap(t *testing.T) {
+	ref, fits, _ := testRef(t, 1<<12, 4, 64)
+	s := startTestServer(t, ref, Config{
+		Engine:        "sharded:fmindex",
+		EngineOptions: engine.Options{Shards: 2, ShardOverlap: 64},
+	})
+	url := "http://" + s.Addr() + "/v1/seed"
+	if code, _, raw := postSeed(t, url, fits); code != http.StatusOK {
+		t.Fatalf("reads at the overlap: code %d (%s), want 200", code, raw)
+	}
+	long := fmt.Sprintf("@r0\n%s\n+\n%s\n@long\n%s\n+\n%s\n",
+		ref[:64], strings.Repeat("I", 64), ref[100:165], strings.Repeat("I", 65))
+	code, _, raw := postSeed(t, url, []byte(long))
+	if code != http.StatusBadRequest {
+		t.Fatalf("read past the overlap: code %d, want 400", code)
+	}
+	for _, want := range []string{`read "long"`, "65 bases", "64-base shard overlap"} {
+		if !strings.Contains(string(raw), want) {
+			t.Errorf("400 body %q does not mention %q", raw, want)
+		}
 	}
 }
 

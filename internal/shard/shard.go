@@ -22,7 +22,9 @@
 //
 // # Correctness contract
 //
-// Sharding is lossless when V is at least the longest read seeded:
+// Sharding is lossless when V is at least the longest read seeded
+// (CheckRead refuses longer reads, which the CLIs and casa-serve run on
+// every batch through engine.CheckReads):
 // every read interval (length <= read length <= V) then occurs fully
 // inside at least one shard, so
 //
@@ -406,6 +408,16 @@ func (s *Sharded) ActivityCycles(act engine.Activity) int64 {
 		}
 	}
 	return total
+}
+
+// CheckRead implements engine.ReadLimiter: the merge is exact only for
+// reads no longer than the shard overlap (see the package comment). A
+// single shard has no boundary to lose an SMEM at.
+func (s *Sharded) CheckRead(read dna.Sequence) error {
+	if len(s.inners) > 1 && len(read) > s.overlap {
+		return fmt.Errorf("%w: %d bases exceed the %d-base shard overlap of %s", engine.ErrReadTooLong, len(read), s.overlap, s.name)
+	}
+	return nil
 }
 
 // Unwrap exposes the inner engines.

@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -59,6 +60,33 @@ func TestShardedMatchesFlat(t *testing.T) {
 						f.Name, shards, i, want[i], got[i])
 				}
 			}
+		}
+	}
+}
+
+// TestCheckReadAtOverlap: a sharded engine refuses exactly the reads
+// longer than its overlap, with ErrReadTooLong, and a one-shard engine,
+// which has no boundary, refuses none.
+func TestCheckReadAtOverlap(t *testing.T) {
+	ref, _ := testWorkload(t, 1<<12, 1)
+	for _, tc := range []struct {
+		shards int
+		limit  bool
+	}{{1, false}, {3, true}} {
+		e, err := engine.New("sharded:fmindex", ref, engine.Options{Shards: tc.shards, ShardOverlap: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.(*shard.Sharded).Shards(); got != tc.shards {
+			t.Fatalf("%d shards requested, got %d", tc.shards, got)
+		}
+		fits := engine.CheckReads(e, []dna.Sequence{ref[:100]}, []string{"a"})
+		long := engine.CheckReads(e, []dna.Sequence{ref[:100], ref[:101]}, []string{"a", "b"})
+		if fits != nil || (long != nil) != tc.limit || (long != nil && !errors.Is(long, engine.ErrReadTooLong)) {
+			t.Errorf("%d shards: 100 bases %v, 101 bases %v", tc.shards, fits, long)
+		}
+		if tc.limit && !strings.HasPrefix(long.Error(), `read "b": `) {
+			t.Errorf("error %q does not name read b", long)
 		}
 	}
 }

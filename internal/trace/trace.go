@@ -114,7 +114,8 @@ func (b *Buffer) EmitSystem(track, name string, start, dur int64) {
 	b.seq++
 }
 
-// Len returns the number of spans recorded so far.
+// Len returns the number of spans recorded since the last merge
+// (Trace.Spans moves them into the merged stream).
 func (b *Buffer) Len() int {
 	if b == nil {
 		return 0
@@ -130,6 +131,7 @@ type Trace struct {
 
 	mu      sync.Mutex
 	buffers []*Buffer
+	merged  []Span // every span merged so far, sorted (see merge)
 }
 
 // DefaultCapacity is the default cap, in spans, on the stream Spans
@@ -176,21 +178,48 @@ func (t *Trace) Policy() Policy { return t.policy }
 // first). System spans always survive sampling. The result is
 // independent of worker count and of buffer registration order; callers
 // must not run Spans concurrently with workers still emitting.
+//
+// The merged stream replaces the buffers: their spans move into it, so
+// a finished run holds its spans once through export, and a later call
+// merges only what was recorded since. A stream Spans has returned is
+// never modified afterwards.
 func (t *Trace) Spans() []Span {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	total := 0
-	for _, b := range t.buffers {
-		total += len(b.spans)
+	merged := t.merge()
+	t.mu.Unlock()
+	merged = t.policy.apply(merged)
+	if len(merged) > t.capacity {
+		// Keep the newest spans (the highest read indices): drop whole
+		// reads from the front so no read is ever half-represented.
+		// System spans (sorted to each proc's front by Read = -1) are
+		// re-attached untouched.
+		merged = evictOldest(merged, t.capacity)
 	}
-	merged := make([]Span, 0, total)
+	return merged
+}
+
+// merge moves every buffer's spans into t.merged, keeps it sorted, and
+// returns it (empty, not nil, before any span is recorded). New spans
+// go into a fresh array, so streams returned earlier stay as they were.
+func (t *Trace) merge() []Span {
+	added := 0
+	for _, b := range t.buffers {
+		added += len(b.spans)
+	}
+	if added == 0 {
+		if t.merged == nil {
+			t.merged = []Span{}
+		}
+		return t.merged
+	}
+	merged := append(make([]Span, 0, len(t.merged)+added), t.merged...)
 	for _, b := range t.buffers {
 		merged = append(merged, b.spans...)
+		b.spans = nil
 	}
-	t.mu.Unlock()
-
 	// A read's spans live in exactly one buffer (reads are sharded, never
 	// split), so (Proc, Read, seq) totally orders the stream: within a
 	// read, seq reproduces the engine's emission order.
@@ -204,16 +233,7 @@ func (t *Trace) Spans() []Span {
 		}
 		return a.seq < b.seq
 	})
-
-	merged = t.policy.apply(merged)
-
-	if len(merged) > t.capacity {
-		// Keep the newest spans (the highest read indices): drop whole
-		// reads from the front so no read is ever half-represented.
-		// System spans (sorted to each proc's front by Read = -1) are
-		// re-attached untouched.
-		merged = evictOldest(merged, t.capacity)
-	}
+	t.merged = merged
 	return merged
 }
 

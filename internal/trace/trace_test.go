@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -181,6 +182,39 @@ func TestNilTraceAndBufferAreNoOps(t *testing.T) {
 	}
 	if got := tr.Spans(); got != nil {
 		t.Fatalf("nil Trace.Spans() = %v", got)
+	}
+}
+
+// TestSpansReplacesBuffers: Spans moves the buffers' spans into the
+// merged stream, so they are held once; a second call returns the same
+// stream, spans recorded afterwards merge into a new one, and a stream
+// returned earlier is left as it was.
+func TestSpansReplacesBuffers(t *testing.T) {
+	tr := New(PolicyAll, 0)
+	a, b := tr.NewBuffer("eng"), tr.NewBuffer("eng")
+	if got := tr.Spans(); got == nil || len(got) != 0 {
+		t.Fatalf("Spans before any span = %v, want empty and not nil", got)
+	}
+	emitRead(b, 1, 10)
+	emitRead(a, 0, 10)
+	first := tr.Spans()
+	if len(first) != 4 || a.Len() != 0 || b.Len() != 0 {
+		t.Fatalf("merged %d spans, buffers still hold %d and %d", len(first), a.Len(), b.Len())
+	}
+	kept := slices.Clone(first)
+	if again := tr.Spans(); !slices.Equal(again, first) {
+		t.Fatalf("second Spans %v, first %v", again, first)
+	}
+	emitRead(a, 2, 10)
+	emitRead(b, 3, 10)
+	all := tr.Spans()
+	if !slices.Equal(first, kept) {
+		t.Fatalf("a later merge changed an earlier stream: %v, was %v", first, kept)
+	}
+	for i, s := range all {
+		if s.Read != int32(i/2) {
+			t.Fatalf("span %d is read %d after the second merge: %v", i, s.Read, all)
+		}
 	}
 }
 
