@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	"casa/internal/batch"
 	"casa/internal/dna"
@@ -77,6 +78,7 @@ type aligner struct {
 	pool       batch.Options
 	tracker    *progress.Tracker
 	writer     *sam.Writer
+	phase      func(name string, start time.Time) // records a host phase (runcli.Run.Phase)
 	aligned    int
 	total      int
 	mismatches int
@@ -100,11 +102,17 @@ func main() {
 	}
 
 	// The reference is parsed once: the same index feeds the engine (or
-	// the -index cross-check), extension and the SAM header.
+	// the -index cross-check), extension and the SAM header. The wall
+	// trace records that parse as the load phase, the seeding engines'
+	// and the extension machine's construction as build, and each
+	// batch's SAM write as an output phase.
+	loadStart := time.Now()
 	ix, err := r.Reference()
 	if err != nil {
 		r.Fatal(err)
 	}
+	r.Phase("load", loadStart)
+	buildStart := time.Now()
 	eng, err := r.Engine(ix)
 	if err != nil {
 		r.Fatal(err)
@@ -120,6 +128,7 @@ func main() {
 	if err != nil {
 		r.Fatal(err)
 	}
+	r.Phase("build", buildStart)
 
 	var out io.Writer = os.Stdout
 	if *outPath != "-" {
@@ -138,7 +147,7 @@ func main() {
 	// (single-end) or learned at load (paired): the tracker starts at 0
 	// and grows via AddTotal, and percent/ETA stay 0 until it is known.
 	r.Start(0, "workers", r.Pool().WorkerCount(), "batch", *batchSize, "paired", *reads2 != "")
-	a := newAligner(r.Ctx, eng, veng, ix, sx, *maxHits, r.Pool(), r.Tracker, writer)
+	a := newAligner(r.Ctx, eng, veng, ix, sx, *maxHits, r.Pool(), r.Tracker, writer, r.Phase)
 
 	err = a.run(*readsPath, *reads2, *batchSize)
 	r.Tracker.Finish()
@@ -166,16 +175,16 @@ func main() {
 }
 
 // newAligner makes an aligner that seeds with eng on pool, cross-checks
-// the forward seeds against veng when it is not nil, and extends with one
-// clone of sx per pool worker.
+// the forward seeds against veng when it is not nil, extends with one
+// clone of sx per pool worker and records each batch's write with phase.
 func newAligner(ctx context.Context, eng, veng engine.Engine, ix *refidx.Index, sx *seedex.Machine,
-	maxHits int, pool batch.Options, tracker *progress.Tracker, writer *sam.Writer) *aligner {
+	maxHits int, pool batch.Options, tracker *progress.Tracker, writer *sam.Writer, phase func(string, time.Time)) *aligner {
 	pos, _ := eng.(engine.Positioner)
 	_, strands := eng.(engine.StrandSeeder)
 	a := &aligner{
 		ctx: ctx, eng: eng, pos: pos, strands: strands, flat: ix.Flat(),
 		ix: ix, maxHits: maxHits,
-		pool: pool, tracker: tracker, writer: writer,
+		pool: pool, tracker: tracker, writer: writer, phase: phase,
 	}
 	if veng != nil {
 		vpool := pool
@@ -239,9 +248,11 @@ func (a *aligner) run(path1, path2 string, batchSize int) error {
 				out[k], out[k+1] = a.recordPair(r1, r2, p1, p2)
 			}
 		})
+		start := time.Now()
 		if err := a.write(out); err != nil {
 			return err
 		}
+		a.phase("output", start)
 		a.total += len(out)
 		// Extension reports no progress: refresh the stall watchdog so a
 		// long extension is not reported as a hang.

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"casa/internal/batch"
 	"casa/internal/dna"
@@ -286,7 +287,7 @@ func alignInProcess(t *testing.T, eng engine.Engine, ix *refidx.Index, workers i
 	var out bytes.Buffer
 	writer := sam.NewWriter(&out, refSeqs, "casa-align")
 	tracker := progress.New(progress.NewRunID(), eng.Name(), workers, 0)
-	a := newAligner(context.Background(), eng, nil, ix, sx, 4, batch.Options{Workers: workers}, tracker, writer)
+	a := newAligner(context.Background(), eng, nil, ix, sx, 4, batch.Options{Workers: workers}, tracker, writer, func(string, time.Time) {})
 	if err := a.run(path1, path2, 64); err != nil {
 		t.Fatal(err)
 	}

@@ -349,3 +349,44 @@ func TestAblationThroughputOrdering(t *testing.T) {
 		t.Errorf("full CASA (%.0f reads/s) slower than naive (%.0f reads/s)", full, naive)
 	}
 }
+
+// TestSeedingChargesFilter requires the pre-seeding filter's lookups to
+// reach the seeded activity that the cycle and energy models read: on
+// planted reads the Result's filter counters are nonzero and equal what
+// every partition's filter counted, built, cloned and loaded alike.
+func TestSeedingChargesFilter(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	cfg := testConfig()
+	cfg.PartitionBases = 1000
+	ref := randSeq(rng, 3000)
+	built, err := New(ref, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := built.WriteIndex(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadIndex(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reads []dna.Sequence
+	for range 20 {
+		reads = append(reads, plantedRead(rng, ref, 60, rng.Intn(3)))
+	}
+	for name, a := range map[string]*Accelerator{"built": built, "clone": built.Clone(), "loaded": loaded} {
+		res := a.SeedReads(reads)
+		var counted FilterStats
+		for _, p := range a.parts {
+			counted.add(*p.filter.Stats)
+		}
+		got := res.Stats.Filter
+		if got.Lookups == 0 || got.TagRowsEnabled == 0 {
+			t.Errorf("%s: seeding charged no filter activity: %+v", name, got)
+		}
+		if got != counted {
+			t.Errorf("%s: seeded activity charges %+v, the filters counted %+v", name, got, counted)
+		}
+	}
+}

@@ -61,8 +61,10 @@ type Filter struct {
 	suffixBits uint
 	suffixMask uint64
 
-	// Stats accumulates lookup activity; reset by the caller per batch.
-	Stats FilterStats
+	// Stats is the counter set lookups charge: the owning partition's
+	// PartStats.Filter (newPartition), or the filter's own when it stands
+	// alone (BuildFilter, Clone). The caller resets it per batch.
+	Stats *FilterStats
 
 	ranges []tagRange // LookupAll's gathered mini ranges, reused per call
 }
@@ -87,8 +89,8 @@ func (f *Filter) bucket(kmer dna.Kmer) tagRange {
 }
 
 // Clone returns a filter sharing this one's index arrays (built offline,
-// never written during lookups) with fresh Stats and scratch. Lookups and
-// Positions on distinct clones are safe to run concurrently.
+// never written during lookups) with fresh Stats of its own and scratch.
+// Lookups and Positions on distinct clones are safe to run concurrently.
 func (f *Filter) Clone() *Filter {
 	c := &Filter{
 		cfg:       f.cfg,
@@ -97,6 +99,7 @@ func (f *Filter) Clone() *Filter {
 		data:      f.data,
 		posIndex:  f.posIndex,
 		positions: f.positions,
+		Stats:     new(FilterStats),
 	}
 	c.initDerived()
 	return c
@@ -127,6 +130,7 @@ func BuildFilter(part dna.Sequence, cfg Config) (*Filter, error) {
 		cfg:       cfg,
 		mini:      hugemem.Advise(make([]int32, buckets+1)),
 		positions: hugemem.Advise(make([]int32, n)),
+		Stats:     new(FilterStats),
 	}
 	f.initDerived()
 	mini, bits, mask := f.mini, f.suffixBits, f.suffixMask
@@ -313,7 +317,7 @@ func (f *Filter) LookupAll(kmers []dna.Kmer, idx []int32, starts []uint64, exist
 			starts[i] = 0
 		}
 	}
-	s := &f.Stats
+	s := f.Stats
 	s.Lookups += int64(n)
 	s.MiniAccesses += int64(n)
 	s.TagSearches += int64(n)

@@ -162,7 +162,7 @@ func TestFilterStatsAccounting(t *testing.T) {
 		missing++
 	}
 	f.Lookup(missing) // miss
-	s := f.Stats
+	s := *f.Stats
 	if s.Lookups != 2 || s.MiniAccesses != 2 || s.TagSearches != 2 {
 		t.Errorf("lookup counts wrong: %+v", s)
 	}
@@ -176,9 +176,9 @@ func TestFilterStatsAccounting(t *testing.T) {
 			s.TagRowsEnabled, f.DistinctKmers())
 	}
 	// Positions must not charge stats.
-	before := f.Stats
+	before := *f.Stats
 	f.Positions(dna.PackKmer(part, 0, cfg.K))
-	if f.Stats != before {
+	if *f.Stats != before {
 		t.Error("Positions charged filter stats")
 	}
 }
@@ -598,7 +598,7 @@ func TestLookupAllMatchesLookup(t *testing.T) {
 		if anyHit != wantAny {
 			t.Fatalf("read %d: LookupAll reported a hit=%v, want %v", ri, anyHit, wantAny)
 		}
-		if batched.Stats != perPivot.Stats {
+		if *batched.Stats != *perPivot.Stats {
 			t.Fatalf("read %d: LookupAll stats %+v, per-pivot Lookup stats %+v", ri, batched.Stats, perPivot.Stats)
 		}
 	}

@@ -7,12 +7,14 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"casa/internal/dna"
 	"casa/internal/idxio"
@@ -251,10 +253,36 @@ func singlePartitionIndex(t testing.TB, n int) []byte {
 	return buf.Bytes()
 }
 
+// multiChunk builds a one-partition accelerator at k=8, m=4 with more
+// tags than one decode chunk holds, and returns its WriteIndex bytes.
+// The payload fills more chunks than ReadIndex has workers, so a load
+// at GOMAXPROCS loadWorkers or more decodes on the full pool, and its
+// base count is not a multiple of 4, so its reference has pad bits.
+func multiChunk(t testing.TB) (*Accelerator, []byte) {
+	t.Helper()
+	cfg := testConfig()
+	cfg.K, cfg.MinSMEM = 8, 8
+	a, err := New(randSeq(rand.New(rand.NewSource(5)), cfg.PartitionBases-1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.parts) != 1 || len(a.parts[0].filter.tags) <= loadChunk/8 {
+		t.Fatalf("%d partitions, %d tags: not one partition of several chunks", len(a.parts), len(a.parts[0].filter.tags))
+	}
+	var buf bytes.Buffer
+	if err := a.WriteIndex(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() <= loadWorkers*loadChunk {
+		t.Fatalf("%d-byte index fills no more than %d chunks", buf.Len(), loadWorkers)
+	}
+	return a, buf.Bytes()
+}
+
 // TestReadIndexAllocs pins the bulk decoder: loading a partition costs a
 // fixed number of allocations (its tables, each made once at its exact
-// size) whatever the partition's size, so a per-element decoder cannot
-// come back unnoticed.
+// size, and the decode pool with its buffers) whatever the partition's
+// size, so a per-element decoder cannot come back unnoticed.
 func TestReadIndexAllocs(t *testing.T) {
 	allocs := func(n int) float64 {
 		data := singlePartitionIndex(t, n)
@@ -267,6 +295,38 @@ func TestReadIndexAllocs(t *testing.T) {
 	small, large := allocs(1<<14), allocs(1<<17)
 	if small != large {
 		t.Errorf("ReadIndex allocations grow with the partition: %v at 1<<14 bases, %v at 1<<17", small, large)
+	}
+}
+
+// TestReadIndexPoolAllocs loads two partitions that both fill more
+// chunks than the decode pool has workers, at GOMAXPROCS loadWorkers, so
+// both loads run on the full pool. The runtime's goroutine and channel
+// bookkeeping adds a few allocations that vary from load to load, so
+// the larger load may cost a few more than the smaller, but fewer than
+// half the extra chunks it decodes: one allocation per chunk fails.
+func TestReadIndexPoolAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(loadWorkers))
+	load := func(n int) (allocs uint64, chunks int) {
+		data := singlePartitionIndex(t, n)
+		least := uint64(math.MaxUint64) // of five loads
+		var before, after runtime.MemStats
+		for range 5 {
+			runtime.ReadMemStats(&before)
+			if _, err := ReadIndex(bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		return least, len(data) / loadChunk
+	}
+	small, smallChunks := load(1 << 16)
+	large, largeChunks := load(1 << 18)
+	if smallChunks <= loadWorkers {
+		t.Fatalf("the smaller index fills %d chunks, not more than the pool's %d workers", smallChunks, loadWorkers)
+	}
+	if extra := (largeChunks - smallChunks) / 2; large >= small+uint64(extra) {
+		t.Errorf("ReadIndex allocations on the pool grow with the chunks: %d for %d chunks, %d for %d", small, smallChunks, large, largeChunks)
 	}
 }
 
@@ -311,15 +371,16 @@ func offsetsOf(a *Accelerator, pi int) partOffsets {
 
 // TestReadIndexRejectsMalformed corrupts one structural field of a valid
 // payload at a time and requires a named "core:" error for each, where
-// the old loader either panicked while seeding or answered wrongly.
+// the old loader either panicked while seeding or answered wrongly, and
+// the same error at GOMAXPROCS 1 and 8. The payload is the multi-chunk
+// index, so at GOMAXPROCS 8 its tables decode on a pool of several
+// workers.
 func TestReadIndexRejectsMalformed(t *testing.T) {
-	a, good := buildGolden(t, 0)
-	last := len(a.parts) - 1
-	if o := offsetsOf(a, last); o.end != len(good) {
+	a, good := multiChunk(t)
+	o, f := offsetsOf(a, 0), a.parts[0].filter
+	if o.end != len(good) {
 		t.Fatalf("layout walk ends at %d of %d bytes", o.end, len(good))
 	}
-	o := offsetsOf(a, 0)
-	f := a.parts[0].filter
 	put32 := func(b []byte, off int, v uint32) { binary.LittleEndian.PutUint32(b[off:], v) }
 	put64 := func(b []byte, off int, v uint64) { binary.LittleEndian.PutUint64(b[off:], v) }
 	// A mini bucket holding at least two tags, for the ordering case.
@@ -328,37 +389,21 @@ func TestReadIndexRejectsMalformed(t *testing.T) {
 		wide++
 	}
 	nTags, nPos := len(f.tags), len(f.positions)
-	// A k7m4 partition with more tags than one decode chunk holds, whose
-	// second chunk starts inside a bucket, for the chunk-boundary cases.
-	big, err := New(randSeq(rand.New(rand.NewSource(5)), 20000), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bigBuf bytes.Buffer
-	if err := big.WriteIndex(&bigBuf); err != nil {
-		t.Fatal(err)
-	}
-	bo, bf := offsetsOf(big, 0), big.parts[0].filter
+	// The second chunk of tags must start inside a bucket, for the
+	// chunk-boundary cases.
 	second := loadChunk / 8 // the second chunk's first tag
-	if len(bf.tags) <= second || bf.tags[second] <= bf.tags[second-1] {
-		t.Fatalf("tag %d of %d does not continue a bucket", second, len(bf.tags))
-	}
-	atSecond := func(v uint64) func([]byte) []byte {
-		return func([]byte) []byte {
-			b := slices.Clone(bigBuf.Bytes())
-			put64(b, bo.tags+8*second, v)
-			return b
-		}
+	if f.tags[second] <= f.tags[second-1] {
+		t.Fatalf("tag %d of %d does not continue a bucket", second, nTags)
 	}
 	cases := []struct {
 		name   string
 		mutate func(b []byte) []byte
 		want   string
 	}{
-		{"partition count", func(b []byte) []byte { put64(b, len(indexMagic)+13*8, uint64(len(a.parts)+1)); return b }, "partitions, its geometry needs"},
-		{"partition start", func(b []byte) []byte { put64(b, offsetsOf(a, 1).start, uint64(a.starts[1]+1)); return b }, "partition 1 starts at"},
+		{"partition count", func(b []byte) []byte { put64(b, len(indexMagic)+13*8, 2); return b }, "partitions, its geometry needs"},
+		{"partition start", func(b []byte) []byte { put64(b, o.start, 1); return b }, "partition 0 starts at"},
 		{"partition length", func(b []byte) []byte { put64(b, o.n, uint64(len(a.parts[0].ref)-1)); return b }, "its geometry needs"},
-		{"pad bits", func(b []byte) []byte { b[offsetsOf(a, last).nMini-1] |= 0xC0; return b }, "pad bits"},
+		{"pad bits", func(b []byte) []byte { b[o.nMini-1] |= 0xC0; return b }, "pad bits"},
 		{"mini end decreases", func(b []byte) []byte { put32(b, o.mini, uint32(nTags)); return b }, "before its start"},
 		{"mini end past tags", func(b []byte) []byte { put32(b, o.nTags-4, uint32(nTags+1)); return b }, "tag count is"},
 		{"tag too wide", func(b []byte) []byte { put64(b, o.tags, 1<<f.suffixBits); return b }, "wider than"},
@@ -368,8 +413,8 @@ func TestReadIndexRejectsMalformed(t *testing.T) {
 			return b
 		}, "does not increase within mini bucket"},
 		{"tag too wide at a bucket head", func(b []byte) []byte { put64(b, o.tags+8*int(f.mini[wide]), 1<<f.suffixBits); return b }, "wider than"},
-		{"tag too wide at a chunk start", atSecond(1 << bf.suffixBits), fmt.Sprintf("tag %d is %#x, wider than", second, 1<<bf.suffixBits)},
-		{"tag order at a chunk start", atSecond(uint64(bf.tags[second-1])), fmt.Sprintf("tag %d (%#x) does not increase within mini bucket", second, bf.tags[second-1])},
+		{"tag too wide at a chunk start", func(b []byte) []byte { put64(b, o.tags+8*second, 1<<f.suffixBits); return b }, fmt.Sprintf("tag %d is %#x, wider than", second, 1<<f.suffixBits)},
+		{"tag order at a chunk start", func(b []byte) []byte { put64(b, o.tags+8*second, uint64(f.tags[second-1])); return b }, fmt.Sprintf("tag %d (%#x) does not increase within mini bucket", second, f.tags[second-1])},
 		{"posIndex start", func(b []byte) []byte { put32(b, o.posIndex, 1); return b }, "posIndex: entry 0"},
 		{"posIndex decreases", func(b []byte) []byte { put32(b, o.posIndex+8, 0); return b }, "posIndex: entry 2"},
 		{"posIndex past positions", func(b []byte) []byte { put32(b, o.posIndex+4, uint32(nPos+1)); return b }, "posIndex: entry 1"},
@@ -386,14 +431,126 @@ func TestReadIndexRejectsMalformed(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			b := tc.mutate(slices.Clone(good))
-			_, err := ReadIndex(bytes.NewReader(b))
+			_, err := readIndexAt(1, b)
 			if err == nil {
 				t.Fatal("malformed index accepted")
 			}
 			if !strings.HasPrefix(err.Error(), "core: ") || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q, want a core: error mentioning %q", err, tc.want)
 			}
+			if _, err8 := readIndexAt(8, b); err8 == nil || err8.Error() != err.Error() {
+				t.Fatalf("error %q at GOMAXPROCS 8, %q at 1", err8, err)
+			}
 		})
+	}
+}
+
+// readIndexAt runs ReadIndex over data at the given GOMAXPROCS, which
+// sets its decode pool's size.
+func readIndexAt(procs int, data []byte) (*Accelerator, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return ReadIndex(bytes.NewReader(data))
+}
+
+// TestReadIndexIndependentOfProcs loads the golden and the multi-chunk
+// indexes at GOMAXPROCS 1, 2 and 8: however many workers decode the
+// chunks, every table of every partition must equal the built one.
+func TestReadIndexIndependentOfProcs(t *testing.T) {
+	builds := map[string]func() (*Accelerator, []byte){
+		"multi-chunk": func() (*Accelerator, []byte) { return multiChunk(t) },
+	}
+	for i, g := range goldenBuilds {
+		builds[g.name] = func() (*Accelerator, []byte) { return buildGolden(t, i) }
+	}
+	for name, build := range builds {
+		built, data := build()
+		for _, procs := range []int{1, 2, 8} {
+			loaded, err := readIndexAt(procs, data)
+			if err != nil {
+				t.Fatalf("%s at GOMAXPROCS %d: %v", name, procs, err)
+			}
+			if !slices.Equal(loaded.starts, built.starts) || len(loaded.parts) != len(built.parts) {
+				t.Fatalf("%s at GOMAXPROCS %d: geometry differs", name, procs)
+			}
+			for pi, bp := range built.parts {
+				lp := loaded.parts[pi]
+				table := sameTables(lp.filter, bp.filter)
+				if !slices.Equal(lp.ref, bp.ref) {
+					table = "reference"
+				}
+				if table != "" {
+					t.Errorf("%s at GOMAXPROCS %d, partition %d: loaded %s differ from built", name, procs, pi, table)
+				}
+			}
+		}
+	}
+}
+
+// TestReadIndexReportsEarliestChunk damages a multi-chunk index in two
+// places, the first at a lower offset than the second, in the same table
+// or in different ones, and requires the error the first damage alone
+// gives, at GOMAXPROCS 1 and 8: a worker pool that decodes a late chunk
+// before an early one must still report what a front-to-back decode
+// meets first.
+func TestReadIndexReportsEarliestChunk(t *testing.T) {
+	a, good := multiChunk(t)
+	o, f := offsetsOf(a, 0), a.parts[0].filter
+	nTags, nPos := len(f.tags), len(f.positions)
+	put32 := func(b []byte, off int, v uint32) { binary.LittleEndian.PutUint32(b[off:], v) }
+	wideTag := func(i int) func([]byte) {
+		return func(b []byte) { binary.LittleEndian.PutUint64(b[o.tags+8*i:], 1<<f.suffixBits) }
+	}
+	damages := []struct {
+		name  string
+		apply func([]byte)
+	}{ // in increasing offset
+		{"mini end decreases", func(b []byte) { put32(b, o.mini, uint32(nTags)) }},
+		{"wide tag in the first chunk", wideTag(3)},
+		{"wide tag in the second chunk", wideTag(loadChunk/8 + 1)},
+		{"wide last tag", wideTag(nTags - 1)},
+		{"posIndex past positions", func(b []byte) { put32(b, o.positions-8, uint32(nPos+1)) }},
+		{"last position past the last k-mer", func(b []byte) { put32(b, o.end-4, uint32(len(a.parts[0].ref))) }},
+	}
+	for i, early := range damages {
+		alone := slices.Clone(good)
+		early.apply(alone)
+		_, want := readIndexAt(1, alone)
+		if want == nil {
+			t.Fatalf("%s: accepted", early.name)
+		}
+		for _, late := range damages[i+1:] {
+			b := slices.Clone(alone)
+			late.apply(b)
+			for _, procs := range []int{1, 8} {
+				if _, err := readIndexAt(procs, b); err == nil || err.Error() != want.Error() {
+					t.Errorf("%s, then %s, at GOMAXPROCS %d: error %q, want %q", early.name, late.name, procs, err, want)
+				}
+			}
+		}
+	}
+}
+
+// TestReadIndexJoinsWorkers loads a multi-chunk index on a pool of
+// workers, intact and with a damaged last chunk, and requires the
+// goroutine count to come back to where it was each time: ReadIndex
+// stops and joins its workers on success and on failure alike.
+func TestReadIndexJoinsWorkers(t *testing.T) {
+	_, good := multiChunk(t)
+	bad := slices.Clone(good)
+	binary.LittleEndian.PutUint32(bad[len(bad)-4:], math.MaxUint32)
+	before := runtime.NumGoroutine()
+	for name, data := range map[string][]byte{"intact": good, "damaged": bad} {
+		_, err := readIndexAt(8, data)
+		if (err != nil) != (name == "damaged") {
+			t.Fatalf("%s index: error %v", name, err)
+		}
+		// A joined worker has signalled its exit; give it the moment it
+		// takes to finish returning.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s index: %d goroutines after ReadIndex, %d before", name, runtime.NumGoroutine(), before)
+			}
+		}
 	}
 }
 
@@ -427,14 +584,7 @@ func TestReadIndexBoundsClaimsByPayload(t *testing.T) {
 // strictly increase within the suffix width, and otherwise to name the
 // first offending tag, as a direct per-tag walk finds it.
 func TestTagCheckMatchesOracle(t *testing.T) {
-	a, err := New(randSeq(rand.New(rand.NewSource(5)), 20000), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := a.WriteIndex(&buf); err != nil {
-		t.Fatal(err)
-	}
+	a, index := multiChunk(t)
 	o, f := offsetsOf(a, 0), a.parts[0].filter
 	firstBad := func(tags []uint64) int {
 		bkt := 0
@@ -457,7 +607,7 @@ func TestTagCheckMatchesOracle(t *testing.T) {
 		for i, v := range f.tags {
 			tags[i] = uint64(v)
 		}
-		b := slices.Clone(buf.Bytes())
+		b := slices.Clone(index)
 		for range 1 + rng.Intn(3) {
 			i := rng.Intn(len(tags))
 			switch trial % 3 {
@@ -490,8 +640,8 @@ func TestTagCheckMatchesOracle(t *testing.T) {
 
 // TestFoldTagsMatchesOracle drives foldTags directly on chunks of every
 // length up to 200 tags (whole and partial bitset words), with random
-// bucket heads and tags that mostly increase, and requires its verdict,
-// its decoded tags and its last tag to match a per-tag walk.
+// bucket heads and tags that mostly increase, and requires its verdict
+// and its decoded tags to match a per-tag walk.
 func TestFoldTagsMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const mask = 1<<10 - 1
@@ -517,9 +667,9 @@ func TestFoldTagsMatchesOracle(t *testing.T) {
 				p = v
 			}
 			dst := make([]uint32, n)
-			bad, last := foldTags(dst, b, heads, prev, mask)
-			if (bad != 0) != want || last != p {
-				t.Fatalf("%d tags: bad %#x (want a failure: %v), last %d (want %d)", n, bad, want, last, p)
+			bad := foldTags(dst, b, heads, prev, mask)
+			if (bad != 0) != want {
+				t.Fatalf("%d tags: bad %#x (want a failure: %v)", n, bad, want)
 			}
 			for i, v := range dst {
 				if uint64(v) != binary.LittleEndian.Uint64(b[8*i:])&0xffffffff {

@@ -93,7 +93,16 @@ func NewPartition(ref dna.Sequence, cfg Config) (*Partition, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Partition{cfg: cfg, ref: ref, filter: f}, nil
+	return newPartition(cfg, ref, f), nil
+}
+
+// newPartition assembles a partition whose filter charges its lookups
+// straight into the partition's Stats.Filter, so the stage deltas and the
+// filter's own count are one counter set.
+func newPartition(cfg Config, ref dna.Sequence, f *Filter) *Partition {
+	p := &Partition{cfg: cfg, ref: ref, filter: f}
+	f.Stats = &p.Stats.Filter
+	return p
 }
 
 // Clone returns a partition sharing this one's immutable state (the
@@ -101,7 +110,7 @@ func NewPartition(ref dna.Sequence, cfg Config) (*Partition, error) {
 // Seeding mutates only the counters, so clones may seed concurrently
 // without locks.
 func (p *Partition) Clone() *Partition {
-	return &Partition{cfg: p.cfg, ref: p.ref, filter: p.filter.Clone()}
+	return newPartition(p.cfg, p.ref, p.filter.Clone())
 }
 
 // Ref returns the partition's reference sequence.

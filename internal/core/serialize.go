@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"casa/internal/dna"
 	"casa/internal/hugemem"
@@ -32,14 +35,24 @@ import (
 // so a damaged group word cannot change what a loaded index seeds. The
 // u64 tags and two-word indicators stay until a format version bump.
 //
-// ReadIndex validates each table as it decodes it into an array advised
-// for huge pages (hugemem). The mini pass marks each nonempty bucket's
-// first tag in a bitset; a tag must fit the 2(k-m) suffix bits and,
-// unless marked, exceed its predecessor. foldTags folds both tests over
-// a 64 KiB chunk into one bad word with no data-dependent branch, and
-// only a bad chunk is rescanned (badTag) to name its first offending
-// tag. The posIndex and positions range checks fold the same way
-// (foldRange), each rescanned by its per-entry loop.
+// ReadIndex is a two-stage pipeline. The calling goroutine reads the
+// payload front to back, so a checksumming reader (an idxio section)
+// still sees every byte, and hands each 256 KiB chunk of a table to a
+// pool of workers, which decode and validate it into an array advised
+// for huge pages (hugemem). A chunk carries the raw entry before it, so the order checks need nothing from the previous chunk's decode,
+// and each table ends with a barrier, so a check that reads an earlier
+// table (the tags check reads the mini pass's bitset) sees it whole. Of
+// the chunks that fail, the one at the lowest offset names the error,
+// and a read error counts only when no earlier chunk failed: the error
+// is the one a front-to-back decode meets first.
+//
+// The mini pass marks each nonempty bucket's first tag in a bitset; a
+// tag must fit the 2(k-m) suffix bits and, unless marked, exceed its
+// predecessor. foldTags folds both tests over a chunk into one bad word
+// with no data-dependent branch, and only a bad chunk is rescanned
+// (badTag) to name its first offending tag. The posIndex and positions
+// range checks fold the same way (foldRange), each rescanned by its
+// per-entry loop.
 
 // indexMagic identifies the file format; the trailing digit is the
 // version.
@@ -65,10 +78,17 @@ func (a *Accelerator) WriteIndex(w io.Writer) error {
 	return bw.Flush()
 }
 
-// loadChunk is the size of the one buffer ReadIndex decodes every table
-// through. It holds a multiple of 64 tags, so each chunk of tags starts
-// on a word of the bucket-head bitset (foldTags).
-const loadChunk = 64 << 10
+// loadChunk is the size of each buffer ReadIndex reads a table through.
+// It holds a multiple of 64 tags, so each chunk of tags starts on a word
+// of the bucket-head bitset (foldTags).
+const loadChunk = 256 << 10
+
+// loadWorkers caps ReadIndex's decode pool. One goroutine reads and
+// checksums every chunk, about a third of a load's CPU time, so it keeps
+// two or three decoders busy; the fourth covers a decoder stalled on a
+// table's first page faults. Each worker has two chunk buffers, so a
+// load holds at most 2 MiB of them on any host.
+const loadWorkers = 4
 
 // ReadIndex reconstructs an accelerator from WriteIndex output. Each table
 // is decoded in bulk, straight into an array allocated once at its exact
@@ -79,19 +99,22 @@ const loadChunk = 64 << 10
 // Len() int method, as idxio section readers and bytes.Reader do, every
 // table's claimed size is checked against it before the table is
 // allocated.
+//
+// The calling goroutine reads r in order, so a checksumming reader sees
+// every byte; the chunks it reads are decoded and checked on a pool of
+// up to loadWorkers goroutines, which ReadIndex joins before it returns.
 func ReadIndex(r io.Reader) (*Accelerator, error) {
-	d := &decoder{r: r, left: math.MaxInt64, chunk: make([]byte, loadChunk)}
-	if lr, ok := r.(interface{ Len() int }); ok {
-		d.left = int64(lr.Len())
-	}
-	magic, err := d.next(len(indexMagic))
-	if err != nil {
+	d := newDecoder(r)
+	defer d.close()
+	var magic [len(indexMagic)]byte
+	if err := d.read(magic[:]); err != nil {
 		return nil, fmt.Errorf("core: reading index header: %w", err)
 	}
-	if string(magic) != indexMagic {
+	if string(magic[:]) != indexMagic {
 		return nil, fmt.Errorf("core: not a CASA index (magic %q)", magic)
 	}
 	var hdr [14]uint64 // config (11 words), overlap, refLen, nParts
+	var err error
 	for i := range hdr {
 		if hdr[i], err = d.u64(); err != nil {
 			return nil, fmt.Errorf("core: reading index header: %w", err)
@@ -168,7 +191,10 @@ func writePartition(w *bufio.Writer, p *Partition) error {
 }
 
 // readPartition decodes one partition of n bases, validating each table
-// as it streams past.
+// as it streams past. Each table's chunk decoder gets the raw entry
+// before its chunk as prev (rawEntry), so a chunk's checks need nothing
+// from the decoding of the chunk before it; a table's scalar checks run
+// once its every chunk is decoded.
 func readPartition(d *decoder, cfg Config, n int) (*Partition, error) {
 	got, err := d.u64()
 	if err != nil {
@@ -181,9 +207,10 @@ func readPartition(d *decoder, cfg Config, n int) (*Partition, error) {
 	if err := d.claim("reference", uint64(packedLen), 1); err != nil {
 		return nil, err
 	}
-	ref := hugemem.Advise(make(dna.Sequence, 0, n))
-	if err := d.array(packedLen, 1, func(b []byte, first int) error {
-		ref = dna.AppendUnpacked(ref, b, min(n-len(ref), 4*len(b)))
+	ref := hugemem.Advise(make(dna.Sequence, n))
+	if _, err := d.array(packedLen, 1, func(b []byte, first int, _ uint64) error {
+		at := 4 * first // the chunk's first base
+		dna.AppendUnpacked(ref[at:at], b, min(n-at, 4*len(b)))
 		if first+len(b) == packedLen && n%4 != 0 && b[len(b)-1]>>uint(2*(n%4)) != 0 {
 			return fmt.Errorf("pad bits after base %d are not zero", n)
 		}
@@ -204,19 +231,29 @@ func readPartition(d *decoder, cfg Config, n int) (*Partition, error) {
 	// The bucket ends land behind the bound array's leading 0. heads
 	// marks each nonempty bucket's first tag for the tag check below; a
 	// damaged end past the partition, which the tag count refuses, is
-	// clamped to stay inside it.
+	// clamped to stay inside it. A chunk gathers its marks one bitset
+	// word at a time and ORs each word in with orWord, since the chunks
+	// on either side of a chunk boundary can mark the same word.
 	heads := d.bitset(n/64 + 1)
-	prevEnd, top := uint32(0), uint32(n)
-	f.mini, err = decodeTable(d, "mini index", nMini, 4, 1, func(dst []int32, b []byte, first int) error {
+	top := uint32(n)
+	var lastEnd uint64
+	f.mini, lastEnd, err = decodeTable(d, "mini index", nMini, 4, 1, func(dst []int32, b []byte, first int, prev uint64) error {
+		prevEnd := uint32(prev)
+		w, marks := min(prevEnd, top)/64, uint64(0)
 		for j := range dst {
 			end := binary.LittleEndian.Uint32(b[4*j:])
 			if end < prevEnd {
 				return fmt.Errorf("bucket %d ends at %d, before its start %d", first+j, end, prevEnd)
 			}
 			s := min(prevEnd, top)
-			heads[s/64] |= uint64((prevEnd-end)>>31) << (s % 64) // 1 when end > prevEnd
+			if s/64 != w {
+				orWord(&heads[w], marks)
+				w, marks = s/64, 0
+			}
+			marks |= uint64((prevEnd-end)>>31) << (s % 64) // 1 when end > prevEnd
 			dst[j], prevEnd = int32(end), end
 		}
+		orWord(&heads[w], marks)
 		return nil
 	})
 	if err != nil {
@@ -230,26 +267,23 @@ func readPartition(d *decoder, cfg Config, n int) (*Partition, error) {
 	if nTags > uint64(n) {
 		return nil, fmt.Errorf("tag count %d exceeds partition size", nTags)
 	}
-	if nTags != uint64(prevEnd) {
-		return nil, fmt.Errorf("mini index ends at %d, tag count is %d", prevEnd, nTags)
+	if nTags != lastEnd {
+		return nil, fmt.Errorf("mini index ends at %d, tag count is %d", lastEnd, nTags)
 	}
 	// Tags must strictly increase within each mini bucket: every tag
 	// heads does not mark must exceed its predecessor. Every tag must fit
 	// the suffix width.
-	var prevTag uint64
-	f.tags, err = decodeTable(d, "tags", nTags, 8, 0, func(dst []uint32, b []byte, first int) error {
-		bad, last := foldTags(dst, b, heads[first/64:], prevTag, f.suffixMask)
-		if bad == 0 {
-			prevTag = last
+	f.tags, _, err = decodeTable(d, "tags", nTags, 8, 0, func(dst []uint32, b []byte, first int, prev uint64) error {
+		if foldTags(dst, b, heads[first/64:], prev, f.suffixMask) == 0 {
 			return nil
 		}
-		return badTag(f, heads, b, first, prevTag)
+		return badTag(f, heads, b, first, prev)
 	})
 	if err != nil {
 		return nil, err
 	}
 	// Each indicator's start mask; its group word is skipped.
-	f.data, err = decodeTable(d, "search indicators", nTags, 16, 0, func(dst []uint64, b []byte, _ int) error {
+	f.data, _, err = decodeTable(d, "search indicators", nTags, 16, 0, func(dst []uint64, b []byte, _ int, _ uint64) error {
 		for j := range dst {
 			dst[j] = binary.LittleEndian.Uint64(b[16*j:])
 		}
@@ -266,13 +300,13 @@ func readPartition(d *decoder, cfg Config, n int) (*Partition, error) {
 	if nPos > uint64(n) {
 		return nil, fmt.Errorf("position count %d exceeds partition size", nPos)
 	}
-	prevIdx := uint32(0) // posIndex runs non-decreasingly from 0 to nPos
-	f.posIndex, err = decodeTable(d, "posIndex", nTags+1, 4, 0, func(dst []int32, b []byte, first int) error {
-		bad, last := foldRange(dst, b, int64(prevIdx), int64(nPos), -1)
-		if !bad && (first > 0 || dst[0] == 0) {
-			prevIdx = uint32(last)
+	// posIndex runs non-decreasingly from 0 to nPos.
+	var lastIdx uint64
+	f.posIndex, lastIdx, err = decodeTable(d, "posIndex", nTags+1, 4, 0, func(dst []int32, b []byte, first int, prev uint64) error {
+		if !foldRange(dst, b, int64(prev), int64(nPos), -1) && (first > 0 || dst[0] == 0) {
 			return nil
 		}
+		prevIdx := uint32(prev)
 		for j := range dst { // rescan for the first entry out of range
 			v, hi := binary.LittleEndian.Uint32(b[4*j:]), nPos
 			if first+j == 0 {
@@ -288,12 +322,12 @@ func readPartition(d *decoder, cfg Config, n int) (*Partition, error) {
 	if err != nil {
 		return nil, err
 	}
-	if uint64(prevIdx) != nPos {
-		return nil, fmt.Errorf("posIndex ends at %d, position count is %d", prevIdx, nPos)
+	if lastIdx != nPos {
+		return nil, fmt.Errorf("posIndex ends at %d, position count is %d", lastIdx, nPos)
 	}
 	lastStart := int64(n) - int64(cfg.K) // the partition's last k-mer start
-	f.positions, err = decodeTable(d, "positions", nPos, 4, 0, func(dst []int32, b []byte, first int) error {
-		if bad, _ := foldRange(dst, b, 0, lastStart, 0); !bad {
+	f.positions, _, err = decodeTable(d, "positions", nPos, 4, 0, func(dst []int32, b []byte, first int, _ uint64) error {
+		if !foldRange(dst, b, 0, lastStart, 0) {
 			return nil
 		}
 		for j := range dst { // rescan for the first position out of range
@@ -308,7 +342,7 @@ func readPartition(d *decoder, cfg Config, n int) (*Partition, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Partition{cfg: cfg, ref: ref, filter: f}, nil
+	return newPartition(cfg, ref, f), nil
 }
 
 // bitset returns a zeroed bitset of the given words, reused across
@@ -319,6 +353,16 @@ func (d *decoder) bitset(words int) []uint64 {
 	return d.heads
 }
 
+// orWord ORs v into *p atomically.
+func orWord(p *uint64, v uint64) {
+	for v != 0 {
+		old := atomic.LoadUint64(p)
+		if atomic.CompareAndSwapUint64(p, old, old|v) {
+			return
+		}
+	}
+}
+
 // foldTags decodes a chunk of tags into dst, prev being the tag before
 // it and heads the chunk's words of the bucket-head bitset (a chunk
 // starts on a word boundary). It folds both tag tests into one word,
@@ -326,8 +370,7 @@ func (d *decoder) bitset(words int) []uint64 {
 // data-dependent branch: the tags' bits above mask, and per 64 tags the
 // unmarked ones not above their predecessor (v-prev-1 borrows exactly
 // then, as both fit in the mask unless the width test already failed).
-// It also returns the chunk's last tag.
-func foldTags(dst []uint32, b []byte, heads []uint64, prev, mask uint64) (bad, last uint64) {
+func foldTags(dst []uint32, b []byte, heads []uint64, prev, mask uint64) (bad uint64) {
 	b = b[:8*len(dst)]
 	var wide uint64
 	for w := 0; w < len(dst); w += 64 {
@@ -343,23 +386,22 @@ func foldTags(dst []uint32, b []byte, heads []uint64, prev, mask uint64) (bad, l
 		// Bit k is now tag w+k's borrow.
 		bad |= down >> (64 - len(run)) &^ heads[w/64]
 	}
-	return bad | wide&^mask, prev
+	return bad | wide&^mask
 }
 
 // foldRange decodes a chunk of u32 entries into dst and reports, without
 // a data-dependent branch, whether one falls outside [lo, hi]: lo is
 // prev, then each entry in turn where order is -1 (a non-decreasing
-// table), and stays prev where order is 0. It also returns the chunk's
-// last entry.
-func foldRange(dst []int32, b []byte, prev, hi, order int64) (bad bool, last int64) {
+// table), and stays prev where order is 0.
+func foldRange(dst []int32, b []byte, prev, hi, order int64) (bad bool) {
 	b = b[:4*len(dst)]
-	var out, v int64
+	var out int64
 	for j := range dst {
-		v = int64(binary.LittleEndian.Uint32(b[4*j:]))
+		v := int64(binary.LittleEndian.Uint32(b[4*j:]))
 		out |= (v - prev) | (hi - v) // negative when v < prev or v > hi
 		dst[j], prev = int32(v), prev&^order|v&order
 	}
-	return out < 0, v
+	return out < 0
 }
 
 // badTag rescans a tags chunk that failed the folded check and reports
@@ -381,54 +423,126 @@ func badTag(f *Filter, heads []uint64, b []byte, first int, prev uint64) error {
 
 // decodeTable checks that count entries of size bytes fit in the unread
 // payload, allocates them once behind lead zero entries, and fills them
-// from the stream: fn decodes each run of whole entries b into dst, the
-// run starting at entry first.
-func decodeTable[T any](d *decoder, table string, count uint64, size, lead int, fn func(dst []T, b []byte, first int) error) ([]T, error) {
+// from the stream: fn decodes each chunk's whole entries b into dst, the
+// chunk starting at entry first, prev being the raw entry before it. It
+// returns the raw last entry too.
+func decodeTable[T any](d *decoder, table string, count uint64, size, lead int, fn func(dst []T, b []byte, first int, prev uint64) error) ([]T, uint64, error) {
 	if err := d.claim(table, count, size); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	out := hugemem.Advise(make([]T, uint64(lead)+count))
-	if err := d.array(int(count), size, func(b []byte, first int) error {
-		return fn(out[lead+first:lead+first+len(b)/size], b, first)
-	}); err != nil {
-		return nil, fmt.Errorf("%s: %w", table, err)
+	last, err := d.array(int(count), size, func(b []byte, first int, prev uint64) error {
+		return fn(out[lead+first:lead+first+len(b)/size], b, first, prev)
+	})
+	if err != nil {
+		return nil, 0, fmt.Errorf("%s: %w", table, err)
 	}
-	return out, nil
+	return out, last, nil
 }
 
-// decoder streams WriteIndex's little-endian fields through one reused
-// chunk. left counts the payload bytes not yet consumed, so a table's
-// claimed size is checked against the bytes actually present before the
-// table is allocated.
+// decoder streams WriteIndex's little-endian fields. The goroutine that
+// made it reads everything, in order; the chunks of a table, which are
+// most of the payload, are decoded on its workers. left counts the
+// payload bytes not yet consumed, so a table's claimed size is checked
+// against the bytes actually present before the table is allocated.
 type decoder struct {
 	r     io.Reader
 	left  int64
-	chunk []byte
+	word  [8]byte  // u64's buffer
 	heads []uint64 // the mini buckets' first tags, reused by bitset
+
+	free    chan *chunk    // chunk buffers not in flight, one per slot
+	jobs    chan *chunk    // chunks read and not yet taken by a worker
+	pending sync.WaitGroup // chunks sent on jobs and not yet decoded
+	workers sync.WaitGroup
+
+	// A table's chunks are all decoded before the next table is read, so
+	// the failed chunk with the lowest first entry is the table's first.
+	mu     sync.Mutex
+	err    error // that chunk's error
+	errAt  int   // that chunk's first entry
+	failed atomic.Bool
 }
 
-// next reads the next n <= len(chunk) bytes into the chunk.
-func (d *decoder) next(n int) ([]byte, error) {
-	if int64(n) > d.left {
-		return nil, io.ErrUnexpectedEOF
+// chunk is one buffer of whole table entries and the decode it awaits.
+type chunk struct {
+	b     []byte // the entries read; its capacity is loadChunk bytes, allocated once per load
+	first int    // the table index of b's first entry
+	prev  uint64 // the raw entry before b; 0 before a table's first
+	fn    func(b []byte, first int, prev uint64) error
+}
+
+// newDecoder starts min(GOMAXPROCS, loadWorkers, chunks) workers, at
+// least one, where chunks is the number of chunks r's Len() fills (no
+// bound when r has no Len). Its buffers and chunk slots are all
+// allocated here, two per worker, so the reader fills one while a
+// worker decodes the other.
+func newDecoder(r io.Reader) *decoder {
+	d := &decoder{r: r, left: math.MaxInt64}
+	workers := min(runtime.GOMAXPROCS(0), loadWorkers)
+	if lr, ok := r.(interface{ Len() int }); ok {
+		d.left = int64(lr.Len())
+		workers = int(min(int64(workers), (d.left+loadChunk-1)/loadChunk))
 	}
-	b := d.chunk[:n]
+	workers = max(workers, 1)
+	slots := 2 * workers
+	bufs, chunks := make([]byte, slots*loadChunk), make([]chunk, slots)
+	d.free, d.jobs = make(chan *chunk, slots), make(chan *chunk, slots)
+	for i := range chunks {
+		chunks[i].b = bufs[i*loadChunk : i*loadChunk : (i+1)*loadChunk]
+		d.free <- &chunks[i]
+	}
+	d.workers.Add(workers)
+	for range workers {
+		go d.work()
+	}
+	return d
+}
+
+// work decodes chunks until close, recording each chunk's error and
+// freeing its buffer.
+func (d *decoder) work() {
+	defer d.workers.Done()
+	for c := range d.jobs {
+		if err := c.fn(c.b, c.first, c.prev); err != nil {
+			d.mu.Lock()
+			if d.err == nil || c.first < d.errAt {
+				d.err, d.errAt = err, c.first
+			}
+			d.mu.Unlock()
+			d.failed.Store(true)
+		}
+		d.free <- c
+		d.pending.Done()
+	}
+}
+
+// close stops the workers and waits for them to exit.
+func (d *decoder) close() {
+	close(d.jobs)
+	d.workers.Wait()
+}
+
+// read fills b from the payload.
+func (d *decoder) read(b []byte) error {
+	if int64(len(b)) > d.left {
+		return io.ErrUnexpectedEOF
+	}
 	if _, err := io.ReadFull(d.r, b); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, err
+		return err
 	}
-	d.left -= int64(n)
-	return b, nil
+	d.left -= int64(len(b))
+	return nil
 }
 
 func (d *decoder) u64() (uint64, error) {
-	b, err := d.next(8)
-	if err != nil {
+	if err := d.read(d.word[:]); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(b), nil
+	return binary.LittleEndian.Uint64(d.word[:]), nil
 }
 
 // claim checks that a table of count entries of size bytes fits in the
@@ -440,20 +554,53 @@ func (d *decoder) claim(table string, count uint64, size int) error {
 	return nil
 }
 
-// array streams count entries of size bytes each, handing fn runs of
-// whole entries together with the index of the run's first entry.
-func (d *decoder) array(count, size int, fn func(b []byte, first int) error) error {
-	per := len(d.chunk) / size
-	for first := 0; first < count; first += per {
-		b, err := d.next(min(count-first, per) * size)
-		if err != nil {
-			return err
+// array streams count entries of size bytes each, in chunks of whole
+// entries, and hands each chunk to fn with the index of its first entry
+// and the raw entry before it (rawEntry). It returns once every chunk is
+// decoded, with the raw last entry, or with the error the decode of the
+// table one chunk at a time would have met first: the earliest chunk's
+// failure, else the read error that stopped the table. After a failure
+// it reads no further.
+func (d *decoder) array(count, size int, fn func(b []byte, first int, prev uint64) error) (last uint64, err error) {
+	per := loadChunk / size
+	for first := 0; first < count && !d.failed.Load(); first += per {
+		c := <-d.free
+		c.b = c.b[:min(count-first, per)*size]
+		if err := d.read(c.b); err != nil {
+			d.free <- c
+			return 0, d.join(err)
 		}
-		if err := fn(b, first); err != nil {
-			return err
-		}
+		c.first, c.prev, c.fn = first, last, fn
+		last = rawEntry(c.b[len(c.b)-size:])
+		d.pending.Add(1)
+		d.jobs <- c
 	}
-	return nil
+	return last, d.join(nil)
+}
+
+// join waits for every chunk in flight and returns the earliest chunk's
+// decode error, or else readErr.
+func (d *decoder) join(readErr error) error {
+	d.pending.Wait()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.err != nil {
+		return d.err
+	}
+	return readErr
+}
+
+// rawEntry is the little-endian value of a table entry's first (up to
+// eight) bytes: a reference byte, a u32, a tag or an indicator's start
+// mask.
+func rawEntry(e []byte) uint64 {
+	switch len(e) {
+	case 1:
+		return uint64(e[0])
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(e))
+	}
+	return binary.LittleEndian.Uint64(e)
 }
 
 // writeConfig serializes the numeric and boolean fields in a fixed order.

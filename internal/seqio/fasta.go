@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"casa/internal/dna"
@@ -32,38 +33,33 @@ type Record struct {
 
 // ReadFasta parses all FASTA records from r. Sequence lines may be wrapped
 // at any width. Ambiguous bases (N etc.) are replaced deterministically per
-// dna.BaseFromByte.
+// dna.BaseFromByte. Lines are parsed in the reader's buffer, so the cost
+// per line is the decode alone.
 func ReadFasta(r io.Reader) ([]Record, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	lr := lineReader{br: bufio.NewReaderSize(r, lineBuf)}
 	var recs []Record
 	var cur *Record
-	lineNo := 0
 	for {
-		line, err := br.ReadBytes('\n')
-		if len(line) > 0 {
-			lineNo++
-			line = bytes.TrimRight(line, "\r\n")
-			switch {
-			case len(line) == 0:
-				// blank line: ignore
-			case line[0] == '>':
-				name, desc := splitHeader(string(line[1:]))
-				recs = append(recs, Record{Name: name, Desc: desc})
-				cur = &recs[len(recs)-1]
-			case cur == nil:
-				return nil, fmt.Errorf("seqio: line %d: sequence data before first FASTA header", lineNo)
-			default:
-				appendBases(&cur.Seq, line)
-			}
-		}
+		line, err := lr.readLine()
 		if err == io.EOF {
-			break
+			return recs, nil
 		}
 		if err != nil {
 			return nil, fmt.Errorf("seqio: read: %w", err)
 		}
+		switch {
+		case len(line) == 0:
+			// blank line: ignore
+		case line[0] == '>':
+			name, desc := splitHeader(string(line[1:]))
+			recs = append(recs, Record{Name: name, Desc: desc})
+			cur = &recs[len(recs)-1]
+		case cur == nil:
+			return nil, fmt.Errorf("seqio: line %d: sequence data before first FASTA header", lr.lineNo)
+		default:
+			appendBases(&cur.Seq, line)
+		}
 	}
-	return recs, nil
 }
 
 // WriteFasta writes records in FASTA format with lines wrapped at width
@@ -118,43 +114,54 @@ func ForEachFastq(r io.Reader, fn func(Record) error) error {
 	}
 }
 
-// lineBuf is the FASTQ reader's buffer size. Lines that fit are parsed
+// lineBuf is the line readers' buffer size. Lines that fit are parsed
 // in place; longer lines are copied out whole.
 const lineBuf = 1 << 16
+
+// lineReader reads lines in place from a buffered reader and counts them.
+type lineReader struct {
+	br     *bufio.Reader
+	lineNo int
+	long   []byte // holds a line longer than the buffer
+	err    error  // the read error that ended the last line, returned next
+}
+
+// readLine returns the next line without its line ending, or the read
+// error when no bytes are left. A final line without a newline counts,
+// and the error that cut it short comes with the next call. The slice is
+// valid only until the next call.
+func (lr *lineReader) readLine() ([]byte, error) {
+	if lr.err != nil {
+		return nil, lr.err
+	}
+	line, err := lr.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		lr.long = append(lr.long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = lr.br.ReadSlice('\n')
+			lr.long = append(lr.long, line...)
+		}
+		line = lr.long
+	}
+	lr.err = err
+	if len(line) > 0 {
+		lr.lineNo++
+		return bytes.TrimRight(line, "\r\n"), nil
+	}
+	return nil, err
+}
 
 // FastqReader parses FASTQ records one at a time, for callers that pull
 // reads at their own pace: a batch at a time, or two mate files in
 // lockstep. Each record owns its memory (one header string, the decoded
 // sequence and the qualities); nothing aliases the reader's buffer.
 type FastqReader struct {
-	br     *bufio.Reader
-	lineNo int
-	long   []byte // holds a line longer than the buffer
+	lineReader
 }
 
 // NewFastqReader returns a reader parsing the FASTQ text of r.
 func NewFastqReader(r io.Reader) *FastqReader {
-	return &FastqReader{br: bufio.NewReaderSize(r, lineBuf)}
-}
-
-// readLine returns the next line without its line ending, or the read
-// error when no bytes are left. A final line without a newline counts.
-// The slice is valid only until the next call.
-func (fr *FastqReader) readLine() ([]byte, error) {
-	line, err := fr.br.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		fr.long = append(fr.long[:0], line...)
-		for err == bufio.ErrBufferFull {
-			line, err = fr.br.ReadSlice('\n')
-			fr.long = append(fr.long, line...)
-		}
-		line = fr.long
-	}
-	if len(line) > 0 {
-		fr.lineNo++
-		return bytes.TrimRight(line, "\r\n"), nil
-	}
-	return nil, err
+	return &FastqReader{lineReader{br: bufio.NewReaderSize(r, lineBuf)}}
 }
 
 // Next parses the next record, skipping blank lines before its header.
@@ -244,13 +251,16 @@ func splitHeader(h string) (name, desc string) {
 // in the record (len(*seq)+i), so runs of N do not become a constant base
 // (which would fabricate artificial repeats) while the decoded sequence
 // stays invariant under re-wrapping the same text at any line width.
+// The sequence grows once per line.
 func appendBases(seq *dna.Sequence, line []byte) {
 	off := len(*seq)
+	s := slices.Grow(*seq, len(line))[:off+len(line)]
 	for i, c := range line {
 		if dna.IsStandard(c) {
-			*seq = append(*seq, dna.BaseFromByte(c))
+			s[off+i] = dna.BaseFromByte(c)
 		} else {
-			*seq = append(*seq, dna.Base((int(c)+off+i)&3))
+			s[off+i] = dna.Base((int(c) + off + i) & 3)
 		}
 	}
+	*seq = s
 }

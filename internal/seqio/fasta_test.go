@@ -75,6 +75,28 @@ func TestReadFastaErrors(t *testing.T) {
 	if _, err := ReadFasta(strings.NewReader("ACGT\n")); err == nil {
 		t.Error("sequence before header not rejected")
 	}
+	// A read error that arrives with the last bytes, before a clean
+	// end of stream, must still fail the parse.
+	if _, err := ReadFasta(&errWithData{data: ">r\nACGT\nAC"}); err == nil || err.Error() != "seqio: read: disk gone" {
+		t.Errorf("read error with the last bytes: %v", err)
+	}
+	if _, err := ReadFastq(&errWithData{data: "@r\nACGT\n+\nIIII"}); err == nil || err.Error() != "seqio: read: disk gone" {
+		t.Errorf("FASTQ read error with the last bytes: %v", err)
+	}
+}
+
+// errWithData returns all of data with an error in one Read, then io.EOF.
+type errWithData struct {
+	data string
+	done bool
+}
+
+func (r *errWithData) Read(p []byte) (int, error) {
+	if r.done {
+		return 0, io.EOF
+	}
+	r.done = true
+	return copy(p, r.data), errors.New("disk gone")
 }
 
 func TestFastaRoundTrip(t *testing.T) {
@@ -378,5 +400,33 @@ func TestFastqReaderAllocs(t *testing.T) {
 	})
 	if perRecord := allocs / 100; perRecord > 3 {
 		t.Errorf("%.2f allocations per record, want at most 3", perRecord)
+	}
+}
+
+// TestReadFastaAllocs requires ReadFasta to parse lines without
+// allocating per line: the same 64 Kbases wrapped at 8 bases (8,192
+// lines) and at 64 (1,024 lines) may differ only by the few extra steps
+// the sequence takes to grow from a shorter first line, far below one
+// allocation per hundred extra lines.
+func TestReadFastaAllocs(t *testing.T) {
+	const bases = 1 << 16
+	seq := strings.Repeat("ACGTN", bases/5+1)[:bases]
+	allocs := func(width int) float64 {
+		var b strings.Builder
+		b.WriteString(">r one record\n")
+		for i := 0; i < len(seq); i += width {
+			b.WriteString(seq[i:min(i+width, len(seq))])
+			b.WriteString("\n")
+		}
+		in := b.String()
+		return testing.AllocsPerRun(5, func() {
+			if _, err := ReadFasta(strings.NewReader(in)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	narrow, wide := allocs(8), allocs(64)
+	if perLine := (narrow - wide) / (bases/8 - bases/64); perLine > 0.01 {
+		t.Errorf("%v allocations at 8 bases per line, %v at 64: %.3f per extra line", narrow, wide, perLine)
 	}
 }

@@ -6,7 +6,8 @@
 # dictates, every read accounted for, no ring drops, and the
 # utilization/imbalance lines the analyzer promises; the cycle report
 # must show the sampled reads. Then align the same reads with casa-align
-# -walltrace and assert its extension shards show on a "seedex" track.
+# -walltrace and assert its extension shards show on a "seedex" track
+# beside its load, build and output phases.
 # Run by CI's walltrace-smoke job and by `make walltrace-smoke`.
 set -euo pipefail
 
@@ -93,5 +94,11 @@ echo "== aligning with -walltrace =="
 # that covers every read.
 grep -Eq "^  seedex +[0-9]+ +$READS " align-wall.txt \
     || { cat align-wall.txt; echo "expected a seedex track covering $READS reads"; exit 1; }
+# casa-align's host phases: the reference parse, the engines' build and
+# each batch's SAM write.
+for phase in load build output; do
+    grep -q " $phase\$" align-wall.txt || grep -q " $phase " align-wall.txt \
+        || { cat align-wall.txt; echo "expected casa-align host phase span '$phase'"; exit 1; }
+done
 
-echo "trace smoke OK: $GOT_WORKERS/$WORKERS workers, $SHARDS shards, $READS reads; cycle report over $SAMPLED reads; casa-align seedex track present"
+echo "trace smoke OK: $GOT_WORKERS/$WORKERS workers, $SHARDS shards, $READS reads; cycle report over $SAMPLED reads; casa-align seedex track and host phases present"
