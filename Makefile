@@ -72,6 +72,7 @@ fuzz:
 	$(GO) test ./internal/fmindex/ -run '^$$' -fuzz FuzzDeserialize -fuzztime 15s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzBuildFilter -fuzztime 15s
 	$(GO) test ./internal/align/ -run '^$$' -fuzz FuzzBandedFit -fuzztime 15s
+	$(GO) test ./internal/seedex/ -run '^$$' -fuzz FuzzExtendReadMatchesFit -fuzztime 15s
 
 # Live-telemetry smoke: a race-built casa-smem run observed mid-flight
 # through /v1/runs/{id} and its event stream, then interrupted (see the

@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -58,4 +62,81 @@ func TestRunRejectsUnknownScale(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `unknown scale "huge"`) || out.Len() != 0 {
 		t.Fatalf("run(-scale huge) = %v with %d bytes of output", err, out.Len())
 	}
+}
+
+// TestHeadlineTableMatchesRecordedRun keeps EXPERIMENTS.md's headline
+// table in step with the default-scale run it quotes,
+// docs/experiments-default.txt: every row of one is a row of the other,
+// each measured number equals the recorded one to the digits quoted, and
+// each paper number equals the recorded paper number (a parenthesised
+// note in the table is not part of the quote).
+func TestHeadlineTableMatchesRecordedRun(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	txt, err := os.ReadFile(filepath.Join("..", "..", "docs", "experiments-default.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The recorded rows: metric, measured, paper in columns two or more
+	// spaces apart, after the section's header and rule lines.
+	recorded := map[string][2]string{}
+	_, section, _ := strings.Cut(string(txt), "== Headline summary")
+	for _, line := range strings.Split(section, "\n")[3:] {
+		if strings.TrimSpace(line) == "" {
+			break
+		}
+		cols := regexp.MustCompile(`\s{2,}`).Split(strings.TrimSpace(line), -1)
+		if len(cols) != 3 {
+			t.Fatalf("recorded headline row %q has %d columns", line, len(cols))
+		}
+		recorded[cols[0]] = [2]string{cols[1], cols[2]}
+	}
+	_, table, _ := strings.Cut(string(doc), "## Headline summary")
+	rows := 0
+	for _, line := range strings.Split(table, "\n") {
+		if strings.HasPrefix(line, "## ") {
+			break
+		}
+		cells := strings.Split(strings.Trim(line, "| "), " | ")
+		if !strings.HasPrefix(line, "|") || cells[0] == "metric" || strings.HasPrefix(cells[0], "---") {
+			continue
+		}
+		rows++
+		metric, paper, measured := cells[0], cells[1], cells[2]
+		rec, ok := recorded[strings.Replace(metric, "energy efficiency", "efficiency", 1)]
+		if !ok {
+			t.Errorf("EXPERIMENTS.md headline %q is not in the recorded run", metric)
+			continue
+		}
+		got, want := numbers(measured), numbers(rec[0])
+		if len(got) != len(want) {
+			t.Errorf("%s: measured %q, recorded %q", metric, measured, rec[0])
+			continue
+		}
+		for i, q := range got {
+			v, _ := strconv.ParseFloat(want[i], 64)
+			x, _ := strconv.ParseFloat(q, 64)
+			digits := 0
+			if _, frac, ok := strings.Cut(q, "."); ok {
+				digits = len(frac)
+			}
+			if math.Abs(x-v) > 0.5*math.Pow(10, -float64(digits))+1e-9 {
+				t.Errorf("%s: measured %q, recorded %q", metric, measured, rec[0])
+			}
+		}
+		note := regexp.MustCompile(`\s*\(.*\)`)
+		if got, want := numbers(note.ReplaceAllString(paper, "")), numbers(rec[1]); !slices.Equal(got, want) {
+			t.Errorf("%s: paper %q, recorded %q", metric, paper, rec[1])
+		}
+	}
+	if rows != len(recorded) {
+		t.Errorf("EXPERIMENTS.md quotes %d headline rows, the recorded run has %d", rows, len(recorded))
+	}
+}
+
+// numbers returns the decimal numbers in s as written.
+func numbers(s string) []string {
+	return regexp.MustCompile(`[0-9]+(\.[0-9]+)?`).FindAllString(s, -1)
 }

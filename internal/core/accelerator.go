@@ -129,6 +129,17 @@ func (a *Accelerator) Clone() *Accelerator {
 // Partitions returns the number of reference partitions.
 func (a *Accelerator) Partitions() int { return len(a.parts) }
 
+// MaxReadLen returns the longest read whose every match lies whole
+// inside some partition, and so is seeded exactly: overlap+1 bases, since
+// adjacent partitions share overlap bases; 0 (no limit) for a single
+// partition, which has no cut.
+func (a *Accelerator) MaxReadLen() int {
+	if len(a.parts) <= 1 {
+		return 0
+	}
+	return a.overlap + 1
+}
+
 // Partition returns partition i for inspection.
 func (a *Accelerator) Partition(i int) *Partition { return a.parts[i] }
 

@@ -390,3 +390,39 @@ func TestSeedingChargesFilter(t *testing.T) {
 		}
 	}
 }
+
+// TestReadLimitAtACut seeds exact reads that start one base before the
+// second partition: at overlap+1 bases such a read ends on the first
+// partition's last base, lies whole inside it, and seeds to the SMEMs of
+// a single-partition accelerator; at overlap+2 it spans the cut, which
+// MaxReadLen refuses, and the partitioned run loses its whole-read SMEM.
+func TestReadLimitAtACut(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	cfg := testConfig()
+	cfg.ExactMatchPrepass = false
+	cfg.PartitionBases = 700
+	const overlap = 60
+	ref := randSeq(rng, 2000)
+	cut, err := NewWithOverlap(ref, cfg, overlap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := cfg
+	whole.PartitionBases = len(ref)
+	one, err := NewWithOverlap(ref, whole, overlap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cut.Partitions() < 2 || cut.MaxReadLen() != overlap+1 || one.MaxReadLen() != 0 {
+		t.Fatalf("%d partitions limit %d, one partition limit %d", cut.Partitions(), cut.MaxReadLen(), one.MaxReadLen())
+	}
+	second := cfg.PartitionBases - overlap // the second partition's first base
+	for _, n := range []int{overlap + 1, overlap + 2} {
+		read := ref[second-1 : second-1+n]
+		got, want := cut.SeedReads([]dna.Sequence{read}).Reads[0], one.SeedReads([]dna.Sequence{read}).Reads[0]
+		same := smem.SameIntervals(want.Forward, got.Forward) && smem.SameIntervals(want.Reverse, got.Reverse)
+		if fits := n <= cut.MaxReadLen(); same != fits {
+			t.Errorf("%d-base read: within the limit %v, SMEMs equal to one partition's %v\n got %v\nwant %v", n, fits, same, got.Forward, want.Forward)
+		}
+	}
+}

@@ -81,6 +81,12 @@ func (e *casaEngine) HitPositions(strand dna.Sequence, m smem.Match, maxHits int
 	return e.a.HitPositions(strand, m, maxHits)
 }
 
+// CheckRead implements ReadLimiter: a read longer than the partition
+// overlap plus one can span a partition cut and lose its SMEMs there.
+func (e *casaEngine) CheckRead(read dna.Sequence) error {
+	return checkCut(read, e.a.MaxReadLen(), "casa partition")
+}
+
 func (e *casaEngine) Unwrap() any { return e.a }
 
 // SaveIndex implements IndexPersister with a single section holding the

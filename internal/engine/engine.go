@@ -140,8 +140,9 @@ type Positioner interface {
 
 // ReadLimiter is implemented by engines whose answer is exact only for
 // reads up to some length: the sharded composites, whose shards overlap
-// by that many bases. CheckRead returns an error wrapping ErrReadTooLong
-// for a read past the limit.
+// by that many bases, and the partitioned casa and genax, whose
+// partitions or segments overlap by one base less. CheckRead returns an
+// error wrapping ErrReadTooLong for a read past the limit.
 type ReadLimiter interface {
 	CheckRead(read dna.Sequence) error
 }
@@ -163,6 +164,15 @@ func CheckReads(e Engine, reads []dna.Sequence, names []string) error {
 		if err := rl.CheckRead(read); err != nil {
 			return fmt.Errorf("read %q: %w", names[i], err)
 		}
+	}
+	return nil
+}
+
+// checkCut refuses a read longer than limit, the longest read a
+// partitioned engine's cuts keep whole (0 = no cut).
+func checkCut(read dna.Sequence, limit int, cut string) error {
+	if limit > 0 && len(read) > limit {
+		return fmt.Errorf("%w: %d bases exceed the %d that a %s cut keeps whole", ErrReadTooLong, len(read), limit, cut)
 	}
 	return nil
 }

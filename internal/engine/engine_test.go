@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -220,5 +221,40 @@ func TestWriteList(t *testing.T) {
 	}
 	if !strings.Contains(out, "bruteforce") {
 		t.Errorf("listing misses aliases:\n%s", out)
+	}
+}
+
+// TestPartitionedEnginesLimitReads: casa and genax cut into several
+// partitions or segments refuse a read past the overlap plus one, with
+// ErrReadTooLong, and a sharded composite refuses what its inner engines
+// refuse; in one partition or segment they take any read.
+func TestPartitionedEnginesLimitReads(t *testing.T) {
+	ref := testRef(t)
+	limit := core.DefaultPartitionOverlap + 1
+	check := func(e engine.Engine, n int) error {
+		return engine.CheckReads(e, []dna.Sequence{make(dna.Sequence, n)}, []string{"r"})
+	}
+	for _, tc := range []struct {
+		name string
+		opt  engine.Options
+		cuts bool
+	}{
+		{"casa", engine.Options{Partition: 1024}, true},
+		{"genax", engine.Options{Partition: 1024, TableK: 8}, true},
+		{"sharded:casa", engine.Options{Partition: 1024, Shards: 2}, true},
+		{"casa", engine.Options{}, false},
+		{"genax", engine.Options{TableK: 8, Exact: true}, false},
+	} {
+		e, err := engine.New(tc.name, ref, tc.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := check(e, limit); err != nil {
+			t.Errorf("%s %+v: a %d-base read: %v", tc.name, tc.opt, limit, err)
+		}
+		err = check(e, limit+1)
+		if refused := errors.Is(err, engine.ErrReadTooLong); refused != tc.cuts {
+			t.Errorf("%s %+v: a %d-base read: error %v, want refused %v", tc.name, tc.opt, limit+1, err, tc.cuts)
+		}
 	}
 }

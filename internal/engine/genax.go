@@ -41,6 +41,12 @@ func (e genaxEngine) Model(res Result) Model {
 	return Model{Seconds: r.Seconds, ReadsPerS: r.Throughput}
 }
 
+// CheckRead implements ReadLimiter: a read longer than the segment
+// overlap plus one can span a segment cut and lose its SMEMs there.
+func (e genaxEngine) CheckRead(read dna.Sequence) error {
+	return checkCut(read, e.a.MaxReadLen(), "genax segment")
+}
+
 func (e genaxEngine) Unwrap() any { return e.a }
 
 func genaxFactory() Factory {

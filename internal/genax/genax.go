@@ -263,6 +263,7 @@ func (c Config) SRAMBytes() int64 {
 // sequence, 128 lanes each owning one read at a time.
 type Accelerator struct {
 	cfg      Config
+	overlap  int
 	segments []*Tables
 }
 
@@ -282,7 +283,7 @@ func NewWithOverlap(ref dna.Sequence, cfg Config, overlap int) (*Accelerator, er
 	if overlap < 0 || overlap >= cfg.PartitionBases {
 		return nil, fmt.Errorf("genax: overlap %d out of range", overlap)
 	}
-	a := &Accelerator{cfg: cfg}
+	a := &Accelerator{cfg: cfg, overlap: overlap}
 	step := cfg.PartitionBases - overlap
 	for start := 0; ; start += step {
 		end := min(start+cfg.PartitionBases, len(ref))
@@ -301,11 +302,22 @@ func NewWithOverlap(ref dna.Sequence, cfg Config, overlap int) (*Accelerator, er
 // Segments returns the number of reference segments.
 func (a *Accelerator) Segments() int { return len(a.segments) }
 
+// MaxReadLen returns the longest read whose every match lies whole
+// inside some segment, and so is seeded exactly: overlap+1 bases, since
+// adjacent segments share overlap bases; 0 (no limit) for a single
+// segment, which has no cut.
+func (a *Accelerator) MaxReadLen() int {
+	if len(a.segments) <= 1 {
+		return 0
+	}
+	return a.overlap + 1
+}
+
 // Clone returns an accelerator sharing this one's segment tables (their
 // immutable seed & position arrays) with fresh activity counters, for
 // lock-free per-worker batch seeding.
 func (a *Accelerator) Clone() *Accelerator {
-	c := &Accelerator{cfg: a.cfg}
+	c := &Accelerator{cfg: a.cfg, overlap: a.overlap}
 	c.segments = make([]*Tables, len(a.segments))
 	for i, t := range a.segments {
 		c.segments[i] = t.Clone()

@@ -244,3 +244,38 @@ func TestNewErrors(t *testing.T) {
 		t.Error("bad overlap accepted")
 	}
 }
+
+// TestReadLimitAtACut seeds exact reads that start one base before the
+// second segment: at overlap+1 bases such a read ends on the first
+// segment's last base, lies whole inside it, and seeds to the SMEMs of a
+// single-segment accelerator; at overlap+2 it spans the cut, which
+// MaxReadLen refuses, and the segmented run loses its whole-read SMEM.
+func TestReadLimitAtACut(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	cfg := testConfig()
+	cfg.PartitionBases = 700
+	const overlap = 60
+	ref := randSeq(rng, 2000)
+	cut, err := NewWithOverlap(ref, cfg, overlap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := cfg
+	whole.PartitionBases = len(ref)
+	one, err := NewWithOverlap(ref, whole, overlap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cut.Segments() < 2 || cut.MaxReadLen() != overlap+1 || one.MaxReadLen() != 0 {
+		t.Fatalf("%d segments limit %d, one segment limit %d", cut.Segments(), cut.MaxReadLen(), one.MaxReadLen())
+	}
+	second := cfg.PartitionBases - overlap // the second segment's first base
+	for _, n := range []int{overlap + 1, overlap + 2} {
+		read := ref[second-1 : second-1+n]
+		got, want := cut.SeedReads([]dna.Sequence{read}), one.SeedReads([]dna.Sequence{read})
+		same := smem.SameIntervals(want.Reads[0], got.Reads[0]) && smem.SameIntervals(want.Rev[0], got.Rev[0])
+		if fits := n <= cut.MaxReadLen(); same != fits {
+			t.Errorf("%d-base read: within the limit %v, SMEMs equal to one segment's %v\n got %v\nwant %v", n, fits, same, got.Reads[0], want.Reads[0])
+		}
+	}
+}

@@ -9,6 +9,7 @@ package pairing
 
 import (
 	"fmt"
+	"sync"
 
 	"casa/internal/align"
 	"casa/internal/dna"
@@ -116,7 +117,9 @@ func Rescue(ref dna.Sequence, mateSeq dna.Sequence, partner Mate, opt Options) (
 	if rev {
 		query = mateSeq.ReverseComplement()
 	}
-	res, ok := align.BandedFit(query, ref[lo:hi], windowBand(hi-lo, len(query), opt.Band), opt.Scoring)
+	f := fitters.Get().(*align.Fitter)
+	res, ok := f.Fit(query, ref[lo:hi], windowBand(hi-lo, len(query), opt.Band), opt.Scoring)
+	fitters.Put(f)
 	if !ok {
 		return Mate{}, false
 	}
@@ -133,6 +136,12 @@ func Rescue(ref dna.Sequence, mateSeq dna.Sequence, partner Mate, opt Options) (
 		Cigar:    res.Cigar,
 	}, true
 }
+
+// fitters holds rescue's DP scratch across calls: a fit over the insert
+// window needs megabytes of it, and Fit returns BandedFit's Result with
+// only the CIGAR newly allocated. Rescue runs on concurrent workers, so
+// each call takes a Fitter of its own.
+var fitters = sync.Pool{New: func() any { return new(align.Fitter) }}
 
 // windowBand widens the band to cover the full placement freedom of the
 // query within the window.

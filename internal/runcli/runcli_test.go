@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"casa/internal/core"
 	"casa/internal/dna"
 	"casa/internal/engine"
 	"casa/internal/idxio"
@@ -24,9 +25,10 @@ import (
 )
 
 // fixture is a small two-chromosome reference, a second reference with a
-// different chromosome table, and an fmindex index over the first.
+// different chromosome table, an fmindex index over the first, and a
+// casa index over it cut into 1024-base partitions.
 type fixture struct {
-	ref, otherRef, index string
+	ref, otherRef, index, casaIndex string
 }
 
 func newFixture(t *testing.T) fixture {
@@ -53,16 +55,12 @@ func newFixture(t *testing.T) fixture {
 		return path
 	}
 	fx := fixture{
-		ref:      writeRef("ref.fa", "chr1", "chr2"),
-		otherRef: writeRef("other.fa", "chrA"),
-		index:    filepath.Join(dir, "ref.casaidx"),
+		ref:       writeRef("ref.fa", "chr1", "chr2"),
+		otherRef:  writeRef("other.fa", "chrA"),
+		index:     filepath.Join(dir, "ref.casaidx"),
+		casaIndex: filepath.Join(dir, "ref-casa.casaidx"),
 	}
 	ix, err := refidx.LoadFasta(fx.ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := engine.Options{MinSMEM: 19}
-	eng, err := engine.New("fmindex", ix.Flat(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,13 +68,21 @@ func newFixture(t *testing.T) fixture {
 	for _, c := range ix.Chromosomes() {
 		chroms = append(chroms, idxio.Chromosome{Name: c.Name, Start: int64(c.Start), Length: int64(c.Length)})
 	}
-	var buf bytes.Buffer
-	if err := engine.SaveIndex(&buf, eng, opt, chroms); err != nil {
-		t.Fatal(err)
+	save := func(path, name string, opt engine.Options) {
+		eng, err := engine.New(name, ix.Flat(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := engine.SaveIndex(&buf, eng, opt, chroms); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := os.WriteFile(fx.index, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	save(fx.index, "fmindex", engine.Options{MinSMEM: 19})
+	save(fx.casaIndex, "casa", engine.Options{MinSMEM: 19, Partition: 1024})
 	return fx
 }
 
@@ -177,7 +183,15 @@ func TestFlagExitMatrix(t *testing.T) {
 		{
 			name: "smem sharded read past -shard-overlap", spec: Smem,
 			args: with("-ref", fx.ref, "-engine", "sharded:fmindex", "-shards", "2", "-shard-overlap", "300"), code: 0,
-			check: refusesReadsPast(300),
+			check: refusesReadsPast(300, "the 300-base shard overlap"),
+		},
+		{
+			name: "smem casa index read past a partition cut", spec: Smem, args: with("-index", fx.casaIndex), code: 0,
+			check: refusesReadsPast(core.DefaultPartitionOverlap+1, "the 101 that a casa partition cut keeps whole"),
+		},
+		{
+			name: "smem casa in one partition takes any read", spec: Smem, args: with("-ref", fx.ref, "-engine", "casa"), code: 0,
+			check: refusesReadsPast(0, ""),
 		},
 
 		// casa-align
@@ -209,7 +223,12 @@ func TestFlagExitMatrix(t *testing.T) {
 		{
 			name: "align sharded read past the default overlap", spec: Align,
 			args: with("-ref", fx.ref, "-engine", "sharded:fmindex"), code: 0,
-			check: refusesReadsPast(shard.DefaultOverlap),
+			check: refusesReadsPast(shard.DefaultOverlap, fmt.Sprintf("the %d-base shard overlap", shard.DefaultOverlap)),
+		},
+		{
+			name: "align casa read past a partition cut", spec: Align,
+			args: with("-ref", fx.ref, "-engine", "casa", "-partition", "1024"), code: 0,
+			check: refusesReadsPast(core.DefaultPartitionOverlap+1, "the 101 that a casa partition cut keeps whole"),
 		},
 
 		// casa-serve
@@ -259,10 +278,12 @@ func TestFlagExitMatrix(t *testing.T) {
 	}
 }
 
-// refusesReadsPast checks a resolved sharded run: its engine seeds a
-// read of overlap bases, and refuses one base more with ErrReadTooLong
-// naming the read and the overlap, as the CLIs' batch check reports it.
-func refusesReadsPast(overlap int) func(*testing.T, *Run) {
+// refusesReadsPast checks a resolved run: its engine seeds a read of
+// limit bases, and refuses one base more with ErrReadTooLong naming the
+// read and saying that it exceeds the limit's reason, as the CLIs' batch
+// check reports it. A limit of 0 requires a read longer than the
+// reference to be accepted. Only the reads' lengths matter.
+func refusesReadsPast(limit int, reason string) func(*testing.T, *Run) {
 	return func(t *testing.T, r *Run) {
 		ix, err := r.Reference()
 		if err != nil {
@@ -272,15 +293,20 @@ func refusesReadsPast(overlap int) func(*testing.T, *Run) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat := ix.Flat()
-		fits := []dna.Sequence{flat[:overlap]}
-		if err := engine.CheckReads(eng, fits, []string{"fits"}); err != nil {
-			t.Errorf("a %d-base read: %v", overlap, err)
+		if limit == 0 {
+			if err := engine.CheckReads(eng, []dna.Sequence{make(dna.Sequence, 1<<16)}, []string{"long"}); err != nil {
+				t.Errorf("a %d-base read: %v", 1<<16, err)
+			}
+			return
 		}
-		err = engine.CheckReads(eng, []dna.Sequence{flat[:overlap], flat[:overlap+1]}, []string{"fits", "long"})
-		want := fmt.Sprintf(`read "long": read too long: %d bases exceed the %d-base shard overlap`, overlap+1, overlap)
+		fits := make(dna.Sequence, limit)
+		if err := engine.CheckReads(eng, []dna.Sequence{fits}, []string{"fits"}); err != nil {
+			t.Errorf("a %d-base read: %v", limit, err)
+		}
+		err = engine.CheckReads(eng, []dna.Sequence{fits, make(dna.Sequence, limit+1)}, []string{"fits", "long"})
+		want := fmt.Sprintf(`read "long": read too long: %d bases exceed %s`, limit+1, reason)
 		if !errors.Is(err, engine.ErrReadTooLong) || !strings.Contains(err.Error(), want) {
-			t.Errorf("a %d-base read: error %v, want ErrReadTooLong mentioning %q", overlap+1, err, want)
+			t.Errorf("a %d-base read: error %v, want ErrReadTooLong mentioning %q", limit+1, err, want)
 		}
 	}
 }

@@ -122,23 +122,28 @@ func (m *Machine) Clone() *Machine {
 // a banded global alignment of the whole read against the seed-implied
 // reference window, returns the best alignment, and verifies it on an
 // edit machine. ok is false when no seed produced an in-band alignment.
+//
+// A read that every retained seed places whole and exactly, with no
+// second exact occurrence possible inside a band window, gets the answer
+// the fits would give without running them (exactPlacement). The
+// modelled counters are charged as if they had run: the shortcut is a
+// host-side saving, not a change to the SeedEx machine.
 func (m *Machine) ExtendRead(read dna.Sequence, seeds []Seed) (Alignment, bool) {
+	return m.extend(read, seeds, true)
+}
+
+// extend is ExtendRead; with shortcut false every read takes the banded
+// fits, which is the oracle the shortcut is tested against.
+func (m *Machine) extend(read dna.Sequence, seeds []Seed, shortcut bool) (Alignment, bool) {
 	m.Stats.Reads++
 	if len(read) == 0 || len(seeds) == 0 {
 		return Alignment{}, false
 	}
-	// Longest seeds first: they pin the most reliable diagonals.
-	ordered := append([]Seed(nil), seeds...)
-	sort.Slice(ordered, func(i, j int) bool {
-		li := ordered[i].QEnd - ordered[i].QStart
-		lj := ordered[j].QEnd - ordered[j].QStart
-		if li != lj {
-			return li > lj
+	ordered := m.retained(seeds)
+	if shortcut {
+		if best, ok := m.exactPlacement(read, ordered); ok {
+			return best, true
 		}
-		return ordered[i].RefPos < ordered[j].RefPos
-	})
-	if len(ordered) > m.cfg.MaxHits {
-		ordered = ordered[:m.cfg.MaxHits]
 	}
 
 	// Extend every retained seed, keep one candidate per distinct
@@ -184,6 +189,86 @@ func (m *Machine) ExtendRead(read dna.Sequence, seeds []Seed) (Alignment, bool) 
 	m.Stats.EditCycles += int64(winEnd - winStart)
 	best.EditDist = align.EditDistance(read, m.ref[winStart:winEnd])
 	return best, true
+}
+
+// retained returns the seeds a read's extension uses, in extension order:
+// longest first, since they pin the most reliable diagonals, then by
+// reference position, and at most MaxHits of them.
+func (m *Machine) retained(seeds []Seed) []Seed {
+	ordered := append([]Seed(nil), seeds...)
+	sort.Slice(ordered, func(i, j int) bool {
+		li := ordered[i].QEnd - ordered[i].QStart
+		lj := ordered[j].QEnd - ordered[j].QStart
+		if li != lj {
+			return li > lj
+		}
+		return ordered[i].RefPos < ordered[j].RefPos
+	})
+	return ordered[:min(len(ordered), m.cfg.MaxHits)]
+}
+
+// exactPlacement returns the alignment the banded fits of ordered (the
+// retained seeds, in extension order) would give, without running them,
+// when that alignment is known in advance: every seed spans the whole
+// read, a direct compare confirms the read at each seed's position, and
+// the read has no period p <= Band.
+//
+// Why the fits can only agree: a fit scores read length x Match only at
+// an ungapped exact occurrence, and keeps the leftmost one in its window.
+// The window of a seed at r holds the occurrences starting in
+// [r-Band, r+Band]. A second occurrence at distance p <= Band makes p a
+// period of the read when p < len(read), and hasPeriodWithin counts every
+// p >= len(read) as a period too, so a read that passes has no second
+// occurrence in any window. Each fit then places the read at its own
+// seed: the candidates tie, the lowest position wins, and SecondScore is
+// that same score when two positions differ. The counters are charged as
+// extendOne and the edit run would charge them. ok is false, and nothing
+// is charged, when any condition fails.
+func (m *Machine) exactPlacement(read dna.Sequence, ordered []Seed) (Alignment, bool) {
+	n := len(read)
+	for _, s := range ordered {
+		if s.QStart != 0 || s.QEnd != n-1 || s.RefPos < 0 || int(s.RefPos) > len(m.ref)-n ||
+			!read.Equal(m.ref[s.RefPos:int(s.RefPos)+n]) {
+			return Alignment{}, false
+		}
+	}
+	if hasPeriodWithin(read, m.cfg.Band) {
+		return Alignment{}, false
+	}
+	// ordered is sorted by RefPos among equal-length seeds: the first is
+	// the winner, and any other position is the runner-up.
+	best := Alignment{
+		Score:       n * m.cfg.Scoring.Match,
+		SecondScore: -1 << 30,
+		RefStart:    int(ordered[0].RefPos),
+		Cigar:       align.Cigar{{Op: align.OpMatch, Len: n}},
+		Seed:        ordered[0],
+	}
+	for _, s := range ordered[1:] {
+		if s.RefPos != ordered[0].RefPos {
+			best.SecondScore = best.Score
+			break
+		}
+	}
+	m.Stats.Extensions += int64(len(ordered))
+	m.Stats.BSWCycles += int64(len(ordered)) * int64(n+2*m.cfg.Band)
+	m.Stats.EditRuns++
+	m.Stats.EditCycles += int64(n)
+	return best, true
+}
+
+// hasPeriodWithin reports whether read[p:] equals read[:len(read)-p] for
+// some p in 1..band, counting every p >= len(read) as a period.
+func hasPeriodWithin(read dna.Sequence, band int) bool {
+	if len(read) <= band {
+		return true
+	}
+	for p := 1; p <= band; p++ {
+		if read[p:].Equal(read[:len(read)-p]) {
+			return true
+		}
+	}
+	return false
 }
 
 // extendOne aligns the full read against the window implied by the seed's

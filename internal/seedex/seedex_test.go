@@ -3,6 +3,8 @@ package seedex
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"strconv"
 	"testing"
 
 	"casa/internal/align"
@@ -361,4 +363,200 @@ func TestClonesMatchSequentialRun(t *testing.T) {
 	if total != seq.Stats {
 		t.Errorf("clone Stats sum %+v, sequential %+v", total, seq.Stats)
 	}
+}
+
+// occurrences returns a whole-read seed at every exact occurrence of
+// read in ref.
+func occurrences(ref, read dna.Sequence) []Seed {
+	var seeds []Seed
+	for r := 0; r+len(read) <= len(ref); r++ {
+		if ref[r : r+len(read)].Equal(read) {
+			seeds = append(seeds, Seed{QStart: 0, QEnd: len(read) - 1, RefPos: int32(r)})
+		}
+	}
+	return seeds
+}
+
+// extendCase is one read and its seeds, and whether the exact-read
+// shortcut must answer it (false: it must decline and leave the read to
+// the banded fits).
+type extendCase struct {
+	name     string
+	read     dna.Sequence
+	seeds    []Seed
+	shortcut bool
+}
+
+// matchesFit runs ExtendRead on one machine and the always-fit path on
+// another over the same reference and configuration, and requires equal
+// alignments and equal Stats after every read.
+func matchesFit(t *testing.T, ref dna.Sequence, cfg Config, cases []extendCase) {
+	t.Helper()
+	got, err := New(ref, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := got.Clone()
+	for _, c := range cases {
+		ga, gok := got.ExtendRead(c.read, c.seeds)
+		wa, wok := want.extend(c.read, c.seeds, false)
+		if gok != wok || !reflect.DeepEqual(ga, wa) {
+			t.Errorf("%s: ExtendRead %+v (ok %v), fit %+v (ok %v)", c.name, ga, gok, wa, wok)
+		}
+		if got.Stats != want.Stats {
+			t.Fatalf("%s: ExtendRead Stats %+v, fit Stats %+v", c.name, got.Stats, want.Stats)
+		}
+		probe := got.Clone()
+		if _, took := probe.exactPlacement(c.read, probe.retained(c.seeds)); took != c.shortcut {
+			t.Errorf("%s: shortcut taken %v, want %v", c.name, took, c.shortcut)
+		}
+	}
+}
+
+// TestExtendReadMatchesFit is the oracle for the exact-read shortcut:
+// on random exact reads, tandem repeats of every period up to Band+2,
+// duplicates inside and just outside the band, and hits whose band
+// window is clamped at either reference end, ExtendRead returns what the
+// banded fits return and charges the same counters. Reads with a period
+// up to Band, reads shorter than the band, wrong seeds and partial seeds
+// are shown to decline the shortcut.
+func TestExtendReadMatchesFit(t *testing.T) {
+	cfg := DefaultConfig()
+	band := cfg.Band
+	rng := rand.New(rand.NewSource(12))
+	const n = 101
+	var ref dna.Sequence
+	var cases []extendCase
+	add := func(name string, read dna.Sequence, seeds []Seed, shortcut bool) {
+		cases = append(cases, extendCase{name, read, seeds, shortcut})
+	}
+	pad := func(k int) { ref = append(ref, randSeq(rng, k)...) }
+
+	// Reference-edge hit at the start: the window's lo clamps to 0.
+	ref = append(ref, randSeq(rng, n)...)
+	edgeLo := ref[:n].Clone()
+	pad(500)
+
+	// Tandem arrays: a random unit of period p repeated past the read.
+	tandem := map[int]dna.Sequence{}
+	for p := 1; p <= band+2; p++ {
+		unit := randSeq(rng, p)
+		for p > 1 && hasPeriodWithin(append(unit.Clone(), unit...), p-1) {
+			unit = randSeq(rng, p) // a unit with a shorter period of its own
+		}
+		start := len(ref)
+		for len(ref)-start < n+3*p {
+			ref = append(ref, unit...)
+		}
+		tandem[p] = ref[start+p : start+p+n].Clone()
+		pad(300)
+	}
+
+	// Duplicates: copies of a read d bases apart lie inside each
+	// other's band window when d <= Band. For a read longer than the band
+	// that needs overlapping copies, a period (the tandem arrays above);
+	// back-to-back copies of a long read tie outside the band, and copies
+	// of a read shorter than the band tie inside it.
+	long := randSeq(rng, n)
+	ref = append(ref, long...)
+	ref = append(ref, long...)
+	pad(300)
+	short := randSeq(rng, band-3)
+	shortAt := len(ref)
+	ref = append(ref, short...)
+	ref = append(ref, short...)
+	pad(300)
+
+	// Reference-edge hit at the end: the window's hi clamps to len(ref).
+	pad(400)
+	ref = append(ref, randSeq(rng, n)...)
+	edgeHi := ref[len(ref)-n:].Clone()
+
+	// Random exact reads (with the reads above placed, so that every
+	// occurrence is seen), then mutated and mis-seeded ones.
+	add("edge lo", edgeLo, occurrences(ref, edgeLo), true)
+	add("edge hi", edgeHi, occurrences(ref, edgeHi), true)
+	for p := 1; p <= band+2; p++ {
+		seeds := occurrences(ref, tandem[p])
+		if len(seeds) < 2 {
+			t.Fatalf("tandem period %d: %d occurrences", p, len(seeds))
+		}
+		add("tandem period "+itoa(p), tandem[p], seeds, p > band)
+		add("tandem period "+itoa(p)+" one seed", tandem[p], seeds[len(seeds)-1:], p > band)
+	}
+	add("back-to-back duplicate", long, occurrences(ref, long), true)
+	if got := occurrences(ref, short); !slices.Contains(got, Seed{QEnd: len(short) - 1, RefPos: int32(shortAt + len(short))}) {
+		t.Fatalf("short read occurrences %+v", got)
+	}
+	add("short duplicate", short, occurrences(ref, short), false)
+	for i := 0; i < 40; i++ {
+		origin := rng.Intn(len(ref) - n)
+		read := ref[origin : origin+n].Clone()
+		seeds := occurrences(ref, read)
+		add("exact "+itoa(origin), read, seeds, !hasPeriodWithin(read, band))
+
+		wrong := []Seed{{QStart: 0, QEnd: n - 1, RefPos: int32(origin + 1 + rng.Intn(band))}}
+		add("wrong seed "+itoa(origin), read, append(wrong, seeds...), false)
+		add("past the end "+itoa(origin), read, []Seed{{QStart: 0, QEnd: n - 1, RefPos: int32(len(ref) - n + 1)}}, false)
+
+		partial := []Seed{{QStart: 10, QEnd: 60, RefPos: int32(origin + 10)}}
+		add("partial seed "+itoa(origin), read, partial, false)
+
+		mut := read.Clone()
+		mut[rng.Intn(n)] ^= 1
+		add("mutated "+itoa(origin), mut, seeds, false)
+	}
+	matchesFit(t, ref, cfg, cases)
+
+	// A cap below the hit count: the shortcut sees only retained seeds.
+	capped := cfg
+	capped.MaxHits = 2
+	matchesFit(t, ref, capped, cases[:2])
+}
+
+func itoa(v int) string { return strconv.Itoa(v) }
+
+// FuzzExtendReadMatchesFit compares ExtendRead with the always-fit path
+// on a reference, band and hit cap from the input: a read cut from the
+// reference (optionally mutated), seeded at every exact occurrence and
+// optionally at one arbitrary position.
+func FuzzExtendReadMatchesFit(f *testing.F) {
+	f.Add([]byte("ACGTTGCAAGCTTACGGATCCATGACGTACGTAGCTAGCTAGGATCC"), uint16(3), uint8(30), uint8(8), uint8(8), uint8(0), int32(-1))
+	f.Add([]byte("AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"), uint16(0), uint8(20), uint8(3), uint8(4), uint8(0), int32(5))
+	f.Add([]byte("ACACACACACACACACACACACACACACACACACGTTTGACCA"), uint16(2), uint8(25), uint8(1), uint8(2), uint8(7), int32(0))
+	f.Fuzz(func(t *testing.T, raw []byte, start uint16, length, band, maxHits, mutate uint8, extra int32) {
+		if len(raw) == 0 || len(raw) > 4096 {
+			return
+		}
+		ref := make(dna.Sequence, len(raw))
+		for i, b := range raw {
+			ref[i] = dna.Base(b & 3)
+		}
+		s := int(start) % len(ref)
+		n := 1 + int(length)%(len(ref)-s)
+		read := ref[s : s+n].Clone()
+		seeds := occurrences(ref, read)
+		if mutate > 0 {
+			read[int(mutate)%n] ^= dna.Base(1 + mutate%3)
+		}
+		if extra >= 0 {
+			seeds = append(seeds, Seed{QStart: 0, QEnd: n - 1, RefPos: extra % int32(len(ref)+n)})
+		}
+		cfg := DefaultConfig()
+		cfg.Band = 1 + int(band)%16
+		cfg.MaxHits = 1 + int(maxHits)%12
+		got, err := New(ref, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := got.Clone()
+		ga, gok := got.ExtendRead(read, seeds)
+		wa, wok := want.extend(read, seeds, false)
+		if gok != wok || !reflect.DeepEqual(ga, wa) {
+			t.Fatalf("ExtendRead %+v (ok %v), fit %+v (ok %v)", ga, gok, wa, wok)
+		}
+		if got.Stats != want.Stats {
+			t.Fatalf("ExtendRead Stats %+v, fit Stats %+v", got.Stats, want.Stats)
+		}
+	})
 }

@@ -187,12 +187,15 @@ func (fr *FastqReader) Next() (Record, error) {
 	// sequence is decoded now and the separator checked at once.
 	seqLine, err := fr.readLine()
 	if err != nil {
-		return Record{}, fmt.Errorf("seqio: line %d: truncated FASTQ record (missing sequence)", fr.lineNo)
+		return Record{}, fr.bodyErr(err, "truncated FASTQ record (missing sequence)")
 	}
 	seq := make(dna.Sequence, 0, len(seqLine))
 	appendBases(&seq, seqLine)
 	plus, err := fr.readLine()
-	if err != nil || len(plus) == 0 || plus[0] != '+' {
+	if err != nil {
+		return Record{}, fr.bodyErr(err, "FASTQ separator '+' missing")
+	}
+	if len(plus) == 0 || plus[0] != '+' {
 		return Record{}, fmt.Errorf("seqio: line %d: FASTQ separator '+' missing", fr.lineNo)
 	}
 	// The separator line may repeat the header; when it carries text,
@@ -209,12 +212,22 @@ func (fr *FastqReader) Next() (Record, error) {
 	}
 	qual, err := fr.readLine()
 	if err != nil {
-		return Record{}, fmt.Errorf("seqio: line %d: truncated FASTQ record (missing quality)", fr.lineNo)
+		return Record{}, fr.bodyErr(err, "truncated FASTQ record (missing quality)")
 	}
 	if len(qual) != len(seq) {
 		return Record{}, fmt.Errorf("seqio: line %d: quality length %d != sequence length %d", fr.lineNo, len(qual), len(seq))
 	}
 	return Record{Name: name, Desc: desc, Seq: seq, Qual: append(make([]byte, 0, len(qual)), qual...)}, nil
+}
+
+// bodyErr reports the error that ended a record after its header: the
+// input ending there is the structure error missing, and any other read
+// error is returned as a read error, whatever line it cut short.
+func (fr *FastqReader) bodyErr(err error, missing string) error {
+	if err != io.EOF {
+		return fmt.Errorf("seqio: read: %w", err)
+	}
+	return fmt.Errorf("seqio: line %d: %s", fr.lineNo, missing)
 }
 
 // WriteFastq writes records in 4-line FASTQ format. Records without

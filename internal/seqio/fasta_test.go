@@ -83,6 +83,13 @@ func TestReadFastaErrors(t *testing.T) {
 	if _, err := ReadFastq(&errWithData{data: "@r\nACGT\n+\nIIII"}); err == nil || err.Error() != "seqio: read: disk gone" {
 		t.Errorf("FASTQ read error with the last bytes: %v", err)
 	}
+	// A read error that cuts a record short after its header is still a
+	// read error, not a missing separator, sequence or quality line.
+	for _, data := range []string{"@r\nACGT\n+\nIIII\n@s\nAC", "@r\nACGT\n+\nIIII\n@s", "@r\nACGT\n+\nIIII\n@s\nAC\n+"} {
+		if _, err := ReadFastq(&errWithData{data: data}); err == nil || err.Error() != "seqio: read: disk gone" {
+			t.Errorf("FASTQ read error after the header of %q: %v", data, err)
+		}
+	}
 }
 
 // errWithData returns all of data with an error in one Read, then io.EOF.

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"casa/internal/batch"
+	"casa/internal/core"
 	"casa/internal/dna"
 	"casa/internal/engine"
 	"casa/internal/metrics"
@@ -536,22 +537,37 @@ func TestSeedRejections(t *testing.T) {
 // only reads up to its shard overlap, so a longer read is a 400 naming
 // the read and the overlap, while a batch of reads that fit is seeded.
 func TestSeedRejectsReadPastShardOverlap(t *testing.T) {
-	ref, fits, _ := testRef(t, 1<<12, 4, 64)
-	s := startTestServer(t, ref, Config{
+	rejectsReadsPast(t, Config{
 		Engine:        "sharded:fmindex",
 		EngineOptions: engine.Options{Shards: 2, ShardOverlap: 64},
-	})
+	}, 64, "64-base shard overlap")
+}
+
+// TestSeedRejectsReadPastPartitionCut: casa cut into partitions seeds
+// exactly only reads up to the partition overlap plus one.
+func TestSeedRejectsReadPastPartitionCut(t *testing.T) {
+	rejectsReadsPast(t, Config{Engine: "casa", EngineOptions: engine.Options{Partition: 1024}},
+		core.DefaultPartitionOverlap+1, "casa partition cut")
+}
+
+// rejectsReadsPast starts a server with cfg over a 4 kbase reference and
+// requires reads of limit bases to be seeded, and a read one base longer
+// to be a 400 naming the read, its length and mention.
+func rejectsReadsPast(t *testing.T, cfg Config, limit int, mention string) {
+	t.Helper()
+	ref, fits, _ := testRef(t, 1<<12, 4, limit)
+	s := startTestServer(t, ref, cfg)
 	url := "http://" + s.Addr() + "/v1/seed"
 	if code, _, raw := postSeed(t, url, fits); code != http.StatusOK {
-		t.Fatalf("reads at the overlap: code %d (%s), want 200", code, raw)
+		t.Fatalf("reads at the limit: code %d (%s), want 200", code, raw)
 	}
 	long := fmt.Sprintf("@r0\n%s\n+\n%s\n@long\n%s\n+\n%s\n",
-		ref[:64], strings.Repeat("I", 64), ref[100:165], strings.Repeat("I", 65))
+		ref[:limit], strings.Repeat("I", limit), ref[100:100+limit+1], strings.Repeat("I", limit+1))
 	code, _, raw := postSeed(t, url, []byte(long))
 	if code != http.StatusBadRequest {
-		t.Fatalf("read past the overlap: code %d, want 400", code)
+		t.Fatalf("read past the limit: code %d, want 400", code)
 	}
-	for _, want := range []string{`read "long"`, "65 bases", "64-base shard overlap"} {
+	for _, want := range []string{`read "long"`, fmt.Sprintf("%d bases", limit+1), mention} {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("400 body %q does not mention %q", raw, want)
 		}

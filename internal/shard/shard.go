@@ -411,11 +411,19 @@ func (s *Sharded) ActivityCycles(act engine.Activity) int64 {
 }
 
 // CheckRead implements engine.ReadLimiter: the merge is exact only for
-// reads no longer than the shard overlap (see the package comment). A
-// single shard has no boundary to lose an SMEM at.
+// reads no longer than the shard overlap (see the package comment), and
+// each inner only for reads within its own limit. A single shard has no
+// boundary to lose an SMEM at.
 func (s *Sharded) CheckRead(read dna.Sequence) error {
 	if len(s.inners) > 1 && len(read) > s.overlap {
 		return fmt.Errorf("%w: %d bases exceed the %d-base shard overlap of %s", engine.ErrReadTooLong, len(read), s.overlap, s.name)
+	}
+	for _, inner := range s.inners {
+		if rl, ok := inner.(engine.ReadLimiter); ok {
+			if err := rl.CheckRead(read); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
