@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover lint bench bench-quick bench-baseline bench-all fuzz live-smoke serve-smoke walltrace-smoke index-smoke experiments ablations examples clean
+.PHONY: all build test race cover lint bench bench-quick bench-baseline fuzz live-smoke serve-smoke walltrace-smoke index-smoke experiments ablations examples clean
 
 all: build test lint
 
@@ -54,10 +54,6 @@ bench-quick:
 bench-baseline:
 	$(GO) run ./cmd/casa-bench -scale quick -workers 1,2 -out bench/baseline-quick.json
 
-# One bench pass per paper table/figure plus the ablation benches.
-bench-all:
-	$(GO) test -bench=. -benchmem -benchtime=1x .
-
 # Every fuzz target, 15 s each; CI's fuzz-smoke job runs the same list at
 # 10 s, and scripts/lint_fuzz_targets.sh keeps the two lists complete.
 fuzz:
@@ -107,13 +103,9 @@ experiments:
 ablations:
 	$(GO) run ./cmd/casa-experiments -scale default -ablation
 
+# Run every sample under examples/, stopping at the first that fails.
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/enginecompare
-	$(GO) run ./examples/ablation
-	$(GO) run ./examples/alignment
-	$(GO) run ./examples/metagenomics
-	$(GO) run ./examples/longread
+	set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d; done
 
 clean:
 	$(GO) clean ./...

@@ -1,9 +1,10 @@
 // Package casa is the public API of the CASA reproduction: a CAM-based
 // SMEM seeding accelerator for genome alignment (Huang et al., MICRO
 // 2023), implemented as a behavioural + cycle-approximate architectural
-// simulator in pure Go, together with the baselines it is evaluated
-// against (BWA-MEM2 software seeding, the ERT accelerator, GenAx) and the
-// SeedEx extension stage for end-to-end alignment.
+// simulator in pure Go. Through this one import a program builds the
+// accelerator over a reference, seeds reads on it sequentially or on a
+// worker pool, chains the resulting anchors, and generates synthetic
+// genomes and reads to run it on.
 //
 // Quick start:
 //
@@ -14,28 +15,21 @@
 //	res := acc.SeedReads(reads)
 //	fmt.Println(res.Throughput(), res.Reads[0].Forward)
 //
-// The exported names are aliases into the implementation packages so that
-// the whole system remains usable through this single import; see
+// The exported names are aliases into the implementation packages. The
+// baselines the paper compares against (BWA-MEM2 software seeding, ERT,
+// GenAx), SeedEx extension and the end-to-end pipeline are run through
+// the commands: casa-smem -engine, casa-align and casa-experiments. See
 // DESIGN.md for the architecture and EXPERIMENTS.md for the paper
 // reproduction results.
 package casa
 
 import (
-	"context"
-
 	"casa/internal/batch"
 	"casa/internal/chain"
 	"casa/internal/core"
-	"casa/internal/cpu"
 	"casa/internal/dna"
 	"casa/internal/engine"
-	"casa/internal/ert"
-	"casa/internal/genax"
-	"casa/internal/pairing"
-	"casa/internal/pipeline"
-	"casa/internal/progress"
 	"casa/internal/readsim"
-	"casa/internal/seedex"
 	"casa/internal/smem"
 )
 
@@ -47,21 +41,11 @@ type (
 	Sequence = dna.Sequence
 )
 
-// FromString parses an ASCII DNA string (ambiguous bases replaced
-// deterministically).
-func FromString(s string) Sequence { return dna.FromString(s) }
-
 // SMEM model.
 type (
 	// Match is an exact match interval on a read with its hit count.
 	Match = smem.Match
 )
-
-// NewBruteForceFinder returns the definition-based golden SMEM finder.
-func NewBruteForceFinder(ref Sequence) smem.Finder { return smem.BruteForce{Ref: ref} }
-
-// NewFMIndexFinder returns the BWA-MEM2-style bidirectional SMEM finder.
-func NewFMIndexFinder(ref Sequence) smem.Finder { return smem.NewBidirectional(ref) }
 
 // CASA accelerator (the paper's contribution).
 type (
@@ -71,8 +55,6 @@ type (
 	Accelerator = core.Accelerator
 	// Result is the outcome of a seeding run (SMEMs, time, power).
 	Result = core.Result
-	// ReadResult is the per-read SMEM output (both strands).
-	ReadResult = core.ReadResult
 )
 
 // DefaultConfig returns the paper's CASA configuration (k=19, m=10,
@@ -94,10 +76,6 @@ type (
 	BatchOptions = batch.Options
 )
 
-// DefaultBatchOptions returns the default pool configuration: one worker
-// per CPU, automatic shard grain.
-func DefaultBatchOptions() BatchOptions { return batch.DefaultOptions() }
-
 // CASAEngine wraps an already-built CASA accelerator as a seeding engine
 // (e.g. one loaded from a prebuilt index); see DESIGN.md, "Engine
 // registry".
@@ -107,95 +85,6 @@ func CASAEngine(acc *Accelerator) engine.Engine { return engine.CASA(acc) }
 // result bit-identical to a sequential run at any worker count.
 func RunEngine(e engine.Engine, reads []Sequence, o BatchOptions) engine.Result {
 	return batch.SeedEngine(e, reads, o)
-}
-
-// RunEngineCtx is RunEngine with cooperative cancellation: when ctx is
-// cancelled mid-run the pool stops handing out new shards, drains the
-// in-flight ones, and returns the result of the completed contiguous
-// read prefix (its length is the second return value) together with
-// ctx.Err(). Metrics, trace spans and progress cells stay consistent
-// with that prefix.
-func RunEngineCtx(ctx context.Context, e engine.Engine, reads []Sequence, o BatchOptions) (engine.Result, int, error) {
-	return batch.SeedEngineCtx(ctx, e, reads, o)
-}
-
-// Live progress: a run with BatchOptions.Progress set updates lock-free
-// per-worker cells as shards drain; Snapshot aggregates them on demand
-// into a casa-progress/v1 document (reads done, throughput, ETA); see
-// docs/OBSERVABILITY.md, "Live telemetry".
-type (
-	// ProgressSnapshot is one aggregated casa-progress/v1 snapshot.
-	ProgressSnapshot = progress.Snapshot
-)
-
-// NewProgressTracker returns a tracker for a run of workers workers over
-// totalReads reads (0 = unknown; grow it later with AddTotal).
-func NewProgressTracker(runID, engine string, workers int, totalReads int64) *progress.Tracker {
-	return progress.New(runID, engine, workers, totalReads)
-}
-
-// NewRunID returns a fresh 16-hex-character run identifier.
-func NewRunID() string { return progress.NewRunID() }
-
-// Baselines: the ERT and GenAx accelerators and the software BWA-MEM2
-// model (B12T, B32T).
-
-// DefaultERTConfig returns the paper's ASIC-ERT evaluation setup.
-func DefaultERTConfig() ert.AccelConfig { return ert.DefaultAccelConfig() }
-
-// NewERT builds the ERT baseline over ref.
-func NewERT(ref Sequence, cfg ert.AccelConfig) (*ert.Accelerator, error) {
-	return ert.NewAccelerator(ref, cfg)
-}
-
-// DefaultGenAxConfig returns the paper's GenAx evaluation setup.
-func DefaultGenAxConfig() genax.Config { return genax.DefaultConfig() }
-
-// NewGenAx builds the GenAx baseline over ref.
-func NewGenAx(ref Sequence, cfg genax.Config) (*genax.Accelerator, error) {
-	return genax.New(ref, cfg)
-}
-
-// B12T and B32T return the two CPU platforms of Table 2.
-func B12T() cpu.Config { return cpu.B12T() }
-
-// B32T returns the 32-thread Xeon configuration.
-func B32T() cpu.Config { return cpu.B32T() }
-
-// NewCPUSeeder builds the software baseline over ref.
-func NewCPUSeeder(ref Sequence, cfg cpu.Config) (*cpu.Seeder, error) { return cpu.New(ref, cfg) }
-
-// Seed extension and end-to-end pipeline.
-type (
-	// SeedExMachine extends seeds with banded SW + edit machines.
-	SeedExMachine = seedex.Machine
-	// Seed is one positioned extension candidate.
-	Seed = seedex.Seed
-	// Alignment is a chosen read alignment.
-	Alignment = seedex.Alignment
-)
-
-// DefaultSeedExConfig returns the paper's 5-machine SeedEx arrangement.
-func DefaultSeedExConfig() seedex.Config { return seedex.DefaultConfig() }
-
-// NewSeedEx builds the SeedEx machine array over ref.
-func NewSeedEx(ref Sequence, cfg seedex.Config) (*SeedExMachine, error) {
-	return seedex.New(ref, cfg)
-}
-
-// DefaultPipelineConfig returns the end-to-end model defaults.
-func DefaultPipelineConfig() pipeline.Config { return pipeline.DefaultConfig() }
-
-// BuildPipeline constructs every engine over one reference for an
-// end-to-end comparison (Fig 14).
-func BuildPipeline(ref Sequence, casaCfg Config, ertCfg ert.AccelConfig, genaxCfg genax.Config,
-	cpuCfg cpu.Config, sxCfg seedex.Config) (*pipeline.Engines, error) {
-	return pipeline.BuildEngines(ref, casaCfg, ertCfg, genaxCfg, cpuCfg, sxCfg)
-}
-
-// RunPipeline executes the end-to-end comparison on a read batch.
-func RunPipeline(e *pipeline.Engines, reads []Sequence, cfg pipeline.Config) (*pipeline.Result, error) {
-	return pipeline.Run(e, reads, cfg)
 }
 
 // Seed chaining (long-read anchoring, extension preprocessing).
@@ -210,20 +99,6 @@ func DefaultChainOptions() chain.Options { return chain.DefaultOptions() }
 // BestChain returns the maximum-scoring collinear chain over the anchors.
 func BestChain(anchors []Anchor, opt chain.Options) (chain.Chain, error) {
 	return chain.Best(anchors, opt)
-}
-
-// Paired-end resolution.
-type (
-	// Mate is one end's placement for pairing decisions.
-	Mate = pairing.Mate
-)
-
-// DefaultPairingOptions matches common Illumina libraries.
-func DefaultPairingOptions() pairing.Options { return pairing.DefaultOptions() }
-
-// RescueMate places an unaligned mate using its partner's position.
-func RescueMate(ref Sequence, mateSeq Sequence, partner Mate, opt pairing.Options) (Mate, bool) {
-	return pairing.Rescue(ref, mateSeq, partner, opt)
 }
 
 // Workload generation.
@@ -247,16 +122,6 @@ func DefaultProfile(count int, seed int64) readsim.ReadProfile {
 
 // Simulate samples reads from ref.
 func Simulate(ref Sequence, p readsim.ReadProfile) []Read { return readsim.Simulate(ref, p) }
-
-// DefaultPairProfile returns an Illumina-like paired-end profile.
-func DefaultPairProfile(count int, seed int64) readsim.PairProfile {
-	return readsim.DefaultPairProfile(count, seed)
-}
-
-// SimulatePairs samples read pairs from ref.
-func SimulatePairs(ref Sequence, p readsim.PairProfile) []readsim.ReadPair {
-	return readsim.SimulatePairs(ref, p)
-}
 
 // Sequences extracts the base sequences of simulated reads.
 func Sequences(reads []Read) []Sequence { return readsim.Sequences(reads) }

@@ -5,12 +5,16 @@
 // Usage:
 //
 //	casa-gen -bases 4194304 -reads 10000 -out ref.fa -reads-out reads.fq
+//
+// A flag combination that could not produce a read (or pair) is a usage
+// error: casa-gen names the flag and exits 2 before writing anything.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	"casa/internal/buildinfo"
@@ -19,34 +23,48 @@ import (
 	"casa/internal/seqio"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("casa-gen: ")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes casa-gen with args, writing its summary line to stdout and
+// errors to stderr, and returns the process exit code: 0 on success, 1
+// when writing an output fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("casa-gen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		bases    = flag.Int("bases", 4<<20, "reference length in bases (split across chromosomes)")
-		chroms   = flag.Int("chroms", 1, "number of chromosomes (FASTA records)")
-		nReads   = flag.Int("reads", 10000, "number of simulated reads")
-		readLen  = flag.Int("read-len", 101, "read length in bp")
-		seed     = flag.Int64("seed", 1, "RNG seed")
-		errRate  = flag.Float64("err", 0.001, "per-base sequencing error rate")
-		mutRate  = flag.Float64("mut", 0.001, "per-base haplotype SNP rate")
-		refOut   = flag.String("out", "ref.fa", "reference FASTA output path")
-		readsOut = flag.String("reads-out", "reads.fq", "reads FASTQ output path")
-		paired   = flag.Bool("paired", false, "emit paired-end reads (mate files <reads-out> and <reads-out>.2)")
-		insert   = flag.Int("insert", 350, "paired-end mean fragment length")
-		version  = flag.Bool("version", false, "print build info and exit")
+		bases    = fs.Int("bases", 4<<20, "reference length in bases (split across chromosomes)")
+		chroms   = fs.Int("chroms", 1, "number of chromosomes (FASTA records)")
+		nReads   = fs.Int("reads", 10000, "number of simulated reads")
+		readLen  = fs.Int("read-len", 101, "read length in bp")
+		seed     = fs.Int64("seed", 1, "RNG seed")
+		errRate  = fs.Float64("err", 0.001, "per-base sequencing error rate")
+		mutRate  = fs.Float64("mut", 0.001, "per-base haplotype SNP rate")
+		refOut   = fs.String("out", "ref.fa", "reference FASTA output path")
+		readsOut = fs.String("reads-out", "reads.fq", "reads FASTQ output path")
+		paired   = fs.Bool("paired", false, "emit paired-end reads (mate files <reads-out> and <reads-out>.2)")
+		insert   = fs.Int("insert", 350, "paired-end mean fragment length")
+		version  = fs.Bool("version", false, "print build info and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *version {
-		buildinfo.Print(os.Stdout, "casa-gen")
-		return
+		buildinfo.Print(stdout, "casa-gen")
+		return 0
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "casa-gen: %v\n", err)
+		return code
 	}
 
-	if *chroms < 1 {
-		log.Fatal("chroms must be >= 1")
+	if err := validate(*bases, *chroms, *nReads, *readLen, *paired, *insert); err != nil {
+		return fail(2, err)
 	}
-	var recs []seqio.Record
 	per := *bases / *chroms
+	var recs []seqio.Record
 	var all dna.Sequence
 	for c := 0; c < *chroms; c++ {
 		g := readsim.GenerateReference(readsim.DefaultGenome(per, *seed+int64(c)*13))
@@ -65,13 +83,8 @@ func main() {
 		ErrRate: *errRate,
 		RevComp: true,
 	}
-	rf, err := os.Create(*refOut)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer rf.Close()
-	if err := seqio.WriteFasta(rf, recs, 70); err != nil {
-		log.Fatal(err)
+	if err := writeFile(*refOut, func(w io.Writer) error { return seqio.WriteFasta(w, recs, 70) }); err != nil {
+		return fail(1, err)
 	}
 
 	if *paired {
@@ -80,30 +93,63 @@ func main() {
 		pairs := readsim.SimulatePairs(all, pp)
 		r1, r2 := readsim.PairRecords(pairs)
 		if err := writeFastq(*readsOut, r1); err != nil {
-			log.Fatal(err)
+			return fail(1, err)
 		}
 		if err := writeFastq(*readsOut+".2", r2); err != nil {
-			log.Fatal(err)
+			return fail(1, err)
 		}
-		fmt.Printf("wrote %s (%d chromosomes, %d bases) and %s/.2 (%d pairs)\n",
+		fmt.Fprintf(stdout, "wrote %s (%d chromosomes, %d bases) and %s/.2 (%d pairs)\n",
 			*refOut, len(recs), len(all), *readsOut, len(pairs))
-		return
+		return 0
 	}
 
 	reads := readsim.Simulate(all, profile)
 	if err := writeFastq(*readsOut, readsim.Records(reads)); err != nil {
-		log.Fatal(err)
+		return fail(1, err)
 	}
-
-	fmt.Printf("wrote %s (%d chromosomes, %d bases) and %s (%d reads, %.1f%% exact)\n",
+	fmt.Fprintf(stdout, "wrote %s (%d chromosomes, %d bases) and %s (%d reads, %.1f%% exact)\n",
 		*refOut, len(recs), len(all), *readsOut, len(reads), readsim.ExactFraction(reads)*100)
+	return 0
+}
+
+// validate rejects the flag values for which the simulator would write
+// an empty workload or panic.
+func validate(bases, chroms, reads, readLen int, paired bool, insert int) error {
+	if chroms < 1 {
+		return fmt.Errorf("-chroms %d: need at least one chromosome", chroms)
+	}
+	refLen := bases / chroms * chroms
+	switch {
+	case refLen < 1:
+		return fmt.Errorf("-bases %d is fewer than one base for each of the %d chromosomes (-chroms)", bases, chroms)
+	case reads < 1:
+		return fmt.Errorf("-reads %d: need at least one read", reads)
+	case readLen < 1:
+		return fmt.Errorf("-read-len %d: need at least one base", readLen)
+	case readLen > refLen:
+		return fmt.Errorf("-read-len %d is longer than the %d-base reference (-bases)", readLen, refLen)
+	case paired && insert < readLen:
+		return fmt.Errorf("-insert %d is shorter than a read (-read-len %d)", insert, readLen)
+	case paired && insert > refLen:
+		return fmt.Errorf("-insert %d is longer than the %d-base reference (-bases)", insert, refLen)
+	}
+	return nil
 }
 
 func writeFastq(path string, recs []seqio.Record) error {
+	return writeFile(path, func(w io.Writer) error { return seqio.WriteFastq(w, recs) })
+}
+
+// writeFile creates path and fills it with write, reporting a failed
+// close as well as a failed write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return seqio.WriteFastq(f, recs)
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -2,8 +2,8 @@
 // engine in the internal/engine registry and writes it as a versioned,
 // checksummed casa-idx/v1 container, matching the paper's flow ("CASA
 // builds the mini index table and the tag table offline for each
-// reference partition", §4.1). casa-smem, casa-serve, casa-align and
-// casa-sim load the result with -index, skipping reconstruction.
+// reference partition", §4.1). casa-smem, casa-serve and casa-align
+// load the result with -index, skipping reconstruction.
 //
 // The output is written atomically: the container is staged in a
 // temporary file next to -out and renamed into place only after a

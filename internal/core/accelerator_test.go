@@ -210,7 +210,7 @@ func TestResultTimingAndThroughput(t *testing.T) {
 	if got := res.Throughput() * res.Seconds; int(got+0.5) != len(reads) {
 		t.Errorf("throughput x time = %.1f reads, want %d", got, len(reads))
 	}
-	if res.DRAM.TotalBytes() <= 0 {
+	if res.DRAM.BytesRead <= 0 {
 		t.Error("no DRAM traffic recorded")
 	}
 	if res.ReadsPerMJ() <= 0 {

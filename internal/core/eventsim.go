@@ -6,8 +6,8 @@ package core
 // cycle model in SeedReads (max of the two phase totals) assumes the FIFO
 // fully decouples the phases; this event simulator models the coupling —
 // FIFO back-pressure stalls the filter, an empty FIFO starves the lanes —
-// and is used by tests to bound the closed form's error and by
-// casa-sim-style analyses to study FIFO sizing.
+// and is used by tests to bound the closed form's error and to study
+// FIFO sizing.
 
 // ReadCost is one strand-read's per-phase cost in cycles.
 type ReadCost struct {

@@ -106,7 +106,6 @@ func (c Config) RandAccessSeconds(n int64) float64 {
 type Traffic struct {
 	cfg            Config
 	BytesRead      int64
-	BytesWritten   int64
 	RandomAccesses int64 // dependent random accesses (latency-bound)
 }
 
@@ -119,21 +118,15 @@ func (t *Traffic) Config() Config { return t.cfg }
 // Read charges a sequential read of n bytes.
 func (t *Traffic) Read(n int64) { t.BytesRead += n }
 
-// Write charges a sequential write of n bytes.
-func (t *Traffic) Write(n int64) { t.BytesWritten += n }
-
 // RandomRead charges one dependent random access of n bytes.
 func (t *Traffic) RandomRead(n int64) {
 	t.BytesRead += n
 	t.RandomAccesses++
 }
 
-// TotalBytes returns all bytes moved.
-func (t *Traffic) TotalBytes() int64 { return t.BytesRead + t.BytesWritten }
-
 // DynamicJ returns the dynamic transfer energy in joules.
 func (t *Traffic) DynamicJ() float64 {
-	return float64(t.TotalBytes()) * 8 * t.cfg.AccessEnergyPJb * 1e-12
+	return float64(t.BytesRead) * 8 * t.cfg.AccessEnergyPJb * 1e-12
 }
 
 // BackgroundW returns the standby+refresh power of the installed capacity.
@@ -153,7 +146,7 @@ func (t *Traffic) BandwidthGBs(seconds float64) float64 {
 	if seconds <= 0 {
 		return 0
 	}
-	return float64(t.TotalBytes()) / 1e9 / seconds
+	return float64(t.BytesRead) / 1e9 / seconds
 }
 
 // MinSeconds returns the minimum time the recorded traffic needs: the
@@ -161,7 +154,7 @@ func (t *Traffic) BandwidthGBs(seconds float64) float64 {
 // random access time. Simulators use this as the DRAM-side bound on
 // throughput.
 func (t *Traffic) MinSeconds() float64 {
-	stream := t.cfg.TransferSeconds(t.TotalBytes())
+	stream := t.cfg.TransferSeconds(t.BytesRead)
 	random := t.cfg.RandAccessSeconds(t.RandomAccesses)
 	if random > stream {
 		return random

@@ -65,15 +65,14 @@ func TestRandAccessSeconds(t *testing.T) {
 func TestTrafficAccounting(t *testing.T) {
 	tr := NewTraffic(Config{AccessEnergyPJb: 10})
 	tr.Read(1000)
-	tr.Write(500)
 	tr.RandomRead(64)
-	if tr.TotalBytes() != 1564 {
-		t.Errorf("TotalBytes = %d", tr.TotalBytes())
+	if tr.BytesRead != 1064 {
+		t.Errorf("BytesRead = %d", tr.BytesRead)
 	}
 	if tr.RandomAccesses != 1 {
 		t.Errorf("RandomAccesses = %d", tr.RandomAccesses)
 	}
-	wantJ := 1564 * 8 * 10e-12
+	wantJ := 1064 * 8 * 10e-12
 	if !approx(tr.DynamicJ(), wantJ, 1e-15) {
 		t.Errorf("DynamicJ = %g, want %g", tr.DynamicJ(), wantJ)
 	}

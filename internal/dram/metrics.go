@@ -8,6 +8,5 @@ import "casa/internal/metrics"
 // registry always holds the latest run's totals.
 func (t *Traffic) PublishMetrics(reg *metrics.Registry, engine string) {
 	reg.Gauge(engine + "/dram/bytes_read").Set(float64(t.BytesRead))
-	reg.Gauge(engine + "/dram/bytes_written").Set(float64(t.BytesWritten))
 	reg.Gauge(engine + "/dram/random_accesses").Set(float64(t.RandomAccesses))
 }

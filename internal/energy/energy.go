@@ -201,11 +201,19 @@ func (r Report) PowerW() float64 {
 // ComponentPowerW returns the average power of one component.
 func (r Report) ComponentPowerW(name string) float64 {
 	for _, c := range r.Components {
-		if c.Name == name && r.Seconds > 0 {
-			return c.DynamicPJ*1e-12/r.Seconds + c.LeakageW
+		if c.Name == name {
+			return r.powerW(c)
 		}
 	}
 	return 0
+}
+
+// powerW returns c's average power (dynamic + leakage) over the interval.
+func (r Report) powerW(c Component) float64 {
+	if r.Seconds <= 0 {
+		return 0
+	}
+	return c.DynamicPJ*1e-12/r.Seconds + c.LeakageW
 }
 
 // AreaMM2 returns total registered area.
@@ -224,11 +232,7 @@ func (r Report) String() string {
 	comps := append([]Component(nil), r.Components...)
 	sort.Slice(comps, func(i, j int) bool { return comps[i].Name < comps[j].Name })
 	for _, c := range comps {
-		var p float64
-		if r.Seconds > 0 {
-			p = c.DynamicPJ*1e-12/r.Seconds + c.LeakageW
-		}
-		fmt.Fprintf(&sb, "%-36s %12.3f %12.3f\n", c.Name, c.AreaMM2, p)
+		fmt.Fprintf(&sb, "%-36s %12.3f %12.3f\n", c.Name, c.AreaMM2, r.powerW(c))
 	}
 	fmt.Fprintf(&sb, "%-36s %12.3f %12.3f\n", "TOTAL", r.AreaMM2(), r.PowerW())
 	return sb.String()

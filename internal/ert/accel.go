@@ -213,7 +213,7 @@ func (a *Accelerator) Reduce(reads []dna.Sequence, acts ...*Activity) *Result {
 	// other bound.
 	cfg := res.DRAM.Config()
 	latencyBound := cfg.RandAccessSeconds(randomFetches) / (float64(a.cfg.Machines) * a.cfg.MLP)
-	bwBound := cfg.TransferSeconds(res.DRAM.TotalBytes())
+	bwBound := cfg.TransferSeconds(res.DRAM.BytesRead)
 	res.Seconds = latencyBound
 	if bwBound > res.Seconds {
 		res.Seconds = bwBound

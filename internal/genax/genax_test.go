@@ -220,7 +220,7 @@ func TestAcceleratorTimingAndEnergy(t *testing.T) {
 	if res.Energy.PowerW() <= 0 {
 		t.Error("no power modelled")
 	}
-	if res.DRAM.TotalBytes() <= 0 {
+	if res.DRAM.BytesRead <= 0 {
 		t.Error("no DRAM traffic")
 	}
 }

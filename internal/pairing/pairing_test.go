@@ -140,3 +140,17 @@ func TestRescueEdgeCases(t *testing.T) {
 	partner := Mate{Mapped: true, Pos: len(ref) - 102, RefLen: 101}
 	Rescue(ref, ref[:101].Clone(), partner, opt) // must not panic
 }
+
+// BenchmarkMateRescue measures the banded-fit mate rescue path.
+func BenchmarkMateRescue(b *testing.B) {
+	ref := readsim.GenerateReference(readsim.DefaultGenome(64<<10, 7))
+	p := readsim.SimulatePairs(ref, readsim.DefaultPairProfile(1, 11))[0]
+	partner := Mate{Mapped: true, Pos: p.R1.Origin, RefLen: len(p.R1.Seq)}
+	opt := DefaultOptions()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := Rescue(ref, p.R2.Seq, partner, opt); !ok {
+			b.Fatal("rescue failed")
+		}
+	}
+}
