@@ -5,9 +5,10 @@
 // with Myers edit machines, and alignments stream out as SAM.
 //
 // Seeding and extension both run on the -workers pool. The reads (the
-// two mate files pulled in lockstep in paired mode) stream through one
-// ordered batch pipeline (internal/batch Stream): each batch of -batch
-// reads or pairs is seeded, then its reads (whole pairs in paired mode)
+// two mate files read in lockstep in paired mode) stream through the
+// read stream casa-smem shares (internal/runcli Run.OpenReads and
+// Run.Stream): the next batch of -batch reads or pairs is parsed while
+// the current one is seeded, then its reads (whole pairs in paired mode)
 // are split into shards that workers place, rescue and turn into SAM
 // records, each worker with its own SeedEx machine; the records are
 // written in read order, so the SAM and the modelled seedex counters
@@ -19,11 +20,13 @@
 // prints them). casa resolves both strands and hit positions natively;
 // other engines seed the reverse complements in a second pass and fall
 // back to a direct-scan positioner. -verify cross-checks the seeding
-// engine's forward SMEMs against a second engine batch by batch; that
-// engine's model, like the seeding engine's, is reduced once per run.
+// engine's forward SMEMs against a second engine batch by batch, as
+// casa-smem does; that engine's model, like the seeding engine's, is
+// reduced once per run.
 //
-// The run is interruptible: SIGINT stops seeding new shards, the current
-// batch's completed prefix is extended and written, and the command
+// The run is interruptible, also while a piped -reads is slow to arrive:
+// SIGINT stops seeding new shards, the current batch's completed prefix
+// is extended and written, and the command
 // flushes the SAM output plus partial metrics/trace before exiting with
 // status 130. Live state is observable the same way as casa-smem: -http
 // serves the run at /v1/runs/{id} and /v1/runs/{id}/events, -progress
@@ -38,7 +41,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -49,7 +51,6 @@ import (
 	"casa/internal/dna"
 	"casa/internal/engine"
 	"casa/internal/pairing"
-	"casa/internal/progress"
 	"casa/internal/refidx"
 	"casa/internal/runcli"
 	"casa/internal/sam"
@@ -66,22 +67,19 @@ const (
 )
 
 type aligner struct {
-	ctx        context.Context
-	eng        engine.Engine
-	pos        engine.Positioner // nil = direct-scan fallback over flat
-	strands    bool              // eng's Seeds carry the reverse strand
-	verify     *batch.Seeder     // the -verify engine's pool; nil = no cross-check
-	flat       dna.Sequence
-	sxs        []*seedex.Machine // one clone per extension worker
-	ix         *refidx.Index
-	maxHits    int
-	pool       batch.Options
-	tracker    *progress.Tracker
-	writer     *sam.Writer
-	phase      func(name string, start time.Time) // records a host phase (runcli.Run.Phase)
-	aligned    int
-	total      int
-	mismatches int
+	ctx     context.Context
+	eng     engine.Engine
+	pos     engine.Positioner // nil = direct-scan fallback over flat
+	strands bool              // eng's Seeds carry the reverse strand
+	step    int               // reads per unit: 2 in paired mode, mates interleaved
+	flat    dna.Sequence
+	sxs     []*seedex.Machine // one clone per extension worker
+	ix      *refidx.Index
+	maxHits int
+	pool    batch.Options
+	writer  *sam.Writer
+	aligned int
+	total   int
 }
 
 func main() {
@@ -103,9 +101,10 @@ func main() {
 
 	// The reference is parsed once: the same index feeds the engine (or
 	// the -index cross-check), extension and the SAM header. The wall
-	// trace records that parse as the load phase, the seeding engines'
-	// and the extension machine's construction as build, and each
-	// batch's SAM write as an output phase.
+	// trace records that parse as the load phase and the seeding
+	// engines' and the extension machine's construction as build; the
+	// stream records seed and, per batch, its extension and SAM write as
+	// an output phase.
 	loadStart := time.Now()
 	ix, err := r.Reference()
 	if err != nil {
@@ -116,13 +115,6 @@ func main() {
 	eng, err := r.Engine(ix)
 	if err != nil {
 		r.Fatal(err)
-	}
-	var veng engine.Engine
-	if r.Verify != "" {
-		veng, err = engine.New(r.Verify, ix.Flat(), engine.Options{})
-		if err != nil {
-			r.Fatal(err)
-		}
 	}
 	sx, err := seedex.New(ix.Flat(), seedex.DefaultConfig())
 	if err != nil {
@@ -147,17 +139,8 @@ func main() {
 	// (single-end) or learned at load (paired): the tracker starts at 0
 	// and grows via AddTotal, and percent/ETA stay 0 until it is known.
 	r.Start(0, "workers", r.Pool().WorkerCount(), "batch", *batchSize, "paired", *reads2 != "")
-	a := newAligner(r.Ctx, eng, veng, ix, sx, *maxHits, r.Pool(), r.Tracker, writer, r.Phase)
-
-	err = a.run(*readsPath, *reads2, *batchSize)
-	r.Tracker.Finish()
-	interrupted := errors.Is(err, context.Canceled)
-	if err != nil && !interrupted {
-		r.Fatal(err)
-	}
-	if interrupted {
-		r.Log.Warn("run interrupted; flushing the aligned prefix", "reads_done", a.total)
-	}
+	a := newAligner(r.Ctx, eng, ix, sx, *maxHits, r.Pool(), writer, *reads2 != "")
+	_, mismatches, interrupted := r.Stream(eng, r.OpenReads(*readsPath, *reads2, *batchSize, 0, nil), a.emit)
 	if err := a.writer.Flush(); err != nil {
 		r.Fatal(err)
 	}
@@ -168,28 +151,26 @@ func main() {
 	r.Registry.Counter("align/reads/total").Add(int64(a.total))
 	r.Registry.Counter("align/reads/aligned").Add(int64(a.aligned))
 	r.Log.Info("alignment finished", "aligned", a.aligned, "reads", a.total, "interrupted", interrupted)
-	if veng != nil {
-		r.Log.Info("seed verification finished", "verify", r.Verify, "mismatches", a.mismatches)
+	if r.Verify != "" {
+		r.Log.Info("seed verification finished", "verify", r.Verify, "mismatches", mismatches)
 	}
-	r.Finish(interrupted, func() bool { return a.mismatches > 0 })
+	r.Finish(interrupted, func() bool { return mismatches > 0 })
 }
 
-// newAligner makes an aligner that seeds with eng on pool, cross-checks
-// the forward seeds against veng when it is not nil, extends with one
-// clone of sx per pool worker and records each batch's write with phase.
-func newAligner(ctx context.Context, eng, veng engine.Engine, ix *refidx.Index, sx *seedex.Machine,
-	maxHits int, pool batch.Options, tracker *progress.Tracker, writer *sam.Writer, phase func(string, time.Time)) *aligner {
+// newAligner makes an aligner that completes eng's seeds on pool (a
+// second pass over the reverse complements when eng is no
+// StrandSeeder), extends with one clone of sx per pool worker and writes
+// to writer.
+func newAligner(ctx context.Context, eng engine.Engine, ix *refidx.Index, sx *seedex.Machine,
+	maxHits int, pool batch.Options, writer *sam.Writer, paired bool) *aligner {
 	pos, _ := eng.(engine.Positioner)
 	_, strands := eng.(engine.StrandSeeder)
 	a := &aligner{
-		ctx: ctx, eng: eng, pos: pos, strands: strands, flat: ix.Flat(),
-		ix: ix, maxHits: maxHits,
-		pool: pool, tracker: tracker, writer: writer, phase: phase,
+		ctx: ctx, eng: eng, pos: pos, strands: strands, step: 1, flat: ix.Flat(),
+		ix: ix, maxHits: maxHits, pool: pool, writer: writer,
 	}
-	if veng != nil {
-		vpool := pool
-		vpool.Progress, vpool.Trace = nil, nil
-		a.verify = batch.NewSeeder(veng, vpool)
+	if paired {
+		a.step = 2
 	}
 	a.sxs = make([]*seedex.Machine, pool.WorkerCount())
 	for w := range a.sxs {
@@ -198,188 +179,48 @@ func newAligner(ctx context.Context, eng, veng engine.Engine, ix *refidx.Index, 
 	return a
 }
 
-// run streams the input through the seeding pool in batches of
-// batchSize reads (pairs in paired mode, whose mates interleave: global
-// read index = 2*pair + mate), extends each batch as soon as it is
-// seeded and writes its records in read order. On cancellation the
-// current batch's completed prefix — whole pairs only — is still
-// extended and written, and the error is context.Canceled.
-func (a *aligner) run(path1, path2 string, batchSize int) error {
-	src, err := openReads(path1, path2)
-	if err != nil {
-		return err
-	}
-	defer src.close()
-	step := 1
-	if path2 != "" {
-		step = 2
-	}
-	var recs []seqio.Record // the batch being seeded, mates interleaved
-	next := func() ([]dna.Sequence, error) {
-		var err error
-		if recs, err = src.next(batchSize * step); err != nil {
-			return nil, err
-		}
-		if len(recs) == 0 {
-			return nil, io.EOF
-		}
-		reads := make([]dna.Sequence, len(recs))
-		names := make([]string, len(recs))
-		for i := range recs {
-			reads[i], names[i] = recs[i].Seq, recs[i].Name
-		}
-		if err := engine.CheckReads(a.eng, reads, names); err != nil {
-			return nil, err
-		}
-		a.tracker.AddTotal(int64(len(recs)))
-		return reads, nil
-	}
-	emit := func(b batch.Batch) error {
-		seeds := a.strandSeeds(b)
-		out := make([]sam.Record, len(seeds)/step*step)
-		a.extend(len(out), step, b.Base, func(sx *seedex.Machine, lo, hi int) {
-			for k := lo; k < hi; k += step {
-				if step == 1 {
-					out[k] = a.recordSingle(recs[k], a.place(sx, recs[k].Seq, seeds[k]))
-					continue
-				}
-				r1, r2 := recs[k], recs[k+1]
-				p1, p2 := a.rescuePair(r1, r2, a.place(sx, r1.Seq, seeds[k]), a.place(sx, r2.Seq, seeds[k+1]))
-				out[k], out[k+1] = a.recordPair(r1, r2, p1, p2)
+// emit extends one seeded batch and writes its records in read order.
+// On cancellation the batch is the seeded prefix, and only its whole
+// pairs are extended and written.
+func (a *aligner) emit(b runcli.Batch) error {
+	seeds := a.strandSeeds(b.Batch)
+	recs, step := b.Records, a.step
+	out := make([]sam.Record, len(seeds)/step*step)
+	a.extend(len(out), b.Base, func(sx *seedex.Machine, lo, hi int) {
+		for k := lo; k < hi; k += step {
+			if step == 1 {
+				out[k] = a.recordSingle(recs[k], a.place(sx, recs[k].Seq, seeds[k]))
+				continue
 			}
-		})
-		start := time.Now()
-		if err := a.write(out); err != nil {
-			return err
+			r1, r2 := recs[k], recs[k+1]
+			p1, p2 := a.rescuePair(r1, r2, a.place(sx, r1.Seq, seeds[k]), a.place(sx, r2.Seq, seeds[k+1]))
+			out[k], out[k+1] = a.recordPair(r1, r2, p1, p2)
 		}
-		a.phase("output", start)
-		a.total += len(out)
-		// Extension reports no progress: refresh the stall watchdog so a
-		// long extension is not reported as a hang.
-		a.tracker.Touch()
-		return nil
-	}
-	_, _, err = batch.Stream(a.ctx, a.eng, next, emit, a.pool)
-	if a.verify != nil {
-		a.verify.Reduce()
-	}
-	return err
+	})
+	a.total += len(out)
+	return a.write(out)
 }
 
 // strandSeeds completes one seeded batch's seeds. StrandSeeders (casa,
-// cpu, ert, genax) resolve both strands in the stream; other engines
+// cpu, ert and genax) resolve both strands in the stream; other engines
 // seed the reverse complements in a second pass (outside the progress and
 // trace accounting, which counts each read once), and only reads seeded
-// on both strands are returned. With -verify set, the forward SMEMs are
-// cross-checked against the verify engine, seeded on its own pool
-// (a.verify) that run reduces once, so its counters and model gauges
-// cover every batch.
+// on both strands are returned.
 func (a *aligner) strandSeeds(b batch.Batch) []engine.Seeds {
-	seeds := b.Seeds
+	if a.strands {
+		return b.Seeds
+	}
 	side := a.pool
 	side.Progress, side.Trace, side.ReadBase = nil, nil, b.Base
-	if !a.strands {
-		rcs := make([]dna.Sequence, len(b.Reads))
-		for i, r := range b.Reads {
-			rcs[i] = r.ReverseComplement()
-		}
-		res, n, _ := batch.SeedEngineCtx(a.ctx, a.eng, rcs, side)
-		for i, ms := range a.eng.SMEMs(res)[:n] {
-			seeds[i].Reverse = ms
-		}
-		seeds = seeds[:n]
+	rcs := make([]dna.Sequence, len(b.Reads))
+	for i, r := range b.Reads {
+		rcs[i] = r.ReverseComplement()
 	}
-	if a.verify != nil {
-		vb, err := a.verify.Seed(a.ctx, b.Reads[:len(seeds)])
-		if err == nil {
-			for i, want := range vb.Seeds {
-				if !smem.SameIntervals(seeds[i].Forward, want.Forward) {
-					a.mismatches++
-				}
-			}
-		}
+	res, n, _ := batch.SeedEngineCtx(a.ctx, a.eng, rcs, side)
+	for i, ms := range a.eng.SMEMs(res)[:n] {
+		b.Seeds[i].Reverse = ms
 	}
-	return seeds
-}
-
-// readSource pulls reads from one FASTQ file, or from two mate files in
-// lockstep.
-type readSource struct {
-	files  []*os.File
-	mates  []*seqio.FastqReader
-	counts []int // records read from each file
-}
-
-// openReads opens path1, and path2 when it is not empty.
-func openReads(path1, path2 string) (*readSource, error) {
-	src := &readSource{}
-	for _, p := range []string{path1, path2} {
-		if p == "" {
-			continue
-		}
-		f, err := os.Open(p)
-		if err != nil {
-			src.close()
-			return nil, err
-		}
-		src.files = append(src.files, f)
-		src.mates = append(src.mates, seqio.NewFastqReader(f))
-	}
-	src.counts = make([]int, len(src.mates))
-	return src, nil
-}
-
-func (s *readSource) close() {
-	for _, f := range s.files {
-		f.Close()
-	}
-}
-
-// next returns up to n records — whole pairs in paired mode, mates
-// interleaved — and an empty batch at the end of the input. Mate files
-// that end at different records are an error naming both lengths.
-func (s *readSource) next(n int) ([]seqio.Record, error) {
-	var out []seqio.Record
-	for len(out)+len(s.mates) <= n {
-		ended := 0
-		for i, fr := range s.mates {
-			rec, err := fr.Next()
-			if err == io.EOF {
-				ended++
-				continue
-			}
-			if err != nil {
-				return nil, err
-			}
-			s.counts[i]++
-			out = append(out, rec)
-		}
-		switch {
-		case ended == len(s.mates):
-			return out, nil
-		case ended > 0:
-			return nil, s.lengthMismatch()
-		}
-	}
-	return out, nil
-}
-
-// lengthMismatch counts the rest of the longer mate file and reports both
-// files' record counts.
-func (s *readSource) lengthMismatch() error {
-	for i, fr := range s.mates {
-		for {
-			_, err := fr.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			s.counts[i]++
-		}
-	}
-	return fmt.Errorf("casa-align: mate files differ in length: %d vs %d", s.counts[0], s.counts[1])
+	return b.Seeds[:n]
 }
 
 // extendShardsPerWorker is how many extension shards each worker gets
@@ -388,14 +229,13 @@ func (s *readSource) lengthMismatch() error {
 const extendShardsPerWorker = 4
 
 // extend runs one seeded batch's extension on the pool: n reads split
-// into shards of a multiple of step reads (2 in paired mode, so mates
-// stay together), fn(sx, lo, hi) on each with the worker's own SeedEx
-// machine. Each shard writes only its own reads' output slots, so no
+// into shards of a multiple of a.step reads (so mates stay together),
+// fn(sx, lo, hi) on each with the worker's own SeedEx machine. Each shard writes only its own reads' output slots, so no
 // locking is needed. The shards show in -walltrace on the "seedex" track,
 // named by global read range (base is the batch's first read) like the
 // seeding shards.
-func (a *aligner) extend(n, step, base int, fn func(sx *seedex.Machine, lo, hi int)) {
-	workers := len(a.sxs)
+func (a *aligner) extend(n, base int, fn func(sx *seedex.Machine, lo, hi int)) {
+	workers, step := len(a.sxs), a.step
 	units := (n + step - 1) / step
 	grain := step * max(1, (units+extendShardsPerWorker*workers-1)/(extendShardsPerWorker*workers))
 	opt := batch.Options{Workers: workers, Grain: grain, Wall: a.pool.Wall, Engine: seedex.Engine, ReadBase: base}

@@ -1,24 +1,27 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
-	"casa/internal/batch"
 	"casa/internal/dna"
 	"casa/internal/engine"
-	"casa/internal/progress"
 	"casa/internal/readsim"
 	"casa/internal/refidx"
+	"casa/internal/runcli"
 	"casa/internal/sam"
 	"casa/internal/seedex"
 	"casa/internal/seqio"
@@ -272,8 +275,8 @@ func TestBatchMustBePositive(t *testing.T) {
 type forwardOnly struct{ engine.Engine }
 
 // alignInProcess aligns the reads at path1 (paired with path2 when it is
-// not empty) with eng on a pool of workers, in batches of 64, and returns
-// the SAM.
+// not empty) with eng on a pool of workers, in batches of 64, through the
+// command's stream, and returns the SAM.
 func alignInProcess(t *testing.T, eng engine.Engine, ix *refidx.Index, workers int, path1, path2 string) []byte {
 	t.Helper()
 	sx, err := seedex.New(ix.Flat(), seedex.DefaultConfig())
@@ -286,10 +289,11 @@ func alignInProcess(t *testing.T, eng engine.Engine, ix *refidx.Index, workers i
 	}
 	var out bytes.Buffer
 	writer := sam.NewWriter(&out, refSeqs, "casa-align")
-	tracker := progress.New(progress.NewRunID(), eng.Name(), workers, 0)
-	a := newAligner(context.Background(), eng, nil, ix, sx, 4, batch.Options{Workers: workers}, tracker, writer, func(string, time.Time) {})
-	if err := a.run(path1, path2, 64); err != nil {
-		t.Fatal(err)
+	r := &runcli.Run{Ctx: context.Background(), Workers: workers, Log: slog.New(slog.NewTextHandler(io.Discard, nil))}
+	r.Start(0)
+	a := newAligner(r.Ctx, eng, ix, sx, 4, r.Pool(), writer, path2 != "")
+	if _, _, interrupted := r.Stream(eng, r.OpenReads(path1, path2, 64, 0, nil), a.emit); interrupted {
+		t.Fatal("run interrupted")
 	}
 	if err := writer.Flush(); err != nil {
 		t.Fatal(err)
@@ -324,5 +328,108 @@ func TestStrandSeedersNeedNoSecondPass(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// alignCmd returns the command running casa-align with args.
+func alignCmd(args ...string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "CASA_ALIGN_RUN_MAIN=1")
+	return cmd
+}
+
+// TestMateFilesDifferInLength checks that mate files ending at different
+// records fail the run with exit status 1 and an error naming both
+// files' record counts.
+func TestMateFilesDifferInLength(t *testing.T) {
+	dir := t.TempDir()
+	ref, _, r1, r2 := alignFixture(t, dir)
+	fq, err := os.ReadFile(r2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(fq), "\n")
+	short := filepath.Join(dir, "short.fq.2")
+	if err := os.WriteFile(short, []byte(strings.Join(lines[:4*299], "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := alignCmd("-ref", ref, "-reads", r1, "-reads2", short, "-batch", "64", "-out", filepath.Join(dir, "out.sam"))
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	var exitErr *exec.ExitError
+	if err := cmd.Run(); !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
+		t.Fatalf("unequal mate files: %v, want exit status 1\n%s", err, stderr.String())
+	}
+	if want := "mate files differ in length: 300 vs 299"; !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr does not say %q:\n%s", want, stderr.String())
+	}
+}
+
+// TestInterruptWritesPrefix interrupts a run whose reads arrive through a
+// pipe: once the first reads are seeded, SIGINT ends the run with status
+// 130 while it waits for more input, and the SAM holds exactly the
+// records a full run writes for those reads.
+func TestInterruptWritesPrefix(t *testing.T) {
+	dir := t.TempDir()
+	ref, reads, _, _ := alignFixture(t, dir)
+	full, _ := runAlignMetrics(t, filepath.Join(dir, "full.sam"), "-ref", ref, "-reads", reads, "-batch", "10")
+	fq, err := os.ReadFile(reads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sent = 30
+	records := strings.SplitAfter(string(fq), "\n")
+
+	out := filepath.Join(dir, "prefix.sam")
+	cmd := alignCmd("-ref", ref, "-reads", "/dev/stdin", "-batch", "10", "-progress", "10ms", "-out", out)
+	stdin, err := cmd.StdinPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer stdin.Close()
+	if _, err := stdin.Write([]byte(strings.Join(records[:4*sent], ""))); err != nil {
+		t.Fatal(err)
+	}
+	// Wait until every sent read is seeded: the run then waits on stdin.
+	var log bytes.Buffer
+	sc := bufio.NewScanner(stderr)
+	for sc.Scan() {
+		log.WriteString(sc.Text() + "\n")
+		if strings.Contains(sc.Text(), fmt.Sprintf("reads_done=%d ", sent)) {
+			break
+		}
+	}
+	if err := cmd.Process.Signal(syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	// A run that ignores the interrupt until its input ends would wait
+	// forever on the open pipe.
+	defer time.AfterFunc(time.Minute, func() { cmd.Process.Kill() }).Stop()
+	io.Copy(&log, stderr)
+	var exitErr *exec.ExitError
+	if err := cmd.Wait(); !errors.As(err, &exitErr) || exitErr.ExitCode() != 130 {
+		t.Fatalf("interrupted run: %v, want exit status 130\n%s", err, log.String())
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var header, body []string
+	for _, l := range strings.SplitAfter(string(full), "\n") {
+		if strings.HasPrefix(l, "@") {
+			header = append(header, l)
+		} else {
+			body = append(body, l)
+		}
+	}
+	if want := strings.Join(header, "") + strings.Join(body[:sent], ""); string(got) != want {
+		t.Errorf("interrupted SAM is not the header and the first %d records of a full run:\n%s", sent, got)
 	}
 }

@@ -5,17 +5,20 @@
 // ("CASA produces identical SMEMs to GenAx and 100% SMEMs of BWA-MEM2 are
 // contained").
 //
-// Reads stream through one ordered batch pipeline (internal/batch
-// Stream): the FASTQ is parsed in its own goroutine, at most two batches
-// ahead, while the index loads; each batch is seeded on the worker pool
-// (-workers) and its lines are written and flushed as soon as it is
-// seeded, in input order regardless of completion order; the engine's
-// model is reduced once over the whole run, so every counter and gauge
-// equals a one-batch run's. The run is interruptible: SIGINT stops
-// handing out new shards, drains the in-flight ones, writes the current
-// batch's completed prefix, and the command still emits its summary,
-// metrics and trace for the completed read prefix before exiting with
-// status 130.
+// Reads stream through the read stream casa-align shares
+// (internal/runcli Run.OpenReads and Run.Stream): the FASTQ is parsed in
+// its own goroutine, at most two batches ahead, while the index loads;
+// each batch is seeded on the worker pool (-workers) and its lines are
+// written as soon as it is seeded, in input order regardless of
+// completion order; the engine's model is reduced once over the whole
+// run, so every counter and gauge equals a one-batch run's. -verify
+// cross-checks each batch's forward SMEMs against a second engine as the
+// batch is seeded and prints each mismatching read to stderr. The run is
+// interruptible: SIGINT stops handing out new shards, drains the
+// in-flight ones, writes the current batch's completed prefix, and the
+// command still emits its summary (with -verify, the mismatches over
+// that prefix), metrics and trace for the completed read prefix before
+// exiting with status 130.
 //
 // Observability (see docs/OBSERVABILITY.md): every engine publishes its
 // activity counters and model gauges into a metrics registry, and every
@@ -40,21 +43,14 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"time"
 
-	"casa/internal/batch"
-	"casa/internal/dna"
-	"casa/internal/engine"
 	"casa/internal/runcli"
-	"casa/internal/seqio"
 	"casa/internal/serve"
 	_ "casa/internal/shard" // registers the sharded:<name> composites
 	"casa/internal/smem"
@@ -85,15 +81,10 @@ func main() {
 	// layer's per-shard worker spans. load ends with the FASTQ parse,
 	// which runs alongside the reference load, the engine build (or index
 	// load) and seeding; build covers only that engine construction, so
-	// the two flows compare directly in casa-trace's wall report; seed
-	// covers the stream, and each batch's write is an output span.
+	// the two flows compare directly in casa-trace's wall report; the
+	// stream records seed and one output span per batch.
 	loadStart := time.Now()
-	in, err := os.Open(*readsPath)
-	if err != nil {
-		r.Fatal(err)
-	}
-	stop := make(chan struct{})
-	batches := parseBatches(in, *maxReads, batchSize, stop, func() { r.Phase("load", loadStart) })
+	src := r.OpenReads(*readsPath, "", batchSize, *maxReads, func() { r.Phase("load", loadStart) })
 	ix, err := r.Reference()
 	if err != nil {
 		r.Fatal(err)
@@ -107,102 +98,25 @@ func main() {
 	}
 	r.Phase("build", buildStart)
 
-	// The verify pass re-seeds every read after the stream, so only a
-	// verified run keeps them with their names.
-	verify := r.Verify != ""
-	var names, allNames []string
-	var allReads []dna.Sequence
-	next := func() ([]dna.Sequence, error) {
-		var b readBatch
-		var ok bool
-		select {
-		case b, ok = <-batches:
-		case <-r.Ctx.Done():
-			// An interrupt while the input is slow to arrive (a pipe)
-			// ends the run without waiting for the next batch.
-			return nil, r.Ctx.Err()
-		}
-		if !ok {
-			return nil, io.EOF
-		}
-		if b.err != nil {
-			return nil, b.err
-		}
-		if err := engine.CheckReads(eng, b.reads, b.names); err != nil {
-			return nil, err
-		}
-		r.Tracker.AddTotal(int64(len(b.reads)))
-		names = b.names
-		if verify {
-			allReads = append(allReads, b.reads...)
-			allNames = append(allNames, b.names...)
-		}
-		return b.reads, nil
-	}
 	printLines := !*quiet && !*jsonOut
 	totalSMEMs := 0
 	var lines []byte
-	emit := func(b batch.Batch) error {
-		start := time.Now()
+	done, mismatches, interrupted := r.Stream(eng, src, func(b runcli.Batch) error {
 		lines = lines[:0]
 		for i, s := range b.Seeds {
 			totalSMEMs += len(s.Forward)
 			if printLines {
-				lines = appendReadLine(lines, names[i], s.Forward)
+				lines = appendReadLine(lines, b.Records[i].Name, s.Forward)
 			}
 		}
-		if len(lines) > 0 {
-			if _, err := os.Stdout.Write(lines); err != nil {
-				return err
-			}
+		if len(lines) == 0 {
+			return nil
 		}
-		r.Phase("output", start)
-		return nil
-	}
-	seedStart := time.Now()
-	res, done, runErr := batch.Stream(r.Ctx, eng, next, emit, r.Pool())
-	r.Phase("seed", seedStart)
-	close(stop)
-	r.Tracker.Finish()
-	interrupted := errors.Is(runErr, context.Canceled)
-	if runErr != nil && !interrupted {
-		r.Fatal(runErr)
-	}
-	if interrupted {
-		r.Log.Warn("run interrupted; reporting the completed prefix", "reads_done", done)
-	}
-
-	var got, want [][]smem.Match
-	vdone := 0
-	verified := verify && !interrupted
-	if verified {
-		got = eng.SMEMs(res)
-		ver, err := engine.New(r.Verify, ix.Flat(), r.Options)
-		if err != nil {
-			r.Fatal(err)
-		}
-		// The verify pass reuses the metrics/trace sinks (both engines'
-		// spans land in one trace as separate processes) but not the
-		// progress tracker — the live run it describes is finished.
-		vpool := r.Pool()
-		vpool.Progress = nil
-		vres, n, err := batch.SeedEngineCtx(r.Ctx, ver, allReads, vpool)
-		want, vdone = ver.SMEMs(vres), n
-		if err != nil {
-			interrupted = true
-			r.Log.Warn("verify pass interrupted; cross-checking the completed prefix",
-				"reads_verified", vdone)
-		}
-	}
+		_, err := os.Stdout.Write(lines)
+		return err
+	})
 
 	r.Finish(interrupted, func() bool {
-		mismatches := 0
-		for i := 0; i < vdone; i++ {
-			if !smem.SameIntervals(got[i], want[i]) {
-				mismatches++
-				fmt.Fprintf(os.Stderr, "MISMATCH %s:\n  %s: %v\n  %s: %v\n", allNames[i], r.EngineName, got[i], r.Verify, want[i])
-			}
-		}
 		if *jsonOut {
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")
@@ -223,7 +137,7 @@ func main() {
 			}
 		} else {
 			fmt.Printf("\n%d reads, %d SMEMs via %s", done, totalSMEMs, r.EngineName)
-			if verified {
+			if r.Verify != "" {
 				fmt.Printf("; %d mismatches vs %s", mismatches, r.Verify)
 			}
 			if interrupted {
@@ -247,63 +161,4 @@ func appendReadLine(b []byte, name string, ms []smem.Match) []byte {
 		b = m.Append(b)
 	}
 	return append(b, '\n')
-}
-
-// readBatch is one parsed batch of reads with their names, or the parse
-// error that ended the input.
-type readBatch struct {
-	reads []dna.Sequence
-	names []string
-	err   error
-}
-
-// parseBatches parses the FASTQ in its own goroutine into batches of up
-// to size reads. It runs at most two batches ahead of the consumer: one
-// waits in the channel, one is parsed or waiting to be sent. It stops
-// after maxReads reads (0 = all) without reading further, after sending
-// a parse error, or when stop is closed; then it calls done and closes
-// the channel.
-func parseBatches(in io.ReadCloser, maxReads, size int, stop <-chan struct{}, done func()) <-chan readBatch {
-	ch := make(chan readBatch, 1)
-	send := func(b readBatch) bool {
-		select {
-		case ch <- b:
-			return true
-		case <-stop:
-			return false
-		}
-	}
-	go func() {
-		defer close(ch)
-		defer done()
-		defer in.Close()
-		fr := seqio.NewFastqReader(in)
-		for total := 0; maxReads <= 0 || total < maxReads; {
-			n := size
-			if maxReads > 0 {
-				n = min(n, maxReads-total)
-			}
-			b := readBatch{reads: make([]dna.Sequence, 0, n), names: make([]string, 0, n)}
-			var err error
-			for len(b.reads) < n {
-				var rec seqio.Record
-				if rec, err = fr.Next(); err != nil {
-					break
-				}
-				b.reads = append(b.reads, rec.Seq)
-				b.names = append(b.names, rec.Name)
-			}
-			total += len(b.reads)
-			if len(b.reads) > 0 && !send(b) {
-				return
-			}
-			if err != nil {
-				if err != io.EOF {
-					send(readBatch{err: err})
-				}
-				return
-			}
-		}
-	}()
-	return ch
 }

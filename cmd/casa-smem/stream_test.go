@@ -213,3 +213,49 @@ func TestWallTraceOverlapsOutput(t *testing.T) {
 		t.Errorf("first output span ends at %d, after the last seed shard starts at %d", firstOutputEnd, lastShardStart)
 	}
 }
+
+// TestVerifyIndependentOfBatching pins -verify to the streaming
+// contract: the verify engine cross-checks each batch as it is seeded, so
+// the -json report (mismatches included), the verify engine's fmindex_*
+// lines of -metrics and the -trace file, which carries both engines, are
+// the same bytes at batch sizes 1, 7 and 64 and at 1 and 4 workers.
+func TestVerifyIndependentOfBatching(t *testing.T) {
+	dir := t.TempDir()
+	ref, reads := smemFixture(t, dir)
+	type output struct{ json, verify, trace string }
+	var want output
+	for i, run := range []struct{ workers, batch int }{
+		{1, 1}, {4, 1}, {1, 7}, {4, 7}, {1, 64}, {4, 64},
+	} {
+		tracePath := filepath.Join(dir, fmt.Sprintf("verify-%d.json", i))
+		js, stderr := runSmemBatch(t, run.batch, "-ref", ref, "-reads", reads, "-max-reads", "0", "-verify", "fmindex",
+			"-workers", fmt.Sprint(run.workers), "-json", "-metrics", "-trace", tracePath)
+		tr, err := os.ReadFile(tracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stable []string // the JSON report less its run ID and worker count
+		for _, l := range strings.Split(string(js), "\n") {
+			if !strings.Contains(l, `"run_id"`) && !strings.Contains(l, `"workers"`) {
+				stable = append(stable, l)
+			}
+		}
+		got := output{strings.Join(stable, "\n"), linesWithPrefix(stderr, "fmindex_"), string(tr)}
+		if !strings.Contains(got.json, `"mismatches": 0,`) || got.verify == "" || !strings.Contains(got.trace, `"fmindex"`) {
+			t.Fatalf("workers=%d batch=%d: want 0 mismatches, fmindex_* metrics and fmindex spans in the trace", run.workers, run.batch)
+		}
+		if i == 0 {
+			want = got
+			continue
+		}
+		for _, c := range []struct{ name, got, want string }{
+			{"-json report", got.json, want.json},
+			{"fmindex_* metrics", got.verify, want.verify},
+			{"-trace file", got.trace, want.trace},
+		} {
+			if c.got != c.want {
+				t.Errorf("workers=%d batch=%d: %s differs from batch 1 at one worker", run.workers, run.batch, c.name)
+			}
+		}
+	}
+}

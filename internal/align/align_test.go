@@ -49,153 +49,6 @@ func TestAppendOpMerges(t *testing.T) {
 	}
 }
 
-func TestLocalExactMatch(t *testing.T) {
-	sc := BWAMEM2()
-	ref := dna.FromString("TTTACGTACGTAAA")
-	q := dna.FromString("ACGTACGT")
-	r := Local(q, ref, sc)
-	if r.Score != 8 {
-		t.Errorf("score = %d, want 8", r.Score)
-	}
-	if r.Cigar.String() != "8M" {
-		t.Errorf("cigar = %s", r.Cigar)
-	}
-	if r.RefLo != 3 || r.RefHi != 11 {
-		t.Errorf("ref window [%d,%d)", r.RefLo, r.RefHi)
-	}
-}
-
-func TestLocalMismatch(t *testing.T) {
-	sc := BWAMEM2()
-	// One substitution in the middle: 12 matches - 1 mismatch = 12-4 = 8.
-	ref := dna.FromString("AACCGGTTAACCG")
-	q := ref.Clone()
-	q[6] = q[6] ^ 1
-	r := Local(q, ref, sc)
-	if r.Score != 12-4 {
-		t.Errorf("score = %d, want 8", r.Score)
-	}
-}
-
-func TestLocalGap(t *testing.T) {
-	sc := BWAMEM2()
-	ref := dna.FromString("ACGTACGTACGTACGTACGT")
-	// Query = ref with 2 bases deleted: 18 matches - open(6) - 2*ext(1).
-	q := append(ref[:8].Clone(), ref[10:]...)
-	r := Local(q, ref, sc)
-	want := 18 - sc.GapOpen - 2*sc.GapExtend
-	if r.Score != want {
-		t.Errorf("score = %d, want %d (cigar %s)", r.Score, want, r.Cigar)
-	}
-}
-
-func TestLocalScoreNonNegative(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 30; trial++ {
-		q, ref := randSeq(rng, 20), randSeq(rng, 40)
-		if r := Local(q, ref, BWAMEM2()); r.Score < 0 {
-			t.Fatalf("negative local score %d", r.Score)
-		}
-	}
-}
-
-func TestLocalCigarConsistent(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	sc := BWAMEM2()
-	for trial := 0; trial < 50; trial++ {
-		ref := randSeq(rng, 120)
-		start := rng.Intn(40)
-		q := ref[start : start+60].Clone()
-		for i := 0; i < rng.Intn(5); i++ {
-			q[rng.Intn(len(q))] = dna.Base(rng.Intn(4))
-		}
-		r := Local(q, ref, sc)
-		if got := r.Cigar.QueryLen(); got != r.QueryHi-r.QueryLo {
-			t.Fatalf("cigar query len %d != window %d", got, r.QueryHi-r.QueryLo)
-		}
-		if got := r.Cigar.RefLen(); got != r.RefHi-r.RefLo {
-			t.Fatalf("cigar ref len %d != window %d", got, r.RefHi-r.RefLo)
-		}
-		// Recompute the score from the CIGAR.
-		score, qi, ri := 0, r.QueryLo, r.RefLo
-		for _, op := range r.Cigar {
-			switch op.Op {
-			case OpMatch:
-				for x := 0; x < op.Len; x++ {
-					score += sc.sub(q[qi], ref[ri])
-					qi++
-					ri++
-				}
-			case OpInsert:
-				score -= sc.GapOpen + op.Len*sc.GapExtend
-				qi += op.Len
-			case OpDelete:
-				score -= sc.GapOpen + op.Len*sc.GapExtend
-				ri += op.Len
-			}
-		}
-		if score != r.Score {
-			t.Fatalf("cigar-derived score %d != %d (cigar %s)", score, r.Score, r.Cigar)
-		}
-	}
-}
-
-func TestBandedGlobalExact(t *testing.T) {
-	sc := BWAMEM2()
-	s := dna.FromString("ACGTACGTAC")
-	r, ok := BandedGlobal(s, s, 3, sc)
-	if !ok || r.Score != 10 || r.Cigar.String() != "10M" {
-		t.Errorf("banded exact: %+v ok=%v", r, ok)
-	}
-}
-
-func TestBandedGlobalMatchesFullDPWithinBand(t *testing.T) {
-	// With a band wide enough, banded global must equal unbanded global.
-	rng := rand.New(rand.NewSource(3))
-	sc := BWAMEM2()
-	for trial := 0; trial < 40; trial++ {
-		a := randSeq(rng, 20+rng.Intn(20))
-		b := a.Clone()
-		for i := 0; i < rng.Intn(4); i++ {
-			b[rng.Intn(len(b))] = dna.Base(rng.Intn(4))
-		}
-		wide, ok1 := BandedGlobal(a, b, len(a)+len(b), sc)
-		wider, ok2 := BandedGlobal(a, b, len(a)+len(b)+10, sc)
-		if !ok1 || !ok2 || wide.Score != wider.Score {
-			t.Fatalf("band width changed unbounded score: %v %v", wide.Score, wider.Score)
-		}
-	}
-}
-
-func TestBandedGlobalRejectsOutOfBand(t *testing.T) {
-	sc := BWAMEM2()
-	a := dna.FromString("AAAA")
-	b := dna.FromString("AAAAAAAAAAAA")
-	if _, ok := BandedGlobal(a, b, 2, sc); ok {
-		t.Error("length difference beyond band accepted")
-	}
-}
-
-func TestBandedGlobalCigarSpansBoth(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	sc := BWAMEM2()
-	for trial := 0; trial < 30; trial++ {
-		a := randSeq(rng, 30)
-		b := a.Clone()
-		// Inject one indel.
-		if rng.Intn(2) == 0 && len(b) > 5 {
-			b = append(b[:3], b[4:]...)
-		}
-		r, ok := BandedGlobal(a, b, 8, sc)
-		if !ok {
-			t.Fatal("in-band alignment rejected")
-		}
-		if r.Cigar.QueryLen() != len(a) || r.Cigar.RefLen() != len(b) {
-			t.Fatalf("cigar %s does not span %dx%d", r.Cigar, len(a), len(b))
-		}
-	}
-}
-
 func TestBandedFitExactInsideWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	sc := BWAMEM2()

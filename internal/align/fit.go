@@ -7,6 +7,24 @@ import "casa/internal/dna"
 // high enough that subtracting gap penalties from it cannot overflow.
 const neg = -1 << 28
 
+// Result is a scored alignment with its coordinates and CIGAR.
+type Result struct {
+	Score   int
+	Cigar   Cigar
+	QueryLo int // first aligned query index
+	QueryHi int // one past the last aligned query index
+	RefLo   int // first aligned reference index
+	RefHi   int // one past the last aligned reference index
+}
+
+// sub returns the substitution score for a pair of bases.
+func (s Scoring) sub(a, b dna.Base) int {
+	if a == b {
+		return s.Match
+	}
+	return -s.Mismatch
+}
+
 // BandedFit computes a fitting alignment: the whole query aligned against
 // any window of ref (free leading and trailing reference bases), with the
 // DP restricted to |j - i| <= band. This is the seed-extension shape: the

@@ -27,28 +27,28 @@ func bandedFitOracle(query, ref dna.Sequence, band int, sc Scoring) (Result, boo
 			H[i][j], E[i][j], F[i][j] = neg, neg, neg
 		}
 	}
-	for j := 0; j <= minInt(m, band); j++ {
+	for j := 0; j <= min(m, band); j++ {
 		H[0][j] = 0
 	}
 	for i := 1; i <= n; i++ {
-		lo := maxInt(1, i-band)
-		hi := minInt(m, i+band)
+		lo := max(1, i-band)
+		hi := min(m, i+band)
 		if i <= band {
 			H[i][0] = -sc.GapOpen - i*sc.GapExtend
 			F[i][0] = H[i][0]
 		}
 		for j := lo; j <= hi; j++ {
-			E[i][j] = maxInt(E[i][j-1]-sc.GapExtend, H[i][j-1]-sc.GapOpen-sc.GapExtend)
-			F[i][j] = maxInt(F[i-1][j]-sc.GapExtend, H[i-1][j]-sc.GapOpen-sc.GapExtend)
+			E[i][j] = max(E[i][j-1]-sc.GapExtend, H[i][j-1]-sc.GapOpen-sc.GapExtend)
+			F[i][j] = max(F[i-1][j]-sc.GapExtend, H[i-1][j]-sc.GapOpen-sc.GapExtend)
 			diag := neg
 			if H[i-1][j-1] > neg/2 {
 				diag = H[i-1][j-1] + sc.sub(query[i-1], ref[j-1])
 			}
-			H[i][j] = maxInt(diag, maxInt(E[i][j], F[i][j]))
+			H[i][j] = max(diag, max(E[i][j], F[i][j]))
 		}
 	}
 	bestJ, bestScore := -1, neg
-	for j := maxInt(0, n-band); j <= minInt(m, n+band); j++ {
+	for j := max(0, n-band); j <= min(m, n+band); j++ {
 		if H[n][j] > bestScore {
 			bestScore, bestJ = H[n][j], j
 		}
@@ -255,4 +255,13 @@ func BenchmarkBandedFit(b *testing.B) {
 			}
 		})
 	}
+}
+
+func mat(n, m int) [][]int {
+	backing := make([]int, n*m)
+	rows := make([][]int, n)
+	for i := range rows {
+		rows[i] = backing[i*m : (i+1)*m]
+	}
+	return rows
 }

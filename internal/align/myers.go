@@ -95,7 +95,7 @@ func EditDistanceDP(a, b dna.Sequence) int {
 			if a[i-1] == b[j-1] {
 				cost = 0
 			}
-			cur[j] = minInt(prev[j-1]+cost, minInt(prev[j]+1, cur[j-1]+1))
+			cur[j] = min(prev[j-1]+cost, min(prev[j]+1, cur[j-1]+1))
 		}
 		prev, cur = cur, prev
 	}

@@ -59,11 +59,3 @@ func (res *Result) PublishModelMetrics(reg *metrics.Registry) {
 	res.DRAM.PublishMetrics(reg, Engine)
 	res.Energy.PublishMetrics(reg, Engine)
 }
-
-// PublishMetrics publishes both the aggregated activity counters and the
-// model gauges of a sequential (single-shard) run.
-func (res *Result) PublishMetrics(reg *metrics.Registry) {
-	publishPartStats(reg, res.Stats)
-	reg.Counter("casa/dram/read_stream_bytes").Add(res.DRAM.BytesRead)
-	res.PublishModelMetrics(reg)
-}

@@ -21,13 +21,6 @@ func (act *Activity) PublishMetrics(reg *metrics.Registry) {
 	reg.Counter("ert/dram/read_stream_bytes").Add(act.ReadBytes)
 }
 
-// PublishMetrics adds the index's accumulated search counters into reg —
-// for direct (non-Accelerator) use of the ERT index, e.g. as an SMEM
-// finder. Call once per run per index instance.
-func (ix *Index) PublishMetrics(reg *metrics.Registry) {
-	publishStats(reg, ix.Stats)
-}
-
 // PublishModelMetrics publishes the finalized model outputs of a reduced
 // Result: the replayed reuse-cache counts, time, throughput, DRAM
 // traffic and energy. Call once per run, after Reduce.
@@ -40,13 +33,4 @@ func (res *Result) PublishModelMetrics(reg *metrics.Registry) {
 	reg.Gauge("ert/model/reads_per_mj").Set(res.ReadsPerMJ)
 	res.DRAM.PublishMetrics(reg, Engine)
 	res.Energy.PublishMetrics(reg, Engine)
-}
-
-// PublishMetrics publishes the aggregated search counters and the model
-// outputs of a sequential (single-shard) run. The read-stream byte
-// counter is only available from per-shard activities and is not
-// re-published here.
-func (res *Result) PublishMetrics(reg *metrics.Registry) {
-	publishStats(reg, res.Stats)
-	res.PublishModelMetrics(reg)
 }

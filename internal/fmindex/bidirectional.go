@@ -31,20 +31,14 @@ type ForwardStep struct {
 	Hits int // number of occurrences of query[start..End]
 }
 
-// ForwardSearch matches query[start..] base by base to the right and
-// reports, for each successfully matched prefix, the hit count. It stops at
-// the first base that yields zero hits or at the end of the query. The
-// returned steps correspond to match ends start, start+1, ... ; positions
-// where Hits changes between consecutive steps are the paper's left
-// extension points (LEPs).
-func (b *Bidirectional) ForwardSearch(query dna.Sequence, start int) []ForwardStep {
-	return b.ForwardSearchAppend(nil, query, start)
-}
-
-// ForwardSearchAppend is ForwardSearch appending into dst, for hot paths
-// that reuse a per-worker step buffer (dst[:0]) across reads: once the
-// buffer has grown to the longest match, the steady state allocates
-// nothing.
+// ForwardSearchAppend matches query[start..] base by base to the right
+// and appends, for each successfully matched prefix, the hit count to
+// dst. It stops at the first base that yields zero hits or at the end of
+// the query. The appended steps correspond to match ends start, start+1,
+// ...; positions where Hits changes between consecutive steps are the
+// paper's left extension points (LEPs). Hot paths reuse a per-worker step
+// buffer (dst[:0]) across reads: once the buffer has grown to the longest
+// match, the steady state allocates nothing.
 //
 // Once the interval narrows to a single occurrence it can only shrink to
 // zero, so the remaining extension is resolved by comparing the text at
@@ -75,35 +69,6 @@ func (b *Bidirectional) ForwardSearchAppend(dst []ForwardStep, query dna.Sequenc
 	return dst
 }
 
-// LongestMatchFrom returns the largest end index e (inclusive) such that
-// query[start..e] occurs in the text, together with the number of hits of
-// that longest match. ok is false when even the single base query[start]
-// does not occur.
-func (b *Bidirectional) LongestMatchFrom(query dna.Sequence, start int) (end, hits int, ok bool) {
-	iv := b.Rev.All()
-	end, hits = -1, 0
-	for e := start; e < len(query); e++ {
-		next := b.Rev.ExtendLeft(iv, query[e])
-		if next.Empty() {
-			break
-		}
-		iv = next
-		end, hits = e, iv.Width()
-		if hits == 1 {
-			// Unique occurrence: finish by direct text comparison (see
-			// ForwardSearchAppend).
-			rev := b.Rev.Text()
-			p := int(b.Rev.SuffixAt(iv.Lo))
-			for end+1 < len(query) && p > 0 && rev[p-1] == query[end+1] {
-				end++
-				p--
-			}
-			break
-		}
-	}
-	return end, hits, end >= start
-}
-
 // LongestMatchEndingAt returns the smallest start index x such that
 // query[x..end] occurs in the text, with its hit count. ok is false when
 // query[end] itself does not occur.
@@ -130,12 +95,4 @@ func (b *Bidirectional) LongestMatchEndingAt(query dna.Sequence, end int) (start
 		}
 	}
 	return start, hits, start <= end
-}
-
-// LocateForward returns up to max text positions (start positions in the
-// original text) of the pattern query[start..end] (inclusive end),
-// resolved through the forward index.
-func (b *Bidirectional) LocateForward(query dna.Sequence, start, end, max int) []int32 {
-	iv := b.Fwd.Find(query[start : end+1])
-	return b.Fwd.Locate(iv, max)
 }

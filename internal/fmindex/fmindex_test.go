@@ -131,10 +131,10 @@ func TestForwardSearchAgainstNaive(t *testing.T) {
 			q = text[i : i+30].Clone()
 		}
 		start := rng.Intn(len(q))
-		steps := bd.ForwardSearch(q, start)
+		steps := bd.ForwardSearchAppend(nil, q, start)
 		for _, st := range steps {
 			if got, want := st.Hits, naiveCount(text, q[start:st.End+1]); got != want {
-				t.Fatalf("ForwardSearch hits at end %d = %d, want %d", st.End, got, want)
+				t.Fatalf("ForwardSearchAppend hits at end %d = %d, want %d", st.End, got, want)
 			}
 		}
 		// The step after the last must be a zero-hit extension.
@@ -142,23 +142,12 @@ func TestForwardSearchAgainstNaive(t *testing.T) {
 			last := steps[len(steps)-1].End
 			if last+1 < len(q) {
 				if naiveCount(text, q[start:last+2]) != 0 {
-					t.Fatalf("ForwardSearch stopped early at %d", last)
+					t.Fatalf("ForwardSearchAppend stopped early at %d", last)
 				}
 			}
 		} else if naiveCount(text, q[start:start+1]) != 0 {
-			t.Fatalf("ForwardSearch found nothing but base occurs")
+			t.Fatalf("ForwardSearchAppend found nothing but base occurs")
 		}
-	}
-}
-
-func TestLongestMatchFrom(t *testing.T) {
-	text := dna.FromString("ACGTACGTTTACGA")
-	bd := BuildBidirectional(text)
-	q := dna.FromString("ACGTTTACGC")
-	end, hits, ok := bd.LongestMatchFrom(q, 0)
-	// ACGTTTACG occurs (positions 4..12); adding final C fails.
-	if !ok || end != 8 || hits != 1 {
-		t.Errorf("LongestMatchFrom = (%d, %d, %v), want (8, 1, true)", end, hits, ok)
 	}
 }
 
@@ -174,14 +163,18 @@ func TestLongestMatchEndingAt(t *testing.T) {
 }
 
 func TestLongestMatchConsistency(t *testing.T) {
-	// e(i) from LongestMatchFrom must agree with a naive scan.
+	// e(i), the forward search's last step, must agree with a naive scan.
 	rng := rand.New(rand.NewSource(5))
 	text := randSeq(rng, 600)
 	bd := BuildBidirectional(text)
 	for trial := 0; trial < 40; trial++ {
 		q := randSeq(rng, 25)
 		for i := range q {
-			end, _, ok := bd.LongestMatchFrom(q, i)
+			steps := bd.ForwardSearchAppend(nil, q, i)
+			end, ok := -1, len(steps) > 0
+			if ok {
+				end = steps[len(steps)-1].End
+			}
 			// Naive: extend while the substring occurs.
 			wantEnd, found := -1, false
 			for e := i; e < len(q); e++ {
@@ -192,29 +185,9 @@ func TestLongestMatchConsistency(t *testing.T) {
 				}
 			}
 			if ok != found || (ok && end != wantEnd) {
-				t.Fatalf("LongestMatchFrom(%d) = (%d,%v), want (%d,%v)", i, end, ok, wantEnd, found)
+				t.Fatalf("forward search from %d ends at (%d,%v), want (%d,%v)", i, end, ok, wantEnd, found)
 			}
 		}
-	}
-}
-
-func TestLocateForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	text := randSeq(rng, 300)
-	bd := BuildBidirectional(text)
-	q := text[100:120].Clone()
-	pos := bd.LocateForward(q, 2, 17, 0)
-	found := false
-	for _, p := range pos {
-		if p == 102 {
-			found = true
-		}
-		if !text[p : int(p)+16].Equal(q[2:18]) {
-			t.Fatalf("LocateForward bad position %d", p)
-		}
-	}
-	if !found {
-		t.Error("LocateForward missed the planted occurrence")
 	}
 }
 

@@ -21,13 +21,6 @@ func (act *Activity) PublishMetrics(reg *metrics.Registry) {
 	reg.Counter("genax/dram/read_stream_bytes").Add(act.ReadBytes)
 }
 
-// PublishMetrics adds this segment's accumulated table counters into reg
-// — for direct (non-Accelerator) use of the seed & position tables, e.g.
-// as an SMEM finder. Call once per run per table instance.
-func (t *Tables) PublishMetrics(reg *metrics.Registry) {
-	publishStats(reg, t.Stats)
-}
-
 // PublishModelMetrics publishes the finalized model outputs of a reduced
 // Result. Call once per run, after Reduce.
 func (res *Result) PublishModelMetrics(reg *metrics.Registry) {
@@ -37,13 +30,4 @@ func (res *Result) PublishModelMetrics(reg *metrics.Registry) {
 	reg.Gauge("genax/model/reads_per_mj").Set(res.ReadsPerMJ)
 	res.DRAM.PublishMetrics(reg, Engine)
 	res.Energy.PublishMetrics(reg, Engine)
-}
-
-// PublishMetrics publishes the aggregated lane counters and the model
-// outputs of a sequential (single-shard) run. The read-stream byte
-// counter is only available from per-shard activities and is not
-// re-published here.
-func (res *Result) PublishMetrics(reg *metrics.Registry) {
-	publishStats(reg, res.Stats)
-	res.PublishModelMetrics(reg)
 }

@@ -11,6 +11,11 @@
 // set-up is done and ends with Finish, which writes the traces and
 // metrics and exits. Fatal exits on an error at any point in between and
 // releases the -http listener first.
+//
+// casa-smem and casa-align also share one read stream: OpenReads parses
+// the FASTQ (or two mate files) ahead of seeding, and Stream seeds its
+// batches on the run's pool, cross-checks them with -verify and hands
+// each to the command's writer (stream.go).
 package runcli
 
 import (
@@ -111,6 +116,8 @@ type Run struct {
 	wallPath, httpAddr              string
 	progressEvery, stallAfter       time.Duration
 	logLevel, logFormat             string
+
+	verify engine.Engine // the -verify engine, built by Engine
 
 	srv *obshttp.Server
 	wd  *progress.Watchdog
@@ -356,14 +363,26 @@ func (r *Run) Reference() (*refidx.Index, error) {
 }
 
 // Engine builds the run's engine over ix with the resolved options, or
-// loads it from -index. When ix accompanies -index, the index header's
-// chromosome table must match it: extension and SAM emission use ix's
-// coordinate space, so a stale index would silently misplace every
-// alignment.
-func (r *Run) Engine(ix *refidx.Index) (engine.Engine, error) {
+// loads it from -index, and with -verify also builds the engine Stream
+// cross-checks it against, over ix with the same options. When ix
+// accompanies -index, the index header's chromosome table must match it:
+// extension and SAM emission use ix's coordinate space, so a stale index
+// would silently misplace every alignment.
+func (r *Run) Engine(ix *refidx.Index) (eng engine.Engine, err error) {
 	if r.Index == "" {
-		return engine.New(r.EngineName, ix.Flat(), r.Options)
+		eng, err = engine.New(r.EngineName, ix.Flat(), r.Options)
+	} else {
+		eng, err = r.loadIndex(ix)
 	}
+	if err == nil && r.Verify != "" {
+		r.verify, err = engine.New(r.Verify, ix.Flat(), r.Options)
+	}
+	return eng, err
+}
+
+// loadIndex loads the -index engine, checking its chromosome table
+// against ix when ix is not nil.
+func (r *Run) loadIndex(ix *refidx.Index) (engine.Engine, error) {
 	f, err := os.Open(r.Index)
 	if err != nil {
 		return nil, err

@@ -1,15 +1,13 @@
 // Package smem defines maximal exact matches (MEMs), super-maximal exact
 // matches (SMEMs) and right-maximal exact matches (RMEMs) over a read and a
-// reference (§2.1 of the paper), and provides three independent SMEM
+// reference (§2.1 of the paper), and provides two independent SMEM
 // finders used to cross-validate each other and the CASA simulator:
 //
 //   - BruteForce: definition-based golden model (trusted by construction).
 //   - Bidirectional: BWA-MEM2-style search (forward search + backward
 //     maximal extension, Fig 1(a)).
-//   - Unidirectional: GenAx-style search (right-maximal match per pivot,
-//     containment filtering, Fig 1(b)).
 //
-// All three produce identical SMEM sets; the property tests assert this,
+// Both produce identical SMEM sets; the property tests assert this,
 // mirroring the paper's validation that "CASA produces identical SMEMs to
 // GenAx and 100% SMEMs of BWA-MEM2 are contained" (§6).
 package smem
@@ -477,62 +475,6 @@ func growSlice[T any](s []T, n int) []T {
 // FM-index extension steps — the per-read span duration the traced batch
 // runner records for finder-backed engines.
 func (f *Bidirectional) SeedCost() int64 { return int64(f.Steps) }
-
-// Unidirectional finds SMEMs with the GenAx strategy: for every pivot, the
-// right-maximal exact match (RMEM); SMEMs are the RMEMs not contained in an
-// earlier, longer RMEM. Because e(i) is non-decreasing in i, containment
-// reduces to e(i) > e(i-1).
-type Unidirectional struct {
-	Index *fmindex.Bidirectional
-
-	// Pivots counts pivots whose RMEM search actually ran in the last call;
-	// Fig 15's "naive" bar counts every read position here.
-	Pivots int
-}
-
-// NewUnidirectional builds the finder over ref.
-func NewUnidirectional(ref dna.Sequence) *Unidirectional {
-	return &Unidirectional{Index: fmindex.BuildBidirectional(ref)}
-}
-
-// Clone returns a finder sharing the FM-indexes with its own Pivots
-// counter, so clones can search concurrently.
-func (f *Unidirectional) Clone() *Unidirectional {
-	return &Unidirectional{Index: f.Index}
-}
-
-// SeedCost returns the modelled cost of the most recent FindSMEMs call in
-// RMEM pivot searches, for the traced batch runner.
-func (f *Unidirectional) SeedCost() int64 { return int64(f.Pivots) }
-
-// FindSMEMs implements Finder.
-func (f *Unidirectional) FindSMEMs(read dna.Sequence, minLen int) []Match {
-	return f.AppendSMEMs(nil, read, minLen)
-}
-
-// AppendSMEMs appends the SMEMs of read to dst and returns the extended
-// slice; it allocates nothing beyond growing dst. Candidates arrive in
-// pivot order with strictly increasing ends, so they are already canonical
-// and the length filter can run inline.
-func (f *Unidirectional) AppendSMEMs(dst []Match, read dna.Sequence, minLen int) []Match {
-	f.Pivots = 0
-	prevEnd := -1
-	for i := 0; i < len(read); i++ {
-		f.Pivots++
-		end, hits, ok := f.Index.LongestMatchFrom(read, i)
-		if !ok {
-			continue
-		}
-		if end > prevEnd {
-			// Not contained in the previous RMEM: it is an SMEM candidate.
-			if end-i+1 >= minLen {
-				dst = append(dst, Match{Start: i, End: end, Hits: hits})
-			}
-			prevEnd = end
-		}
-	}
-	return dst
-}
 
 // dedupAppend canonicalizes cands in place — cover-order sort, exact
 // duplicates and contained candidates dropped, minimum length applied last

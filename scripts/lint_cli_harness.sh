@@ -8,7 +8,11 @@
 #   1. one of those commands declares a harness-owned flag itself
 #      ("-log-level", "-walltrace", "-stall-timeout", "-index", ...);
 #   2. any command under cmd/ defines a local copy of the harness's
-#      helpers (newLogger, loadRef, peekHeader, logSnapshot).
+#      helpers (newLogger, loadRef, peekHeader, logSnapshot);
+#   3. casa-smem or casa-align reads its FASTQ or drives a seeding pool
+#      itself (a seqio.FastqReader, batch.Stream, batch.NewSeeder or
+#      engine.CheckReads in its non-test code) instead of going through
+#      runcli's one read stream (Run.OpenReads and Run.Stream).
 #
 # Run from the repository root: scripts/lint_cli_harness.sh
 
@@ -29,7 +33,13 @@ if grep -nE 'func (newLogger|loadRef|peekHeader|logSnapshot)\(' cmd/*/*.go; then
     fail=1
 fi
 
+if grep -nE 'seqio\.(NewFastqReader|FastqReader)|batch\.(Stream|NewSeeder)\(|engine\.CheckReads\(' \
+    $(ls cmd/casa-smem/*.go cmd/casa-align/*.go | grep -v '_test\.go$'); then
+    echo "lint_cli_harness: casa-smem or casa-align reads or seeds its input itself (use runcli's Run.OpenReads and Run.Stream)" >&2
+    fail=1
+fi
+
 if [ "$fail" -eq 0 ]; then
-    echo "lint_cli_harness: OK — shared CLI plumbing stays in internal/runcli"
+    echo "lint_cli_harness: OK — shared CLI plumbing and the read stream stay in internal/runcli"
 fi
 exit "$fail"
