@@ -47,14 +47,24 @@ func (s *FilterStats) add(o FilterStats) {
 // holds only each indicator's start mask: its group mask is
 // occupiedGroups of the positions, derived where the group gating reads
 // it.
+//
+// Each mini entry is 8 bytes: the bucket's first-tag bound in the low
+// half and, in the high half, a 32-bit summary of the bucket's tags with
+// bit summaryBit(tag) set for each. It is the tag compare of the
+// paper's cache-like filter (§4.1) done on the host before the tag array
+// is read: a probe whose suffix's bit is clear is absent, and the tags
+// stay untouched, so most absent probes cost one cache line instead of
+// two. The summary is host-only. A probe it rules out still charges the
+// lookup, mini access, tag search and rows the range decoder enables, so
+// FilterStats, the cycle model and the energy model do not see it.
 type Filter struct {
 	cfg Config
 
-	mini      []int32  // len 4^M+1: bucket p's tags are tags[mini[p]:mini[p+1]]
-	tags      []uint32 // sorted (k-m)-mer values, grouped by m-mer prefix
-	data      []uint64 // per tag: the start mask of its search indicator
-	posIndex  []int32  // len(tags)+1: range of positions per tag entry
-	positions []int32  // occurrence start positions, sorted per k-mer
+	mini      []miniEntry // len 4^M+1: bucket p's tags are tags[mini[p].start:mini[p+1].start]
+	tags      []uint32    // sorted (k-m)-mer values, grouped by m-mer prefix
+	data      []uint64    // per tag: the start mask of its search indicator
+	posIndex  []int32     // len(tags)+1: range of positions per tag entry
+	positions []int32     // occurrence start positions, sorted per k-mer
 
 	// Derived from cfg once at construction (initDerived) so the per-lookup
 	// hot path does not recompute the tag split on every call.
@@ -76,16 +86,38 @@ func (f *Filter) initDerived() {
 	f.suffixMask = uint64(1)<<f.suffixBits - 1
 }
 
+// miniEntry is one mini bucket's entry: its first tag's index and the
+// summary of its tags. The two halves are separate words so that
+// ReadIndex's workers can fill summaries while others read bounds.
+type miniEntry struct {
+	start   uint32 // the bucket's first tag; the next entry's start ends it
+	summary uint32 // bit summaryBit(tag) set for each of the bucket's tags
+}
+
+// summaryBit is a tag's bit in its bucket's summary: the top 5 bits of a
+// multiplicative (Fibonacci) hash of the suffix. The mask changes no
+// value; it lets the compiler drop the guard of a shift by 32 or more.
+func summaryBit(suffix uint32) uint {
+	return uint(suffix*0x9E3779B1>>27) & 31
+}
+
 // tagRange is one mini bucket's start/end pointers into the tag array:
 // the (k-m)-mers sharing one m-mer prefix.
 type tagRange struct {
 	start, end int32
 }
 
-// bucket returns the tag range of kmer's mini bucket.
-func (f *Filter) bucket(kmer dna.Kmer) tagRange {
+// bucket returns the tag range to search for kmer, and the rows of its
+// mini bucket, which the range decoder enables whatever the search. The
+// range is the bucket's, or empty when the bucket's summary rules kmer
+// out; search answers an empty range without reading a tag.
+func (f *Filter) bucket(kmer dna.Kmer) (r tagRange, rows int32) {
 	p := uint64(kmer) >> f.suffixBits
-	return tagRange{f.mini[p], f.mini[p+1]}
+	e := f.mini[p]
+	start := int32(e.start)
+	rows = int32(f.mini[p+1].start) - start
+	pass := int32(e.summary>>summaryBit(uint32(uint64(kmer)&f.suffixMask))) & 1
+	return tagRange{start, start + rows&-pass}, rows
 }
 
 // Clone returns a filter sharing this one's index arrays (built offline,
@@ -113,8 +145,9 @@ func (f *Filter) Clone() *Filter {
 // counts each k-mer's m-mer prefix into its bucket, a second scatters
 // every position (ascending, since the scan runs in order) with its
 // (k-m)-mer suffix into the bucket's slice of the positions table, and
-// each bucket is then ordered stably by suffix. The bound array serves as
-// the counts, then the scatter cursors, then the tag bounds. The suffixes
+// each bucket is then ordered stably by suffix. The bound halves of the
+// mini entries serve as the counts, then the scatter cursors, then the
+// tag bounds; the tag fill sets each summary as it goes. The suffixes
 // are the one transient table, 4 bytes per base; a bucket too large for
 // insertion sort borrows 8 bytes per entry more while it sorts.
 func BuildFilter(part dna.Sequence, cfg Config) (*Filter, error) {
@@ -128,7 +161,7 @@ func BuildFilter(part dna.Sequence, cfg Config) (*Filter, error) {
 	buckets := dna.NumKmers(cfg.M)
 	f := &Filter{
 		cfg:       cfg,
-		mini:      hugemem.Advise(make([]int32, buckets+1)),
+		mini:      hugemem.Advise(make([]miniEntry, buckets+1)),
 		positions: hugemem.Advise(make([]int32, n)),
 		Stats:     new(FilterStats),
 	}
@@ -142,13 +175,13 @@ func BuildFilter(part dna.Sequence, cfg Config) (*Filter, error) {
 	for i, b := range part {
 		kmer = (kmer<<2 | uint64(b)) & kmerMask
 		if i >= k-1 {
-			mini[kmer>>bits+1]++
+			mini[kmer>>bits+1].start++
 		}
 	}
 	// Prefix-sum: mini[p] becomes bucket p's first position, the cursor
 	// the scatter advances.
 	for p := 1; p <= buckets; p++ {
-		mini[p] += mini[p-1]
+		mini[p].start += mini[p-1].start
 	}
 	// Scatter: each bucket ends up holding its positions in ascending
 	// order, each with its suffix alongside. Afterwards mini[p] is bucket
@@ -159,7 +192,7 @@ func BuildFilter(part dna.Sequence, cfg Config) (*Filter, error) {
 	for i, b := range part {
 		kmer = (kmer<<2 | uint64(b)) & kmerMask
 		if i >= k-1 {
-			c := &mini[kmer>>bits]
+			c := &mini[kmer>>bits].start
 			positions[*c] = int32(i - k + 1)
 			suffixes[*c] = uint32(kmer & mask)
 			*c++
@@ -170,8 +203,9 @@ func BuildFilter(part dna.Sequence, cfg Config) (*Filter, error) {
 	// k-mer, and count the distinct k-mers to size the tables exactly.
 	distinct := 0
 	var wide []uint64
-	lo := int32(0)
-	for _, hi := range mini[:buckets] {
+	lo := uint32(0)
+	for _, e := range mini[:buckets] {
+		hi := e.start
 		suf, pos := suffixes[lo:hi], positions[lo:hi]
 		if len(suf) > insertionSortMax {
 			wide = sortBucketWide(suf, pos, wide)
@@ -187,7 +221,8 @@ func BuildFilter(part dna.Sequence, cfg Config) (*Filter, error) {
 	}
 
 	// Fill the tag, start-mask and position-index tables, rewriting each
-	// bucket's bound from its position end to its first tag.
+	// bucket's bound from its position end to its first tag and setting
+	// its summary.
 	f.tags = hugemem.Advise(make([]uint32, distinct))
 	f.data = hugemem.Advise(make([]uint64, distinct))
 	f.posIndex = hugemem.Advise(make([]int32, distinct+1))
@@ -195,19 +230,21 @@ func BuildFilter(part dna.Sequence, cfg Config) (*Filter, error) {
 	t := int32(-1)
 	lo = 0
 	for p := range buckets {
-		hi := mini[p]
-		mini[p] = t + 1
+		hi, first := mini[p].start, uint32(t+1)
+		var summary uint32
 		for i := lo; i < hi; i++ {
 			if i == lo || suffixes[i] != suffixes[i-1] {
 				t++
 				f.tags[t] = suffixes[i]
-				f.posIndex[t] = i
+				f.posIndex[t] = int32(i)
+				summary |= 1 << summaryBit(suffixes[i])
 			}
 			f.data[t] |= 1 << stride.of(uint32(positions[i]))
 		}
+		mini[p] = miniEntry{first, summary}
 		lo = hi
 	}
-	mini[buckets] = int32(distinct)
+	mini[buckets].start = uint32(distinct)
 	f.posIndex[distinct] = int32(n)
 	return f, nil
 }
@@ -291,22 +328,23 @@ func (f *Filter) lookup(kmer dna.Kmer) (int32, uint64, bool) {
 // (§4.1), so that independent cache misses are in flight together instead
 // of one pivot's chain at a time: the first pass gathers every mini-index
 // range, the second runs the branch-free tag searches over the gathered
-// ranges, and the third fetches the hits' indicators. The host order of
-// the accesses is not a model input: the filter's cycles come from the
-// lookup count alone.
+// ranges, and the third fetches the hits' indicators. A range the
+// bucket's summary empties skips the tags in the second pass. The host
+// order of the accesses is not a model input: the filter's cycles come
+// from the lookup count alone.
 func (f *Filter) LookupAll(kmers []dna.Kmer, idx []int32, starts []uint64, exists []bool) bool {
 	n := len(kmers)
 	ranges := growN(f.ranges, n)
 	f.ranges = ranges
 	idx, starts, exists = idx[:n], starts[:n], exists[:n]
-	for i, kmer := range kmers {
-		ranges[i] = f.bucket(kmer)
-	}
 	var rows, hits int64
 	for i, kmer := range kmers {
-		r := ranges[i]
-		rows += int64(r.end - r.start)
-		idx[i] = f.search(r, uint32(uint64(kmer)&f.suffixMask))
+		r, enabled := f.bucket(kmer)
+		ranges[i] = r
+		rows += int64(enabled)
+	}
+	for i, kmer := range kmers {
+		idx[i] = f.search(ranges[i], uint32(uint64(kmer)&f.suffixMask))
 	}
 	for i, j := range idx {
 		exists[i] = j >= 0
@@ -346,7 +384,8 @@ func (f *Filter) positionsAt(idx int32) []int32 {
 // indexOf returns kmer's tag index, or -1 when it is absent, without
 // touching Stats.
 func (f *Filter) indexOf(kmer dna.Kmer) int32 {
-	return f.search(f.bucket(kmer), uint32(uint64(kmer)&f.suffixMask))
+	r, _ := f.bucket(kmer)
+	return f.search(r, uint32(uint64(kmer)&f.suffixMask))
 }
 
 // Contains reports existence without returning the indicator (still
@@ -360,9 +399,9 @@ func (f *Filter) Contains(kmer dna.Kmer) bool {
 func (f *Filter) find(kmer dna.Kmer) (int32, bool) {
 	f.Stats.Lookups++
 	f.Stats.MiniAccesses++
-	r := f.bucket(kmer)
+	r, rows := f.bucket(kmer)
 	f.Stats.TagSearches++
-	f.Stats.TagRowsEnabled += int64(r.end - r.start)
+	f.Stats.TagRowsEnabled += int64(rows)
 	idx := f.search(r, uint32(uint64(kmer)&f.suffixMask))
 	if idx < 0 {
 		return -1, false

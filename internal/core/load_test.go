@@ -85,7 +85,8 @@ func TestWriteIndexGolden(t *testing.T) {
 
 // TestLoadedFilterEqualsBuilt requires ReadIndex to reproduce every table
 // of every partition element for element: the reference, the mini index
-// ranges, the 32-bit tags, the search indicators and the position lists.
+// entries (bounds and tag summaries), the 32-bit tags, the search
+// indicators and the position lists.
 func TestLoadedFilterEqualsBuilt(t *testing.T) {
 	for i, g := range goldenBuilds {
 		built, data := buildGolden(t, i)
@@ -202,13 +203,13 @@ func TestLoadIgnoresGroupWords(t *testing.T) {
 // keeps, built and loaded, at the paper's k=19, m=10 on 1 Mbase of random
 // sequence, where nearly every k-mer is distinct. A base costs 1 byte of
 // reference and 4 of positions, a distinct k-mer a 4-byte tag, an 8-byte
-// start mask and a 4-byte position-index entry, and the mini index a
-// 4-byte bound per bucket (4 MiB): about 25 bytes per base in all.
-// Two-word indicators and 8-byte mini entries (37 bytes per base) do not
-// fit.
+// start mask and a 4-byte position-index entry, and the mini index an
+// 8-byte entry per bucket, a 4-byte bound and a 4-byte tag summary
+// (8 MiB): about 29 bytes per base in all. Two-word indicators (37 bytes
+// per base) or 8-byte tags (33) do not fit.
 func TestPartitionLiveBytes(t *testing.T) {
 	const n = 1 << 20
-	const limit = 26 // bytes per base
+	const limit = 30 // bytes per base
 	cfg := DefaultConfig()
 	cfg.PartitionBases = n
 	data := singlePartitionIndex(t, n)
@@ -369,6 +370,28 @@ func offsetsOf(a *Accelerator, pi int) partOffsets {
 	return o
 }
 
+// wideBuckets builds a one-partition accelerator at k=17, m=1, whose
+// four mini buckets each hold the tags of more than three chunks of
+// search indicators (16 bytes a tag), and returns its WriteIndex bytes.
+func wideBuckets(t testing.TB) (*Accelerator, []byte) {
+	t.Helper()
+	cfg := testConfig()
+	cfg.K, cfg.M, cfg.MinSMEM = 17, 1, 17
+	cfg.PartitionBases = 300000
+	a, err := New(randSeq(rand.New(rand.NewSource(17)), cfg.PartitionBases), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := a.parts[0].filter; f.mini[1].start <= 3*loadChunk/16 {
+		t.Fatalf("bucket 0 holds %d tags, not three chunks' worth", f.mini[1].start)
+	}
+	var buf bytes.Buffer
+	if err := a.WriteIndex(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return a, buf.Bytes()
+}
+
 // TestReadIndexRejectsMalformed corrupts one structural field of a valid
 // payload at a time and requires a named "core:" error for each, where
 // the old loader either panicked while seeding or answered wrongly, and
@@ -385,7 +408,7 @@ func TestReadIndexRejectsMalformed(t *testing.T) {
 	put64 := func(b []byte, off int, v uint64) { binary.LittleEndian.PutUint64(b[off:], v) }
 	// A mini bucket holding at least two tags, for the ordering case.
 	wide := 0
-	for f.mini[wide+1]-f.mini[wide] < 2 {
+	for f.mini[wide+1].start-f.mini[wide].start < 2 {
 		wide++
 	}
 	nTags, nPos := len(f.tags), len(f.positions)
@@ -408,11 +431,11 @@ func TestReadIndexRejectsMalformed(t *testing.T) {
 		{"mini end past tags", func(b []byte) []byte { put32(b, o.nTags-4, uint32(nTags+1)); return b }, "tag count is"},
 		{"tag too wide", func(b []byte) []byte { put64(b, o.tags, 1<<f.suffixBits); return b }, "wider than"},
 		{"tag order", func(b []byte) []byte {
-			i := int(f.mini[wide])
+			i := int(f.mini[wide].start)
 			put64(b, o.tags+8*(i+1), uint64(f.tags[i]))
 			return b
 		}, "does not increase within mini bucket"},
-		{"tag too wide at a bucket head", func(b []byte) []byte { put64(b, o.tags+8*int(f.mini[wide]), 1<<f.suffixBits); return b }, "wider than"},
+		{"tag too wide at a bucket head", func(b []byte) []byte { put64(b, o.tags+8*int(f.mini[wide].start), 1<<f.suffixBits); return b }, "wider than"},
 		{"tag too wide at a chunk start", func(b []byte) []byte { put64(b, o.tags+8*second, 1<<f.suffixBits); return b }, fmt.Sprintf("tag %d is %#x, wider than", second, 1<<f.suffixBits)},
 		{"tag order at a chunk start", func(b []byte) []byte { put64(b, o.tags+8*second, uint64(f.tags[second-1])); return b }, fmt.Sprintf("tag %d (%#x) does not increase within mini bucket", second, f.tags[second-1])},
 		{"posIndex start", func(b []byte) []byte { put32(b, o.posIndex, 1); return b }, "posIndex: entry 0"},
@@ -452,12 +475,16 @@ func readIndexAt(procs int, data []byte) (*Accelerator, error) {
 	return ReadIndex(bytes.NewReader(data))
 }
 
-// TestReadIndexIndependentOfProcs loads the golden and the multi-chunk
-// indexes at GOMAXPROCS 1, 2 and 8: however many workers decode the
-// chunks, every table of every partition must equal the built one.
+// TestReadIndexIndependentOfProcs loads the golden, the multi-chunk and
+// the wide-bucket indexes at GOMAXPROCS 1, 2 and 8: however many workers
+// decode the chunks, every table of every partition must equal the built
+// one, the mini entries' tag summaries included. In the wide-bucket
+// index, the chunk that holds a bucket's first tag sets its summary from
+// the tags of the chunks after it.
 func TestReadIndexIndependentOfProcs(t *testing.T) {
 	builds := map[string]func() (*Accelerator, []byte){
-		"multi-chunk": func() (*Accelerator, []byte) { return multiChunk(t) },
+		"multi-chunk":  func() (*Accelerator, []byte) { return multiChunk(t) },
+		"wide buckets": func() (*Accelerator, []byte) { return wideBuckets(t) },
 	}
 	for i, g := range goldenBuilds {
 		builds[g.name] = func() (*Accelerator, []byte) { return buildGolden(t, i) }
@@ -590,7 +617,7 @@ func TestTagCheckMatchesOracle(t *testing.T) {
 		bkt := 0
 		var prev uint64
 		for i, v := range tags {
-			for int(f.mini[bkt+1]) <= i {
+			for int(f.mini[bkt+1].start) <= i {
 				bkt++
 			}
 			kmer := uint64(bkt)<<f.suffixBits | v

@@ -28,12 +28,16 @@ import (
 //	         | u64 nPos | (nTags+1) x u32 posIndex | nPos x u32 position )
 //
 // TestWriteIndexGolden pins these bytes. The file is wider than the
-// tables it loads into. The mini bucket ends become the filter's bound
-// array behind a leading 0. The filter keeps only the start masks: each
-// group word is derived from the k-mer's positions (occupiedGroups) when
-// written and skipped when read, as idxio skips its retired header slot,
-// so a damaged group word cannot change what a loaded index seeds. The
-// u64 tags and two-word indicators stay until a format version bump.
+// tables it loads into, except for the mini index, which is narrower.
+// The mini bucket ends become the low halves (the bounds) of the
+// filter's 8-byte mini entries, behind a leading 0; the high halves,
+// each bucket's tag summary, are not in the file, and the indicators
+// pass derives them from the tags as it loads (fillSummaries). The
+// filter keeps only the start masks: each group word is derived from
+// the k-mer's positions (occupiedGroups) when written and skipped when
+// read, as idxio skips its retired header slot, so a damaged group word
+// cannot change what a loaded index seeds. The u64 tags and two-word
+// indicators stay until a format version bump.
 //
 // ReadIndex is a two-stage pipeline. The calling goroutine reads the
 // payload front to back, so a checksumming reader (an idxio section)
@@ -167,10 +171,11 @@ func writePartition(w *bufio.Writer, p *Partition) error {
 	}
 	f := p.filter
 	// Mini index: the bucket end offsets, one u32 per 4^M buckets (the
-	// bound array without its leading 0).
+	// entries' bounds without the leading 0). The summaries are not
+	// written: ReadIndex derives them from the tags.
 	writeU64(w, uint64(len(f.mini)-1))
-	for _, end := range f.mini[1:] {
-		writeU32(w, uint32(end))
+	for _, e := range f.mini[1:] {
+		writeU32(w, e.start)
 	}
 	writeU64(w, uint64(len(f.tags)))
 	for _, t := range f.tags {
@@ -237,7 +242,7 @@ func readPartition(d *decoder, cfg Config, n int) (*Partition, error) {
 	heads := d.bitset(n/64 + 1)
 	top := uint32(n)
 	var lastEnd uint64
-	f.mini, lastEnd, err = decodeTable(d, "mini index", nMini, 4, 1, func(dst []int32, b []byte, first int, prev uint64) error {
+	f.mini, lastEnd, err = decodeTable(d, "mini index", nMini, 4, 1, func(dst []miniEntry, b []byte, first int, prev uint64) error {
 		prevEnd := uint32(prev)
 		w, marks := min(prevEnd, top)/64, uint64(0)
 		for j := range dst {
@@ -251,7 +256,7 @@ func readPartition(d *decoder, cfg Config, n int) (*Partition, error) {
 				w, marks = s/64, 0
 			}
 			marks |= uint64((prevEnd-end)>>31) << (s % 64) // 1 when end > prevEnd
-			dst[j], prevEnd = int32(end), end
+			dst[j].start, prevEnd = end, end
 		}
 		orWord(&heads[w], marks)
 		return nil
@@ -282,11 +287,15 @@ func readPartition(d *decoder, cfg Config, n int) (*Partition, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Each indicator's start mask; its group word is skipped.
-	f.data, _, err = decodeTable(d, "search indicators", nTags, 16, 0, func(dst []uint64, b []byte, _ int, _ uint64) error {
+	// Each indicator's start mask; its group word is skipped. Each chunk
+	// also sets the summaries of the buckets whose first tag it covers:
+	// every tag is decoded by now, so a bucket is set whole, by one
+	// worker, even where it spans two chunks.
+	f.data, _, err = decodeTable(d, "search indicators", nTags, 16, 0, func(dst []uint64, b []byte, first int, _ uint64) error {
 		for j := range dst {
 			dst[j] = binary.LittleEndian.Uint64(b[16*j:])
 		}
+		fillSummaries(f.mini, heads, f.tags, first, first+len(dst))
 		return nil
 	})
 	if err != nil {
@@ -353,6 +362,40 @@ func (d *decoder) bitset(words int) []uint64 {
 	return d.heads
 }
 
+// fillSummaries sets the summaries of the buckets whose first tag lies in
+// tags[lo:hi], once every tag is decoded: a bucket that runs on past hi
+// reads the tags after it, so each bucket belongs to one call and none
+// needs an atomic update. heads is the bucket-head bitset. Per block of
+// 64 tags, a branch-free pass keeps each tag's running summary since its
+// bucket's head, and a second pass gives each bucket that ends in the
+// block the running summary at its end, 0 for an empty bucket.
+func fillSummaries(mini []miniEntry, heads []uint64, tags []uint32, lo, hi int) {
+	n := len(mini) - 1 // buckets
+	p := sort.Search(n, func(q int) bool { return int(mini[q].start) >= lo })
+	last := sort.Search(n, func(q int) bool { return int(mini[q].start) >= hi })
+	if p == last {
+		return
+	}
+	var runs [65]uint32 // runs[k]: the running summary before the block's tag k
+	for base := int(mini[p].start) &^ 63; p < last; base += 64 {
+		block := tags[base:min(base+64, len(tags))]
+		h, run := heads[base/64], runs[64]
+		for k, tag := range block {
+			run = run&(uint32(h)&1-1) | 1<<summaryBit(tag)
+			runs[k+1] = run
+			h >>= 1
+		}
+		end := uint32(base + len(block))
+		for ; p < last; p++ {
+			s, e := mini[p].start, mini[p+1].start
+			if e > end {
+				break
+			}
+			mini[p].summary = runs[e-uint32(base)] & uint32(int32(s-e)>>31) // 0 when empty
+		}
+	}
+}
+
 // orWord ORs v into *p atomically.
 func orWord(p *uint64, v uint64) {
 	for v != 0 {
@@ -413,7 +456,7 @@ func badTag(f *Filter, heads []uint64, b []byte, first int, prev uint64) error {
 			return fmt.Errorf("tag %d is %#x, wider than the %d bits of k-m=%d", i, v, f.suffixBits, f.cfg.K-f.cfg.M)
 		}
 		if heads[i/64]>>(i%64)&1 == 0 && v <= prev {
-			bkt := sort.Search(len(f.mini)-1, func(p int) bool { return int(f.mini[p+1]) > i })
+			bkt := sort.Search(len(f.mini)-1, func(p int) bool { return int(f.mini[p+1].start) > i })
 			return fmt.Errorf("tag %d (%#x) does not increase within mini bucket %d", i, v, bkt)
 		}
 		prev = v

@@ -7,6 +7,7 @@ import (
 	"casa/internal/dna"
 	"casa/internal/engine"
 	"casa/internal/readsim"
+	"casa/internal/shard"
 	"casa/internal/smem"
 )
 
@@ -30,12 +31,22 @@ func fuzzAccelerator(ref dna.Sequence) (*core.Accelerator, core.Config, error) {
 	return a, cfg, err
 }
 
+// fuzzPartition is the partition size of the fuzz target's partitioned
+// engines: over the 2048-base fuzz reference it cuts partitions at
+// [0, 1073), [973, 2046) and a near-empty tail [1946, 2048), 2 bases
+// more than the 100-base overlap.
+const fuzzPartition = 1073
+
 // FuzzSMEMEnginesAgree feeds arbitrary read bytes (mapped onto 2-bit
 // bases) to the brute-force golden finder and every registered engine in
 // its Exact configuration and requires identical SMEM sets — intervals
 // and hit counts. The single-partition CASA accelerator is additionally
 // checked on the reverse strand (the registry interface reports forward
-// SMEMs only).
+// SMEMs only). casa and genax cut into partitions, and casa as the
+// inner engine of a sharded composite, must refuse a read past their cut
+// limit and report the golden SMEM intervals for every other; their
+// hit counts may differ, as an overlap's occurrences count once per
+// partition.
 func FuzzSMEMEnginesAgree(f *testing.F) {
 	ref := fuzzRef()
 	acc, cfg, err := fuzzAccelerator(ref)
@@ -53,6 +64,23 @@ func FuzzSMEMEnginesAgree(f *testing.F) {
 			f.Fatal(err)
 		}
 		engines = append(engines, e)
+	}
+	partCfg := cfg
+	partCfg.PartitionBases = fuzzPartition
+	var partitioned []engine.Engine
+	for _, b := range []struct {
+		name string
+		opt  engine.Options
+	}{
+		{"casa", engine.Options{Config: partCfg}},
+		{"genax", engine.Options{MinSMEM: cfg.MinSMEM, TableK: 7, Partition: fuzzPartition}},
+		{"sharded:casa", engine.Options{Config: partCfg}},
+	} {
+		e, err := engine.New(b.name, ref, b.opt)
+		if err != nil {
+			f.Fatal(err)
+		}
+		partitioned = append(partitioned, e)
 	}
 
 	f.Add([]byte(ref[100:201].String()))
@@ -72,6 +100,23 @@ func FuzzSMEMEnginesAgree(f *testing.F) {
 	f.Add([]byte(ref[600:663].String()))
 	f.Add([]byte(ref[700:765].String()))
 	f.Add([]byte(ref[800:930].String()))
+	// Reads that straddle a cut: ending 0, 1 and overlap bases past the
+	// last base of a partition (its next partition starts overlap bases
+	// before it) or of the first shard, at the longest read a partition
+	// cut keeps whole and at the 256-base maximum, which the partitioned
+	// engines refuse.
+	for _, cut := range []struct{ end, overlap int }{
+		{fuzzPartition, core.DefaultPartitionOverlap},
+		{2*fuzzPartition - core.DefaultPartitionOverlap, core.DefaultPartitionOverlap},
+		{len(ref)/shard.DefaultShards + shard.DefaultOverlap, shard.DefaultOverlap},
+	} {
+		for _, d := range []int{0, 1, cut.overlap} {
+			end := min(cut.end+d, len(ref))
+			for _, n := range []int{core.DefaultPartitionOverlap + 1, 256} {
+				f.Add([]byte(ref[end-n : end].String()))
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) > 256 {
 			raw = raw[:256] // keep the brute-force oracle cheap
@@ -84,6 +129,17 @@ func FuzzSMEMEnginesAgree(f *testing.F) {
 		for _, e := range engines {
 			if got := seedEngine(e, []dna.Sequence{read})[0]; !smem.Equal(want, got) {
 				t.Fatalf("forward SMEMs disagree on %q:\n %s %v\nbrute %v", read, e.Name(), got, want)
+			}
+		}
+		for _, e := range partitioned {
+			if engine.CheckReads(e, []dna.Sequence{read}, []string{"read"}) != nil {
+				if len(read) <= core.DefaultPartitionOverlap+1 {
+					t.Fatalf("%s refused a %d-base read", e.Name(), len(read))
+				}
+				continue
+			}
+			if got := seedEngine(e, []dna.Sequence{read})[0]; !smem.SameIntervals(want, got) {
+				t.Fatalf("forward SMEM intervals disagree on %q:\n partitioned %s %v\nbrute %v", read, e.Name(), got, want)
 			}
 		}
 		res := acc.SeedReads([]dna.Sequence{read})
