@@ -25,7 +25,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/batch/ ./internal/core/ ./internal/hugemem/ ./internal/shard/ ./internal/pipeline/ ./internal/serve/ ./internal/obshttp/ ./internal/progress/ ./internal/trace/ ./internal/runcli/ ./internal/seedex/ ./internal/align/ ./cmd/casa-align/
+	$(GO) test -race ./...
 
 cover:
 	$(GO) test -cover ./...

@@ -69,7 +69,7 @@ const (
 type aligner struct {
 	ctx     context.Context
 	eng     engine.Engine
-	pos     engine.Positioner // nil = direct-scan fallback over flat
+	pos     engine.Positioner // nil = engine.Positions over flat
 	strands bool              // eng's Seeds carry the reverse strand
 	step    int               // reads per unit: 2 in paired mode, mates interleaved
 	flat    dna.Sequence
@@ -269,12 +269,12 @@ type placement struct {
 }
 
 // hitPositions resolves an SMEM's reference occurrences: natively for
-// positioning engines, by direct scan otherwise.
+// positioning engines, through engine.Positions otherwise.
 func (a *aligner) hitPositions(strand dna.Sequence, m smem.Match) []int32 {
 	if a.pos != nil {
 		return a.pos.HitPositions(strand, m, a.maxHits)
 	}
-	return engine.Positions(a.flat, strand, m, a.maxHits)
+	return engine.Positions(a.eng, a.flat, strand, m, a.maxHits)
 }
 
 // place extends both strands of one read on sx and resolves the winner

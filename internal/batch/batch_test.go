@@ -50,7 +50,7 @@ func testEngines(t *testing.T, ref dna.Sequence) []engine.Engine {
 func sequentialResult(e engine.Engine, reads []dna.Sequence) engine.Result {
 	c := e.Clone()
 	act := c.SeedTrace(reads, nil, 0)
-	return c.Reduce(reads, []engine.Activity{act})
+	return c.Reduce([]engine.Activity{act})
 }
 
 func testWorkload(t *testing.T, refLen, nReads int) (dna.Sequence, []dna.Sequence) {
@@ -148,7 +148,7 @@ func TestSeedCASAMatchesSeedReads(t *testing.T) {
 	}
 	want := acc.SeedReads(reads)
 	for _, w := range workerCounts {
-		got := batch.Seed[*core.Result](engine.CASA(acc), reads, batch.Options{Workers: w})
+		got := batch.SeedEngine(engine.CASA(acc), reads, batch.Options{Workers: w}).(*core.Result)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("workers=%d: batch Result differs from sequential SeedReads", w)
 		}
@@ -211,21 +211,4 @@ func TestFindSMEMsMatchesDirectCalls(t *testing.T) {
 			t.Errorf("workers=%d: pooled fmindex SMEMs differ from direct FindSMEMs calls", w)
 		}
 	}
-}
-
-// TestSeedResultTypeMismatchPanics pins the typed front door's failure
-// mode: asking for the wrong concrete result type is a programming
-// error, reported eagerly.
-func TestSeedResultTypeMismatchPanics(t *testing.T) {
-	ref, reads := testWorkload(t, 1<<13, 10)
-	e, err := engine.New("cpu", ref, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on result-type mismatch")
-		}
-	}()
-	batch.Seed[*core.Result](e, reads, batch.Options{Workers: 2})
 }

@@ -2,9 +2,7 @@ package batch
 
 import (
 	"context"
-	"fmt"
 	"io"
-	"slices"
 
 	"casa/internal/dna"
 	"casa/internal/engine"
@@ -66,29 +64,8 @@ func traceBuffers(o Options) []*trace.Buffer {
 	return bufs
 }
 
-// Seed runs any registered engine over reads on the worker pool and
-// returns its Result asserted to the engine's concrete result type, e.g.
-// batch.Seed[*core.Result](engine.CASA(acc), reads, o). The Result is
-// bit-identical to a sequential run of the same engine at any worker
-// count. See SeedEngineCtx for the full contract.
-func Seed[R any](e engine.Engine, reads []dna.Sequence, o Options) R {
-	res, _, _ := SeedCtx[R](context.Background(), e, reads, o)
-	return res
-}
-
-// SeedCtx is Seed with cooperative cancellation; see SeedEngineCtx.
-func SeedCtx[R any](ctx context.Context, e engine.Engine, reads []dna.Sequence, o Options) (R, int, error) {
-	res, done, err := SeedEngineCtx(ctx, e, reads, o)
-	typed, ok := res.(R)
-	if !ok {
-		var zero R
-		panic(fmt.Sprintf("batch: engine %q reduces to %T, not %T", e.Name(), res, zero))
-	}
-	return typed, done, err
-}
-
-// SeedEngine is SeedEngineCtx without cancellation, for callers that
-// don't need the concrete result type.
+// SeedEngine is SeedEngineCtx without cancellation. Callers that need
+// the engine's concrete result type assert it (res.(*core.Result)).
 func SeedEngine(e engine.Engine, reads []dna.Sequence, o Options) engine.Result {
 	res, _, _ := SeedEngineCtx(context.Background(), e, reads, o)
 	return res
@@ -106,14 +83,10 @@ func SeedEngine(e engine.Engine, reads []dna.Sequence, o Options) engine.Result 
 // progress consistent with that prefix, and the error is ctx.Err(). A
 // run that completes returns n == len(reads) and a nil error.
 func SeedEngineCtx(ctx context.Context, e engine.Engine, reads []dna.Sequence, o Options) (engine.Result, int, error) {
-	sent := false
-	return Stream(ctx, e, func() ([]dna.Sequence, error) {
-		if sent {
-			return nil, io.EOF
-		}
-		sent = true
-		return reads, nil
-	}, nil, o)
+	s := NewSeeder(e, o)
+	_, _, _, err := s.seed(ctx, reads)
+	res, n := s.Reduce()
+	return res, n, err
 }
 
 // Batch is one seeded batch of a Stream, handed to its consumer in input
@@ -166,7 +139,7 @@ func Stream(ctx context.Context, e engine.Engine, next func() ([]dna.Sequence, e
 		base, bacts, n, serr := s.seed(ctx, reads)
 		err = serr
 		if emit != nil && n > 0 {
-			if eerr := emit(Batch{Base: base, Reads: reads[:n], Seeds: e.Seeds(reads[:n], bacts)}); err == nil {
+			if eerr := emit(Batch{Base: base, Reads: reads[:n], Seeds: e.Seeds(bacts)}); err == nil {
 				err = eerr
 			}
 		}
@@ -180,7 +153,9 @@ func Stream(ctx context.Context, e engine.Engine, next func() ([]dna.Sequence, e
 // themselves: Stream's pool, with the same per-shard metrics, spans,
 // progress and wall spans (see Stream). casa-align cross-checks each
 // seeded batch against a -verify engine on a second Seeder, so the
-// verify engine's model gauges cover the run, not its last batch.
+// verify engine's model gauges cover the run, not its last batch. It
+// keeps every batch's shard activities until Reduce, but no reads: each
+// activity carries what its engine's Reduce needs.
 type Seeder struct {
 	e       engine.Engine
 	o, bo   Options // bo carries the next batch's ReadBase and shardBase
@@ -189,7 +164,6 @@ type Seeder struct {
 	bufs    []*trace.Buffer
 	cycles  engine.CycleCoster
 	acts    []engine.Activity
-	seeded  [][]dna.Sequence
 	done    int
 }
 
@@ -212,7 +186,7 @@ func NewSeeder(e engine.Engine, o Options) *Seeder {
 // ctx.Err().
 func (s *Seeder) Seed(ctx context.Context, reads []dna.Sequence) (Batch, error) {
 	base, bacts, n, err := s.seed(ctx, reads)
-	return Batch{Base: base, Reads: reads[:n], Seeds: s.e.Seeds(reads[:n], bacts)}, err
+	return Batch{Base: base, Reads: reads[:n], Seeds: s.e.Seeds(bacts)}, err
 }
 
 // seed runs one batch on the pool: it returns the batch's run-wide base,
@@ -233,7 +207,6 @@ func (s *Seeder) seed(ctx context.Context, reads []dna.Sequence) (int, []engine.
 	})
 	s.bo.shardBase += len(bacts)
 	s.acts = append(s.acts, bacts...)
-	s.seeded = append(s.seeded, reads[:n])
 	s.done += n
 	return base, bacts, n, err
 }
@@ -243,14 +216,8 @@ func (s *Seeder) seed(ctx context.Context, reads []dna.Sequence) (int, []engine.
 // returns the Result with the number of reads it covers. Call it once,
 // after the last batch.
 func (s *Seeder) Reduce() (engine.Result, int) {
-	var all []dna.Sequence
-	if len(s.seeded) == 1 {
-		all = s.seeded[0] // a one-batch run reduces the caller's slice
-	} else {
-		all = slices.Concat(s.seeded...)
-	}
 	reduceStart := s.o.wallNow()
-	res := s.e.Reduce(all, s.acts)
+	res := s.e.Reduce(s.acts)
 	s.o.wallPhase("reduce", reduceStart)
 	if s.o.Metrics != nil {
 		mergeStart := s.o.wallNow()

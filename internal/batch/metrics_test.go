@@ -34,11 +34,11 @@ func TestSeedGenCacheDeterminism(t *testing.T) {
 	}
 	// The same reads replayed in a different order: shards of 8, last
 	// shard first.
-	var shuffled []dna.Sequence
+	var shuffled []*ert.Activity
 	for hi := len(reads); hi > 0; hi -= 8 {
-		shuffled = append(shuffled, reads[max(hi-8, 0):hi]...)
+		shuffled = append(shuffled, acc.Seed(reads[max(hi-8, 0):hi]))
 	}
-	if r := acc.Reduce(shuffled, acc.Seed(reads)); r.CacheHits == want.CacheHits {
+	if r := acc.Reduce(shuffled...); r.CacheHits == want.CacheHits {
 		t.Fatalf("cache replay is order-insensitive on this workload (hits=%d either way)", r.CacheHits)
 	}
 	for _, w := range workerCounts {
@@ -71,7 +71,7 @@ func sequentialRegistry(t *testing.T, name string, ref dna.Sequence, reads []dna
 	reg := metrics.New()
 	act := e.SeedTrace(reads, nil, 0)
 	act.PublishMetrics(reg)
-	e.Reduce(reads, []engine.Activity{act}).PublishModelMetrics(reg)
+	e.Reduce([]engine.Activity{act}).PublishModelMetrics(reg)
 	return reg
 }
 

@@ -110,11 +110,12 @@ func TestProgressTerminalSnapshotDeterminism(t *testing.T) {
 	var want totals
 	for i, w := range workerCounts {
 		tr := progress.New("run", "casa", w, int64(len(reads)))
-		res, done, err := batch.SeedCtx[*core.Result](context.Background(), engine.CASA(acc), reads,
+		r, done, err := batch.SeedEngineCtx(context.Background(), engine.CASA(acc), reads,
 			batch.Options{Workers: w, Grain: grain, Progress: tr})
 		if err != nil || done != len(reads) {
 			t.Fatalf("workers=%d: done=%d err=%v", w, done, err)
 		}
+		res := r.(*core.Result)
 		if len(res.Reads) != len(reads) {
 			t.Fatalf("workers=%d: result covers %d reads", w, len(res.Reads))
 		}
@@ -183,9 +184,10 @@ func TestSeedCASACtxPartialRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	e := cancelOnShard{engine.CASA(acc.Clone()), cancel}
-	res, done, runErr := batch.SeedCtx[*core.Result](ctx, e, reads,
+	r, done, runErr := batch.SeedEngineCtx(ctx, e, reads,
 		batch.Options{Workers: workers, Grain: grain, Metrics: reg, Trace: tw, Progress: tr})
 	tr.Finish()
+	res := r.(*core.Result)
 
 	if !errors.Is(runErr, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", runErr)
@@ -221,7 +223,8 @@ func TestSeedCASACtxPartialRun(t *testing.T) {
 }
 
 // TestSeedCtxCompleteMatchesPlain checks the zero-cost claim of the ctx
-// variants: an uncancelled SeedCtx returns the same Result as Seed.
+// variant: an uncancelled SeedEngineCtx returns the same Result as
+// SeedEngine.
 func TestSeedCtxCompleteMatchesPlain(t *testing.T) {
 	ref, reads := testWorkload(t, 1<<15, 100)
 	acc, err := core.New(ref, core.DefaultConfig())
@@ -229,12 +232,12 @@ func TestSeedCtxCompleteMatchesPlain(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := engine.CASA(acc)
-	want := batch.Seed[*core.Result](e, reads, batch.Options{Workers: 4})
-	got, done, runErr := batch.SeedCtx[*core.Result](context.Background(), e, reads, batch.Options{Workers: 4})
+	want := batch.SeedEngine(e, reads, batch.Options{Workers: 4}).(*core.Result)
+	got, done, runErr := batch.SeedEngineCtx(context.Background(), e, reads, batch.Options{Workers: 4})
 	if runErr != nil || done != len(reads) {
 		t.Fatalf("done=%d err=%v", done, runErr)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("SeedCtx result differs from Seed")
+		t.Fatal("SeedEngineCtx result differs from SeedEngine")
 	}
 }

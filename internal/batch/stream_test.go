@@ -6,12 +6,14 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"casa/internal/batch"
 	"casa/internal/dna"
 	"casa/internal/engine"
 	"casa/internal/metrics"
+	"casa/internal/smem"
 	"casa/internal/trace"
 )
 
@@ -38,9 +40,9 @@ type reduceCounter struct {
 
 func (e reduceCounter) Clone() engine.Engine { return reduceCounter{e.Engine.Clone(), e.reduces} }
 
-func (e reduceCounter) Reduce(reads []dna.Sequence, acts []engine.Activity) engine.Result {
+func (e reduceCounter) Reduce(acts []engine.Activity) engine.Result {
 	*e.reduces++
-	return e.Engine.Reduce(reads, acts)
+	return e.Engine.Reduce(acts)
 }
 
 // TestStreamMatchesOneBatch is the streaming contract for every
@@ -139,5 +141,69 @@ func TestStreamStops(t *testing.T) {
 	cancelAfterOne := func(batch.Batch) error { cancel(); return nil }
 	if emitted, n, reduces, err := run(batcher(reads, 20), cancelAfterOne, ctx); !errors.Is(err, context.Canceled) || emitted != 20 || n != 20 || reduces != 1 {
 		t.Errorf("cancellation: emitted %d, seeded %d, %d reduces, err %v", emitted, n, reduces, err)
+	}
+}
+
+// readless is an engine whose activities hold no reads and no seeds,
+// only their shard's read count, so what a Seeder retains between
+// batches is the Seeder's own.
+type readless struct{}
+
+type readCount int
+
+func (readCount) PublishMetrics(*metrics.Registry) {}
+
+func (readCount) PublishModelMetrics(*metrics.Registry) {}
+
+func (readless) Name() string         { return "readless" }
+func (readless) Clone() engine.Engine { return readless{} }
+func (readless) SeedTrace(reads []dna.Sequence, _ *trace.Buffer, _ int) engine.Activity {
+	return readCount(len(reads))
+}
+func (readless) Reduce(acts []engine.Activity) engine.Result {
+	n := 0
+	for _, a := range acts {
+		n += int(a.(readCount))
+	}
+	return readCount(n)
+}
+func (readless) SMEMs(res engine.Result) [][]smem.Match {
+	return make([][]smem.Match, res.(readCount))
+}
+func (e readless) Seeds(acts []engine.Activity) []engine.Seeds {
+	return make([]engine.Seeds, e.Reduce(acts).(readCount))
+}
+
+// TestSeederRetainsNoReads streams batches of 256 KiB of reads through a
+// Seeder whose engine keeps none of them and checks that the heap it
+// retains does not grow with the batch count: once a batch's seeds are
+// handed over, nothing holds its reads.
+func TestSeederRetainsNoReads(t *testing.T) {
+	retained := func(batches int) (heap uint64, seeded int) {
+		s := batch.NewSeeder(readless{}, batch.Options{Workers: 1})
+		for range batches {
+			reads := make([]dna.Sequence, 16)
+			for i := range reads {
+				reads[i] = make(dna.Sequence, 16<<10)
+			}
+			if _, err := s.Seed(context.Background(), reads); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		_, seeded = s.Reduce()
+		return ms.HeapAlloc, seeded
+	}
+	few, n := retained(2)
+	many, m := retained(66)
+	if n != 2*16 || m != 66*16 {
+		t.Fatalf("seeded %d and %d reads, want %d and %d", n, m, 2*16, 66*16)
+	}
+	// 64 more batches are 16 MiB of reads: a Seeder holding them retains
+	// all of it.
+	if many > few+1<<20 {
+		t.Errorf("heap after 66 batches is %d KiB above the heap after 2", (many-few)>>10)
 	}
 }

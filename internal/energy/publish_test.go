@@ -29,7 +29,7 @@ func TestComponentGaugesSumToTotals(t *testing.T) {
 				t.Fatal(err)
 			}
 			reg := metrics.New()
-			e.Reduce(reads, []engine.Activity{e.SeedTrace(reads, nil, 0)}).PublishModelMetrics(reg)
+			e.Reduce([]engine.Activity{e.SeedTrace(reads, nil, 0)}).PublishModelMetrics(reg)
 
 			prefix := tc.engine + "/energy/"
 			for _, stat := range []string{"power_w", "area_mm2"} {

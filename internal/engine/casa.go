@@ -26,12 +26,16 @@ func (e *casaEngine) SeedTrace(reads []dna.Sequence, tb *trace.Buffer, base int)
 	return e.a.SeedTrace(reads, tb, base)
 }
 
-func (e *casaEngine) Reduce(_ []dna.Sequence, acts []Activity) Result {
+func (e *casaEngine) Reduce(acts []Activity) Result {
 	return e.a.Reduce(typedActs[*core.Activity](acts)...)
 }
 
-func (e *casaEngine) Seeds(reads []dna.Sequence, acts []Activity) []Seeds {
-	out := make([]Seeds, 0, len(reads))
+func (e *casaEngine) Seeds(acts []Activity) []Seeds {
+	n := 0
+	for _, a := range acts {
+		n += len(a.(*core.Activity).Reads)
+	}
+	out := make([]Seeds, 0, n)
 	for _, a := range acts {
 		for _, rr := range a.(*core.Activity).Reads {
 			out = append(out, Seeds{Forward: rr.Forward, Reverse: rr.Reverse})

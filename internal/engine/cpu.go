@@ -26,12 +26,12 @@ func (e *cpuEngine) SeedTrace(reads []dna.Sequence, tb *trace.Buffer, base int) 
 	return e.s.SeedTrace(reads, tb, base)
 }
 
-func (e *cpuEngine) Reduce(_ []dna.Sequence, acts []Activity) Result {
+func (e *cpuEngine) Reduce(acts []Activity) Result {
 	return e.s.Reduce(typedActs[*cpu.Activity](acts)...)
 }
 
-func (e *cpuEngine) Seeds(reads []dna.Sequence, acts []Activity) []Seeds {
-	return activitySeeds(reads, acts, func(a *cpu.Activity) ([][]smem.Match, [][]smem.Match) { return a.Reads, a.Rev })
+func (e *cpuEngine) Seeds(acts []Activity) []Seeds {
+	return activitySeeds(acts, func(a *cpu.Activity) ([][]smem.Match, [][]smem.Match) { return a.Reads, a.Rev })
 }
 
 func (e *cpuEngine) SeedsBothStrands() {}

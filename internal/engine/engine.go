@@ -25,7 +25,9 @@ import (
 
 // Activity is one shard's order-independent record of engine work: pure
 // counters and per-read outputs, safe to compute concurrently and merge
-// in any order. PublishMetrics folds the shard's counters into a
+// in any order, plus whatever else the engine's Reduce needs (ERT keeps
+// the shard's reads for its reuse-cache replay), since neither Reduce nor
+// Seeds gets the reads. PublishMetrics folds the shard's counters into a
 // registry (each pool worker publishes into a private registry; the pool
 // merges them deterministically).
 type Activity interface {
@@ -56,23 +58,21 @@ type Engine interface {
 	// returns the shard's Activity.
 	SeedTrace(reads []dna.Sequence, tb *trace.Buffer, base int) Activity
 
-	// Reduce folds shard activities — in shard order, covering exactly
-	// reads — into the run's Result. reads is the full ordered batch the
-	// activities describe; engines with order-sensitive model state (the
-	// ERT reuse cache) replay it from reads, the rest ignore it.
-	Reduce(reads []dna.Sequence, acts []Activity) Result
+	// Reduce folds shard activities, in shard order, into the run's
+	// Result. Engines with order-sensitive model state (the ERT reuse
+	// cache) replay it from the activities in that order.
+	Reduce(acts []Activity) Result
 
 	// SMEMs returns the per-read forward-strand SMEM sets of one of this
 	// engine's Results, in read order.
 	SMEMs(res Result) [][]smem.Match
 
-	// Seeds returns the per-read seeds that shard activities — in shard
-	// order, covering exactly reads — carry, without reducing them: a
-	// streaming caller uses each batch's seeds as soon as it is seeded
-	// and still reduces the whole run once. Forward equals what SMEMs
-	// reports after Reduce; Reverse is set by StrandSeeders and nil
-	// otherwise.
-	Seeds(reads []dna.Sequence, acts []Activity) []Seeds
+	// Seeds returns the per-read seeds that shard activities, in shard
+	// order, carry, without reducing them: a streaming caller uses each
+	// batch's seeds as soon as it is seeded and still reduces the whole
+	// run once. Forward equals what SMEMs reports after Reduce; Reverse is
+	// set by StrandSeeders and nil otherwise.
+	Seeds(acts []Activity) []Seeds
 }
 
 // Model carries an engine's simulated-hardware outputs for one Result:
@@ -131,8 +131,9 @@ type StrandSeeder interface {
 // Positioner is implemented by engines that can drive alignment: both
 // strands' SMEMs plus the reference positions behind a match. Only CASA
 // models the hit-position path (the CAM rows are position-addressed);
-// the baselines model SMEM search alone. HitPositions must be safe for
-// concurrent use: casa-align's extension workers share one instance.
+// the baselines model SMEM search alone, and casa-align places their
+// hits through Positions. HitPositions must be safe for concurrent use:
+// casa-align's extension workers share one instance.
 type Positioner interface {
 	ReadSeeds(res Result) []Seeds
 	HitPositions(strand dna.Sequence, m smem.Match, maxHits int) []int32

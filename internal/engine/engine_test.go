@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -104,7 +105,7 @@ func TestEveryEngineSeedsAndReduces(t *testing.T) {
 		}
 		c := e.Clone()
 		act := c.SeedTrace(reads, nil, 0)
-		res := c.Reduce(reads, []engine.Activity{act})
+		res := c.Reduce([]engine.Activity{act})
 		got := c.SMEMs(res)
 		if len(got) != len(reads) {
 			t.Fatalf("%s: %d SMEM sets for %d reads", f.Name, len(got), len(reads))
@@ -169,12 +170,12 @@ func TestStrandSeedsMatchReverseComplementPass(t *testing.T) {
 		}
 		// Two shards, so activitySeeds walks more than one activity.
 		acts := []engine.Activity{e.SeedTrace(reads[:5], nil, 0), e.SeedTrace(reads[5:], nil, 5)}
-		seeds := e.Seeds(reads, acts)
+		seeds := e.Seeds(acts)
 		if len(seeds) != len(reads) {
 			t.Fatalf("%s: %d seeds for %d reads", f.Name, len(seeds), len(reads))
 		}
 		_, both := e.(engine.StrandSeeder)
-		want := e.SMEMs(e.Reduce(rcs, []engine.Activity{e.SeedTrace(rcs, nil, 0)}))
+		want := e.SMEMs(e.Reduce([]engine.Activity{e.SeedTrace(rcs, nil, 0)}))
 		for i, s := range seeds {
 			switch {
 			case both && !smem.Equal(s.Reverse, want[i]):
@@ -201,7 +202,7 @@ func TestExactModeIsGoldenComparable(t *testing.T) {
 			t.Fatalf("%s: %v", f.Name, err)
 		}
 		act := e.SeedTrace(reads, nil, 0)
-		got := e.SMEMs(e.Reduce(reads, []engine.Activity{act}))
+		got := e.SMEMs(e.Reduce([]engine.Activity{act}))
 		for i, read := range reads {
 			if want := golden.FindSMEMs(read, 19); !smem.Equal(want, got[i]) {
 				t.Errorf("%s read %d:\n got %v\nwant %v", f.Name, i, got[i], want)
@@ -255,6 +256,41 @@ func TestPartitionedEnginesLimitReads(t *testing.T) {
 		err = check(e, limit+1)
 		if refused := errors.Is(err, engine.ErrReadTooLong); refused != tc.cuts {
 			t.Errorf("%s %+v: a %d-base read: error %v, want refused %v", tc.name, tc.opt, limit+1, err, tc.cuts)
+		}
+	}
+}
+
+// TestPositionsLocateMatchesScan requires the FM-index engines' hit
+// positions, located in their suffix arrays, to equal the direct scan's:
+// every occurrence in ascending order, cut at max, on a reference where
+// one segment repeats twelve times.
+func TestPositionsLocateMatchesScan(t *testing.T) {
+	ref := testRef(t)
+	for range 12 {
+		ref = append(ref, ref[1000:1200]...)
+	}
+	reads := []dna.Sequence{ref[1050:1151], ref[500:601], ref[len(ref)-101:]}
+	reads = append(reads, readsim.Sequences(readsim.Simulate(ref, readsim.DefaultProfile(10, 5)))...)
+	for _, name := range []string{"fmindex", "cpu"} {
+		e, err := engine.New(name, ref, engine.Options{MinSMEM: 19})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		scan := struct{ engine.Engine }{e} // hides the FM-index from Positions
+		repeated := false
+		for i, read := range reads {
+			for _, m := range e.SMEMs(e.Reduce([]engine.Activity{e.SeedTrace([]dna.Sequence{read}, nil, 0)}))[0] {
+				repeated = repeated || m.Hits > 4
+				for _, max := range []int{0, 1, 4} {
+					got, want := engine.Positions(e, ref, read, m, max), engine.Positions(scan, ref, read, m, max)
+					if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+						t.Fatalf("%s read %d %v max %d: located %v, scan %v", name, i, m, max, got, want)
+					}
+				}
+			}
+		}
+		if !repeated {
+			t.Errorf("%s: no SMEM has more hits than max", name)
 		}
 	}
 }

@@ -22,14 +22,15 @@ func (e ertEngine) SeedTrace(reads []dna.Sequence, tb *trace.Buffer, base int) A
 	return e.a.SeedTrace(reads, tb, base)
 }
 
-// Reduce replays the order-sensitive k-mer reuse cache over reads — the
-// completed batch prefix — so the Result matches a sequential run.
-func (e ertEngine) Reduce(reads []dna.Sequence, acts []Activity) Result {
-	return e.a.Reduce(reads, typedActs[*ert.Activity](acts)...)
+// Reduce replays the order-sensitive k-mer reuse cache over the reads
+// the activities carry, in activity order, so the Result matches a
+// sequential run.
+func (e ertEngine) Reduce(acts []Activity) Result {
+	return e.a.Reduce(typedActs[*ert.Activity](acts)...)
 }
 
-func (e ertEngine) Seeds(reads []dna.Sequence, acts []Activity) []Seeds {
-	return activitySeeds(reads, acts, func(a *ert.Activity) ([][]smem.Match, [][]smem.Match) { return a.Reads, a.Rev })
+func (e ertEngine) Seeds(acts []Activity) []Seeds {
+	return activitySeeds(acts, func(a *ert.Activity) ([][]smem.Match, [][]smem.Match) { return a.Reads, a.Rev })
 }
 
 func (e ertEngine) SeedsBothStrands() {}

@@ -119,7 +119,7 @@ func (e *finderEngine) SeedReadInto(dst *Seeds, read dna.Sequence) bool {
 	return true
 }
 
-func (e *finderEngine) Reduce(_ []dna.Sequence, acts []Activity) Result {
+func (e *finderEngine) Reduce(acts []Activity) Result {
 	var merged [][]smem.Match
 	for _, a := range acts {
 		merged = append(merged, a.(finderActivity).smems...)
@@ -127,8 +127,8 @@ func (e *finderEngine) Reduce(_ []dna.Sequence, acts []Activity) Result {
 	return finderResult{merged}
 }
 
-func (e *finderEngine) Seeds(reads []dna.Sequence, acts []Activity) []Seeds {
-	return activitySeeds(reads, acts, func(a finderActivity) ([][]smem.Match, [][]smem.Match) { return a.smems, nil })
+func (e *finderEngine) Seeds(acts []Activity) []Seeds {
+	return activitySeeds(acts, func(a finderActivity) ([][]smem.Match, [][]smem.Match) { return a.smems, nil })
 }
 
 func (e *finderEngine) SMEMs(res Result) [][]smem.Match {

@@ -22,12 +22,12 @@ func (e genaxEngine) SeedTrace(reads []dna.Sequence, tb *trace.Buffer, base int)
 	return e.a.SeedTrace(reads, tb, base)
 }
 
-func (e genaxEngine) Reduce(_ []dna.Sequence, acts []Activity) Result {
+func (e genaxEngine) Reduce(acts []Activity) Result {
 	return e.a.Reduce(typedActs[*genax.Activity](acts)...)
 }
 
-func (e genaxEngine) Seeds(reads []dna.Sequence, acts []Activity) []Seeds {
-	return activitySeeds(reads, acts, func(a *genax.Activity) ([][]smem.Match, [][]smem.Match) { return a.Reads, a.Rev })
+func (e genaxEngine) Seeds(acts []Activity) []Seeds {
+	return activitySeeds(acts, func(a *genax.Activity) ([][]smem.Match, [][]smem.Match) { return a.Reads, a.Rev })
 }
 
 func (e genaxEngine) SeedsBothStrands() {}

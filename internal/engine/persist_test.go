@@ -98,7 +98,7 @@ func TestIndexRoundTripSMEMsIdentical(t *testing.T) {
 func seedAll(e engine.Engine, reads []dna.Sequence) [][]smem.Match {
 	c := e.Clone()
 	act := c.SeedTrace(reads, nil, 0)
-	return c.SMEMs(c.Reduce(reads, []engine.Activity{act}))
+	return c.SMEMs(c.Reduce([]engine.Activity{act}))
 }
 
 func TestLoadIndexRejectsGarbage(t *testing.T) {

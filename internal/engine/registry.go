@@ -141,8 +141,13 @@ func typedActs[A any](acts []Activity) []A {
 // activitySeeds implements Engine.Seeds from typed activities: strands
 // reads one activity's per-read forward and reverse-complement SMEM sets
 // (rev nil for a forward-strand engine), taken in shard order.
-func activitySeeds[A any](reads []dna.Sequence, acts []Activity, strands func(A) (fwd, rev [][]smem.Match)) []Seeds {
-	out := make([]Seeds, 0, len(reads))
+func activitySeeds[A any](acts []Activity, strands func(A) (fwd, rev [][]smem.Match)) []Seeds {
+	n := 0
+	for _, a := range acts {
+		fwd, _ := strands(a.(A))
+		n += len(fwd)
+	}
+	out := make([]Seeds, 0, n)
 	for _, a := range acts {
 		fwd, rev := strands(a.(A))
 		for i, ms := range fwd {

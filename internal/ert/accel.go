@@ -87,20 +87,23 @@ type Result struct {
 // per-read SMEM results of both strands plus the index-search counters
 // and the read-stream bytes. Activities of disjoint sub-batches reduce
 // (Reduce) to a Result identical to a sequential run; the reuse-cache
-// model, whose hit rates depend on read order, is replayed over the full
-// batch inside Reduce rather than counted here.
+// model, whose hit rates depend on read order, is replayed inside Reduce
+// over the reads each activity keeps rather than counted here.
 type Activity struct {
 	Reads     [][]smem.Match
 	Rev       [][]smem.Match
 	Stats     Stats
 	ReadBytes int64
+	// seqs is the seeded reads slice itself, not a copy, for Reduce's
+	// reuse-cache replay.
+	seqs []dna.Sequence
 }
 
 // SeedReads seeds every read (both strands) and models time and power.
-// It is exactly Reduce(reads, Seed(reads)); use Seed and Reduce directly
-// to split a batch across worker-owned Clones.
+// It is exactly Reduce(Seed(reads)); use Seed and Reduce directly to
+// split a batch across worker-owned Clones.
 func (a *Accelerator) SeedReads(reads []dna.Sequence) *Result {
-	return a.Reduce(reads, a.Seed(reads))
+	return a.Reduce(a.Seed(reads))
 }
 
 // Seed runs the behavioural ERT search for every read (both strands) and
@@ -118,7 +121,7 @@ func (a *Accelerator) Seed(reads []dna.Sequence) *Activity {
 // in Reduce, so they are not in per-read durations. Reads are keyed
 // base+i so batch shards merge worker-count independently.
 func (a *Accelerator) SeedTrace(reads []dna.Sequence, tb *trace.Buffer, base int) *Activity {
-	act := &Activity{}
+	act := &Activity{seqs: reads}
 	start := a.index.Stats
 	for i, r := range reads {
 		before := a.index.Stats
@@ -151,31 +154,29 @@ func (a *Accelerator) fetchWork(d Stats) int64 {
 }
 
 // Reduce folds the Activities of disjoint sub-batches (in input order)
-// into one finalized Result. reads must be the concatenation of the
-// sub-batches, in the same order: the k-mer reuse cache is replayed over
-// it sequentially, starting cold, so cache hit rates — and therefore DRAM
-// traffic, time and energy — are identical no matter how the batch was
-// sharded (a per-worker cache would fabricate hit rates no real read
-// stream has).
-func (a *Accelerator) Reduce(reads []dna.Sequence, acts ...*Activity) *Result {
+// into one finalized Result. The k-mer reuse cache is replayed over the
+// activities' reads sequentially, in activity order, starting cold, so
+// cache hit rates — and therefore DRAM traffic, time and energy — are
+// identical no matter how the batch was sharded (a per-worker cache
+// would fabricate hit rates no real read stream has).
+func (a *Accelerator) Reduce(acts ...*Activity) *Result {
 	res := &Result{DRAM: dram.NewTraffic(dram.ERTConfig())}
 	var readBytes int64
+	k := a.cfg.Index.K
+	accesses := 0 // reuse-cache accesses: one per pivot k-mer per strand
 	for _, act := range acts {
 		res.Reads = append(res.Reads, act.Reads...)
 		res.Rev = append(res.Rev, act.Rev...)
 		res.Stats.add(act.Stats)
 		readBytes += act.ReadBytes
+		for _, r := range act.seqs {
+			accesses += 2 * max(len(r)-k+1, 0)
+		}
 	}
 
-	// Reuse-cache replay: one access per pivot k-mer per strand, in batch
-	// order, exactly as the seeding machines stream the reads. The cache
-	// never holds more keys than the replay accesses, so its table is sized
-	// for the smaller of the two.
-	k := a.cfg.Index.K
-	accesses := 0
-	for _, r := range reads {
-		accesses += 2 * max(len(r)-k+1, 0)
-	}
+	// Reuse-cache replay, in batch order, exactly as the seeding machines
+	// stream the reads. The cache never holds more keys than the replay
+	// accesses, so its table is sized for the smaller of the two.
 	cache := newLRU(a.cacheEntries, accesses)
 	var hits, miss int64
 	countStrand := func(read dna.Sequence) {
@@ -188,10 +189,12 @@ func (a *Accelerator) Reduce(reads []dna.Sequence, acts ...*Activity) *Result {
 		}
 	}
 	var rc dna.Sequence
-	for _, r := range reads {
-		countStrand(r)
-		rc = r.AppendReverseComplement(rc[:0])
-		countStrand(rc)
+	for _, act := range acts {
+		for _, r := range act.seqs {
+			countStrand(r)
+			rc = r.AppendReverseComplement(rc[:0])
+			countStrand(rc)
+		}
 	}
 	res.CacheHits, res.CacheMiss = hits, miss
 
@@ -199,11 +202,7 @@ func (a *Accelerator) Reduce(reads []dna.Sequence, acts ...*Activity) *Result {
 	// ERT's multi-base nodes (one 64 B line resolves several bases), so
 	// node visits convert to fetches at BasesPerFetch; every reference
 	// verify and root miss is its own random burst; reads stream in once.
-	perFetch := int64(a.cfg.BasesPerFetch)
-	if perFetch < 1 {
-		perFetch = 1
-	}
-	randomFetches := (res.Stats.NodeFetches+perFetch-1)/perFetch + res.Stats.RefFetches + miss
+	randomFetches := a.fetchWork(res.Stats) + miss
 	res.DRAM.RandomAccesses += randomFetches
 	res.DRAM.BytesRead += randomFetches * a.cfg.FetchBytes
 	res.DRAM.Read(readBytes)

@@ -272,7 +272,7 @@ func TestReduceAllocatesForBatch(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	res := a.Reduce(reads, act)
+	res := a.Reduce(act)
 	runtime.ReadMemStats(&after)
 	if res.CacheHits+res.CacheMiss != int64(16*2*(101-cfg.Index.K+1)) {
 		t.Fatalf("replayed %d accesses, want one per pivot k-mer per strand", res.CacheHits+res.CacheMiss)

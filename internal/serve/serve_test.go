@@ -180,7 +180,7 @@ func TestSeedResultsExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := eng.SMEMs(eng.Reduce(reads, []engine.Activity{eng.SeedTrace(reads, nil, 0)}))
+	want := eng.SMEMs(eng.Reduce([]engine.Activity{eng.SeedTrace(reads, nil, 0)}))
 	for i, rs := range rep.Results {
 		if rs.Name != fmt.Sprintf("r%d", i) {
 			t.Fatalf("result %d named %q", i, rs.Name)
@@ -264,7 +264,8 @@ type blockingEngine struct {
 	started chan struct{} // signalled once a shard begins seeding
 }
 
-type blockAct struct{}
+// blockAct records how many reads its shard held.
+type blockAct struct{ n int }
 
 func (blockAct) PublishMetrics(*metrics.Registry) {}
 
@@ -280,16 +281,20 @@ func (e *blockingEngine) SeedTrace(reads []dna.Sequence, _ *trace.Buffer, _ int)
 	default:
 	}
 	<-e.release
-	return blockAct{}
+	return blockAct{len(reads)}
 }
-func (e *blockingEngine) Reduce(reads []dna.Sequence, acts []engine.Activity) engine.Result {
-	return blockRes{n: len(reads)}
+func (e *blockingEngine) Reduce(acts []engine.Activity) engine.Result {
+	n := 0
+	for _, a := range acts {
+		n += a.(blockAct).n
+	}
+	return blockRes{n}
 }
 func (e *blockingEngine) SMEMs(res engine.Result) [][]smem.Match {
 	return make([][]smem.Match, res.(blockRes).n)
 }
-func (e *blockingEngine) Seeds(reads []dna.Sequence, _ []engine.Activity) []engine.Seeds {
-	return make([]engine.Seeds, len(reads))
+func (e *blockingEngine) Seeds(acts []engine.Activity) []engine.Seeds {
+	return make([]engine.Seeds, e.Reduce(acts).(blockRes).n)
 }
 
 // fastqBatch builds a tiny FASTQ payload of n reads.

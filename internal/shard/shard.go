@@ -185,10 +185,10 @@ func (s *Sharded) Clone() engine.Engine {
 }
 
 // activity is one batch shard's record: the inner engines' activities
-// in reference-shard order.
+// in reference-shard order, and each read's merged forward SMEMs.
 type activity struct {
 	acts  []engine.Activity
-	reads int
+	smems [][]smem.Match
 }
 
 // PublishMetrics folds every inner activity's counters in shard order;
@@ -201,19 +201,32 @@ func (a *activity) PublishMetrics(reg *metrics.Registry) {
 }
 
 // SeedTrace implements Engine: every read is seeded against every
-// reference shard. The sharded engine emits one unit span per
-// (read, shard) on its own "shard" track — inner tracing is disabled,
-// since several inner engines writing one buffer would interleave
-// per-read spans in ways trace.Validate rejects.
+// reference shard, and each read's shard candidates merge into its flat
+// answer here, on the pool worker. The sharded engine emits one unit
+// span per (read, shard) on its own "shard" track — inner tracing is
+// disabled, since several inner engines writing one buffer would
+// interleave per-read spans in ways trace.Validate rejects.
 func (s *Sharded) SeedTrace(reads []dna.Sequence, tb *trace.Buffer, base int) engine.Activity {
-	a := &activity{reads: len(reads)}
+	a := &activity{smems: make([][]smem.Match, len(reads))}
+	seeds := make([][]engine.Seeds, len(s.inners))
 	for j, inner := range s.inners {
-		a.acts = append(a.acts, inner.SeedTrace(reads, nil, base))
+		act := inner.SeedTrace(reads, nil, base)
+		a.acts = append(a.acts, act)
+		seeds[j] = inner.Seeds([]engine.Activity{act})
 		if tb != nil {
 			for i := range reads {
 				tb.Emit(base+i, "shard", s.names[j], int64(j), 1)
 			}
 		}
+	}
+	var merged []smem.Match
+	for i, read := range reads {
+		s.candF = s.candF[:0]
+		for j := range seeds {
+			s.candF = append(s.candF, seeds[j][i].Forward...)
+		}
+		merged = s.mergeAppend(merged[:0], s.candF, read)
+		a.smems[i] = smem.Retain(merged)
 	}
 	return a
 }
@@ -241,52 +254,36 @@ func (r *result) PublishModelMetrics(reg *metrics.Registry) {
 	}
 }
 
-// perShard transposes batch-shard activities (one per pool worker
-// chunk, in read order) to reference-shard order.
-func (s *Sharded) perShard(acts []engine.Activity) [][]engine.Activity {
-	out := make([][]engine.Activity, len(s.inners))
-	for _, a := range acts {
-		for j, inner := range a.(*activity).acts {
-			out[j] = append(out[j], inner)
+// Reduce implements Engine: the merged SMEMs come from the activities,
+// and each inner engine with a timing model reduces its own activities —
+// on the origin instance, preserving order-sensitive model state — for
+// the aggregate model.
+func (s *Sharded) Reduce(acts []engine.Activity) engine.Result {
+	res := &result{smems: s.smems(acts)}
+	inner := make([]engine.Activity, len(acts))
+	for j, e := range s.inners {
+		m, ok := e.(engine.Modeler)
+		if !ok {
+			continue
 		}
-	}
-	return out
-}
-
-// Reduce implements Engine: each inner engine reduces its own
-// activities — on the origin instance, preserving order-sensitive model
-// state — and the per-read SMEM sets are merged.
-func (s *Sharded) Reduce(reads []dna.Sequence, acts []engine.Activity) engine.Result {
-	perShard := s.perShard(acts)
-	res := &result{}
-	shardSMEMs := make([][][]smem.Match, len(s.inners))
-	for j, inner := range s.inners {
-		ir := inner.Reduce(reads, perShard[j])
-		shardSMEMs[j] = inner.SMEMs(ir)
-		if m, ok := inner.(engine.Modeler); ok {
-			im := m.Model(ir)
-			res.model.Seconds += im.Seconds
-			res.model.Cycles += im.Cycles
-			res.hasModel = true
+		for k, a := range acts {
+			inner[k] = a.(*activity).acts[j]
 		}
+		im := m.Model(e.Reduce(inner))
+		res.model.Seconds += im.Seconds
+		res.model.Cycles += im.Cycles
+		res.hasModel = true
 	}
 	if res.hasModel && res.model.Seconds > 0 {
-		res.model.ReadsPerS = float64(len(reads)) / res.model.Seconds
+		res.model.ReadsPerS = float64(len(res.smems)) / res.model.Seconds
 	}
-	res.smems = s.mergeReads(reads, func(j, i int) []smem.Match { return shardSMEMs[j][i] })
 	return res
 }
 
-// Seeds implements Engine: the inner engines' unreduced per-read seeds,
-// merged per read like Reduce merges them. Sharded engines report the
-// forward strand only.
-func (s *Sharded) Seeds(reads []dna.Sequence, acts []engine.Activity) []engine.Seeds {
-	perShard := s.perShard(acts)
-	shardSeeds := make([][]engine.Seeds, len(s.inners))
-	for j, inner := range s.inners {
-		shardSeeds[j] = inner.Seeds(reads, perShard[j])
-	}
-	merged := s.mergeReads(reads, func(j, i int) []smem.Match { return shardSeeds[j][i].Forward })
+// Seeds implements Engine: the per-read SMEMs SeedTrace merged. Sharded
+// engines report the forward strand only.
+func (s *Sharded) Seeds(acts []engine.Activity) []engine.Seeds {
+	merged := s.smems(acts)
 	out := make([]engine.Seeds, len(merged))
 	for i, ms := range merged {
 		out[i].Forward = ms
@@ -294,18 +291,15 @@ func (s *Sharded) Seeds(reads []dna.Sequence, acts []engine.Activity) []engine.S
 	return out
 }
 
-// mergeReads merges every read's shard-local SMEM candidates — smems(j,
-// i) is shard j's set for read i — into the flat engine's answer.
-func (s *Sharded) mergeReads(reads []dna.Sequence, smems func(j, i int) []smem.Match) [][]smem.Match {
-	out := make([][]smem.Match, len(reads))
-	var buf, merged []smem.Match
-	for i, read := range reads {
-		buf = buf[:0]
-		for j := range s.inners {
-			buf = append(buf, smems(j, i)...)
-		}
-		merged = s.mergeAppend(merged[:0], buf, read)
-		out[i] = smem.Retain(merged)
+// smems concatenates the activities' merged per-read SMEMs.
+func (s *Sharded) smems(acts []engine.Activity) [][]smem.Match {
+	n := 0
+	for _, a := range acts {
+		n += len(a.(*activity).smems)
+	}
+	out := make([][]smem.Match, 0, n)
+	for _, a := range acts {
+		out = append(out, a.(*activity).smems...)
 	}
 	return out
 }

@@ -26,7 +26,7 @@ func seedAll(t *testing.T, e engine.Engine, reads []dna.Sequence) [][]smem.Match
 	t.Helper()
 	c := e.Clone()
 	act := c.SeedTrace(reads, nil, 0)
-	return c.SMEMs(c.Reduce(reads, []engine.Activity{act}))
+	return c.SMEMs(c.Reduce([]engine.Activity{act}))
 }
 
 // TestShardedMatchesFlat pins the acceptance criterion: for every

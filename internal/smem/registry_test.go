@@ -14,7 +14,7 @@ import (
 // per-read forward SMEM sets.
 func seedEngine(e engine.Engine, reads []dna.Sequence) [][]smem.Match {
 	act := e.SeedTrace(reads, nil, 0)
-	return e.SMEMs(e.Reduce(reads, []engine.Activity{act}))
+	return e.SMEMs(e.Reduce([]engine.Activity{act}))
 }
 
 // TestRegistryEnginesMatchGolden is the registry-driven conformance

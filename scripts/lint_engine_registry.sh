@@ -2,7 +2,7 @@
 # lint_engine_registry.sh — keep engine dispatch in the registry.
 #
 # The internal/engine registry is the single place that maps engine
-# names to constructors and the generic batch.Seed* entry points are the
+# names to constructors and batch.SeedEngine/SeedEngineCtx are the
 # single per-engine-free batch API. This lint fails when either property
 # erodes:
 #
@@ -21,7 +21,7 @@ fail=0
 # 1. Per-engine batch wrappers. The only engine names internal/batch may
 # know are the ones flowing through engine.Engine values.
 if grep -nE 'func Seed(CASA|ERT|GenAx|CPU|FM|Brute)' internal/batch/*.go; then
-    echo "lint_engine_registry: internal/batch reintroduces per-engine Seed wrappers (use batch.Seed / batch.SeedEngine)" >&2
+    echo "lint_engine_registry: internal/batch reintroduces per-engine Seed wrappers (use batch.SeedEngine)" >&2
     fail=1
 fi
 
