@@ -446,52 +446,50 @@ func stageCycles(delta PartStats, cfg Config) int64 {
 // hardware forwards to the SeedEx machines with each SMEM (§3). It reads
 // only the immutable filter tables and reference, never the activity
 // counters, so concurrent calls are safe.
+//
+// Partitions start and end in ascending order, so an occurrence lying
+// whole inside the previous partition lies inside every partition from
+// the first that holds it to this one, and the first reported it; every
+// other occurrence is new, and lies past every one reported before. The
+// positions therefore come out ascending without a set of those seen.
 func (a *Accelerator) HitPositions(read dna.Sequence, m smem.Match, max int) []int32 {
 	if m.Start < 0 || m.End >= len(read) || m.Len() < a.cfg.K {
 		return nil
 	}
 	kmer := dna.PackKmer(read, m.Start, a.cfg.K)
-	seen := make(map[int32]struct{})
 	var out []int32
+	prevEnd := 0 // the previous partition's global end
 	for pi, p := range a.parts {
-		base := int32(a.starts[pi])
+		base := a.starts[pi]
 		for _, pos := range p.filter.Positions(kmer) {
+			if base+int(pos)+m.Len() <= prevEnd {
+				continue
+			}
 			if p.lce(read, m.Start+a.cfg.K, int(pos)+a.cfg.K) < m.Len()-a.cfg.K {
 				continue
 			}
-			g := base + pos
-			if _, dup := seen[g]; dup {
-				continue
-			}
-			seen[g] = struct{}{}
-			out = append(out, g)
+			out = append(out, int32(base)+pos)
 			if max > 0 && len(out) >= max {
 				return out
 			}
 		}
+		prevEnd = base + len(p.ref)
 	}
 	return out
 }
 
-// MergeSMEMs merges per-partition SMEM sets for one read strand: exact
-// duplicate intervals have their hits summed (the same match found in the
-// overlap region of two partitions), and intervals contained in a longer
-// reported interval are dropped. With a partition overlap of at least the
-// read length, the result equals the whole-reference SMEM set.
-func MergeSMEMs(ms []smem.Match) []smem.Match {
-	if len(ms) == 0 {
-		return nil
-	}
-	return appendMergedSMEMs(nil, ms)
-}
-
-// appendMergedSMEMs is MergeSMEMs appending into dst, reordering and
-// compacting ms in place. After the cover-order sort (start ascending, end
-// descending) duplicate intervals are adjacent — their hits sum — and an
-// interval is strictly contained in another exactly when an earlier entry's
-// end reaches its end, so a linear scan with a running maximum replaces the
-// quadratic pairwise check. Survivors have strictly increasing starts and
-// ends, i.e. they are already canonically sorted.
+// appendMergedSMEMs merges per-partition SMEM sets for one read strand
+// into dst: exact duplicate intervals have their hits summed (the same
+// match found in the overlap region of two partitions), and intervals
+// contained in a longer reported interval are dropped. With a partition
+// overlap of at least the read length, the result equals the
+// whole-reference SMEM set. It reorders and compacts ms in place. After
+// the cover-order sort (start ascending, end descending) duplicate
+// intervals are adjacent — their hits sum — and an interval is strictly
+// contained in another exactly when an earlier entry's end reaches its
+// end, so a linear scan with a running maximum replaces the quadratic
+// pairwise check. Survivors have strictly increasing starts and ends,
+// i.e. they are already canonically sorted.
 func appendMergedSMEMs(dst, ms []smem.Match) []smem.Match {
 	smem.SortCover(ms)
 	w := 0

@@ -178,13 +178,13 @@ func TestMergeSMEMs(t *testing.T) {
 		{Start: 6, End: 29, Hits: 1}, // contained: dropped
 		{Start: 0, End: 10, Hits: 1}, // distinct: kept
 	}
-	got := MergeSMEMs(in)
+	got := appendMergedSMEMs(nil, in)
 	want := []smem.Match{{Start: 0, End: 10, Hits: 1}, {Start: 5, End: 30, Hits: 3}}
 	if !smem.Equal(got, want) {
-		t.Errorf("MergeSMEMs = %v, want %v", got, want)
+		t.Errorf("appendMergedSMEMs = %v, want %v", got, want)
 	}
-	if MergeSMEMs(nil) != nil {
-		t.Error("MergeSMEMs(nil) != nil")
+	if appendMergedSMEMs(nil, nil) != nil {
+		t.Error("appendMergedSMEMs(nil, nil) != nil")
 	}
 }
 
@@ -423,6 +423,129 @@ func TestReadLimitAtACut(t *testing.T) {
 		same := smem.SameIntervals(want.Forward, got.Forward) && smem.SameIntervals(want.Reverse, got.Reverse)
 		if fits := n <= cut.MaxReadLen(); same != fits {
 			t.Errorf("%d-base read: within the limit %v, SMEMs equal to one partition's %v\n got %v\nwant %v", n, fits, same, got.Forward, want.Forward)
+		}
+	}
+}
+
+// hitPositionsSetOracle is HitPositions deduplicating through a set of
+// the positions reported so far.
+func hitPositionsSetOracle(a *Accelerator, read dna.Sequence, m smem.Match, max int) []int32 {
+	kmer := dna.PackKmer(read, m.Start, a.cfg.K)
+	seen := make(map[int32]bool)
+	var out []int32
+	for pi, p := range a.parts {
+		for _, pos := range p.filter.Positions(kmer) {
+			g := int32(a.starts[pi]) + pos
+			if seen[g] || p.lce(read, m.Start+a.cfg.K, int(pos)+a.cfg.K) < m.Len()-a.cfg.K {
+				continue
+			}
+			seen[g] = true
+			out = append(out, g)
+			if max > 0 && len(out) >= max {
+				return out
+			}
+		}
+	}
+	return out
+}
+
+// TestHitPositionsMatchesSetOracle requires HitPositions to return the
+// set oracle's positions in its order, under its max cut, on a
+// repeat-rich reference cut with no overlap, overlaps shorter than the
+// step, and overlaps so deep that a match lies in up to six partitions.
+func TestHitPositionsMatchesSetOracle(t *testing.T) {
+	cfg := testConfig()
+	cfg.PartitionBases = 300
+	rng := rand.New(rand.NewSource(43))
+	ref := repeatRich(rng, 4000)
+	deep := false
+	for _, overlap := range []int{0, 40, 150, 250} {
+		a, err := NewWithOverlap(ref, cfg, overlap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 200 {
+			start := rng.Intn(len(ref) - 60)
+			read := append(dna.Sequence(nil), ref[start:start+60]...)
+			if rng.Intn(2) == 0 {
+				read[rng.Intn(len(read))] = dna.Base(rng.Intn(4))
+			}
+			s := rng.Intn(len(read) - cfg.K + 1)
+			m := smem.Match{Start: s, End: s + cfg.K - 1 + rng.Intn(len(read)-s-cfg.K+1)}
+			for _, max := range []int{0, 1, 5} {
+				got, want := a.HitPositions(read, m, max), hitPositionsSetOracle(a, read, m, max)
+				if i := firstDiff(got, want); i >= 0 {
+					t.Fatalf("overlap %d, %v, max %d: HitPositions gave %d positions, the set oracle %d; they differ first at %d",
+						overlap, m, max, len(got), len(want), i)
+				}
+			}
+			deep = deep || overlap > cfg.PartitionBases/2 && len(hitPositionsSetOracle(a, read, m, 0)) > 1
+		}
+	}
+	if !deep {
+		t.Fatal("no match with several hits at an overlap deeper than the step")
+	}
+}
+
+// TestHitPositionsAllocatesOnlyResult requires HitPositions to allocate
+// nothing but the slice it returns, which grows by append: an SMEM with
+// about 500 hits across five partitions and their overlaps.
+func TestHitPositionsAllocatesOnlyResult(t *testing.T) {
+	cfg := testConfig()
+	cfg.PartitionBases = 1000
+	ref := tandemRepeat(randSeq(rand.New(rand.NewSource(44)), 10), 5000)
+	a, err := NewWithOverlap(ref, cfg, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read, m := ref[:30], smem.Match{Start: 0, End: 29}
+	hits := a.HitPositions(read, m, 0)
+	if len(hits) < 400 {
+		t.Fatalf("%d hits, want about 500", len(hits))
+	}
+	growths := 0
+	var grown []int32
+	for range hits {
+		if len(grown) == cap(grown) {
+			growths++
+		}
+		grown = append(grown, 0)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { a.HitPositions(read, m, 0) }); allocs > float64(growths) {
+		t.Errorf("HitPositions of %d hits made %.0f allocations, want at most the result's %d", len(hits), allocs, growths)
+	}
+}
+
+// firstDiff returns the first index at which a and b differ, or -1 when
+// they are equal.
+func firstDiff(a, b []int32) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
+}
+
+// BenchmarkNewAccelerator builds casa on an 8 Mbase random reference at
+// the paper's geometry, as casa-align does on the bench reference: two 4
+// Mbase partitions and a 200-base tail, built concurrently on up to
+// GOMAXPROCS goroutines.
+func BenchmarkNewAccelerator(b *testing.B) {
+	cfg := DefaultConfig()
+	ref := randSeq(rand.New(rand.NewSource(45)), 8<<20)
+	b.SetBytes(int64(len(ref)))
+	b.ReportAllocs()
+	for b.Loop() {
+		a, err := New(ref, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if a.Partitions() != 3 {
+			b.Fatalf("%d partitions, want 3", a.Partitions())
 		}
 	}
 }

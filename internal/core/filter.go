@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sort"
 
 	"casa/internal/dna"
 	"casa/internal/hugemem"
@@ -141,15 +142,17 @@ func (f *Filter) Clone() *Filter {
 // happens offline in the paper (§4.1, "CASA builds the mini index table
 // and the tag table offline for each reference partition").
 //
-// The mini index is the bucket table of a counting sort: one rolling pass
-// counts each k-mer's m-mer prefix into its bucket, a second scatters
-// every position (ascending, since the scan runs in order) with its
-// (k-m)-mer suffix into the bucket's slice of the positions table, and
-// each bucket is then ordered stably by suffix. The bound halves of the
-// mini entries serve as the counts, then the scatter cursors, then the
-// tag bounds; the tag fill sets each summary as it goes. The suffixes
-// are the one transient table, 4 bytes per base; a bucket too large for
-// insertion sort borrows 8 bytes per entry more while it sorts.
+// The build is a two-level radix sort of the k-mer starts by k-mer,
+// blocked so that no pass writes at random across the partition's
+// tables. The top bits of a k-mer name its block (see blockWidth). One
+// rolling pass counts the blocks; a second scatters every position,
+// ascending, into its block's slice of the positions table, and the
+// k-mer's carry, its bits below the block's, into the same slot of a
+// transient table. A blockSorter then orders each block by k-mer while
+// it is cache-hot, writing its mini bounds, and a last pass fills the
+// tag, start-mask and position-index tables. The carries are the one
+// transient table, 4 bytes per base, beside at most 256 KiB of radix
+// scratch.
 func BuildFilter(part dna.Sequence, cfg Config) (*Filter, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -166,71 +169,74 @@ func BuildFilter(part dna.Sequence, cfg Config) (*Filter, error) {
 		Stats:     new(FilterStats),
 	}
 	f.initDerived()
-	mini, bits, mask := f.mini, f.suffixBits, f.suffixMask
+	mini := f.mini
 	k := cfg.K
 	kmerMask := uint64(1)<<(2*uint(k)) - 1
+	blockBits := blockWidth(k, cfg.M)
+	blocks := 1 << blockBits
+	carryBits := uint(2*k - blockBits)
+	carryMask := uint64(1)<<carryBits - 1
 
-	// Count: bucket p's size accumulates in mini[p+1].
+	// Count: block b's size accumulates in cur[b+1], the last blocks+1
+	// mini entries. Placing block b writes its buckets,
+	// mini[b<<lowBits:(b+1)<<lowBits], which lie below cur[b+1], so the
+	// bounds of the blocks still to place survive until they are read.
+	cur := mini[buckets-blocks:]
 	var kmer uint64
 	for i, b := range part {
 		kmer = (kmer<<2 | uint64(b)) & kmerMask
 		if i >= k-1 {
-			mini[kmer>>bits+1].start++
+			cur[kmer>>carryBits+1].start++
 		}
 	}
-	// Prefix-sum: mini[p] becomes bucket p's first position, the cursor
-	// the scatter advances.
-	for p := 1; p <= buckets; p++ {
-		mini[p].start += mini[p-1].start
+	// Prefix-sum: cur[b] becomes block b's first position, the cursor the
+	// scatter advances; largest is the most positions in one block.
+	largest := uint32(0)
+	for b := 1; b <= blocks; b++ {
+		largest = max(largest, cur[b].start)
+		cur[b].start += cur[b-1].start
 	}
-	// Scatter: each bucket ends up holding its positions in ascending
-	// order, each with its suffix alongside. Afterwards mini[p] is bucket
-	// p's end, so bucket p spans the previous bucket's end to mini[p].
+	// Scatter: each block ends up holding its positions in ascending
+	// order, each with its carry alongside; placing the block strips the
+	// carries to suffixes. Afterwards cur[b] is block b's end, so block
+	// b spans the previous block's end to cur[b], and cur[blocks] =
+	// mini[buckets] holds n.
 	suffixes := hugemem.Advise(make([]uint32, n))
 	positions := f.positions
 	kmer = 0
 	for i, b := range part {
 		kmer = (kmer<<2 | uint64(b)) & kmerMask
 		if i >= k-1 {
-			c := &mini[kmer>>bits].start
+			c := &cur[kmer>>carryBits].start
 			positions[*c] = int32(i - k + 1)
-			suffixes[*c] = uint32(kmer & mask)
+			suffixes[*c] = uint32(kmer & carryMask)
 			*c++
 		}
 	}
 
-	// Order each bucket by suffix, keeping positions ascending within a
-	// k-mer, and count the distinct k-mers to size the tables exactly.
+	// Place each block into its buckets, and count the distinct k-mers to
+	// size the tables exactly. Afterwards mini[p] is bucket p's first
+	// position.
+	lowBits := uint(2*cfg.M - blockBits)
+	s := newBlockSorter(int(largest), f.suffixBits)
 	distinct := 0
-	var wide []uint64
 	lo := uint32(0)
-	for _, e := range mini[:buckets] {
-		hi := e.start
-		suf, pos := suffixes[lo:hi], positions[lo:hi]
-		if len(suf) > insertionSortMax {
-			wide = sortBucketWide(suf, pos, wide)
-		} else {
-			insertionSortBucket(suf, pos)
-		}
-		for j := range suf {
-			if j == 0 || suf[j] != suf[j-1] {
-				distinct++
-			}
-		}
+	for b := range blocks {
+		hi := cur[b].start
+		distinct += s.place(mini[b<<lowBits:(b+1)<<lowBits], suffixes[lo:hi], positions[lo:hi], lo)
 		lo = hi
 	}
 
 	// Fill the tag, start-mask and position-index tables, rewriting each
-	// bucket's bound from its position end to its first tag and setting
+	// bucket's bound from its first position to its first tag and setting
 	// its summary.
 	f.tags = hugemem.Advise(make([]uint32, distinct))
 	f.data = hugemem.Advise(make([]uint64, distinct))
 	f.posIndex = hugemem.Advise(make([]int32, distinct+1))
 	stride := newModulus(uint32(cfg.Stride))
 	t := int32(-1)
-	lo = 0
 	for p := range buckets {
-		hi, first := mini[p].start, uint32(t+1)
+		lo, hi, first := mini[p].start, mini[p+1].start, uint32(t+1)
 		var summary uint32
 		for i := lo; i < hi; i++ {
 			if i == lo || suffixes[i] != suffixes[i-1] {
@@ -242,11 +248,169 @@ func BuildFilter(part dna.Sequence, cfg Config) (*Filter, error) {
 			f.data[t] |= 1 << stride.of(uint32(positions[i]))
 		}
 		mini[p] = miniEntry{first, summary}
-		lo = hi
 	}
 	mini[buckets].start = uint32(distinct)
 	f.posIndex[distinct] = int32(n)
 	return f, nil
+}
+
+// maxBlockBucketBits bounds the mini buckets per block of BuildFilter's
+// scatter to 2^10, so that a block's bucket counts take 4 KiB.
+const maxBlockBucketBits = 10
+
+// blockWidth returns the number of top k-mer bits that name a block of
+// BuildFilter's scatter. A block spans at most 2^maxBlockBucketBits mini
+// buckets, and the carry, the k-mer's other 2k-blockBits bits, must fit
+// in a 32-bit slot. Where the tags alone take 32 bits (k-m = 16) a block
+// is one bucket, and the scatter is one level.
+func blockWidth(k, m int) int {
+	return min(2*m, max(2*m-maxBlockBucketBits, 2*k-32, 0))
+}
+
+const (
+	// radixDigitBits is the widest digit of blockSorter's radix passes:
+	// 1024 counters, 4 KiB, per pass.
+	radixDigitBits = 10
+	digitMask      = 1<<radixDigitBits - 1
+	// maxRadixPasses is the passes over a 32-bit suffix and the bucket.
+	maxRadixPasses = (32+radixDigitBits-1)/radixDigitBits + 1
+	// radixMin is the smallest block blockSorter radix-sorts: below it,
+	// clearing and summing the passes' counters costs more than a
+	// comparison sort.
+	radixMin = 256
+	// blockScratchMax caps blockSorter's scratch at 2^14 packed entries
+	// per buffer, 256 KiB for the two. A block at the paper's geometry
+	// holds 4 Mbase/1024, about 4096 entries; only repeats outgrow it.
+	blockScratchMax = 1 << 14
+)
+
+// blockSorter orders the blocks of BuildFilter's scatter by k-mer, one at
+// a time, while each is cache-hot.
+type blockSorter struct {
+	suffixBits uint
+	// shifts are the carry's radix digits, least significant first: the
+	// suffix radixDigitBits at a time, then the bucket within the block.
+	// A suffix digit may reach into the bucket's bits; the later bucket
+	// pass orders them again, so the order is the same.
+	shifts    []uint
+	counts    [1 << maxBlockBucketBits]uint32
+	hist      [maxRadixPasses][1 << radixDigitBits]uint32
+	keys, tmp []uint64 // carry<<32 | position, sized to the largest block up to blockScratchMax
+}
+
+func newBlockSorter(largest int, suffixBits uint) *blockSorter {
+	s := &blockSorter{
+		suffixBits: suffixBits,
+		keys:       make([]uint64, min(largest, blockScratchMax)),
+		tmp:        make([]uint64, min(largest, blockScratchMax)),
+	}
+	for shift := uint(0); shift < suffixBits; shift += radixDigitBits {
+		s.shifts = append(s.shifts, shift)
+	}
+	s.shifts = append(s.shifts, suffixBits)
+	return s
+}
+
+// place sorts one block by k-mer. sub is the block's mini buckets;
+// carries and positions are its slice of the scatter, starting at table
+// index base, with positions ascending. It sets each bucket's bound in
+// sub to the bucket's first index, orders the block by (carry, position),
+// strips the carries down to their suffixes and returns the number of
+// distinct k-mers.
+//
+// A block of at least radixMin entries is ordered by stable
+// least-significant-digit radix passes over the carry, which keep the
+// positions of a k-mer ascending; a smaller one by a comparison sort of
+// the packed (carry, position) keys. A block too large for the scratch,
+// which only repeats make, is sorted in place instead, so the transient
+// memory stays bounded however skewed the partition.
+func (s *blockSorter) place(sub []miniEntry, carries []uint32, positions []int32, base uint32) int {
+	if len(carries) == 0 {
+		for j := range sub {
+			sub[j].start = base
+		}
+		return 0
+	}
+	counts := s.counts[:len(sub)]
+	clear(counts)
+	for _, c := range carries {
+		counts[c>>s.suffixBits]++
+	}
+	for j, c := range counts {
+		sub[j].start = base
+		base += c
+	}
+	switch n := len(carries); {
+	case n > len(s.keys):
+		sort.Sort(bucketOrder{carries, positions})
+	case n >= radixMin:
+		s.radixSort(carries, positions)
+	default:
+		keys := s.pack(carries, positions)
+		slices.Sort(keys)
+		unpack(keys, carries, positions)
+	}
+	mask := uint32(1)<<s.suffixBits - 1
+	distinct, prev := 0, uint32(0)
+	for x, c := range carries {
+		if x == 0 || c != prev {
+			distinct++
+		}
+		prev, carries[x] = c, c&mask
+	}
+	return distinct
+}
+
+// pack returns the block's carry<<32 | position keys in the scratch.
+func (s *blockSorter) pack(carries []uint32, positions []int32) []uint64 {
+	keys := s.keys[:len(carries)]
+	for i, c := range carries {
+		keys[i] = uint64(c)<<32 | uint64(positions[i])
+	}
+	return keys
+}
+
+// unpack writes keys back as carries and positions.
+func unpack(keys []uint64, carries []uint32, positions []int32) {
+	for i, key := range keys {
+		carries[i], positions[i] = uint32(key>>32), int32(uint32(key))
+	}
+}
+
+// radixSort stably sorts carries by their digits, moving each position
+// with its carry, through the packed scratch. A pass whose digit every
+// key shares moves nothing and is skipped.
+func (s *blockSorter) radixSort(carries []uint32, positions []int32) {
+	n := len(carries)
+	hist := s.hist[:len(s.shifts)]
+	for d := range hist {
+		clear(hist[d][:])
+	}
+	for _, c := range carries {
+		for d, shift := range s.shifts {
+			hist[d][c>>shift&digitMask]++
+		}
+	}
+	keys, tmp := s.pack(carries, positions), s.tmp[:n]
+	for d, shift := range s.shifts {
+		shift += 32
+		h := &hist[d]
+		if h[keys[0]>>shift&digitMask] == uint32(n) {
+			continue
+		}
+		sum := uint32(0)
+		for v, c := range h {
+			h[v] = sum
+			sum += c
+		}
+		for _, key := range keys {
+			v := key >> shift & digitMask
+			tmp[h[v]] = key
+			h[v]++
+		}
+		keys, tmp = tmp, keys
+	}
+	unpack(keys, carries, positions)
 }
 
 // modulus computes x % d without a divide instruction (Lemire, Kaser and
@@ -263,37 +427,22 @@ func (q modulus) of(x uint32) uint {
 	return uint(hi)
 }
 
-// insertionSortMax is the largest mini bucket BuildFilter orders by
-// insertion sort. Buckets average n/4^m entries (4 at the paper's 4 Mbase
-// partitions and m=10); only repeats outgrow it.
-const insertionSortMax = 32
-
-// insertionSortBucket stably sorts a bucket's suffixes, moving each
-// position with its suffix.
-func insertionSortBucket(suf []uint32, pos []int32) {
-	for i := 1; i < len(suf); i++ {
-		s, p := suf[i], pos[i]
-		j := i
-		for ; j > 0 && suf[j-1] > s; j-- {
-			suf[j], pos[j] = suf[j-1], pos[j-1]
-		}
-		suf[j], pos[j] = s, p
-	}
+// bucketOrder sorts a block too large for blockSorter's scratch in place
+// by (carry, position).
+type bucketOrder struct {
+	suf []uint32
+	pos []int32
 }
 
-// sortBucketWide sorts a large bucket by (suffix, position), which is the
-// stable suffix order because positions are distinct and arrive ascending.
-// It packs the pairs into scratch, which it grows and returns for reuse.
-func sortBucketWide(suf []uint32, pos []int32, scratch []uint64) []uint64 {
-	keys := growN(scratch, len(suf))
-	for i := range keys {
-		keys[i] = uint64(suf[i])<<32 | uint64(pos[i])
-	}
-	slices.Sort(keys)
-	for i, key := range keys {
-		suf[i], pos[i] = uint32(key>>32), int32(uint32(key))
-	}
-	return keys
+func (b bucketOrder) Len() int { return len(b.suf) }
+
+func (b bucketOrder) Less(i, j int) bool {
+	return b.suf[i] < b.suf[j] || b.suf[i] == b.suf[j] && b.pos[i] < b.pos[j]
+}
+
+func (b bucketOrder) Swap(i, j int) {
+	b.suf[i], b.suf[j] = b.suf[j], b.suf[i]
+	b.pos[i], b.pos[j] = b.pos[j], b.pos[i]
 }
 
 // DistinctKmers returns the number of distinct k-mers stored.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -259,30 +260,31 @@ func indicatorOf(positions []int32, cfg Config) indicator {
 }
 
 // buildFilterSortOracle is the filter build before the counting sort: it
-// packs (k-mer, position) pairs into one uint64 key each, sorts them once
-// and reads the tables off the sorted keys. It is kept as the oracle the
-// counting-sort build must reproduce table for table. It also returns
-// each tag's full indicator.
+// sorts the (k-mer, position) pairs once and reads the tables off the
+// sorted pairs. It is kept as the oracle the radix-sort build must
+// reproduce table for table. It also returns each tag's full indicator.
 func buildFilterSortOracle(part dna.Sequence, cfg Config) (*Filter, []indicator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
-	posBits := 0
-	for 1<<uint(posBits) < len(part) {
-		posBits++
+	type pair struct {
+		kmer uint64
+		pos  int32
 	}
-	if 2*cfg.K+posBits > 64 {
-		return nil, nil, fmt.Errorf("oracle: k=%d with %d-base partition does not fit the packed build key", cfg.K, len(part))
+	pairs := make([]pair, max(len(part)-cfg.K+1, 0))
+	for x := range pairs {
+		pairs[x] = pair{uint64(dna.PackKmer(part, x, cfg.K)), int32(x)}
 	}
-	keys := make([]uint64, max(len(part)-cfg.K+1, 0))
-	for x := range keys {
-		keys[x] = uint64(dna.PackKmer(part, x, cfg.K))<<uint(posBits) | uint64(x)
-	}
-	slices.Sort(keys)
+	slices.SortFunc(pairs, func(a, b pair) int {
+		if c := cmp.Compare(a.kmer, b.kmer); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
 
 	distinct := 0
-	for i, key := range keys {
-		if i == 0 || key>>uint(posBits) != keys[i-1]>>uint(posBits) {
+	for i, p := range pairs {
+		if i == 0 || p.kmer != pairs[i-1].kmer {
 			distinct++
 		}
 	}
@@ -292,15 +294,13 @@ func buildFilterSortOracle(part dna.Sequence, cfg Config) (*Filter, []indicator,
 		tags:      make([]uint32, 0, distinct),
 		data:      make([]uint64, 0, distinct),
 		posIndex:  make([]int32, 0, distinct+1),
-		positions: make([]int32, len(keys)),
+		positions: make([]int32, len(pairs)),
 	}
 	f.initDerived()
 	inds := make([]indicator, 0, distinct)
-	posMask := uint64(1)<<uint(posBits) - 1
-	for i, key := range keys {
-		kmer := key >> uint(posBits)
-		x := int(key & posMask)
-		if i == 0 || kmer != keys[i-1]>>uint(posBits) {
+	for i, p := range pairs {
+		kmer := p.kmer
+		if i == 0 || kmer != pairs[i-1].kmer {
 			f.tags = append(f.tags, uint32(kmer&f.suffixMask))
 			inds = append(inds, indicator{})
 			f.posIndex = append(f.posIndex, int32(i))
@@ -308,13 +308,13 @@ func buildFilterSortOracle(part dna.Sequence, cfg Config) (*Filter, []indicator,
 			f.mini[kmer>>f.suffixBits].summary |= 1 << summaryBit(uint32(kmer&f.suffixMask))
 		}
 		last := len(inds) - 1
-		inds[last] = inds[last].addOccurrence(x, cfg)
-		f.positions[i] = int32(x)
+		inds[last] = inds[last].addOccurrence(int(p.pos), cfg)
+		f.positions[i] = p.pos
 	}
 	for _, ind := range inds {
 		f.data = append(f.data, ind.starts)
 	}
-	f.posIndex = append(f.posIndex, int32(len(keys)))
+	f.posIndex = append(f.posIndex, int32(len(pairs)))
 	for p := 1; p < len(f.mini); p++ {
 		f.mini[p].start += f.mini[p-1].start
 	}
@@ -404,39 +404,72 @@ func repeatRich(rng *rand.Rand, n int) dna.Sequence {
 	return s[:n]
 }
 
-// TestBuildFilterMatchesSortOracle requires the counting-sort build to
+// TestBuildFilterMatchesSortOracle requires the radix-sort build to
 // reproduce the sort build's five tables exactly (the mini entries'
-// summaries too), and each tag's derived
-// group mask to equal the sort build's: random and repeat-rich
-// partitions, partitions shorter than k and exactly k long, (k, m) pairs
-// from m=1 to the widest 16-base tag, and the ablations' widest
-// indicators (stride 64, 40 groups).
+// summaries too), and each tag's derived group mask to equal the sort
+// build's: random and repeat-rich partitions, partitions shorter than k
+// and exactly k long, and (k, m) pairs from m=1 to the widest 16-base
+// tag and the 12-base mini limit, with the ablations' widest indicators
+// (stride 64, 40 groups). The shapes cross the block width's cases (see
+// blockWidth): a single block (m=1, 5 and 3 at small k), blocks of 1024
+// buckets (m=10), the carry limit equal to that at (21, 10), one bucket
+// per block at (17, 1), (26, 10) and (28, 12). Each shape also builds a
+// partition whose homopolymer block outgrows the radix scratch.
 func TestBuildFilterMatchesSortOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	shapes := []struct{ k, m, stride, groups int }{
 		{7, 4, 5, 4}, {2, 1, 5, 4}, {5, 1, 5, 4}, {17, 1, 5, 4}, {12, 6, 5, 4},
 		{19, 10, 40, 20}, {20, 4, 64, 20}, {24, 8, 40, 40}, {9, 3, 64, 40},
+		{21, 10, 40, 20}, {26, 10, 40, 20}, {28, 12, 64, 40}, {13, 5, 5, 4}, {21, 5, 40, 20},
 	}
-	wideBuckets := 0
 	for _, sh := range shapes {
 		cfg := testConfig()
 		cfg.K, cfg.M, cfg.MinSMEM = sh.k, sh.m, sh.k
 		cfg.Stride, cfg.Groups = sh.stride, sh.groups
-		for _, n := range []int{0, 1, sh.k - 1, sh.k, sh.k + 1, 97, 3000} {
+		sizes, trials := []int{0, 1, sh.k - 1, sh.k, sh.k + 1, 97, 3000}, 3
+		if sh.m == MaxMiniBases { // 128 MiB of mini entries a build
+			sizes, trials = []int{sh.k, 3000}, 1
+		}
+		for _, n := range sizes {
 			checkAgainstOracle(t, fmt.Sprintf("random %d", n), randSeq(rng, n), cfg)
 		}
-		for trial := range 3 {
-			f := checkAgainstOracle(t, fmt.Sprintf("repeats %d", trial), repeatRich(rng, 2000+rng.Intn(4000)), cfg)
-			for p := range len(f.mini) - 1 {
-				if f.posIndex[f.mini[p+1].start]-f.posIndex[f.mini[p].start] > insertionSortMax {
-					wideBuckets++
-				}
-			}
+		for trial := range trials {
+			checkAgainstOracle(t, fmt.Sprintf("repeats %d", trial), repeatRich(rng, 2000+rng.Intn(4000)), cfg)
+		}
+		part := append(repeatRich(rng, 3000), homopolymer(dna.Base(rng.Intn(4)), blockScratchMax+2*sh.k)...)
+		f := checkAgainstOracle(t, "homopolymer block", part, cfg)
+		if largestBucket(f) <= blockScratchMax {
+			t.Fatalf("k=%d m=%d: no bucket, so no block, exceeded %d positions: the in-place sort went untested",
+				sh.k, sh.m, blockScratchMax)
 		}
 	}
-	if wideBuckets == 0 {
-		t.Fatalf("no bucket exceeded %d positions: the slices.Sort path went untested", insertionSortMax)
+}
+
+// homopolymer returns n copies of b.
+func homopolymer(b dna.Base, n int) dna.Sequence {
+	s := make(dna.Sequence, n)
+	for i := range s {
+		s[i] = b
 	}
+	return s
+}
+
+// tandemRepeat returns n bases of unit repeated.
+func tandemRepeat(unit dna.Sequence, n int) dna.Sequence {
+	s := make(dna.Sequence, n)
+	for i := range s {
+		s[i] = unit[i%len(unit)]
+	}
+	return s
+}
+
+// largestBucket returns the most positions any mini bucket of f holds.
+func largestBucket(f *Filter) int32 {
+	largest := int32(0)
+	for p := range len(f.mini) - 1 {
+		largest = max(largest, f.posIndex[f.mini[p+1].start]-f.posIndex[f.mini[p].start])
+	}
+	return largest
 }
 
 // TestSummaryNoFalseNegatives builds random and repeat-rich partitions
@@ -499,19 +532,39 @@ func TestSummaryRejectsAbsentProbes(t *testing.T) {
 	}
 }
 
-// FuzzBuildFilter requires the counting-sort build to match the sort
-// oracle on arbitrary partitions and small geometries, bucket summaries
-// included, and every stored k-mer to pass its bucket's summary.
+// FuzzBuildFilter requires the radix-sort build to match the sort oracle
+// on arbitrary partitions and geometries, bucket summaries included, and
+// every stored k-mer to pass its bucket's summary. The corpus holds the
+// block width's boundary geometries (see blockWidth).
 func FuzzBuildFilter(f *testing.F) {
 	f.Add([]byte("ACGTTGCAAGGCTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTACACACACACACACAC"), uint8(7), uint8(4))
 	f.Add(make([]byte, 400), uint8(5), uint8(1))
 	f.Add([]byte("GATTACA"), uint8(17), uint8(1))
+	random := func(n int) []byte {
+		b := make([]byte, n)
+		rand.New(rand.NewSource(int64(n))).Read(b)
+		return b
+	}
+	// (21, 10): 2k-32 = 2m-10, the carry limit meets the bucket limit.
+	f.Add(random(600), uint8(19), uint8(240+9))
+	// (26, 10): 2k-32 = 2m, a block is one bucket.
+	f.Add([]byte("ACGTACGTTTGACCAGTAGGATTACAGATTACAGATTACACCCCCCCCCCCCCCCCCCCCCCCCCCCTT"), uint8(24), uint8(240+9))
+	// (28, 12): 16-base tags at the largest m.
+	f.Add(random(300), uint8(26), uint8(240+11))
+	// m=1 and m=5: fewer prefix bits than one block's buckets.
+	f.Add([]byte("TTTTTTTTTTTTTTTTTTTTTTTTTTTGCAGCAGCAGCAGCAGCAGCAGCAGCAGCAGCA"), uint8(7), uint8(0))
+	f.Add([]byte("CAGCAGCAGCAGCAGCAGCAGCAGCAGACGTTGCAAGGCTGGGGGGGGGGGGGGGGGGGGGGGGGAAC"), uint8(11), uint8(4))
 	f.Fuzz(func(t *testing.T, data []byte, k, m uint8) {
 		cfg := testConfig()
-		// k in 2..24 and m in 1..min(k-1, 6), raised to k-16 where the
-		// tag limit needs it: small mini indexes keep each iteration fast.
-		cfg.K = 2 + int(k)%23
-		cfg.M = 1 + int(m)%min(cfg.K-1, 6)
+		// k in 2..28. m is in 1..min(k-1, 6), which keeps the mini index
+		// and each iteration small, or for m from 240 in 1..min(k-1, 12);
+		// either is raised to k-16 where the tag limit needs it.
+		cfg.K = 2 + int(k)%27
+		if m < 240 {
+			cfg.M = 1 + int(m)%min(cfg.K-1, 6)
+		} else {
+			cfg.M = 1 + int(m-240)%min(cfg.K-1, MaxMiniBases)
+		}
 		cfg.M = max(cfg.M, cfg.K-maxTagBases)
 		cfg.MinSMEM = cfg.K
 		if len(data) > cfg.PartitionBases {
@@ -534,26 +587,37 @@ func filterTableBytes(f *Filter) uint64 {
 }
 
 // TestBuildFilterTransientBytes bounds what one build allocates beyond
-// the tables it returns: the suffixes scattered beside the positions, 4
+// the tables it returns: the carries scattered beside the positions, 4
 // bytes per base, plus a little slack. A packed 8-byte key per base, as
-// the sort build used, does not fit.
+// the sort build used, does not fit, and neither does radix scratch sized
+// to the largest block: the homopolymer puts every k-mer in one block, and
+// the tandem repeat puts them in a handful.
 func TestBuildFilterTransientBytes(t *testing.T) {
 	const n = 1 << 20
 	cfg := DefaultConfig()
-	part := randSeq(rand.New(rand.NewSource(7)), n)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	f, err := BuildFilter(part, cfg)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables := filterTableBytes(f)
-	limit := tables + 4*n + n/2
-	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
-		t.Errorf("build of %d bases allocated %d bytes: %d of tables + %d transient, over the %d limit (tables + 4.5 B/base)",
-			n, got, tables, got-tables, limit)
+	rng := rand.New(rand.NewSource(7))
+	for _, tc := range []struct {
+		name string
+		part dna.Sequence
+	}{
+		{"random", randSeq(rng, n)},
+		{"homopolymer", homopolymer(dna.Base(0), n)},
+		{"tandem repeat", tandemRepeat(randSeq(rng, 7), n)},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f, err := BuildFilter(tc.part, cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables := filterTableBytes(f)
+		limit := tables + 4*n + n/2
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			t.Errorf("%s: build of %d bases allocated %d bytes: %d of tables + %d transient, over the %d limit (tables + 4.5 B/base)",
+				tc.name, n, got, tables, got-tables, limit)
+		}
 	}
 }
 

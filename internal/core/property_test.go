@@ -99,8 +99,8 @@ func TestPropertyMergeSMEMsIdempotent(t *testing.T) {
 			l := 1 + int(lens[i])%40
 			ms = append(ms, smem.Match{Start: s, End: s + l, Hits: 1})
 		}
-		once := MergeSMEMs(append([]smem.Match(nil), ms...))
-		twice := MergeSMEMs(append([]smem.Match(nil), once...))
+		once := appendMergedSMEMs(nil, append([]smem.Match(nil), ms...))
+		twice := appendMergedSMEMs(nil, append([]smem.Match(nil), once...))
 		if !smem.Equal(once, twice) {
 			return false
 		}

@@ -261,9 +261,11 @@ func TestPartitionedEnginesLimitReads(t *testing.T) {
 }
 
 // TestPositionsLocateMatchesScan requires the FM-index engines' hit
-// positions, located in their suffix arrays, to equal the direct scan's:
-// every occurrence in ascending order, cut at max, on a reference where
-// one segment repeats twelve times.
+// positions, located in their suffix arrays, and casa's, resolved
+// through its partitions' filters, to equal the direct scan's: every
+// occurrence in ascending order, cut at max, on a reference where one
+// segment repeats twelve times. casa cuts the reference into six
+// partitions, so the repeats straddle its overlaps.
 func TestPositionsLocateMatchesScan(t *testing.T) {
 	ref := testRef(t)
 	for range 12 {
@@ -271,10 +273,21 @@ func TestPositionsLocateMatchesScan(t *testing.T) {
 	}
 	reads := []dna.Sequence{ref[1050:1151], ref[500:601], ref[len(ref)-101:]}
 	reads = append(reads, readsim.Sequences(readsim.Simulate(ref, readsim.DefaultProfile(10, 5)))...)
-	for _, name := range []string{"fmindex", "cpu"} {
-		e, err := engine.New(name, ref, engine.Options{MinSMEM: 19})
+	// Reads across casa's cuts, with a substitution that leaves an SMEM
+	// inside the overlap, which both partitions find.
+	for cut := 2048 - core.DefaultPartitionOverlap; cut+81 <= len(ref); cut += 2048 - core.DefaultPartitionOverlap {
+		read := append(dna.Sequence(nil), ref[cut-20:cut+81]...)
+		read[50] ^= 1
+		reads = append(reads, read)
+	}
+	for _, name := range []string{"fmindex", "cpu", "casa"} {
+		e, err := engine.New(name, ref, engine.Options{MinSMEM: 19, Partition: 2048})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		locate := func(read dna.Sequence, m smem.Match, max int) []int32 { return engine.Positions(e, ref, read, m, max) }
+		if p, ok := e.(engine.Positioner); ok {
+			locate = p.HitPositions
 		}
 		scan := struct{ engine.Engine }{e} // hides the FM-index from Positions
 		repeated := false
@@ -282,7 +295,7 @@ func TestPositionsLocateMatchesScan(t *testing.T) {
 			for _, m := range e.SMEMs(e.Reduce([]engine.Activity{e.SeedTrace([]dna.Sequence{read}, nil, 0)}))[0] {
 				repeated = repeated || m.Hits > 4
 				for _, max := range []int{0, 1, 4} {
-					got, want := engine.Positions(e, ref, read, m, max), engine.Positions(scan, ref, read, m, max)
+					got, want := locate(read, m, max), engine.Positions(scan, ref, read, m, max)
 					if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 						t.Fatalf("%s read %d %v max %d: located %v, scan %v", name, i, m, max, got, want)
 					}

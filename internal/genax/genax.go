@@ -461,7 +461,7 @@ func (a *Accelerator) Reduce(acts ...*Activity) *Result {
 }
 
 // mergeSMEMs merges per-segment SMEM sets (duplicates summed, contained
-// intervals dropped), as in core.MergeSMEMs.
+// intervals dropped), as core merges its partitions' SMEMs.
 func mergeSMEMs(ms []smem.Match) []smem.Match {
 	if len(ms) == 0 {
 		return nil
