@@ -3,11 +3,9 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -18,12 +16,8 @@ import (
 	"time"
 
 	"casa/internal/dna"
-	"casa/internal/engine"
 	"casa/internal/readsim"
-	"casa/internal/refidx"
-	"casa/internal/runcli"
 	"casa/internal/sam"
-	"casa/internal/seedex"
 	"casa/internal/seqio"
 	"casa/internal/trace"
 )
@@ -267,67 +261,6 @@ func TestBatchMustBePositive(t *testing.T) {
 	var exitErr *exec.ExitError
 	if err := cmd.Run(); !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 {
 		t.Errorf("-batch 0: %v, want exit status 2", err)
-	}
-}
-
-// forwardOnly hides an engine's StrandSeeder capability, which forces
-// casa-align's second pool pass over the reverse complements.
-type forwardOnly struct{ engine.Engine }
-
-// alignInProcess aligns the reads at path1 (paired with path2 when it is
-// not empty) with eng on a pool of workers, in batches of 64, through the
-// command's stream, and returns the SAM.
-func alignInProcess(t *testing.T, eng engine.Engine, ix *refidx.Index, workers int, path1, path2 string) []byte {
-	t.Helper()
-	sx, err := seedex.New(ix.Flat(), seedex.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var refSeqs []sam.RefSeq
-	for _, c := range ix.Chromosomes() {
-		refSeqs = append(refSeqs, sam.RefSeq{Name: c.Name, Length: c.Length})
-	}
-	var out bytes.Buffer
-	writer := sam.NewWriter(&out, refSeqs, "casa-align")
-	r := &runcli.Run{Ctx: context.Background(), Workers: workers, Log: slog.New(slog.NewTextHandler(io.Discard, nil))}
-	r.Start(0)
-	a := newAligner(r.Ctx, eng, ix, sx, 4, r.Pool(), writer, path2 != "")
-	if _, _, interrupted := r.Stream(eng, r.OpenReads(path1, path2, 64, 0, nil), a.emit); interrupted {
-		t.Fatal("run interrupted")
-	}
-	if err := writer.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes()
-}
-
-// TestStrandSeedersNeedNoSecondPass pins the reverse strand of the cpu,
-// ert and genax engines: taken from their activities, it must give the
-// SAM bytes the second pool pass over the reverse complements gives, at
-// 1 and 2 workers, single-end and paired.
-func TestStrandSeedersNeedNoSecondPass(t *testing.T) {
-	dir := t.TempDir()
-	ref, reads, r1, r2 := alignFixture(t, dir)
-	ix, err := refidx.LoadFasta(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"cpu", "ert", "genax"} {
-		eng, err := engine.New(name, ix.Flat(), engine.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := eng.(engine.StrandSeeder); !ok {
-			t.Fatalf("%s is not a StrandSeeder", name)
-		}
-		for _, mode := range [][2]string{{reads, ""}, {r1, r2}} {
-			want := alignInProcess(t, forwardOnly{eng}, ix, 1, mode[0], mode[1])
-			for _, workers := range []int{1, 2} {
-				if got := alignInProcess(t, eng, ix, workers, mode[0], mode[1]); !bytes.Equal(got, want) {
-					t.Errorf("%s %s workers=%d: SAM differs from the second-pass run", name, filepath.Base(mode[0]), workers)
-				}
-			}
-		}
 	}
 }
 

@@ -3,12 +3,9 @@
 //
 // A casa-trace/v1 file (casa-smem/casa-align -trace, or GET /trace) holds
 // modelled time: engine cycles (or fetches / FM-index steps — see
-// docs/OBSERVABILITY.md for each engine's unit) for read spans,
-// modelled-wall nanoseconds for pipeline system spans. Per engine the
-// report ranks the slowest reads with per-track breakdowns, prints
-// power-of-two histograms of per-read track time, and summarizes stage
-// overlap on the system timelines (the pipeline model's Fig-14
-// waterfalls).
+// docs/OBSERVABILITY.md for each engine's unit). Per engine the report
+// ranks the slowest reads with per-track breakdowns and prints
+// power-of-two histograms of per-read track time.
 //
 // A casa-walltrace/v1 file (-walltrace, or GET /walltrace) holds
 // host wall-clock time: the report is a per-worker utilization table,
@@ -120,13 +117,12 @@ type readStat struct {
 	byTrack map[string]int64 // track -> union of span intervals
 }
 
-// procReport aggregates one process (engine or pipeline system).
+// procReport aggregates one process (engine).
 type procReport struct {
-	proc   string
-	spans  int
-	reads  []readStat       // slowest first (window desc, read asc)
-	hist   map[string][]int // track -> power-of-two buckets of per-read union
-	system []trace.Span     // system-timeline spans in stream order
+	proc  string
+	spans int
+	reads []readStat       // slowest first (window desc, read asc)
+	hist  map[string][]int // track -> power-of-two buckets of per-read union
 }
 
 // analyze folds a span stream into per-process reports, sorted by
@@ -137,14 +133,9 @@ func analyze(spans []trace.Span) []procReport {
 		read int32
 	}
 	perRead := map[key][]trace.Span{}
-	sysSpans := map[string][]trace.Span{}
 	count := map[string]int{}
 	for _, s := range spans {
 		count[s.Proc]++
-		if s.Read == trace.SystemRead {
-			sysSpans[s.Proc] = append(sysSpans[s.Proc], s)
-			continue
-		}
 		k := key{s.Proc, s.Read}
 		perRead[k] = append(perRead[k], s)
 	}
@@ -157,8 +148,7 @@ func analyze(spans []trace.Span) []procReport {
 
 	var out []procReport
 	for proc := range count {
-		rep := procReport{proc: proc, spans: count[proc], system: sysSpans[proc]}
-		rep.reads = stats[proc]
+		rep := procReport{proc: proc, spans: count[proc], reads: stats[proc]}
 		sort.Slice(rep.reads, func(i, j int) bool {
 			a, b := rep.reads[i], rep.reads[j]
 			if a.window != b.window {
@@ -234,32 +224,12 @@ func printReport(w io.Writer, reps []procReport, top int) {
 				fmt.Fprintln(w)
 			}
 		}
-
-		if len(rep.system) > 0 {
-			wall, covered := overlapSummary(rep.system)
-			fmt.Fprintf(w, "system timeline: wall %d\n", wall)
-			var sum int64
-			for _, t := range sortedKeys(covered) {
-				c := covered[t]
-				sum += c
-				pct := 0.0
-				if wall > 0 {
-					pct = 100 * float64(c) / float64(wall)
-				}
-				fmt.Fprintf(w, "  %-12s covered %10d  (%.1f%% of wall)\n", t, c, pct)
-			}
-			if wall > 0 {
-				fmt.Fprintf(w, "  parallelism %.2fx (total stage time / wall)\n", float64(sum)/float64(wall))
-			}
-		}
 		fmt.Fprintln(w)
 	}
 }
 
-// overlapSummary reduces spans — one read's, or a system timeline — to
-// their wall length (max end - min start) and the per-track covered
-// lengths; on a system timeline, covered/wall over all tracks is the
-// average stage parallelism.
+// overlapSummary reduces one read's spans to their window (max end -
+// min start) and the per-track covered lengths.
 func overlapSummary(ss []trace.Span) (wall int64, covered map[string]int64) {
 	lo, hi := ss[0].Start, ss[0].End()
 	perTrack := map[string][]trace.Span{}

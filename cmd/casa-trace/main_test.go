@@ -36,8 +36,8 @@ func TestBucket(t *testing.T) {
 	}
 }
 
-// TestAnalyze pins the core numbers: slowest-first ordering, window vs
-// per-track union, and the system overlap summary.
+// TestAnalyze pins the core numbers: slowest-first ordering and window
+// vs per-track union.
 func TestAnalyze(t *testing.T) {
 	spans := []trace.Span{
 		// Engine "e": read 0 is fast, read 1 is slow with a nested
@@ -45,14 +45,10 @@ func TestAnalyze(t *testing.T) {
 		span("e", "exact", "exact", 0, 0, 10),
 		span("e", "exact", "exact", 1, 0, 100),
 		span("e", "p00", "exact", 1, 5, 40),
-		// System timeline: io then two overlapped stages.
-		span("pipeline:X", "io", "io", trace.SystemRead, 0, 100),
-		span("pipeline:X", "seeding", "seeding", trace.SystemRead, 100, 50),
-		span("pipeline:X", "extension", "extension", trace.SystemRead, 100, 80),
 	}
 	reps := analyze(spans)
-	if len(reps) != 2 {
-		t.Fatalf("got %d procs, want 2", len(reps))
+	if len(reps) != 1 {
+		t.Fatalf("got %d procs, want 1", len(reps))
 	}
 	e := reps[0]
 	if e.proc != "e" || len(e.reads) != 2 {
@@ -63,15 +59,6 @@ func TestAnalyze(t *testing.T) {
 	}
 	if e.reads[0].byTrack["exact"] != 100 || e.reads[0].byTrack["p00"] != 40 {
 		t.Errorf("read 1 breakdown = %v", e.reads[0].byTrack)
-	}
-
-	p := reps[1]
-	wall, covered := overlapSummary(p.system)
-	if wall != 180 {
-		t.Errorf("wall = %d, want 180", wall)
-	}
-	if covered["io"] != 100 || covered["seeding"] != 50 || covered["extension"] != 80 {
-		t.Errorf("covered = %v", covered)
 	}
 }
 

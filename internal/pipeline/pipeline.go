@@ -11,11 +11,15 @@
 // in parallel and seed preprocessing is negligible, while ERT "needs the
 // CPU to perform the extra process on seeds and reference, such as
 // chaining and packaging reads".
+//
+// The package also holds casa-align's align path (Aligner, align.go):
+// strand completion, placement, pooled SeedEx extension, mate rescue,
+// proper pairs and SAM records. The model and the aligner pick each
+// read's strand with the same ChooseStrand.
 package pipeline
 
 import (
 	"fmt"
-	"math"
 
 	"casa/internal/core"
 	"casa/internal/cpu"
@@ -24,8 +28,6 @@ import (
 	"casa/internal/ert"
 	"casa/internal/genax"
 	"casa/internal/seedex"
-	"casa/internal/smem"
-	"casa/internal/trace"
 )
 
 // Config sets the pipeline cost model around the engines.
@@ -107,34 +109,6 @@ type Engines struct {
 	SeedEx *seedex.Machine
 }
 
-// BuildEngines constructs all engines over one reference through the
-// registry factories (the native configs pass verbatim via
-// engine.Options.Config).
-func BuildEngines(ref dna.Sequence, casaCfg core.Config, ertCfg ert.AccelConfig,
-	genaxCfg genax.Config, cpuCfg cpu.Config, sxCfg seedex.Config) (*Engines, error) {
-	ca, err := engine.Build[*core.Accelerator]("casa", ref, engine.Options{Config: casaCfg})
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: casa: %w", err)
-	}
-	ea, err := engine.Build[*ert.Accelerator]("ert", ref, engine.Options{Config: ertCfg})
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: ert: %w", err)
-	}
-	ga, err := engine.Build[*genax.Accelerator]("genax", ref, engine.Options{Config: genaxCfg})
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: genax: %w", err)
-	}
-	ba, err := engine.Build[*cpu.Seeder]("cpu", ref, engine.Options{Config: cpuCfg})
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: cpu: %w", err)
-	}
-	sx, err := seedex.New(ref, sxCfg)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: seedex: %w", err)
-	}
-	return &Engines{CASA: ca, ERT: ea, GenAx: ga, BWA: ba, SeedEx: sx}, nil
-}
-
 // Result is the full Fig 14 comparison: one breakdown per system plus the
 // extension workload shared between them.
 type Result struct {
@@ -146,17 +120,6 @@ type Result struct {
 
 // Run executes the end-to-end comparison for a read batch.
 func Run(e *Engines, reads []dna.Sequence, cfg Config) (*Result, error) {
-	return RunTrace(e, reads, cfg, nil)
-}
-
-// RunTrace is Run with system-timeline tracing: when tr is non-nil, each
-// compared system gets one trace process ("pipeline:<system>") holding the
-// Fig 14 stage waterfall as system spans in modelled-wall nanoseconds —
-// tracks io, seeding, chaining, extension and postprocess. For the
-// overlapped systems (CASA, GenAx) the seeding and extension spans start
-// together and run in parallel, so the §7.3 overlap is directly visible
-// on the Perfetto timeline; the serial systems stack every stage.
-func RunTrace(e *Engines, reads []dna.Sequence, cfg Config, tr *trace.Trace) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -170,12 +133,12 @@ func RunTrace(e *Engines, reads []dna.Sequence, cfg Config, tr *trace.Trace) (*R
 	casaSeed := casaRes.Seconds * scaleOr1(cfg.CASASeedingScale)
 	genaxSeed := genaxRes.Seconds * scaleOr1(cfg.GenAxSeedingScale)
 
-	// Shared extension workload: SeedEx on the better strand per read.
+	// Shared extension workload: SeedEx on the better strand per read,
+	// chosen as casa-align chooses it.
 	sxBefore := e.SeedEx.Stats
 	for i, read := range reads {
-		al, ok := extendBestStrand(e, read, casaRes.Reads[i], cfg.MaxHitsPerSMEM)
-		if ok {
-			res.Alignments = append(res.Alignments, al)
+		if c, ok := ChooseStrand(e.SeedEx, read, engine.Seeds(casaRes.Reads[i]), e.CASA.HitPositions, cfg.MaxHitsPerSMEM); ok {
+			res.Alignments = append(res.Alignments, c.Al)
 			res.Aligned++
 		}
 	}
@@ -236,46 +199,7 @@ func RunTrace(e *Engines, reads []dna.Sequence, cfg Config, tr *trace.Trace) (*R
 		PostProcessing: post,
 	})
 
-	if tr != nil {
-		emitSerial(tr, "BWA-MEM2", ioSeconds, bwaRes.Seconds, chain, bwaExt, post)
-		emitOverlapped(tr, "CASA+SeedEx", ioSeconds, casaSeed, extSeconds, post)
-		emitSerial(tr, "ERT+SeedEx", ioSeconds, ertRes.Seconds, chain, extSeconds, post)
-		emitOverlapped(tr, "GenAx+SeedEx", ioSeconds, genaxSeed, extSeconds, post)
-	}
 	return res, nil
-}
-
-// ns converts modelled seconds to the trace's nanosecond unit.
-func ns(seconds float64) int64 { return int64(math.Round(seconds * 1e9)) }
-
-// emitSerial records a serial system's stage waterfall: every stage ends
-// before the next begins.
-func emitSerial(tr *trace.Trace, system string, io, seed, chain, ext, post float64) {
-	tb := tr.NewBuffer("pipeline:" + system)
-	var cursor int64
-	for _, stage := range []struct {
-		track   string
-		seconds float64
-	}{
-		{"io", io}, {"seeding", seed}, {"chaining", chain},
-		{"extension", ext}, {"postprocess", post},
-	} {
-		tb.EmitSystem(stage.track, stage.track, cursor, ns(stage.seconds))
-		cursor += ns(stage.seconds)
-	}
-}
-
-// emitOverlapped records an overlapped system's waterfall: seeding and
-// extension start together after IO (the on-chip reference lets them run
-// in parallel), and postprocessing follows the longer of the two.
-func emitOverlapped(tr *trace.Trace, system string, io, seed, ext, post float64) {
-	tb := tr.NewBuffer("pipeline:" + system)
-	tb.EmitSystem("io", "io", 0, ns(io))
-	cursor := ns(io)
-	tb.EmitSystem("seeding", "seeding", cursor, ns(seed))
-	tb.EmitSystem("extension", "extension", cursor, ns(ext))
-	cursor += ns(maxF(seed, ext))
-	tb.EmitSystem("postprocess", "postprocess", cursor, ns(post))
 }
 
 func scaleOr1(s float64) float64 {
@@ -283,35 +207,6 @@ func scaleOr1(s float64) float64 {
 		return 1
 	}
 	return s
-}
-
-// extendBestStrand resolves seed positions for both strands and extends
-// whichever aligns better.
-func extendBestStrand(e *Engines, read dna.Sequence, rr core.ReadResult, maxHits int) (seedex.Alignment, bool) {
-	fwdSeeds := resolveSeeds(e.CASA, read, rr.Forward, maxHits)
-	rc := read.ReverseComplement()
-	revSeeds := resolveSeeds(e.CASA, rc, rr.Reverse, maxHits)
-
-	bestOK := false
-	var best seedex.Alignment
-	if al, ok := e.SeedEx.ExtendRead(read, fwdSeeds); ok {
-		best, bestOK = al, true
-	}
-	if al, ok := e.SeedEx.ExtendRead(rc, revSeeds); ok && (!bestOK || al.Score > best.Score) {
-		best, bestOK = al, true
-	}
-	return best, bestOK
-}
-
-// resolveSeeds converts SMEMs into positioned SeedEx seeds.
-func resolveSeeds(ca *core.Accelerator, read dna.Sequence, smems []smem.Match, maxHits int) []seedex.Seed {
-	var seeds []seedex.Seed
-	for _, m := range smems {
-		for _, pos := range ca.HitPositions(read, m, maxHits) {
-			seeds = append(seeds, seedex.Seed{QStart: m.Start, QEnd: m.End, RefPos: pos})
-		}
-	}
-	return seeds
 }
 
 func diffSeedexStats(after, before seedex.Stats) seedex.Stats {

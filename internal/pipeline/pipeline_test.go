@@ -6,6 +6,7 @@ import (
 	"casa/internal/core"
 	"casa/internal/cpu"
 	"casa/internal/dna"
+	"casa/internal/engine"
 	"casa/internal/ert"
 	"casa/internal/genax"
 	"casa/internal/readsim"
@@ -28,8 +29,21 @@ func testEngines(t *testing.T, refLen int, seed int64) (*Engines, dna.Sequence) 
 	genaxCfg.K = 9
 	genaxCfg.PartitionBases = 1 << 16
 
-	e, err := BuildEngines(ref, casaCfg, ertCfg, genaxCfg, cpu.B12T(), seedex.DefaultConfig())
-	if err != nil {
+	e := &Engines{}
+	var err error
+	if e.CASA, err = engine.Build[*core.Accelerator]("casa", ref, engine.Options{Config: casaCfg}); err != nil {
+		t.Fatal(err)
+	}
+	if e.ERT, err = engine.Build[*ert.Accelerator]("ert", ref, engine.Options{Config: ertCfg}); err != nil {
+		t.Fatal(err)
+	}
+	if e.GenAx, err = engine.Build[*genax.Accelerator]("genax", ref, engine.Options{Config: genaxCfg}); err != nil {
+		t.Fatal(err)
+	}
+	if e.BWA, err = engine.Build[*cpu.Seeder]("cpu", ref, engine.Options{Config: cpu.B12T()}); err != nil {
+		t.Fatal(err)
+	}
+	if e.SeedEx, err = seedex.New(ref, seedex.DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
 	return e, ref
@@ -164,24 +178,15 @@ func TestAlignmentsLandAtOrigin(t *testing.T) {
 	// reads genuinely multi-mapping; edit distance 0 proves the placement
 	// is as good as the origin).
 	for i := range reads {
-		al, ok := extendBestStrand(e, reads[i], e.CASA.SeedReads(reads[i : i+1]).Reads[0], 4)
+		c, ok := ChooseStrand(e.SeedEx, reads[i], engine.Seeds(e.CASA.SeedReads(reads[i : i+1]).Reads[0]), e.CASA.HitPositions, 4)
 		if !ok {
 			continue
 		}
+		al := c.Al
 		if sim[i].Errors == 0 && al.RefStart != sim[i].Origin && al.EditDist != 0 {
 			t.Errorf("read %d aligned at %d (edit %d), simulated origin %d",
 				i, al.RefStart, al.EditDist, sim[i].Origin)
 		}
-	}
-}
-
-func TestBuildEnginesErrors(t *testing.T) {
-	bad := core.DefaultConfig()
-	bad.K = 0
-	_, err := BuildEngines(dna.FromString("ACGT"), bad, ert.DefaultAccelConfig(),
-		genax.DefaultConfig(), cpu.B12T(), seedex.DefaultConfig())
-	if err == nil {
-		t.Error("invalid CASA config accepted")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -54,7 +55,7 @@ type chromeEvent struct {
 
 type chromeArgs struct {
 	Name   string `json:"name,omitempty"`   // metadata events
-	Read   *int   `json:"read,omitempty"`   // cycle-domain read spans
+	Read   *int   `json:"read,omitempty"`   // cycle-domain spans
 	Cycles *int64 `json:"cycles,omitempty"` // cycle-domain spans
 	RunID  string `json:"run_id,omitempty"` // wall-domain spans
 }
@@ -192,15 +193,11 @@ func WriteChrome(w io.Writer, spans []Span) error {
 	base := readBases(spans)
 	var args chromeArgs
 	var read int
+	args.Read = &read
 	return writeChrome(w, len(spans), func(i int, ev *chromeEvent) {
 		s := &spans[i]
-		args.Cycles, args.Read = &s.Dur, nil
-		*ev = chromeEvent{proc: s.Proc, Name: s.Name, Cat: s.Track, Ts: s.Start, Dur: &s.Dur, Args: &args}
-		if s.Read != SystemRead {
-			ev.Ts += base[procRead{s.Proc, s.Read}]
-			read = int(s.Read)
-			args.Read = &read
-		}
+		args.Cycles, read = &s.Dur, int(s.Read)
+		*ev = chromeEvent{proc: s.Proc, Name: s.Name, Cat: s.Track, Ts: s.Start + base[procRead{s.Proc, s.Read}], Dur: &s.Dur, Args: &args}
 	}, chromeOtherData{Schema: SchemaVersion})
 }
 
@@ -216,7 +213,7 @@ func readBases(spans []Span) map[procRead]int64 {
 	ends := map[procRead]int64{}
 	for _, s := range spans {
 		k := procRead{s.Proc, s.Read}
-		if e := s.End(); s.Read != SystemRead && e > ends[k] {
+		if e := s.End(); e > ends[k] {
 			ends[k] = e
 		}
 	}
@@ -242,7 +239,8 @@ func readBases(spans []Span) map[procRead]int64 {
 // ParseChrome decodes a casa-trace/v1 document back into a span stream.
 // Timestamps come back absolute (the per-read base offsets stay baked
 // in), which is what the casa-trace analyses operate on; Read and Dur
-// round-trip exactly.
+// round-trip exactly. Every span belongs to a read, so an event without
+// a read arg is refused with ErrNoRead.
 func ParseChrome(data []byte) ([]Span, error) {
 	events, _, err := parseChrome(data, SchemaVersion)
 	if err != nil {
@@ -250,13 +248,17 @@ func ParseChrome(data []byte) ([]Span, error) {
 	}
 	spans := make([]Span, len(events))
 	for i, ev := range events {
-		spans[i] = Span{Proc: ev.proc, Track: ev.Cat, Name: ev.Name, Read: SystemRead, Start: ev.Ts, Dur: *ev.Dur}
-		if ev.Args != nil && ev.Args.Read != nil {
-			spans[i].Read = int32(*ev.Args.Read)
+		if ev.Args == nil || ev.Args.Read == nil {
+			return nil, fmt.Errorf("trace: event %d %q on %s/%s: %w", i, ev.Name, ev.proc, ev.Cat, ErrNoRead)
 		}
+		spans[i] = Span{Proc: ev.proc, Track: ev.Cat, Name: ev.Name, Read: int32(*ev.Args.Read), Start: ev.Ts, Dur: *ev.Dur}
 	}
 	return spans, nil
 }
+
+// ErrNoRead is ParseChrome's error for a casa-trace/v1 event that names
+// no read.
+var ErrNoRead = errors.New("no read arg")
 
 // WriteChromeWall writes a wall-clock span stream as a casa-walltrace/v1
 // document, with each span's run ID as its event name and timestamps

@@ -15,7 +15,7 @@ import (
 // checks.
 
 // goldenCycleSpans is a cycle-domain stream with nested read spans on two
-// engines plus a pipeline system timeline, merged by a Trace.
+// engines, merged by a Trace.
 func goldenCycleSpans() []Span {
 	tr := New(PolicyAll, 0)
 	c := tr.NewBuffer("casa")
@@ -29,10 +29,6 @@ func goldenCycleSpans() []Span {
 	f := tr.NewBuffer("fmindex")
 	f.Emit(1, "seed", "fwd", 0, 40)
 	f.Emit(1, "seed", "rev", 40, 25)
-	p := tr.NewBuffer("pipeline:CASA+SeedEx")
-	p.EmitSystem("io", "io", 0, 100)
-	p.EmitSystem("seeding", "seeding", 100, 400)
-	p.EmitSystem("extension", "extension", 250, 500)
 	return tr.Spans()
 }
 
@@ -83,9 +79,6 @@ func TestChromeGolden(t *testing.T) {
 		if s.Proc != want.Proc || s.Track != want.Track || s.Name != want.Name ||
 			s.Read != want.Read || s.Dur != want.Dur {
 			t.Fatalf("span %d: %+v, want %+v", i, s, want)
-		}
-		if s.Read == SystemRead && s.Start != want.Start {
-			t.Fatalf("system span %d start %d, want %d", i, s.Start, want.Start)
 		}
 	}
 }

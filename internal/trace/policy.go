@@ -7,8 +7,7 @@ import (
 	"strings"
 )
 
-// Policy selects which reads' spans survive the merge. System spans
-// (Read == SystemRead) are never dropped.
+// Policy selects which reads' spans survive the merge.
 //
 // The three policies:
 //
@@ -80,9 +79,6 @@ func headReads(spans []Span, n int) map[int32]bool {
 func slowestReads(spans []Span, n int) map[int32]bool {
 	ends := make(map[int32]int64)
 	for _, s := range spans {
-		if s.Read == SystemRead {
-			continue
-		}
 		if e := s.End(); e > ends[s.Read] {
 			ends[s.Read] = e
 		}
@@ -108,7 +104,7 @@ func distinctReads(spans []Span) []int32 {
 	seen := make(map[int32]bool)
 	var out []int32
 	for _, s := range spans {
-		if s.Read != SystemRead && !seen[s.Read] {
+		if !seen[s.Read] {
 			seen[s.Read] = true
 			out = append(out, s.Read)
 		}
@@ -124,12 +120,11 @@ func toSet(reads []int32) map[int32]bool {
 	return set
 }
 
-// filterReads keeps system spans and the spans of the selected reads,
-// preserving order.
+// filterReads keeps the spans of the selected reads, preserving order.
 func filterReads(spans []Span, keep map[int32]bool) []Span {
 	out := spans[:0:0]
 	for _, s := range spans {
-		if s.Read == SystemRead || keep[s.Read] {
+		if keep[s.Read] {
 			out = append(out, s)
 		}
 	}

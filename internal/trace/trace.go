@@ -1,6 +1,6 @@
 // Package trace is the cycle-domain event-tracing layer of the CASA
 // reproduction: a std-lib-only, allocation-conscious span recorder that
-// engines and the pipeline model emit into, with deterministic merging
+// the seeding engines emit into, with deterministic merging
 // across batch workers and export to Chrome trace_event JSON (loadable in
 // Perfetto / chrome://tracing) under the casa-trace/v1 schema (see
 // docs/OBSERVABILITY.md). The host wall-clock domain (wall.go) shares
@@ -8,9 +8,8 @@
 //
 // Spans live in the *modelled* time domain, never the host wall clock:
 // for the accelerator engines the unit is the engine's native cycle (or
-// fetch/step) count, for the pipeline model it is nanoseconds of modelled
-// wall time. Per-read spans are keyed by the read's index in the input
-// batch and carry read-local timestamps (cycle 0 = the moment the
+// fetch/step) count. Every span belongs to a read: it is keyed by the
+// read's index in the input batch and carries read-local timestamps (cycle 0 = the moment the
 // modelled hardware starts that read), so a span's value depends only on
 // the read itself — the same discipline that makes the batch runner's
 // Results bit-identical at any worker count extends to traces: the merged
@@ -37,19 +36,14 @@ import (
 // only on incompatible changes.
 const SchemaVersion = "casa-trace/v1"
 
-// SystemRead is the Read value of system-timeline spans (pipeline stages,
-// batch-level phases): they carry absolute timestamps on their process's
-// timeline rather than read-local ones, and sampling never drops them.
-const SystemRead = int32(-1)
-
 // Span is one recorded event: Dur units of modelled time on a named
-// track, belonging to a read (or to the system timeline).
+// track, belonging to a read.
 type Span struct {
-	Proc  string // process-level group: engine name or "pipeline:<system>"
+	Proc  string // process-level group: engine name
 	Track string // thread-level track within the process: stage name
 	Name  string // span label: "exact", "smem", "p03", "fwd", ...
-	Read  int32  // read index in the input batch; SystemRead for timelines
-	Start int64  // modelled start time (read-local for read spans)
+	Read  int32  // read index in the input batch
+	Start int64  // modelled start time, read-local
 	Dur   int64  // modelled duration, >= 0
 
 	// seq is the emission order within the owning Buffer; the merge key
@@ -102,18 +96,6 @@ func (b *Buffer) Emit(read int, track, name string, start, dur int64) {
 	b.seq++
 }
 
-// EmitSystem records one system-timeline span with absolute timestamps.
-func (b *Buffer) EmitSystem(track, name string, start, dur int64) {
-	if b == nil {
-		return
-	}
-	b.spans = append(b.spans, Span{
-		Proc: b.proc, Track: track, Name: name,
-		Read: SystemRead, Start: start, Dur: dur, seq: b.seq,
-	})
-	b.seq++
-}
-
 // Len returns the number of spans recorded since the last merge
 // (Trace.Spans moves them into the merged stream).
 func (b *Buffer) Len() int {
@@ -159,7 +141,7 @@ func (t *Trace) NewBuffer(proc string) *Buffer {
 	if t == nil {
 		return nil
 	}
-	b := &Buffer{proc: proc, last: SystemRead}
+	b := &Buffer{proc: proc, last: -1}
 	if t.policy.Kind == "head" {
 		b.head = t.policy.N
 	}
@@ -175,7 +157,7 @@ func (t *Trace) Policy() Policy { return t.policy }
 // Spans merges every buffer registered so far into one deterministic
 // span stream: sorted by (Proc, Read, emission order), sampled per the
 // policy, then cut to the capacity (evicting the earliest reads' spans
-// first). System spans always survive sampling. The result is
+// first). The result is
 // independent of worker count and of buffer registration order; callers
 // must not run Spans concurrently with workers still emitting.
 //
@@ -194,8 +176,6 @@ func (t *Trace) Spans() []Span {
 	if len(merged) > t.capacity {
 		// Keep the newest spans (the highest read indices): drop whole
 		// reads from the front so no read is ever half-represented.
-		// System spans (sorted to each proc's front by Read = -1) are
-		// re-attached untouched.
 		merged = evictOldest(merged, t.capacity)
 	}
 	return merged
@@ -238,50 +218,17 @@ func (t *Trace) merge() []Span {
 }
 
 // evictOldest drops whole-read span groups from the front of the sorted
-// stream until at most capacity spans remain, never dropping system
-// spans. If the system spans alone exceed capacity they are all kept —
-// the cap bounds the exported read spans, not the (tiny) timeline.
+// stream until at most capacity spans remain.
 func evictOldest(spans []Span, capacity int) []Span {
-	var system, reads []Span
-	for _, s := range spans {
-		if s.Read == SystemRead {
-			system = append(system, s)
-		} else {
-			reads = append(reads, s)
-		}
-	}
-	budget := capacity - len(system)
-	if budget < 0 {
-		budget = 0
-	}
-	for len(reads) > budget {
+	for len(spans) > capacity {
 		// Drop the first read group (stream is sorted by proc then read;
 		// the front holds the earliest read of the first proc).
-		r, p := reads[0].Read, reads[0].Proc
+		r, p := spans[0].Read, spans[0].Proc
 		i := 0
-		for i < len(reads) && reads[i].Read == r && reads[i].Proc == p {
+		for i < len(spans) && spans[i].Read == r && spans[i].Proc == p {
 			i++
 		}
-		reads = reads[i:]
+		spans = spans[i:]
 	}
-	out := make([]Span, 0, len(system)+len(reads))
-	// Re-merge preserving the (Proc, Read) order.
-	i, j := 0, 0
-	for i < len(system) || j < len(reads) {
-		switch {
-		case i >= len(system):
-			out = append(out, reads[j])
-			j++
-		case j >= len(reads):
-			out = append(out, system[i])
-			i++
-		case system[i].Proc <= reads[j].Proc:
-			out = append(out, system[i])
-			i++
-		default:
-			out = append(out, reads[j])
-			j++
-		}
-	}
-	return out
+	return spans
 }

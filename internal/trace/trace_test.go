@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -56,16 +58,13 @@ func TestSamplingPolicies(t *testing.T) {
 			}
 			emitRead(b, r, total)
 		}
-		b.EmitSystem("io", "io", 0, 42)
 		return tr.Spans()
 	}
 
 	reads := func(spans []Span) map[int32]bool {
 		set := map[int32]bool{}
 		for _, s := range spans {
-			if s.Read != SystemRead {
-				set[s.Read] = true
-			}
+			set[s.Read] = true
 		}
 		return set
 	}
@@ -85,19 +84,6 @@ func TestSamplingPolicies(t *testing.T) {
 	if got := reads(slow); len(got) != 3 || !got[7] || !got[0] || !got[1] {
 		t.Fatalf("slowest:3 selected %v", got)
 	}
-
-	// System spans survive every policy.
-	for name, spans := range map[string][]Span{"head": head, "slowest": slow} {
-		found := false
-		for _, s := range spans {
-			if s.Read == SystemRead {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("%s: system span dropped", name)
-		}
-	}
 }
 
 // TestHeadSamplingAtEmit records 40 reads in shards of 3 claimed round
@@ -112,7 +98,6 @@ func TestHeadSamplingAtEmit(t *testing.T) {
 		for i := range bs {
 			bs[i] = tr.NewBuffer("eng")
 		}
-		bs[0].EmitSystem("io", "io", 0, 1)
 		for shard := 0; shard*3 < 40; shard++ {
 			b := bs[shard%len(bs)]
 			for pass := 0; pass < 2; pass++ {
@@ -128,8 +113,8 @@ func TestHeadSamplingAtEmit(t *testing.T) {
 		policy := Policy{Kind: "head", N: n}
 		tr, bs := record(policy)
 		for i, b := range bs {
-			if b.Len() > 1+2*n {
-				t.Errorf("head:%d buffer %d holds %d spans, want at most %d", n, i, b.Len(), 1+2*n)
+			if b.Len() > 2*n {
+				t.Errorf("head:%d buffer %d holds %d spans, want at most %d", n, i, b.Len(), 2*n)
 			}
 		}
 		var got, want bytes.Buffer
@@ -146,9 +131,8 @@ func TestHeadSamplingAtEmit(t *testing.T) {
 }
 
 func TestRingEvictsOldestWholeReads(t *testing.T) {
-	tr := New(PolicyAll, 5) // room for two 2-span reads + 1 system span
+	tr := New(PolicyAll, 5) // room for two 2-span reads, not three
 	b := tr.NewBuffer("eng")
-	b.EmitSystem("io", "io", 0, 1)
 	for r := 0; r < 4; r++ {
 		emitRead(b, r, 10)
 	}
@@ -159,9 +143,6 @@ func TestRingEvictsOldestWholeReads(t *testing.T) {
 	got := map[int32]int{}
 	for _, s := range spans {
 		got[s.Read]++
-	}
-	if got[SystemRead] != 1 {
-		t.Fatalf("system span evicted: %v", got)
 	}
 	// The newest reads survive whole; the oldest are gone entirely.
 	if got[0] != 0 || got[1] != 0 || got[2] != 2 || got[3] != 2 {
@@ -176,7 +157,6 @@ func TestNilTraceAndBufferAreNoOps(t *testing.T) {
 		t.Fatal("nil Trace must hand out nil buffers")
 	}
 	b.Emit(0, "seed", "fwd", 0, 10) // must not panic
-	b.EmitSystem("io", "io", 0, 1)
 	if b.Len() != 0 {
 		t.Fatal("nil buffer reported spans")
 	}
@@ -255,9 +235,8 @@ func TestChromeRoundTrip(t *testing.T) {
 	b.Emit(0, "exact", "exact", 0, 10)
 	b.Emit(0, "smem", "p00", 10, 30)
 	b.Emit(1, "exact", "p00", 0, 5)
-	p := tr.NewBuffer("pipeline:CASA+SeedEx")
-	p.EmitSystem("io", "io", 0, 100)
-	p.EmitSystem("seeding", "seeding", 100, 400)
+	f := tr.NewBuffer("fmindex")
+	f.Emit(0, "seed", "fwd", 0, 7)
 
 	spans := tr.Spans()
 	var buf bytes.Buffer
@@ -296,6 +275,33 @@ func TestChromeRoundTrip(t *testing.T) {
 		if _, err := ParseChrome([]byte(bad)); err == nil {
 			t.Errorf("ParseChrome accepted %q", bad)
 		}
+	}
+}
+
+// TestParseChromeRefusesEventWithoutRead: every cycle-domain span
+// belongs to a read, so an X event with no read arg (as a system-timeline
+// span was written) is refused with ErrNoRead, not given a read index.
+func TestParseChromeRefusesEventWithoutRead(t *testing.T) {
+	doc := `{"traceEvents": [
+		{"name": "process_name", "ph": "M", "ts": 0, "pid": 1, "tid": 0, "args": {"name": "casa"}},
+		{"name": "thread_name", "ph": "M", "ts": 0, "pid": 1, "tid": 1, "args": {"name": "exact"}},
+		{"name": "exact", "cat": "exact", "ph": "X", "ts": 0, "dur": 4, "pid": 1, "tid": 1, "args": {"read": 0, "cycles": 4}},
+		{"name": "io", "cat": "exact", "ph": "X", "ts": 4, "dur": 9, "pid": 1, "tid": 1, "args": {"cycles": 9}}
+	], "otherData": {"schema": "casa-trace/v1"}}`
+	spans, err := ParseChrome([]byte(doc))
+	if !errors.Is(err, ErrNoRead) {
+		t.Fatalf("ParseChrome = %v, %v; want ErrNoRead", spans, err)
+	}
+	if !strings.Contains(err.Error(), `"io"`) {
+		t.Errorf("error %q does not name the event", err)
+	}
+	noArgs := strings.Replace(doc, `, "args": {"cycles": 9}`, "", 1)
+	if _, err := ParseChrome([]byte(noArgs)); !errors.Is(err, ErrNoRead) {
+		t.Errorf("event without args: %v, want ErrNoRead", err)
+	}
+	withRead := strings.Replace(doc, `{"cycles": 9}`, `{"read": 1, "cycles": 9}`, 1)
+	if spans, err := ParseChrome([]byte(withRead)); err != nil || len(spans) != 2 || spans[1].Read != 1 {
+		t.Errorf("with the read arg: %+v, %v", spans, err)
 	}
 }
 

@@ -12,7 +12,11 @@
 #   3. casa-smem or casa-align reads its FASTQ or drives a seeding pool
 #      itself (a seqio.FastqReader, batch.Stream, batch.NewSeeder or
 #      engine.CheckReads in its non-test code) instead of going through
-#      runcli's one read stream (Run.OpenReads and Run.Stream).
+#      runcli's one read stream (Run.OpenReads and Run.Stream);
+#   4. casa-align extends, places, pairs or reseeds reads itself (an
+#      ExtendRead, pairing.Rescue, pairing.Proper, engine.Positions or
+#      batch.SeedEngineCtx call in its non-test code) instead of going
+#      through the one align path, internal/pipeline's Aligner.
 #
 # Run from the repository root: scripts/lint_cli_harness.sh
 
@@ -39,7 +43,13 @@ if grep -nE 'seqio\.(NewFastqReader|FastqReader)|batch\.(Stream|NewSeeder)\(|eng
     fail=1
 fi
 
+if grep -nE '\.ExtendRead\(|pairing\.(Rescue|Proper)\(|engine\.Positions\(|batch\.SeedEngineCtx\(' \
+    $(ls cmd/casa-align/*.go | grep -v '_test\.go$'); then
+    echo "lint_cli_harness: casa-align runs part of the align path itself (use internal/pipeline's Aligner)" >&2
+    fail=1
+fi
+
 if [ "$fail" -eq 0 ]; then
-    echo "lint_cli_harness: OK — shared CLI plumbing and the read stream stay in internal/runcli"
+    echo "lint_cli_harness: OK — shared CLI plumbing and the read stream stay in internal/runcli, the align path in internal/pipeline"
 fi
 exit "$fail"
